@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release --manifest-path pipebench/Cargo.toml -- \
-//!     --workload area --seed 1 --seconds 30 --trace 0
+//!     --workload area --seed 1 --seconds 35 --trace 0
 //! ```
 //!
 //! Inputs (networks, pools, SmartPixel events, reference mappings) are
@@ -23,6 +23,7 @@ mod replay;
 mod wall;
 
 use check::{check, first_fit, predicted_packets, Checked};
+use croxmap_bench::ExperimentScale;
 use croxmap_core::pipeline::{
     optimize_area, optimize_pgo_after_area, optimize_routes_after_area, OptimizationRun,
     PipelineConfig,
@@ -31,7 +32,7 @@ use croxmap_core::Mapping;
 use croxmap_gen::calibrated::{generate, NetworkSpec};
 use croxmap_gen::smartpixel::{encode, EventSet, SmartPixelConfig};
 use croxmap_ilp::tol::OBJ_AGREE;
-use croxmap_mca::{ArchitectureSpec, AreaModel, CrossbarDim, CrossbarPool};
+use croxmap_mca::CrossbarPool;
 use croxmap_sim::{count_packets, LifSimulator, SpikeProfile};
 use croxmap_snn::Network;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -56,8 +57,9 @@ pub enum Flow {
     Pgo,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum PoolKind {
+/// How a job's crossbar pool is built (by `croxmap_bench::ExperimentScale`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PoolKind {
     /// Table II heterogeneous catalog, at most this many replicas per
     /// dimension.
     TableII(usize),
@@ -76,8 +78,6 @@ struct Workload {
     instances: u64,
     /// Deterministic-second budget of every pipeline call.
     budget: f64,
-    /// Solver threads (1 = sequential solver).
-    threads: usize,
     /// SmartPixel events generated per run (1 % profile, 99 % held out).
     events: usize,
     /// Timed repetitions of each held-out evaluation; `sim_s` keeps the
@@ -100,7 +100,6 @@ fn workload(name: &str) -> Option<Workload> {
             ],
             instances: 2,
             budget: 0.1,
-            threads: 1,
             events: 5_000,
             sim_reps: 5,
         }),
@@ -111,9 +110,8 @@ fn workload(name: &str) -> Option<Workload> {
                 (Snu, 'E', 12, TableII(2)),
                 (Pgo, 'A', 12, TableII(2)),
             ],
-            instances: 7,
-            budget: 0.15,
-            threads: 1,
+            instances: 12,
+            budget: 0.1,
             events: 2_000,
             sim_reps: 5,
         }),
@@ -121,7 +119,6 @@ fn workload(name: &str) -> Option<Workload> {
             jobs: vec![(Pgo, 'A', 1, TableII(4)), (Pgo, 'C', 1, TableII(4))],
             instances: 5,
             budget: 1.0,
-            threads: 1,
             events: 25_000,
             sim_reps: 1,
         }),
@@ -173,36 +170,25 @@ fn derive_seed(seed: u64, builtin: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn network_spec(net: char, scale: usize, seed: u64, instance: u64) -> NetworkSpec {
-    let mut spec = match net {
-        'A' => NetworkSpec::table_i_a(),
-        'C' => NetworkSpec::table_i_c(),
-        _ => NetworkSpec::table_i_e(),
-    };
-    if scale > 1 {
-        spec.name = format!("{}/{scale}", spec.name);
-        spec.node_count = (spec.node_count / scale).max(8);
-        spec.edge_count = (spec.edge_count / scale).max(10);
-        spec.input_count = (spec.input_count / scale).max(2);
-    }
+/// Table I analog `net` at 1/`scale` size, with its seed mixed with the run
+/// seed and the draw `instance`.
+fn network_spec(net: char, scale: usize, seed: u64, instance: u64) -> Option<NetworkSpec> {
+    let mut spec = NetworkSpec::table_i_scaled(scale)
+        .into_iter()
+        .find(|s| s.name.starts_with(net))?;
     spec.seed = derive_seed(instance, derive_seed(seed, spec.seed));
-    spec
+    Some(spec)
 }
 
 fn build_pool(kind: PoolKind, network: &Network) -> CrossbarPool {
-    let area = AreaModel::memristor_count();
+    // The pool helpers read only `pool_cap`.
     match kind {
-        PoolKind::TableII(cap) => CrossbarPool::for_network_capped(
-            &ArchitectureSpec::table_ii_heterogeneous(),
-            &area,
-            network.node_count(),
-            cap,
-        ),
-        PoolKind::Homogeneous16 => {
-            let dim = CrossbarDim::square(16);
-            let replicas = (network.node_count().div_ceil(16) * 2).max(2);
-            CrossbarPool::from_counts(&area, [(dim, replicas)])
+        PoolKind::TableII(pool_cap) => ExperimentScale {
+            pool_cap,
+            ..ExperimentScale::full()
         }
+        .heterogeneous_pool(network),
+        PoolKind::Homogeneous16 => ExperimentScale::full().homogeneous_pool(network),
     }
 }
 
@@ -216,6 +202,8 @@ pub struct Job {
     pub network: Network,
     /// Crossbar pool.
     pub pool: CrossbarPool,
+    /// Kind of `pool`.
+    pub pool_kind: PoolKind,
     /// Pipeline configuration.
     pub config: PipelineConfig,
     /// The benchmark's first-fit mapping: the base of SNU/PGO jobs and the
@@ -251,7 +239,9 @@ fn setup(wl: &Workload, seed: u64) -> Result<(Inputs, SetupTimes), String> {
     let mut jobs = Vec::new();
     for instance in 0..wl.instances {
         for &(flow, net, scale, pool_kind) in &wl.jobs {
-            let (network, s) = timed(|| generate(&network_spec(net, scale, seed, instance)));
+            let spec = network_spec(net, scale, seed, instance)
+                .ok_or(format!("no Table I network {net}"))?;
+            let (network, s) = timed(|| generate(&spec));
             times.networks_s += s;
             let pool = build_pool(pool_kind, &network);
             let pool_name = match pool_kind {
@@ -263,13 +253,13 @@ fn setup(wl: &Workload, seed: u64) -> Result<(Inputs, SetupTimes), String> {
                 first_fit(&network, &pool).ok_or(format!("{label}: first fit finds no mapping"))?;
             let ref_check = check(&network, &pool, &reference)
                 .map_err(|e| format!("{label}: reference mapping: {e}"))?;
-            let config = PipelineConfig::with_budget(wl.budget).with_threads(wl.threads);
             jobs.push(Job {
                 label,
                 flow,
                 network,
                 pool,
-                config,
+                pool_kind,
+                config: PipelineConfig::with_budget(wl.budget),
                 reference,
                 ref_check,
             });
@@ -473,10 +463,7 @@ pub fn judge(
         );
         let mapping = run.best_mapping().ok_or("returned no mapping")?.clone();
         let reported = run.best_objective().unwrap_or(f64::INFINITY);
-        let c = check(&job.network, &job.pool, &mapping).map_err(|e| {
-            out.wrong = true;
-            e
-        })?;
+        let c = check(&job.network, &job.pool, &mapping).inspect_err(|_| out.wrong = true)?;
         let own = own_objective(&job.network, &mapping, &c, job.flow, weights);
         if own > reported + OBJ_AGREE {
             out.wrong = true;
@@ -571,43 +558,16 @@ impl Pass {
             1.0
         }
     }
-
-    fn wall_per_det(&self) -> f64 {
-        self.sum(|o| o.wall_s) / self.sum(|o| o.det_s).max(f64::MIN_POSITIVE)
-    }
-
-    fn sim_s(&self) -> f64 {
-        self.sum(|o| o.sim.total())
-    }
-
-    /// The quality numbers that must repeat exactly run to run.
-    fn quality(&self) -> Vec<u64> {
-        self.outcomes
-            .iter()
-            .flat_map(|o| {
-                [
-                    o.area.to_bits(),
-                    o.routes,
-                    o.packets,
-                    o.primal.to_bits(),
-                    o.gap.to_bits(),
-                    u64::from(o.failure.is_some()),
-                ]
-            })
-            .collect()
-    }
 }
 
-fn run_pass(inputs: &Inputs, verbose: bool) -> Pass {
+fn run_pass(inputs: &Inputs) -> Pass {
     let t = Stopwatch::start();
     let outcomes: Vec<Outcome> = inputs
         .jobs
         .iter()
         .map(|job| {
             let o = run_job(job, inputs);
-            if verbose {
-                report_job(job, &o);
-            }
+            report_job(job, &o);
             o
         })
         .collect();
@@ -675,21 +635,33 @@ pub struct Metric {
 pub fn metric(name: impl Into<String>, value: f64, unit: &'static str) -> Metric {
     Metric {
         name: name.into(),
-        value: if value.is_finite() { value } else { 0.0 },
+        value,
         unit,
     }
 }
 
+/// Prints every metric and the result line. A metric that is not finite
+/// is printed as `null` and makes the result incorrect.
 fn print_result(correct: bool, attempted: usize, failed: usize, metrics: &[Metric]) {
+    let mut correct = correct;
     for m in metrics {
         println!("metric {:<34} {:>18} {}", m.name, m.value, m.unit);
+        if !m.value.is_finite() {
+            println!("ERROR: metric {} is {}", m.name, m.value);
+            correct = false;
+        }
     }
     let body: Vec<String> = metrics
         .iter()
         .map(|m| {
+            let value = if m.value.is_finite() {
+                format!("{:?}", m.value)
+            } else {
+                "null".to_string()
+            };
             format!(
-                "\"{}\": {{\"value\": {:?}, \"unit\": \"{}\"}}",
-                m.name, m.value, m.unit
+                "\"{}\": {{\"value\": {value}, \"unit\": \"{}\"}}",
+                m.name, m.unit
             )
         })
         .collect();
@@ -742,51 +714,31 @@ fn main() -> ExitCode {
         setup_s
     );
 
-    // Measure: whole passes over the jobs until the next one would overrun
-    // `--seconds` (always at least one). Every pass must reproduce the
-    // first pass's quality numbers exactly.
-    let clock = Stopwatch::start();
-    let first = run_pass(&inputs, true);
-    let mut passes = vec![first];
-    let mut deterministic = true;
-    while !args.trace && clock.seconds() + passes[passes.len() - 1].wall_s <= args.seconds {
-        let p = run_pass(&inputs, false);
-        deterministic &= p.quality() == passes[0].quality();
-        passes.push(p);
-    }
-    if !deterministic {
-        println!("ERROR: a repeated pass changed the quality numbers");
-    }
-    let first = &passes[0];
-    let attempted = first.outcomes.len();
-    let failed = first
-        .outcomes
-        .iter()
-        .filter(|o| o.failure.is_some())
-        .count();
-    let wrong = first.outcomes.iter().any(|o| o.wrong);
+    // Measure: one pass over the workload's fixed job list. The job list,
+    // not `--seconds`, sets how long it lasts, so every run measures the
+    // same work; determinism is checked by comparing separate runs.
+    let pass = run_pass(&inputs);
+    let attempted = pass.outcomes.len();
+    let failed = pass.outcomes.iter().filter(|o| o.failure.is_some()).count();
+    let wrong = pass.outcomes.iter().any(|o| o.wrong);
     println!(
-        "{} pass(es); first pass sums: area {} (reference {}), snu {} ({}), packets {} ({})",
-        passes.len(),
-        first.sum(|o| o.area),
-        first.sum(|o| o.ref_area),
-        first.sum(|o| o.routes as f64),
-        first.sum(|o| o.ref_routes as f64),
-        first.sum(|o| o.packets as f64),
-        first.sum(|o| o.ref_packets as f64),
+        "pass {:.1} s (--seconds {}); sums: area {} (reference {}), snu {} ({}), packets {} ({})",
+        pass.wall_s,
+        args.seconds,
+        pass.sum(|o| o.area),
+        pass.sum(|o| o.ref_area),
+        pass.sum(|o| o.routes as f64),
+        pass.sum(|o| o.ref_routes as f64),
+        pass.sum(|o| o.packets as f64),
+        pass.sum(|o| o.ref_packets as f64),
     );
 
     if args.trace {
-        let traced = replay::traced_pass(&args.workload, args.seed, &inputs, first, gen_times);
-        let Some((metrics, faithful)) = traced else {
+        let traced = replay::traced_pass(&args.workload, args.seed, &inputs, &pass, gen_times);
+        let Some((metrics, traced_ok)) = traced else {
             return ExitCode::from(1);
         };
-        print_result(
-            deterministic && !wrong && faithful,
-            attempted,
-            failed,
-            &metrics,
-        );
+        print_result(!wrong && traced_ok, attempted, failed, &metrics);
         return ExitCode::SUCCESS;
     }
 
@@ -794,32 +746,28 @@ fn main() -> ExitCode {
         metric("setup_s", setup_s, "s"),
         metric(
             "wall_per_det",
-            median(passes.iter().map(Pass::wall_per_det).collect()),
+            pass.sum(|o| o.wall_s) / pass.sum(|o| o.det_s),
             "s/det-s",
         ),
-        metric(
-            "sim_s",
-            median(passes.iter().map(Pass::sim_s).collect()),
-            "s",
-        ),
+        metric("sim_s", pass.sum(|o| o.sim.total()), "s"),
         metric(
             "area_ratio",
-            first.relative(|o| o.area, |o| o.ref_area),
+            pass.relative(|o| o.area, |o| o.ref_area),
             "ratio",
         ),
         metric(
             "snu_ratio",
-            first.relative(|o| o.routes as f64, |o| o.ref_routes as f64),
+            pass.relative(|o| o.routes as f64, |o| o.ref_routes as f64),
             "ratio",
         ),
         metric(
             "packets_ratio",
-            first.relative(|o| o.packets as f64, |o| o.ref_packets as f64),
+            pass.relative(|o| o.packets as f64, |o| o.ref_packets as f64),
             "ratio",
         ),
-        metric("primal_integral", first.mean(|o| o.primal), "ratio"),
-        metric("gap", first.mean(|o| o.gap), "ratio"),
+        metric("primal_integral", pass.mean(|o| o.primal), "ratio"),
+        metric("gap", pass.mean(|o| o.gap), "ratio"),
     ];
-    print_result(deterministic && !wrong, attempted, failed, &metrics);
+    print_result(!wrong, attempted, failed, &metrics);
     ExitCode::SUCCESS
 }

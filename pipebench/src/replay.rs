@@ -11,23 +11,37 @@
 //! charges the deterministic clock. Each replay's final objective,
 //! incumbent count and det time must equal the untraced call's
 //! (`trace.faithful`), so the split always describes the program measured.
+//!
+//! The pipeline calls run the sequential solver, which bypasses
+//! `croxmap_ilp::parallel`. To measure that layer too, the traced run
+//! re-solves the area ILP of every job on the 16×16 pool with the
+//! deterministic parallel tree search (`parallel.*` metrics), outside the
+//! replayed calls and their wall times.
 
+use crate::check::check;
 use crate::wall::Stopwatch;
 use crate::{
-    judge, metric, profile_weights, Flow, Inputs, Job, Metric, Outcome, SetupTimes, SimTimes,
+    judge, metric, profile_weights, Flow, Inputs, Job, Metric, Outcome, PoolKind, SetupTimes,
+    SimTimes,
 };
 use croxmap_core::baseline::{greedy_first_fit, local_search_area, local_search_routes};
 use croxmap_core::pipeline::{refine_pairwise, OptimizationRun, TimedMapping};
 use croxmap_core::{Mapping, MappingIlp, MappingObjective};
 use croxmap_ilp::tol::OBJ_AGREE;
 use croxmap_ilp::{
-    DeterministicClock, Phase, PhaseBreakdown, SolveResult, Solver, SolverConfig, SpanEvent,
-    TraceHandle, TraceSink,
+    DeterministicClock, ParallelMode, Phase, PhaseBreakdown, SolveResult, Solver, SolverConfig,
+    SpanEvent, TraceHandle, TraceSink,
 };
 use croxmap_sim::count_routes;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
+
+/// Worker threads of the parallel re-solve.
+const PARALLEL_THREADS: usize = 2;
+/// Det-second budget of the parallel re-solve: enough for the C/4 16×16
+/// area ILP to leave its root and run the tree on most inputs.
+const PARALLEL_BUDGET: f64 = 0.8;
 
 /// Forwards each finished solve's phase breakdown to the benchmark.
 struct PhaseSink(Sender<PhaseBreakdown>);
@@ -157,6 +171,8 @@ struct Layers {
     cuts_added: u64,
     warm_accepted: u64,
     bound_finite: u64,
+    parallel_epochs: u64,
+    parallel_heuristic_incumbents: u64,
     sim: SimTimes,
 }
 
@@ -356,9 +372,50 @@ fn replay_reroute(
     )
 }
 
+/// The `ilp::parallel` layer: `job`'s area ILP, warm-started from its
+/// reference mapping, solved by the deterministic parallel tree search.
+///
+/// # Errors
+///
+/// Fails if the parallel search did not run, or if the best mapping fails the
+/// checker or has more area than the warm start.
+fn parallel_resolve(
+    tr: &mut Tracer,
+    layers: &mut Layers,
+    j: usize,
+    job: &Job,
+) -> Result<(), String> {
+    let (net, pool) = (&job.network, &job.pool);
+    let ilp = MappingIlp::build(net, pool, &MappingObjective::Area, &job.config.formulation);
+    let warm = ilp.warm_start(net, &job.reference);
+    let config = job
+        .config
+        .solver
+        .clone()
+        .with_det_time_limit(PARALLEL_BUDGET)
+        .with_threads(PARALLEL_THREADS)
+        .with_parallel_mode(ParallelMode::Deterministic);
+    let (result, _) = tr.span(j, "parallel", "solve_with_callback", || {
+        Solver::new(config).solve_with_callback(ilp.model(), Some(&warm), |_| {})
+    });
+    let stats = result.parallel.ok_or("the parallel search did not run")?;
+    layers.parallel_epochs += stats.epochs;
+    layers.parallel_heuristic_incumbents += stats.heuristic_incumbents;
+    let best = result.best.as_ref().ok_or("no incumbent")?;
+    let c = check(net, pool, &ilp.decode(best))?;
+    if c.area > job.ref_check.area + OBJ_AGREE {
+        return Err(format!(
+            "area {} above the warm start's {}",
+            c.area, job.ref_check.area
+        ));
+    }
+    Ok(())
+}
+
 /// Runs the traced pass, checks it against the untraced `reference` pass,
-/// writes the spans and returns the per-layer metrics and
-/// `trace.faithful`. Returns `None` if the span file cannot be written.
+/// writes the spans and returns the per-layer metrics and whether the
+/// replay was faithful and every parallel re-solve checked out. Returns
+/// `None` if the span file cannot be written.
 pub fn traced_pass(
     workload: &str,
     seed: u64,
@@ -399,6 +456,17 @@ pub fn traced_pass(
         outcomes.push(o);
     }
     let traced_wall = t.seconds();
+
+    let mut parallel_ok = true;
+    for (j, job) in inputs.jobs.iter().enumerate() {
+        if job.flow != Flow::Area || job.pool_kind != PoolKind::Homogeneous16 {
+            continue;
+        }
+        if let Err(e) = parallel_resolve(&mut tr, &mut layers, j, job) {
+            parallel_ok = false;
+            println!("PARALLEL {}: {e}", job.label);
+        }
+    }
 
     let mut faithful = true;
     for ((job, u), t) in inputs.jobs.iter().zip(&untraced.outcomes).zip(&outcomes) {
@@ -504,6 +572,12 @@ pub fn traced_pass(
             ratio(l.bound_finite as f64, l.ilp_solves as f64),
             "ratio",
         ),
+        metric("parallel.epochs", l.parallel_epochs as f64, "count"),
+        metric(
+            "parallel.heuristic_incumbents",
+            l.parallel_heuristic_incumbents as f64,
+            "count",
+        ),
         metric("sim.lif_ms", l.sim.lif_s * 1e3, "ms"),
         metric("sim.fires", l.sim.fires as f64, "count"),
         metric("sim.packets_ms", l.sim.packets_s * 1e3, "ms"),
@@ -520,5 +594,5 @@ pub fn traced_pass(
         ),
         metric("trace.faithful", f64::from(u8::from(faithful)), "bool"),
     ]);
-    Some((m, faithful))
+    Some((m, faithful && parallel_ok))
 }
