@@ -204,26 +204,25 @@ impl Layers {
     }
 }
 
-/// `run_ilp` of `pipeline.rs`, traced: encode the warm start, solve,
-/// decode every incumbent.
+/// `run_ilp` of `pipeline.rs`, traced: encode the warm start (a mapping
+/// and its objective), solve, decode every incumbent.
 fn traced_ilp(
     tr: &mut Tracer,
     layers: &mut Layers,
     j: usize,
     job: &Job,
     ilp: &MappingIlp,
-    warm: Option<&Mapping>,
-    warm_objective: Option<f64>,
+    warm: Option<(&Mapping, f64)>,
     config: &SolverConfig,
 ) -> OptimizationRun {
     let (warm_vec, s) = tr.span(j, "formulation", "warm_start", || {
-        warm.map(|m| ilp.warm_start(&job.network, m))
+        warm.map(|(m, _)| ilp.warm_start(&job.network, m))
     });
     layers.warm_s += s;
     let (result, s) = tr.span(j, "ilp", "solve_with_callback", || {
         Solver::new(config.clone()).solve_with_callback(ilp.model(), warm_vec.as_deref(), |_| {})
     });
-    layers.record_solve(&result, s, warm_objective);
+    layers.record_solve(&result, s, warm.map(|(_, objective)| objective));
     let (incumbents, s) = tr.span(j, "formulation", "decode", || {
         result
             .incumbents
@@ -300,17 +299,8 @@ fn replay_area(tr: &mut Tracer, layers: &mut Layers, j: usize, job: &Job) -> Opt
         det_time_limit: (cfg.solver.det_time_limit - refine_time).max(0.1),
         ..cfg.solver.clone()
     };
-    let warm_objective = warm.as_ref().map(|m| m.area(pool));
-    let mut run = traced_ilp(
-        tr,
-        layers,
-        j,
-        job,
-        &ilp,
-        warm.as_ref(),
-        warm_objective,
-        &remaining,
-    );
+    let warm = warm.as_ref().map(|m| (m, m.area(pool)));
+    let mut run = traced_ilp(tr, layers, j, job, &ilp, warm, &remaining);
     let best_so_far = incumbents.last().map(|t| t.objective);
     for inc in run.incumbents {
         if best_so_far.is_some_and(|b| inc.objective >= b - OBJ_AGREE) {
@@ -356,18 +346,17 @@ fn replay_reroute(
     } else {
         base.clone()
     };
-    let warm_objective = Some(match weights {
+    let warm_objective = match weights {
         Some(w) => crate::check::predicted_packets(net, &warm, w) as f64,
         None => count_routes(net, warm.assignment()).global as f64,
-    });
+    };
     traced_ilp(
         tr,
         layers,
         j,
         job,
         &ilp,
-        Some(&warm),
-        warm_objective,
+        Some((&warm, warm_objective)),
         &cfg.solver,
     )
 }
