@@ -18,10 +18,12 @@
 
 #![forbid(unsafe_code)]
 
+mod calib;
 mod check;
 mod replay;
 mod wall;
 
+use calib::Calibration;
 use check::{check, first_fit, predicted_packets, Checked};
 use croxmap_bench::ExperimentScale;
 use croxmap_core::pipeline::{
@@ -44,12 +46,18 @@ const WINDOW: u32 = 24;
 /// Share of the event set used for profiling (§V-H); the rest is held out.
 const PROFILE_SHARE: f64 = 0.01;
 /// Input sets are built again and again, at least `SETUP_REPS` times and for
-/// at least `SETUP_SECONDS`; `setup_s` is their median build time. One
+/// at least `SETUP_SECONDS`; `setup_s` is their median build time, scaled
+/// by the host speed that a kernel run between the builds measures
+/// (`calib.rs`), which takes `SETUP_CALIBRATION` of the build time. One
 /// build lasts milliseconds: on a shared host the median of eleven builds
-/// of one seed swung by 40 % between runs, the median of a second of
-/// builds by 5 %.
+/// of one seed swung by 40 % between runs; over ten seeds the median of a
+/// second of builds spread 0.33 unscaled and 0.11 scaled.
 const SETUP_REPS: usize = 11;
 const SETUP_SECONDS: f64 = 1.0;
+const SETUP_CALIBRATION: f64 = 0.25;
+/// Share of the pass's wall time given to the calibration kernel, run after
+/// each job; it scales `wall_per_det` and `sim_s`.
+const PASS_CALIBRATION: f64 = 0.05;
 /// Network draws per job before set-up gives up. A draw that the
 /// benchmark's first fit cannot place is redrawn, so every job has a
 /// reference mapping (C/4 on the 16×16 pool: about 1 draw in 100).
@@ -578,20 +586,23 @@ impl Pass {
     }
 }
 
-fn run_pass(inputs: &Inputs) -> Pass {
+/// Runs every job once, with `calibration` run after each; `Pass::wall_s`
+/// leaves the calibration out.
+fn run_pass(inputs: &Inputs, calibration: &mut Calibration) -> Pass {
     let t = Stopwatch::start();
     let outcomes: Vec<Outcome> = inputs
         .jobs
         .iter()
         .map(|job| {
-            let o = run_job(job, inputs);
+            let (o, s) = timed(|| run_job(job, inputs));
             report_job(job, &o);
+            calibration.keep_up(s);
             o
         })
         .collect();
     Pass {
         outcomes,
-        wall_s: t.seconds(),
+        wall_s: t.seconds() - calibration.seconds(),
     }
 }
 
@@ -707,43 +718,55 @@ fn main() -> ExitCode {
 
     let mut setup_times = Vec::new();
     let mut built = None;
+    let mut setup_calibration = Calibration::new(SETUP_CALIBRATION);
     let setup_clock = Stopwatch::start();
     while setup_times.len() < SETUP_REPS || setup_clock.seconds() < SETUP_SECONDS {
-        let t = Stopwatch::start();
-        match setup(&wl, args.seed) {
+        let (b, s) = timed(|| setup(&wl, args.seed));
+        match b {
             Ok(b) => built = Some(b),
             Err(e) => {
                 eprintln!("pipebench: setup failed: {e}");
                 return ExitCode::from(1);
             }
         }
-        setup_times.push(t.seconds());
+        setup_times.push(s);
+        setup_calibration.keep_up(s);
     }
     let Some((inputs, gen_times)) = built else {
         return ExitCode::from(1);
     };
-    let setup_s = median(setup_times);
+    let setup_raw_s = median(setup_times);
+    let setup_s = setup_raw_s * setup_calibration.speed();
     println!(
-        "workload {} seed {}: {} jobs, {} profile + {} held-out events, setup {:.4} s",
+        "workload {} seed {}: {} jobs, {} profile + {} held-out events, setup {:.4} s at host speed {:.3} ({:.4} s scaled)",
         args.workload,
         args.seed,
         inputs.jobs.len(),
         inputs.profile.len(),
         inputs.eval.len(),
+        setup_raw_s,
+        setup_calibration.speed(),
         setup_s
     );
 
     // Measure: one pass over the workload's fixed job list. The job list,
     // not `--seconds`, sets how long it lasts, so every run measures the
     // same work; determinism is checked by comparing separate runs.
-    let pass = run_pass(&inputs);
+    let mut calibration = Calibration::new(PASS_CALIBRATION);
+    let pass = run_pass(&inputs, &mut calibration);
+    let wall_per_det = pass.sum(|o| o.wall_s) / pass.sum(|o| o.det_s);
+    let sim_s = pass.sum(|o| o.sim.total());
+    println!(
+        "pass {:.1} s (--seconds {}): {wall_per_det:.3} s/det-s, sim {sim_s:.3} s at host speed {:.3}",
+        pass.wall_s,
+        args.seconds,
+        calibration.speed()
+    );
     let attempted = pass.outcomes.len();
     let failed = pass.outcomes.iter().filter(|o| o.failure.is_some()).count();
     let wrong = pass.outcomes.iter().any(|o| o.wrong);
     println!(
-        "pass {:.1} s (--seconds {}); sums: area {} (reference {}), snu {} ({}), packets {} ({})",
-        pass.wall_s,
-        args.seconds,
+        "sums: area {} (reference {}), snu {} ({}), packets {} ({})",
         pass.sum(|o| o.area),
         pass.sum(|o| o.ref_area),
         pass.sum(|o| o.routes as f64),
@@ -761,14 +784,15 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
+    // Wall-clock metrics at the reference host speed (see `calib.rs`).
     let metrics = vec![
         metric("setup_s", setup_s, "s"),
         metric(
             "wall_per_det",
-            pass.sum(|o| o.wall_s) / pass.sum(|o| o.det_s),
+            wall_per_det * calibration.speed(),
             "s/det-s",
         ),
-        metric("sim_s", pass.sum(|o| o.sim.total()), "s"),
+        metric("sim_s", sim_s * calibration.speed(), "s"),
         metric(
             "area_ratio",
             pass.relative(|o| o.area, |o| o.ref_area),
