@@ -495,7 +495,11 @@ pub fn judge(
             out.wrong = true;
             return Err(format!("checker objective {own} above reported {reported}"));
         }
-        if c.area > job.ref_check.area + OBJ_AGREE || own > ref_obj + OBJ_AGREE {
+        // SNU/PGO jobs start from the reference as their base and must not
+        // come back worse. An area job has no base: an area above the
+        // reference's is a quality result, which `area_ratio` reports.
+        let has_base = job.flow != Flow::Area;
+        if has_base && (c.area > job.ref_check.area + OBJ_AGREE || own > ref_obj + OBJ_AGREE) {
             return Err(format!(
                 "worse than base: area {} vs {}, objective {own} vs {ref_obj}",
                 c.area, job.ref_check.area
