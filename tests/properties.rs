@@ -2,8 +2,34 @@
 //! solver inputs.
 
 use croxmap::prelude::*;
+use croxmap::sim::predicted_global_packets;
 use croxmap_core::pipeline;
 use proptest::prelude::*;
+
+/// A network on `n` neurons (the first an input, the last an output) with
+/// the given synapses. A repeated pair is added once: `NetworkBuilder::build`
+/// rejects duplicate synapses.
+fn network_from(n: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> Network {
+    let mut b = NetworkBuilder::new();
+    let ids: Vec<_> = (0..n)
+        .map(|i| {
+            let role = if i == 0 {
+                NodeRole::Input
+            } else if i == n - 1 {
+                NodeRole::Output
+            } else {
+                NodeRole::Hidden
+            };
+            b.add_neuron(role, 1.0, 0.1)
+        })
+        .collect();
+    for (u, v) in edges {
+        if !b.contains_edge(ids[u], ids[v]) {
+            b.add_edge(ids[u], ids[v], 0.8, 1).unwrap();
+        }
+    }
+    b.build().unwrap()
+}
 
 /// Strategy: a random simple digraph with `n` in 3..=8 nodes.
 fn arb_network() -> impl Strategy<Value = Network> {
@@ -12,24 +38,21 @@ fn arb_network() -> impl Strategy<Value = Network> {
             let edges = proptest::collection::btree_set((0..n, 0..n), 1..=(n * 2).min(12));
             (Just(n), edges)
         })
-        .prop_map(|(n, edges)| {
-            let mut b = NetworkBuilder::new();
-            let ids: Vec<_> = (0..n)
-                .map(|i| {
-                    let role = if i == 0 {
-                        NodeRole::Input
-                    } else if i == n - 1 {
-                        NodeRole::Output
-                    } else {
-                        NodeRole::Hidden
-                    };
-                    b.add_neuron(role, 1.0, 0.1)
-                })
-                .collect();
-            for (u, v) in edges {
-                b.add_edge(ids[u], ids[v], 0.8, 1).unwrap();
-            }
-            b.build().unwrap()
+        .prop_map(|(n, edges)| network_from(n, edges))
+}
+
+/// Strategy: like [`arb_network`] with `n` in 3..=12, edge pairs drawn with
+/// repeats, and a self-loop on about half the neurons.
+fn arb_looped_network() -> impl Strategy<Value = Network> {
+    (3usize..=12)
+        .prop_flat_map(|n| {
+            let edges = proptest::collection::vec((0..n, 0..n), 1..=n * 2);
+            let loops = proptest::collection::vec(any::<bool>(), n);
+            (Just(n), edges, loops)
+        })
+        .prop_map(|(n, edges, loops)| {
+            let self_loops = (0..n).filter(|&i| loops[i]).map(|i| (i, i));
+            network_from(n, edges.into_iter().chain(self_loops))
         })
 }
 
@@ -45,8 +68,150 @@ fn arb_pool() -> impl Strategy<Value = CrossbarPool> {
     })
 }
 
+/// Full-recount reference for `local_search_routes`: the same visiting
+/// order, first-improvement acceptance and caps, but every trial
+/// revalidates the whole mapping and recounts every route. `initial` must
+/// be valid.
+fn full_recount_local_search_routes(
+    network: &Network,
+    pool: &CrossbarPool,
+    initial: &Mapping,
+    weights: Option<&[u64]>,
+    max_passes: usize,
+) -> Mapping {
+    let ones = vec![1; network.node_count()];
+    let w = weights.unwrap_or(&ones);
+    let score = |assignment: &[usize]| -> u64 { predicted_global_packets(network, assignment, w) };
+    let valid = |assignment: &[usize]| -> bool {
+        Mapping::new(assignment.to_vec())
+            .validate(network, pool)
+            .is_ok()
+    };
+
+    let mut assignment = initial.assignment().to_vec();
+    let mut best = score(&assignment);
+    let used: Vec<usize> = initial.used_slots();
+    let n = network.node_count();
+    let try_swaps = n <= 128;
+
+    for _ in 0..max_passes {
+        let mut improved = false;
+        // Single moves.
+        for i in 0..n {
+            let from = assignment[i];
+            for &to in &used {
+                if to == from {
+                    continue;
+                }
+                assignment[i] = to;
+                if valid(&assignment) {
+                    let s = score(&assignment);
+                    if s < best {
+                        best = s;
+                        improved = true;
+                        break;
+                    }
+                }
+                assignment[i] = from;
+            }
+        }
+        // Pairwise swaps.
+        if try_swaps {
+            for i in 0..n {
+                for k in i + 1..n {
+                    if assignment[i] == assignment[k] {
+                        continue;
+                    }
+                    assignment.swap(i, k);
+                    if valid(&assignment) {
+                        let s = score(&assignment);
+                        if s < best {
+                            best = s;
+                            improved = true;
+                            continue;
+                        }
+                    }
+                    assignment.swap(i, k);
+                }
+            }
+        }
+        if !improved {
+            break;
+        }
+    }
+    Mapping::new(assignment)
+}
+
+/// `local_search_routes` must return exactly the full-recount mapping, a
+/// valid one that never scores worse than `initial`; returns it.
+fn check_route_search(
+    net: &Network,
+    pool: &CrossbarPool,
+    initial: &Mapping,
+    weights: Option<&[u64]>,
+    max_passes: usize,
+) -> Result<Mapping, TestCaseError> {
+    let fast = local_search_routes(net, pool, initial, weights, max_passes);
+    let reference = full_recount_local_search_routes(net, pool, initial, weights, max_passes);
+    prop_assert_eq!(&fast, &reference);
+    prop_assert!(fast.validate(net, pool).is_ok());
+    let ones = vec![1; net.node_count()];
+    let w = weights.unwrap_or(&ones);
+    prop_assert!(
+        predicted_global_packets(net, fast.assignment(), w)
+            <= predicted_global_packets(net, initial.assignment(), w)
+    );
+    Ok(fast)
+}
+
+#[test]
+fn route_search_matches_full_recount_above_swap_cap() {
+    // 129 neurons: one above the swap cap, so only single moves run.
+    let net = generate(&NetworkSpec {
+        name: "swap-cap".into(),
+        node_count: 129,
+        edge_count: 300,
+        max_fan_in: 8,
+        input_count: 8,
+        output_count: 2,
+        concentration: 1.2,
+        seed: 0x5EED,
+    });
+    let pool = CrossbarPool::for_network_capped(
+        &ArchitectureSpec::table_ii_heterogeneous(),
+        &AreaModel::memristor_count(),
+        net.node_count(),
+        2,
+    );
+    let initial = naive_sequential(&net, &pool).unwrap();
+    let weights: Vec<u64> = (0..net.node_count() as u64).map(|i| i * 7 % 5).collect();
+    for w in [None, Some(&weights[..])] {
+        let polished = check_route_search(&net, &pool, &initial, w, 3).unwrap();
+        assert_ne!(polished, initial);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn route_search_matches_full_recount(
+        net in arb_looped_network(),
+        pool in arb_pool(),
+        weights in proptest::collection::vec(0u64..4, 12),
+        max_passes in 2usize..=4,
+    ) {
+        let n = net.node_count();
+        let zeros = vec![0; n];
+        for initial in [greedy_first_fit(&net, &pool), naive_sequential(&net, &pool)]
+            .iter()
+            .flatten()
+        {
+            for w in [None, Some(&weights[..n]), Some(&zeros[..])] {
+                check_route_search(&net, &pool, initial, w, max_passes)?;
+            }
+        }
+    }
 
     #[test]
     fn greedy_mapping_always_validates(net in arb_network(), pool in arb_pool()) {
