@@ -52,14 +52,42 @@ impl Stimulus {
 }
 
 /// The complete firing record of one simulation run.
+///
+/// Fires are stored as one CSR over neurons: the steps at which neuron `i`
+/// fired are `times[offsets[i]..offsets[i + 1]]`, ascending.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimRecord {
-    /// `fires[i]` lists the timesteps at which neuron `i` fired.
-    fires: Vec<Vec<u32>>,
+    /// `n + 1` offsets into `times`.
+    offsets: Vec<usize>,
+    /// Fire steps, grouped by neuron.
+    times: Vec<u32>,
     steps: u32,
 }
 
 impl SimRecord {
+    /// Groups a `(neuron, step)` fire log, in step order, by neuron.
+    fn from_log(n: usize, log: &[(u32, u32)], steps: u32) -> Self {
+        let mut offsets = vec![0; n + 1];
+        for &(i, _) in log {
+            offsets[i as usize + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut next = offsets[..n].to_vec();
+        let mut times = vec![0; log.len()];
+        for &(i, t) in log {
+            let at = &mut next[i as usize];
+            times[*at] = t;
+            *at += 1;
+        }
+        SimRecord {
+            offsets,
+            times,
+            steps,
+        }
+    }
+
     /// Firing times of `neuron`.
     ///
     /// # Panics
@@ -67,19 +95,21 @@ impl SimRecord {
     /// Panics if `neuron` is out of range for the simulated network.
     #[must_use]
     pub fn fire_times(&self, neuron: NeuronId) -> &[u32] {
-        &self.fires[neuron.index()]
+        let i = neuron.index();
+        &self.times[self.offsets[i]..self.offsets[i + 1]]
     }
 
     /// Number of times `neuron` fired.
     #[must_use]
     pub fn fire_count(&self, neuron: NeuronId) -> u64 {
-        self.fires[neuron.index()].len() as u64
+        let i = neuron.index();
+        (self.offsets[i + 1] - self.offsets[i]) as u64
     }
 
     /// Total fires across all neurons.
     #[must_use]
     pub fn total_fires(&self) -> u64 {
-        self.fires.iter().map(|f| f.len() as u64).sum()
+        self.times.len() as u64
     }
 
     /// Number of simulated timesteps.
@@ -91,20 +121,50 @@ impl SimRecord {
     /// Number of neurons in the simulated network.
     #[must_use]
     pub fn neuron_count(&self) -> usize {
-        self.fires.len()
+        self.offsets.len() - 1
     }
 }
 
 /// Discrete-time LIF simulator.
 ///
 /// Each timestep proceeds as: (1) deliver scheduled synaptic charge and
-/// external stimulus, (2) fire every neuron at or above threshold and
-/// schedule its outgoing spikes with the edge delays, (3) apply leak.
+/// external stimulus, (2) fire every neuron at or above threshold, in
+/// ascending index order, and schedule its outgoing spikes with the edge
+/// delays, (3) apply leak.
+///
+/// The kernel is event-driven but keeps that order. A run first copies
+/// thresholds and decay factors out of the network, finds the largest
+/// delay and zeroes the pending ring described below: an O(n·r + E)
+/// set-up for a ring of r slots. A step then visits only the neurons with
+/// charge due and the *active* neurons: those whose potential may be
+/// non-zero, plus those with a threshold ≤ 0, which fire from rest. It
+/// costs O(active neurons + due deliveries + n/64), plus the fan-out of
+/// the neurons that fire and one look at each stimulus train. Every other
+/// neuron rests at a zero potential, where delivery, leak and clamping
+/// cannot change whether it fires, so the record equals that of a sweep
+/// over all neurons.
+///
+/// Pending charge lives in a ring of `min(max delay, steps) + 1` slots of
+/// `n` values. Charge that would arrive at or after `steps` is never
+/// scheduled, so a delay longer than the window costs no memory. Fires
+/// are logged as `(neuron, step)` pairs and grouped into the CSR of
+/// [`SimRecord`] once, at the end of the run.
 ///
 /// The simulator is fully deterministic.
 #[derive(Debug, Clone, Default)]
 pub struct LifSimulator {
     config: LifConfig,
+}
+
+/// Indices of the set bits of word `w` of a bitset, ascending.
+fn ones(mut bits: u64, w: usize) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let b = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            w * 64 + b
+        })
+    })
 }
 
 impl LifSimulator {
@@ -122,12 +182,35 @@ impl LifSimulator {
     #[must_use]
     pub fn run(&self, network: &Network, stimulus: &Stimulus, steps: u32) -> SimRecord {
         let n = network.node_count();
-        let max_delay = network.edges().map(|e| e.delay).max().unwrap_or(1).max(1) as usize;
-        // Ring buffer of pending charge: pending[t mod (max_delay+1)][i].
-        let ring = max_delay + 1;
-        let mut pending = vec![vec![0.0f64; n]; ring];
+        let words = n.div_ceil(64);
+        let (threshold, decay): (Vec<f64>, Vec<f64>) = network
+            .neuron_ids()
+            .map(|i| {
+                let node = network.node(i);
+                let decay = if node.leak > 0.0 {
+                    1.0 - node.leak
+                } else {
+                    1.0
+                };
+                (node.threshold, decay)
+            })
+            .unzip();
+        // Neurons that fire from a zero potential never rest.
+        let mut restless = vec![0u64; words];
+        for (i, &th) in threshold.iter().enumerate() {
+            if th <= 0.0 {
+                restless[i / 64] |= 1 << (i % 64);
+            }
+        }
+        let max_delay = network.edges().map(|e| e.delay).max().unwrap_or(1).max(1);
+        let ring = max_delay.min(steps) as usize + 1;
+        // Charge due at neuron `i` in ring slot `s` is `pending[s * n + i]`;
+        // bit `i` of `due[s * words..][..words]` flags it.
+        let mut pending = vec![0.0f64; ring * n];
+        let mut due = vec![0u64; ring * words];
+        let mut active = restless.clone();
         let mut potential = vec![0.0f64; n];
-        let mut fires: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut log: Vec<(u32, u32)> = Vec::new();
 
         // Index external stimulus per step for O(1) delivery.
         let mut external: Vec<(usize, &SpikeTrain, usize)> = stimulus
@@ -140,17 +223,22 @@ impl LifSimulator {
             .collect();
 
         for t in 0..steps {
-            let slot = (t as usize) % ring;
-            // 1. Deliver synaptic charge scheduled for this step.
-            for (i, p) in potential.iter_mut().enumerate() {
-                *p += pending[slot][i];
-                pending[slot][i] = 0.0;
+            let slot = t as usize % ring;
+            // 1. Deliver synaptic charge scheduled for this step…
+            let pending_now = &mut pending[slot * n..][..n];
+            for (w, bits) in due[slot * words..][..words].iter_mut().enumerate() {
+                active[w] |= *bits;
+                for i in ones(std::mem::take(bits), w) {
+                    potential[i] += pending_now[i];
+                    pending_now[i] = 0.0;
+                }
             }
             // …and external stimulus.
             for (idx, train, cursor) in &mut external {
                 let times = train.times();
                 while *cursor < times.len() && times[*cursor] == t {
                     potential[*idx] += self.config.input_gain;
+                    active[*idx / 64] |= 1 << (*idx % 64);
                     *cursor += 1;
                 }
                 // Skip any stale past times (robustness to odd trains).
@@ -158,37 +246,43 @@ impl LifSimulator {
                     *cursor += 1;
                 }
             }
-            // 2. Fire.
-            for i in 0..n {
-                let id = NeuronId::new(i);
-                let node = network.node(id);
-                if potential[i] >= node.threshold {
-                    fires[i].push(t);
-                    if self.config.reset_to_zero {
-                        potential[i] = 0.0;
-                    } else {
-                        potential[i] -= node.threshold;
+            // 2. Fire and 3. leak. A neuron's leak touches only its own
+            // potential, and fires only schedule later charge, so firing
+            // and leaking each neuron in turn equals two separate sweeps.
+            for w in 0..words {
+                let mut live = restless[w];
+                for i in ones(active[w], w) {
+                    let p = &mut potential[i];
+                    if *p >= threshold[i] {
+                        log.push((i as u32, t));
+                        if self.config.reset_to_zero {
+                            *p = 0.0;
+                        } else {
+                            *p -= threshold[i];
+                        }
+                        for edge in network.fan_out(NeuronId::new(i)) {
+                            let arrive = u64::from(t) + u64::from(edge.delay);
+                            if arrive < u64::from(steps) {
+                                let s = arrive as usize % ring;
+                                let j = edge.target.index();
+                                pending[s * n + j] += edge.weight;
+                                due[s * words + j / 64] |= 1 << (j % 64);
+                            }
+                        }
                     }
-                    for edge in network.fan_out(id) {
-                        let arrive = (t as usize + edge.delay as usize) % ring;
-                        pending[arrive][edge.target.index()] += edge.weight;
+                    *p *= decay[i];
+                    // Clamp runaway negatives from inhibitory input.
+                    if *p < -1e6 {
+                        *p = -1e6;
+                    }
+                    if *p != 0.0 {
+                        live |= 1 << (i % 64);
                     }
                 }
-            }
-            // 3. Leak.
-            #[allow(clippy::needless_range_loop)] // indexes network nodes too
-            for i in 0..n {
-                let leak = network.node(NeuronId::new(i)).leak;
-                if leak > 0.0 {
-                    potential[i] *= 1.0 - leak;
-                }
-                // Clamp runaway negatives from inhibitory input.
-                if potential[i] < -1e6 {
-                    potential[i] = -1e6;
-                }
+                active[w] = live;
             }
         }
-        SimRecord { fires, steps }
+        SimRecord::from_log(n, &log, steps)
     }
 }
 
@@ -315,6 +409,49 @@ mod tests {
         assert_eq!(rec.total_fires(), 6);
         assert_eq!(rec.steps(), 10);
         assert_eq!(rec.neuron_count(), 3);
+    }
+
+    #[test]
+    fn delay_beyond_window_is_never_scheduled() {
+        // The second edge's spike would land at or after the window: a
+        // `u32::MAX` delay must give the record of a delay equal to
+        // `steps`, without a ring sized by the delay.
+        let record = |delay| {
+            let mut b = NetworkBuilder::new();
+            let a = b.add_neuron(NodeRole::Input, 0.5, 0.0);
+            let o = b.add_neuron(NodeRole::Output, 0.5, 0.0);
+            b.add_edge(a, o, 1.0, 1).unwrap();
+            b.add_edge(o, a, 1.0, delay).unwrap();
+            let net = b.build().unwrap();
+            let stim = Stimulus::new([(a, SpikeTrain::from_times([0]))]);
+            LifSimulator::default().run(&net, &stim, 8)
+        };
+        let far = record(u32::MAX);
+        assert_eq!(far, record(8));
+        assert_eq!(far.fire_times(NeuronId::new(0)), &[0]);
+        assert_eq!(far.fire_times(NeuronId::new(1)), &[1]);
+        // A shorter loop-back delay does re-fire the input.
+        assert_eq!(record(3).fire_times(NeuronId::new(0)), &[0, 4]);
+    }
+
+    #[test]
+    fn charge_adds_up_in_ascending_fire_order() {
+        // Sources 0, 1 and 64 (two bitset words) fire together into `d`.
+        // Summed in index order, 0.1 + 0.2 + 0.6 rounds to the threshold
+        // 0.9; summed as 0.6 + 0.1 + 0.2 it falls one ulp short.
+        let mut b = NetworkBuilder::new();
+        let ids: Vec<NeuronId> = (0..66)
+            .map(|_| b.add_neuron(NodeRole::Hidden, 0.9, 0.0))
+            .collect();
+        let d = ids[65];
+        let sources = [(ids[0], 0.1), (ids[1], 0.2), (ids[64], 0.6)];
+        for (s, w) in sources {
+            b.add_edge(s, d, w, 1).unwrap();
+        }
+        let net = b.build().unwrap();
+        let stim = Stimulus::new(sources.map(|(s, _)| (s, SpikeTrain::from_times([0]))));
+        let rec = LifSimulator::default().run(&net, &stim, 3);
+        assert_eq!(rec.fire_times(d), &[1]);
     }
 
     #[test]

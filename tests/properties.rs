@@ -164,6 +164,152 @@ fn check_route_search(
     Ok(fast)
 }
 
+/// Dense reference for `LifSimulator::run`: every step sweeps all neurons
+/// to deliver, fire and leak, over a `max_delay + 1` ring of per-neuron
+/// charge. Returns each neuron's fire times.
+fn dense_reference_run(
+    config: &LifConfig,
+    network: &Network,
+    stimulus: &Stimulus,
+    steps: u32,
+) -> Vec<Vec<u32>> {
+    let n = network.node_count();
+    let max_delay = network.edges().map(|e| e.delay).max().unwrap_or(1).max(1) as usize;
+    // Ring buffer of pending charge: pending[t mod (max_delay+1)][i].
+    let ring = max_delay + 1;
+    let mut pending = vec![vec![0.0f64; n]; ring];
+    let mut potential = vec![0.0f64; n];
+    let mut fires: Vec<Vec<u32>> = vec![Vec::new(); n];
+
+    // Index external stimulus per step for O(1) delivery.
+    let mut external: Vec<(usize, &SpikeTrain, usize)> = stimulus
+        .trains()
+        .iter()
+        .map(|(id, t)| {
+            assert!(id.index() < n, "stimulus references unknown neuron {id}");
+            (id.index(), t, 0usize)
+        })
+        .collect();
+
+    for t in 0..steps {
+        let slot = (t as usize) % ring;
+        // 1. Deliver synaptic charge scheduled for this step.
+        for (i, p) in potential.iter_mut().enumerate() {
+            *p += pending[slot][i];
+            pending[slot][i] = 0.0;
+        }
+        // …and external stimulus.
+        for (idx, train, cursor) in &mut external {
+            let times = train.times();
+            while *cursor < times.len() && times[*cursor] == t {
+                potential[*idx] += config.input_gain;
+                *cursor += 1;
+            }
+            // Skip any stale past times (robustness to odd trains).
+            while *cursor < times.len() && times[*cursor] < t {
+                *cursor += 1;
+            }
+        }
+        // 2. Fire.
+        for i in 0..n {
+            let id = NeuronId::new(i);
+            let node = network.node(id);
+            if potential[i] >= node.threshold {
+                fires[i].push(t);
+                if config.reset_to_zero {
+                    potential[i] = 0.0;
+                } else {
+                    potential[i] -= node.threshold;
+                }
+                for edge in network.fan_out(id) {
+                    let arrive = (t as usize + edge.delay as usize) % ring;
+                    pending[arrive][edge.target.index()] += edge.weight;
+                }
+            }
+        }
+        // 3. Leak.
+        for i in 0..n {
+            let leak = network.node(NeuronId::new(i)).leak;
+            if leak > 0.0 {
+                potential[i] *= 1.0 - leak;
+            }
+            // Clamp runaway negatives from inhibitory input.
+            if potential[i] < -1e6 {
+                potential[i] = -1e6;
+            }
+        }
+    }
+    fires
+}
+
+/// `LifSimulator::run` must return the dense reference's record.
+fn check_lif(
+    config: LifConfig,
+    net: &Network,
+    stim: &Stimulus,
+    steps: u32,
+) -> Result<(), TestCaseError> {
+    let record = LifSimulator::new(config).run(net, stim, steps);
+    let reference = dense_reference_run(&config, net, stim, steps);
+    prop_assert_eq!(record.steps(), steps);
+    prop_assert_eq!(record.neuron_count(), reference.len());
+    for (i, times) in reference.iter().enumerate() {
+        prop_assert_eq!(record.fire_times(NeuronId::new(i)), &times[..]);
+    }
+    let total: u64 = reference.iter().map(|f| f.len() as u64).sum();
+    prop_assert_eq!(record.total_fires(), total);
+    Ok(())
+}
+
+/// Strategy: a LIF network on 3..=80 neurons, so a bitset can span two
+/// words, with a stimulus of 1–4 drawn trains. Thresholds lie in
+/// −0.5..2.0, so some neurons fire from rest; each leak is 0, in (0, 1)
+/// or 1; synapses carry signed weights and delays 1..=9, and may be
+/// self-loops.
+fn arb_lif_case() -> impl Strategy<Value = (Network, Stimulus)> {
+    (3usize..=80)
+        .prop_flat_map(|n| {
+            let neurons = proptest::collection::vec((-0.5f64..2.0, 0usize..3, 0.0f64..1.0), n);
+            let edges = proptest::collection::vec((0..n, 0..n, -1.0f64..1.5, 1u32..=9), 0..=3 * n);
+            let train = proptest::collection::vec(0u32..44, 0..=16);
+            let trains = proptest::collection::vec((0..n, train), 1..=4);
+            (neurons, edges, trains)
+        })
+        .prop_map(|(neurons, edges, trains)| {
+            let mut b = NetworkBuilder::new();
+            let ids: Vec<NeuronId> = neurons
+                .into_iter()
+                .map(|(threshold, kind, v)| {
+                    b.add_neuron(NodeRole::Hidden, threshold, [0.0, v, 1.0][kind])
+                })
+                .collect();
+            for (u, v, weight, delay) in edges {
+                if !b.contains_edge(ids[u], ids[v]) {
+                    b.add_edge(ids[u], ids[v], weight, delay).unwrap();
+                }
+            }
+            let stim = Stimulus::new(
+                trains
+                    .into_iter()
+                    .map(|(i, times)| (ids[i], SpikeTrain::from_times(times))),
+            );
+            (b.build().unwrap(), stim)
+        })
+}
+
+#[test]
+fn lif_matches_dense_reference_on_table_i() {
+    // Table I A and C (229 and 148 neurons) under 200 SmartPixel events.
+    let events = EventSet::generate(&SmartPixelConfig::default(), 200);
+    for spec in [NetworkSpec::table_i_a(), NetworkSpec::table_i_c()] {
+        let net = generate(&spec);
+        for event in events.events() {
+            let stim = croxmap::gen::smartpixel::encode(&net, event, 24);
+            check_lif(LifConfig::default(), &net, &stim, 24).unwrap();
+        }
+    }
+}
+
 #[test]
 fn route_search_matches_full_recount_above_swap_cap() {
     // 129 neurons: one above the swap cap, so only single moves run.
@@ -188,6 +334,25 @@ fn route_search_matches_full_recount_above_swap_cap() {
     for w in [None, Some(&weights[..])] {
         let polished = check_route_search(&net, &pool, &initial, w, 3).unwrap();
         assert_ne!(polished, initial);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn lif_matches_dense_reference(
+        case in arb_lif_case(),
+        steps in 0u32..=40,
+        reset_to_zero in any::<bool>(),
+        gain in 0usize..2,
+    ) {
+        let (net, stim) = case;
+        let config = LifConfig {
+            input_gain: [1.0, 0.6][gain],
+            reset_to_zero,
+        };
+        check_lif(config, &net, &stim, steps)?;
     }
 }
 
