@@ -203,9 +203,8 @@ pub fn naive_sequential(network: &Network, pool: &CrossbarPool) -> Result<Mappin
 ///
 /// The result never has higher area than `initial` and always validates.
 ///
-/// # Panics
-///
-/// Panics (in debug builds) if `initial` is invalid for the pool.
+/// `initial` is validated once, in every build; an invalid `initial` is
+/// returned unchanged.
 #[must_use]
 pub fn local_search_area(
     network: &Network,
@@ -213,7 +212,9 @@ pub fn local_search_area(
     initial: &Mapping,
     max_passes: usize,
 ) -> Mapping {
-    debug_assert!(initial.validate(network, pool).is_ok());
+    if initial.validate(network, pool).is_err() {
+        return initial.clone();
+    }
     let mut assignment = initial.assignment().to_vec();
 
     let members_of = |assignment: &[usize], j: usize| -> Vec<usize> {
@@ -954,6 +955,18 @@ mod tests {
         let improved = local_search_area(&net, &pool, &spread, 10);
         improved.validate(&net, &pool).unwrap();
         assert_eq!(improved.used_slots().len(), 1);
+    }
+
+    #[test]
+    fn area_search_returns_invalid_initial_unchanged() {
+        let net = chain(5);
+        let pool = pool(CrossbarDim::new(4, 2), 5);
+        // Slot 0 hosts 3 > 2 neurons. Emptying slot 1 into slot 2 would
+        // cut the area, but the search must not start from an invalid
+        // mapping (nor panic on one).
+        let bad = Mapping::new(vec![0, 0, 0, 1, 2]);
+        assert!(bad.validate(&net, &pool).is_err());
+        assert_eq!(local_search_area(&net, &pool, &bad, 16), bad);
     }
 
     #[test]

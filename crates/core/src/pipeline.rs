@@ -420,8 +420,9 @@ pub fn refine_pairwise(
             }
             let (improved, det) = resolve_slot_group(network, pool, &current, &group, &sub_cfg);
             spent += det;
-            if let Some(m) = improved {
-                debug_assert!(m.validate(network, pool).is_ok());
+            // An invalid sub-ILP mapping is never accepted, in any build:
+            // the scan moves on to the next group.
+            if let Some(m) = improved.filter(|m| m.validate(network, pool).is_ok()) {
                 current = local_search_area(network, pool, &m, 16);
                 improvements.push(TimedMapping {
                     det_time: spent,

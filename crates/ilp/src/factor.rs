@@ -390,6 +390,54 @@ pub struct LuFactors {
     work: u64,
     /// Factorisation statistics since the last harvest.
     stats: FactorStats,
+    /// Elimination scratch of [`factorize`](Self::factorize), kept across
+    /// calls.
+    ws: Workspace,
+}
+
+/// Elimination scratch of [`LuFactors::factorize`]. Every vector (and
+/// every inner vector) keeps its allocation between factorisations and
+/// is cleared, never reallocated, at the start of each one, so a
+/// refactorisation allocates nothing once the workspace has grown to
+/// size.
+#[derive(Debug, Clone, Default)]
+struct Workspace {
+    /// Working columns of the active submatrix, `(row, value)` per basis
+    /// position.
+    wcols: Vec<Vec<(usize, f64)>>,
+    /// Per row, a superset of the active columns with an entry there.
+    rows_pat: Vec<Vec<usize>>,
+    /// Live non-zero count per row of the active submatrix (the static
+    /// ordering keeps the input counts).
+    row_count: Vec<usize>,
+    /// Active columns bucketed by non-zero count.
+    buckets: Vec<Vec<usize>>,
+    /// `U` entries recorded row-wise at pivot time, by basis position.
+    u_tmp: Vec<Vec<(usize, f64)>>,
+    /// Dense work vector for one column update.
+    x: Vec<f64>,
+    /// Occupancy stamps of `x`.
+    occ: Vec<u32>,
+    /// Pattern of the column being updated.
+    patk: Vec<usize>,
+    /// Elimination order of the static ordering.
+    order: Vec<usize>,
+}
+
+/// Sets `v` to `len` copies of `value`, keeping its allocation.
+pub(crate) fn refill<T: Clone>(v: &mut Vec<T>, len: usize, value: T) {
+    v.clear();
+    v.resize(len, value);
+}
+
+/// Empties every inner vector of `v`, keeping their allocations, and
+/// sizes `v` to `len` entries.
+fn clear_nested<T>(v: &mut Vec<Vec<T>>, len: usize) {
+    v.truncate(len);
+    for inner in v.iter_mut() {
+        inner.clear();
+    }
+    v.resize_with(len, Vec::new);
 }
 
 impl LuFactors {
@@ -398,7 +446,7 @@ impl LuFactors {
     #[must_use]
     pub fn identity(m: usize) -> Self {
         let mut lu = LuFactors {
-            m,
+            m: 0,
             p: Vec::new(),
             pinv: Vec::new(),
             q: Vec::new(),
@@ -413,44 +461,74 @@ impl LuFactors {
             etas: Vec::new(),
             ft: Vec::new(),
             border: Vec::new(),
-            lu_nnz: m,
-            u_nnz: m,
-            u_nnz0: m,
+            lu_nnz: 0,
+            u_nnz: 0,
+            u_nnz0: 0,
             file_nnz: 0,
             updates: 0,
             hyper_cutoff: HYPER_DENSITY_CUTOFF,
             ordering: MarkowitzOrdering::default(),
-            scratch: vec![0.0; m],
-            aux: vec![0.0; m],
+            scratch: Vec::new(),
+            aux: Vec::new(),
             pat: Vec::new(),
             pat2: Vec::new(),
             reach: Vec::new(),
             rstack: Vec::new(),
-            mark: vec![0; m],
+            mark: Vec::new(),
             stamp: 0,
             track: false,
             result_pat: Vec::new(),
             work: 0,
             stats: FactorStats::default(),
+            ws: Workspace::default(),
         };
-        lu.reset_identity();
+        lu.reset(m);
         lu
+    }
+
+    /// Turns `self` into [`identity(m)`](Self::identity) in place: the
+    /// options return to their defaults and undrained work and
+    /// statistics are dropped, so the next [`take_work`](Self::take_work)
+    /// yields the same `m` set-up ticks a new identity carries. Every
+    /// allocation is kept, the elimination workspace included.
+    pub(crate) fn reset(&mut self, m: usize) {
+        self.m = m;
+        self.hyper_cutoff = HYPER_DENSITY_CUTOFF;
+        self.ordering = MarkowitzOrdering::default();
+        refill(&mut self.scratch, m, 0.0);
+        refill(&mut self.aux, m, 0.0);
+        self.pat.clear();
+        self.pat2.clear();
+        self.reach.clear();
+        self.rstack.clear();
+        refill(&mut self.mark, m, 0);
+        self.stamp = 0;
+        self.track = false;
+        self.result_pat.clear();
+        self.work = 0;
+        self.stats = FactorStats::default();
+        self.reset_identity();
     }
 
     /// Resets to the identity basis without a factorisation pass.
     pub fn reset_identity(&mut self) {
         let m = self.m;
-        self.p = (0..m).collect();
-        self.pinv = (0..m).collect();
-        self.q = (0..m).collect();
-        self.qinv = (0..m).collect();
-        self.order = (0..m).collect();
-        self.pos = (0..m).collect();
-        self.l_cols = vec![Vec::new(); m];
-        self.l_rows = vec![Vec::new(); m];
-        self.u_cols = vec![Vec::new(); m];
-        self.u_rows = vec![Vec::new(); m];
-        self.u_diag = vec![1.0; m];
+        for v in [
+            &mut self.p,
+            &mut self.pinv,
+            &mut self.q,
+            &mut self.qinv,
+            &mut self.order,
+            &mut self.pos,
+        ] {
+            v.clear();
+            v.extend(0..m);
+        }
+        clear_nested(&mut self.l_cols, m);
+        clear_nested(&mut self.l_rows, m);
+        clear_nested(&mut self.u_cols, m);
+        clear_nested(&mut self.u_rows, m);
+        refill(&mut self.u_diag, m, 1.0);
         self.etas.clear();
         self.ft.clear();
         self.border.clear();
@@ -657,6 +735,12 @@ impl LuFactors {
     /// Clears the update file. Returns `false` when the basis is singular
     /// (or hopelessly ill-conditioned); the factors are then unusable
     /// until the next successful call.
+    ///
+    /// The elimination scratch, like the factors' own row and column
+    /// lists, persists across calls (and across
+    /// [`reset_identity`](Self::reset_identity)) and is cleared rather
+    /// than reallocated, so a refactorisation allocates nothing once the
+    /// workspace has grown to size.
     pub fn factorize(&mut self, cols: &[usize], a: &CscMatrix, n_struct: usize) -> bool {
         let work_before = self.work;
         let ok = match self.ordering {
@@ -686,12 +770,9 @@ impl LuFactors {
         // epilogue rebuilds it from `q` either way.
         self.qinv.clear();
         self.qinv.resize(m, usize::MAX);
-        self.l_cols.clear();
-        self.l_cols.resize(m, Vec::new());
-        self.u_cols.clear();
-        self.u_cols.resize(m, Vec::new());
-        self.u_diag.clear();
-        self.u_diag.resize(m, 0.0);
+        clear_nested(&mut self.l_cols, m);
+        clear_nested(&mut self.u_cols, m);
+        refill(&mut self.u_diag, m, 0.0);
     }
 
     /// Shared epilogue: permutation inverses, identity pivotal order and
@@ -707,15 +788,13 @@ impl LuFactors {
         self.order.extend(0..m);
         self.pos.clear();
         self.pos.extend(0..m);
-        self.l_rows.clear();
-        self.l_rows.resize(m, Vec::new());
+        clear_nested(&mut self.l_rows, m);
         for (k, col) in self.l_cols.iter().enumerate() {
             for &(row, val) in col {
                 self.l_rows[row].push((k, val));
             }
         }
-        self.u_rows.clear();
-        self.u_rows.resize(m, Vec::new());
+        clear_nested(&mut self.u_rows, m);
         for (k, col) in self.u_cols.iter().enumerate() {
             for &(i, val) in col {
                 self.u_rows[i].push((k, val));
@@ -753,26 +832,37 @@ impl LuFactors {
         // already-pivoted columns, which are skipped on sight); columns
         // hold no stale entries — eliminated rows are compacted out the
         // moment their pivot row is processed.
-        let mut wcols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
-        let mut rows_pat: Vec<Vec<usize>> = vec![Vec::new(); m];
-        let mut row_count = vec![0usize; m];
+        let Workspace {
+            wcols,
+            rows_pat,
+            row_count,
+            buckets,
+            u_tmp,
+            x,
+            occ,
+            patk,
+            ..
+        } = &mut self.ws;
+        clear_nested(wcols, m);
+        clear_nested(rows_pat, m);
+        refill(row_count, m, 0);
         let mut ops = a.nnz() as u64 + m as u64;
         for (pos, &c) in cols.iter().enumerate() {
-            let col: Vec<(usize, f64)> = if c < n_struct {
+            let col = &mut wcols[pos];
+            if c < n_struct {
                 let (ri, vv) = a.col(c);
-                ri.iter().zip(vv).map(|(&i, &v)| (i, v)).collect()
+                col.extend(ri.iter().zip(vv).map(|(&i, &v)| (i, v)));
             } else {
-                vec![(c - n_struct, 1.0)]
-            };
-            for &(i, _) in &col {
+                col.push((c - n_struct, 1.0));
+            }
+            for &(i, _) in col.iter() {
                 rows_pat[i].push(pos);
                 row_count[i] += 1;
             }
-            wcols.push(col);
         }
         // Column-count buckets; entries go stale when elimination moves
         // a count and are lazily rebucketed on examination.
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); m + 1];
+        clear_nested(buckets, m + 1);
         for (pos, col) in wcols.iter().enumerate() {
             if col.is_empty() {
                 self.work += ops;
@@ -781,14 +871,13 @@ impl LuFactors {
             buckets[col.len()].push(pos);
         }
         // Dense scratch for one column update at a time.
-        let mut x = vec![0.0f64; m];
-        let mut occ = vec![0u32; m];
+        refill(x, m, 0.0);
+        refill(occ, m, 0);
         let mut occ_stamp = 0u32;
         // U entries recorded row-wise at pivot time (basis-position
         // column ids); mapped to slots in the epilogue once `qinv` of
         // every position is known.
-        let mut u_tmp: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
-        let mut patk: Vec<usize> = Vec::new();
+        clear_nested(u_tmp, m);
 
         for step in 0..m {
             // --- Pivot selection: ascending active column count, best
@@ -860,34 +949,39 @@ impl LuFactors {
             }
             let (pcol, prow) = (best_col, best_row);
 
-            // --- Eliminate pivot (prow, pcol) at slot `step`. ---
+            // --- Eliminate pivot (prow, pcol) at slot `step`. The pivot
+            // column leaves the working matrix; its entries below the
+            // pivot become `L` column `step`. ---
             self.p[step] = prow;
             self.pinv[prow] = step;
             self.q[step] = pcol;
             self.qinv[pcol] = step;
-            let pivot_col = std::mem::take(&mut wcols[pcol]);
+            let pivot_col = &wcols[pcol];
             let mut diag = 0.0f64;
-            for &(i, v) in &pivot_col {
+            for &(i, v) in pivot_col {
                 if i == prow {
                     diag = v;
                 }
             }
             self.u_diag[step] = diag;
             let inv = 1.0 / diag;
-            let mut lcol: Vec<(usize, f64)> = Vec::with_capacity(pivot_col.len() - 1);
-            for &(i, v) in &pivot_col {
+            let lcol = &mut self.l_cols[step];
+            for &(i, v) in pivot_col {
                 if i != prow {
                     lcol.push((i, v * inv));
                     row_count[i] -= 1; // entry leaves with the pivot column
                 }
             }
             ops += pivot_col.len() as u64;
+            wcols[pcol].clear();
             row_count[prow] = 0;
             // Schur-complement update: every active column with an entry
             // in the pivot row absorbs `−l · u` fill, sees its pivot-row
-            // entry removed, and is rebucketed at its new count.
-            let rp = std::mem::take(&mut rows_pat[prow]);
-            for &k in &rp {
+            // entry removed, and is rebucketed at its new count. (`lcol`
+            // has no entry at `prow`, so the fill never extends the
+            // pivot row's own pattern while it is walked.)
+            for idx in 0..rows_pat[prow].len() {
+                let k = rows_pat[prow][idx];
                 if self.qinv[k] != usize::MAX {
                     continue; // stale: column already pivoted
                 }
@@ -911,7 +1005,7 @@ impl LuFactors {
                 ops += colk.len() as u64;
                 if ukval != 0.0 {
                     u_tmp[step].push((k, ukval));
-                    for &(i, lv) in &lcol {
+                    for &(i, lv) in lcol.iter() {
                         if occ[i] == occ_stamp {
                             x[i] -= lv * ukval;
                         } else {
@@ -925,7 +1019,7 @@ impl LuFactors {
                     ops += lcol.len() as u64;
                 }
                 colk.clear();
-                for &i in &patk {
+                for &i in patk.iter() {
                     // Exact cancellations keep their (zero) entry: the
                     // row patterns and counts stay consistent without
                     // searching `rows_pat` for removals.
@@ -934,7 +1028,7 @@ impl LuFactors {
                 ops += patk.len() as u64;
                 buckets[colk.len().min(m)].push(k);
             }
-            self.l_cols[step] = lcol;
+            rows_pat[prow].clear();
         }
 
         // Map the recorded U rows into slot space now that every basis
@@ -967,7 +1061,13 @@ impl LuFactors {
                 1
             }
         };
-        let mut row_count = vec![0usize; m];
+        let Workspace {
+            row_count,
+            x,
+            order,
+            ..
+        } = &mut self.ws;
+        refill(row_count, m, 0);
         for k in 0..m {
             if cols[k] < n_struct {
                 for &i in a.col(cols[k]).0 {
@@ -977,16 +1077,17 @@ impl LuFactors {
                 row_count[cols[k] - n_struct] += 1;
             }
         }
-        let mut order: Vec<usize> = (0..m).collect();
+        order.clear();
+        order.extend(0..m);
         order.sort_unstable_by_key(|&pos| (col_nnz(pos), pos));
 
-        let mut x = vec![0.0f64; m];
+        refill(x, m, 0.0);
         let mut ops = a.nnz() as u64 + m as u64;
         for (step, &pos) in order.iter().enumerate() {
             // Scatter the basis column into the dense work vector.
             let c = cols[pos];
             if c < n_struct {
-                a.scatter_col(&mut x, c);
+                a.scatter_col(x, c);
                 ops += a.col_nnz(c) as u64;
             } else {
                 x[c - n_struct] = 1.0;
@@ -2193,6 +2294,13 @@ pub(crate) enum Factorization {
     Lu(Box<LuFactors>),
     /// Explicit dense inverse (oracle / fallback representation).
     Dense(DenseInverse),
+}
+
+impl Default for Factorization {
+    /// The identity LU of an empty basis.
+    fn default() -> Self {
+        Factorization::Lu(Box::new(LuFactors::identity(0)))
+    }
 }
 
 impl Factorization {

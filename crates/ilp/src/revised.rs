@@ -51,10 +51,10 @@
 //! context's current basis (the common case on branch-and-bound plunges
 //! and diving loops, where consecutive solves differ by one bound), the
 //! context applies the bound deltas directly to `β` with a single FTRAN —
-//! no factorisation at all. Otherwise the basis is reinstalled from the
-//! snapshot with one refactorisation (sparse LU by default, `O(m³)` only
-//! on the dense oracle path), still far cheaper than a cold two-phase
-//! tableau solve.
+//! no factorisation at all. Otherwise the same engine is reloaded in
+//! place and the basis is reinstalled from the snapshot with one
+//! refactorisation (sparse LU by default, `O(m³)` only on the dense
+//! oracle path), still far cheaper than a cold two-phase tableau solve.
 //!
 //! Any situation the engine cannot handle — a dual-infeasible start (e.g.
 //! an improving direction with an infinite bound), a singular warm basis,
@@ -64,7 +64,7 @@
 
 use crate::basis::{Basis, VarStatus};
 use crate::expr::ConstraintSense;
-use crate::factor::{DenseInverse, FactorOpts, Factorization, LuFactors};
+use crate::factor::{refill, DenseInverse, FactorOpts, Factorization, LuFactors};
 use crate::model::Model;
 use crate::simplex::{LpConfig, LpEngine, LpResult, LpStatus, PricingRule, TOL};
 use crate::sparse::{CscMatrix, RowMajor};
@@ -128,7 +128,9 @@ enum RunStatus {
 /// Bounded-variable revised simplex working set.
 ///
 /// Owns everything it needs (the CSC matrix is shared via `Arc`), so a
-/// [`LpContext`] can keep it alive between solves.
+/// [`LpContext`] can keep it alive between solves. The default engine is
+/// an empty shell; [`Engine::load`] is its one initialiser.
+#[derive(Default)]
 struct Engine {
     a: Arc<CscMatrix>,
     /// Row-major companion of `a` for sparse PRICE (pricing the dual row
@@ -237,98 +239,104 @@ fn norm_bounds(l: f64, u: f64) -> (f64, f64) {
 }
 
 impl Engine {
-    fn new(model: &Model, bounds: &[(f64, f64)], config: &LpConfig) -> Self {
+    /// Loads `model` under `bounds` and `config`, whatever the engine held
+    /// before: afterwards it is in the state a newly built engine would
+    /// be in — all-slack bookkeeping, clean scratch, and an identity
+    /// factorisation whose `m` set-up ticks the first solve drains — but
+    /// every vector keeps its allocation. The row-major companion is
+    /// rebuilt only when the model's CSC matrix is not the one already
+    /// loaded.
+    fn load(&mut self, model: &Model, bounds: &[(f64, f64)], config: &LpConfig) {
         let a = model.csc();
+        if !Arc::ptr_eq(&self.a, &a) {
+            self.rows = a.to_row_major();
+            self.a = a;
+        }
         let m = model.num_constraints();
         let n = model.num_vars();
         let n_total = n + m;
-        let mut lower = vec![0.0f64; n_total];
-        let mut upper = vec![f64::INFINITY; n_total];
+        self.m = m;
+        self.n = n;
+        self.n_total = n_total;
+        refill(&mut self.lower, n_total, 0.0);
+        refill(&mut self.upper, n_total, f64::INFINITY);
         for j in 0..n {
-            (lower[j], upper[j]) = norm_bounds(bounds[j].0, bounds[j].1);
+            (self.lower[j], self.upper[j]) = norm_bounds(bounds[j].0, bounds[j].1);
         }
-        let mut rhs = vec![0.0f64; m];
+        refill(&mut self.rhs, m, 0.0);
         for (i, con) in model.constraints().iter().enumerate() {
-            rhs[i] = con.rhs;
+            self.rhs[i] = con.rhs;
             let s = n + i;
             match con.sense {
                 ConstraintSense::Le => {
-                    lower[s] = 0.0;
-                    upper[s] = f64::INFINITY;
+                    self.lower[s] = 0.0;
+                    self.upper[s] = f64::INFINITY;
                 }
                 ConstraintSense::Ge => {
-                    lower[s] = f64::NEG_INFINITY;
-                    upper[s] = 0.0;
+                    self.lower[s] = f64::NEG_INFINITY;
+                    self.upper[s] = 0.0;
                 }
                 ConstraintSense::Eq => {
-                    lower[s] = 0.0;
-                    upper[s] = 0.0;
+                    self.lower[s] = 0.0;
+                    self.upper[s] = 0.0;
                 }
             }
         }
-        let mut cost = vec![0.0f64; n_total];
+        refill(&mut self.cost, n_total, 0.0);
         for &(v, c) in model.objective() {
-            cost[v.index()] = c;
+            self.cost[v.index()] = c;
         }
-        let cost_nnz = cost.iter().filter(|&&c| c != 0.0).count();
-        let factor = match config.engine {
-            LpEngine::SparseLu => {
-                let mut lu = Box::new(LuFactors::identity(m));
-                lu.set_ordering(config.factor_opts().ordering);
-                Factorization::Lu(lu)
+        self.cost_nnz = self.cost.iter().filter(|&&c| c != 0.0).count();
+        self.base_cost = None;
+        refill(&mut self.status, n_total, VarStatus::AtLower);
+        refill(&mut self.basis, m, 0);
+        refill(&mut self.in_row, n_total, usize::MAX);
+        match (&mut self.factor, config.engine) {
+            (Factorization::Lu(lu), LpEngine::SparseLu) => lu.reset(m),
+            (factor, LpEngine::SparseLu) => {
+                *factor = Factorization::Lu(Box::new(LuFactors::identity(m)));
             }
             // The tableau-only engine never reaches this code path (it is
             // gated in `solve_relaxation_in`); map it to the dense oracle
-            // so a stray construction still behaves.
-            LpEngine::DenseInverse | LpEngine::DenseTableau => {
-                Factorization::Dense(DenseInverse::identity(m))
+            // so a stray load still behaves.
+            (factor, LpEngine::DenseInverse | LpEngine::DenseTableau) => {
+                *factor = Factorization::Dense(DenseInverse::identity(m));
             }
-        };
-        let rows = a.to_row_major();
-        Engine {
-            a,
-            rows,
-            m,
-            n,
-            n_total,
-            lower,
-            upper,
-            cost,
-            cost_nnz,
-            base_cost: None,
-            rhs,
-            status: vec![VarStatus::AtLower; n_total],
-            basis: vec![0; m],
-            in_row: vec![usize::MAX; n_total],
-            factor,
-            kind: config.engine,
-            opts: config.factor_opts(),
-            pricing: config.pricing,
-            bound_flips: config.bound_flips,
-            devex: vec![1.0; m],
-            devex_max: 1.0,
-            dse: vec![1.0; m],
-            dse_ok: true,
-            beta: vec![0.0; m],
-            d: vec![0.0; n_total],
-            alpha: vec![0.0; n_total],
-            alpha_dirty: false,
-            w: vec![0.0; m],
-            rho: vec![0.0; m],
-            flip_rhs: vec![0.0; m],
-            cands: Vec::new(),
-            flips: Vec::new(),
-            pat: Vec::new(),
-            rpat: Vec::new(),
-            wpat: Vec::new(),
-            tpat: Vec::new(),
-            apat: Vec::new(),
-            amark: vec![0; n_total],
-            astamp: 0,
-            age: 0,
-            iterations: 0,
-            work: 0,
         }
+        if let Factorization::Lu(lu) = &mut self.factor {
+            lu.set_ordering(config.factor_opts().ordering);
+        }
+        self.kind = config.engine;
+        self.opts = config.factor_opts();
+        self.pricing = config.pricing;
+        self.bound_flips = config.bound_flips;
+        refill(&mut self.devex, m, 1.0);
+        self.devex_max = 1.0;
+        refill(&mut self.dse, m, 1.0);
+        self.dse_ok = true;
+        refill(&mut self.beta, m, 0.0);
+        refill(&mut self.d, n_total, 0.0);
+        refill(&mut self.alpha, n_total, 0.0);
+        self.alpha_dirty = false;
+        refill(&mut self.w, m, 0.0);
+        refill(&mut self.rho, m, 0.0);
+        refill(&mut self.flip_rhs, m, 0.0);
+        self.cands.clear();
+        for pattern in [
+            &mut self.flips,
+            &mut self.pat,
+            &mut self.rpat,
+            &mut self.wpat,
+            &mut self.tpat,
+            &mut self.apat,
+        ] {
+            pattern.clear();
+        }
+        refill(&mut self.amark, n_total, 0);
+        self.astamp = 0;
+        self.age = 0;
+        self.iterations = 0;
+        self.work = 0;
     }
 
     fn nonbasic_value(&self, j: usize) -> f64 {
@@ -1480,14 +1488,22 @@ impl Engine {
 
 /// A reusable revised-simplex context.
 ///
-/// Keeps the engine of the most recent *optimal* solve alive so that the
-/// next solve can warm-start without refactorising when its warm basis is
-/// the context's live basis — the common case in diving loops and
-/// branch-and-bound plunges, where consecutive LPs differ by one or a few
-/// bound changes.
+/// Each context owns one [`Engine`] for its whole life. After an
+/// *optimal* solve the engine is kept hot, so that the next solve can
+/// warm-start without refactorising when its warm basis is the engine's
+/// live basis — the common case in diving loops and branch-and-bound
+/// plunges, where consecutive LPs differ by one or a few bound changes.
+/// Every other solve (a hot-path miss, the reinstall that confirms a hot
+/// infeasibility verdict, a cold restart) reloads the same engine in
+/// place, so it reuses the engine's vectors and the factorisation's
+/// workspace instead of allocating them again.
 #[derive(Default)]
 pub(crate) struct LpContext {
-    engine: Option<Engine>,
+    engine: Engine,
+    /// Whether `engine` still holds the state of the last optimal solve
+    /// (the only state the hot path, row growth and objective deltas may
+    /// build on).
+    hot: bool,
 }
 
 impl LpContext {
@@ -1508,14 +1524,19 @@ impl LpContext {
         // eventual result so the bench log (and its growth_peak guard)
         // sees every update the solve actually performed.
         let mut carried_stats = crate::factor::FactorStats::default();
+        let engine = &mut self.engine;
 
-        // Hot path: the previous engine is exactly the requested basis.
+        // Hot path: the engine is exactly the requested basis.
         enum Hot {
             Miss,
             Done(Option<(LpResult, Option<Basis>)>, u64),
         }
-        let hot = if let (Some(basis), Some(engine)) = (warm, self.engine.as_mut()) {
-            if engine.age < config.refactor_interval && engine.matches(model, basis, config) {
+        let hot = match warm {
+            Some(basis)
+                if self.hot
+                    && engine.age < config.refactor_interval
+                    && engine.matches(model, basis, config) =>
+            {
                 engine.iterations = 0;
                 engine.work = 0;
                 let outcome = if engine.retarget_bounds(bounds) {
@@ -1535,11 +1556,8 @@ impl LpContext {
                     carried_stats.merge(&engine.factor.take_stats());
                 }
                 Hot::Done(outcome, spent)
-            } else {
-                Hot::Miss
             }
-        } else {
-            Hot::Miss
+            _ => Hot::Miss,
         };
         match hot {
             Hot::Done(Some(out), spent) => {
@@ -1552,11 +1570,8 @@ impl LpContext {
                     // counters from the result `run` packaged them into.
                     carried_work = spent;
                     carried_stats.merge(&out.0.factor);
-                    self.engine = None;
                 } else {
-                    if out.0.status != LpStatus::Optimal {
-                        self.engine = None;
-                    }
+                    self.hot = out.0.status == LpStatus::Optimal;
                     return Ok(out);
                 }
             }
@@ -1565,19 +1580,21 @@ impl LpContext {
                 // restart below, carrying the spent work so deterministic
                 // budgets stay honest.
                 carried_work = spent;
-                self.engine = None;
             }
             Hot::Miss => {}
         }
+        // Every path below reloads the engine; it is hot again only once
+        // a solve ends optimal.
+        self.hot = false;
 
         // Warm path: reinstall the snapshot with a refactorisation.
         if let Some(basis) = warm {
-            let mut engine = Engine::new(model, bounds, config);
+            engine.load(model, bounds, config);
             engine.work += carried_work;
             if engine.install(basis) {
-                if let Some(mut out) = run(&mut engine, model, config) {
+                if let Some(mut out) = run(engine, model, config) {
                     out.0.factor.merge(&carried_stats);
-                    self.keep_if_optimal(engine, out.0.status);
+                    self.hot = out.0.status == LpStatus::Optimal;
                     return Ok(out);
                 }
             }
@@ -1594,7 +1611,7 @@ impl LpContext {
         // the dense fallback, carrying the spent work.
         let mut perturb = config.perturb;
         loop {
-            let mut engine = Engine::new(model, bounds, config);
+            engine.load(model, bounds, config);
             engine.work += carried_work;
             if perturb {
                 engine.apply_perturbation(config.perturb_seed);
@@ -1608,13 +1625,12 @@ impl LpContext {
                     perturb = false;
                     continue;
                 }
-                self.engine = None;
                 return Err(carried_work);
             }
-            match run(&mut engine, model, config) {
+            match run(engine, model, config) {
                 Some(mut ok) => {
                     ok.0.factor.merge(&carried_stats);
-                    self.keep_if_optimal(engine, ok.0.status);
+                    self.hot = ok.0.status == LpStatus::Optimal;
                     return Ok(ok);
                 }
                 None => {
@@ -1624,28 +1640,19 @@ impl LpContext {
                         perturb = false;
                         continue;
                     }
-                    self.engine = None;
                     return Err(carried_work);
                 }
             }
         }
     }
 
-    fn keep_if_optimal(&mut self, engine: Engine, status: LpStatus) {
-        self.engine = if status == LpStatus::Optimal {
-            Some(engine)
-        } else {
-            None
-        };
-    }
-
     /// Incremental row addition: `model` is the session's view *after*
     /// appending rows `old_m..` (grow-only — same columns, same
-    /// objective, same leading rows). When the live engine's state is
+    /// objective, same leading rows). When the hot engine's state is
     /// exactly `warm` for the pre-growth problem, the engine absorbs the
     /// new rows in place (new slacks basic, bordered factor growth) and
-    /// the grown snapshot is returned; otherwise the context is cleared
-    /// and the caller's next warm solve reinstalls with a full
+    /// the grown snapshot is returned; otherwise the engine is no longer
+    /// hot and the caller's next warm solve reinstalls with a full
     /// refactorisation at the grown dimensions. The second tuple element
     /// is the deterministic work spent either way.
     pub(crate) fn add_rows(
@@ -1654,16 +1661,15 @@ impl LpContext {
         old_m: usize,
         warm: &Basis,
     ) -> (Option<Basis>, u64) {
-        let Some(engine) = self.engine.as_mut() else {
-            return (None, 0);
-        };
-        let usable = engine.m == old_m
+        let engine = &mut self.engine;
+        let usable = self.hot
+            && engine.m == old_m
             && engine.n == model.num_vars()
             && warm.cols == engine.basis
             && warm.status == engine.status
             && engine.cost_matches(model);
         if !usable {
-            self.engine = None;
+            self.hot = false;
             return (None, 0);
         }
         engine.work = 0;
@@ -1671,27 +1677,23 @@ impl LpContext {
             let spent = engine.work;
             (Some(engine.snapshot()), spent)
         } else {
-            let spent = engine.work;
-            self.engine = None;
-            (None, spent)
+            self.hot = false;
+            (None, engine.work)
         }
     }
 
-    /// Objective-delta retarget on the live engine. Returns whether the
+    /// Objective-delta retarget on the hot engine. Returns whether the
     /// warm state survived (dual-feasible reprice) plus the work spent;
-    /// on failure the context is cleared and the next solve runs cold.
+    /// on failure the engine is no longer hot and the next solve runs
+    /// cold.
     pub(crate) fn set_objective(&mut self, model: &Model) -> (bool, u64) {
-        let Some(engine) = self.engine.as_mut() else {
+        if !self.hot {
             return (false, 0);
-        };
-        engine.work = 0;
-        if engine.retarget_objective(model) {
-            (true, engine.work)
-        } else {
-            let spent = engine.work;
-            self.engine = None;
-            (false, spent)
         }
+        let engine = &mut self.engine;
+        engine.work = 0;
+        self.hot = engine.retarget_objective(model);
+        (self.hot, engine.work)
     }
 }
 
@@ -1771,6 +1773,7 @@ fn run(engine: &mut Engine, model: &Model, config: &LpConfig) -> Option<(LpResul
 #[allow(deprecated)] // exercises the deprecated shims as oracles
 mod tests {
     use super::*;
+    use crate::expr::VarId;
     use crate::factor::UpdateRule;
     use crate::simplex::solve_relaxation_warm;
     use crate::Model;
@@ -1860,6 +1863,241 @@ mod tests {
             hot.work_ticks,
             refac.work_ticks
         );
+    }
+
+    type Outcome = Result<(LpResult, Option<Basis>), u64>;
+
+    /// Bit-level comparison of two context outcomes: status, objective
+    /// and every value bit for bit, iterations, work ticks,
+    /// factorisation statistics and the basis snapshot — or the same
+    /// fallback work.
+    fn assert_same_outcome(got: &Outcome, want: &Outcome, what: &str) {
+        match (got, want) {
+            (Ok((g, g_basis)), Ok((w, w_basis))) => {
+                assert_eq!(g.status, w.status, "{what}: status");
+                assert_eq!(
+                    g.objective.to_bits(),
+                    w.objective.to_bits(),
+                    "{what}: objective"
+                );
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&g.values), bits(&w.values), "{what}: values");
+                assert_eq!(g.iterations, w.iterations, "{what}: iterations");
+                assert_eq!(g.work_ticks, w.work_ticks, "{what}: work ticks");
+                assert_eq!(g.dense_fallback, w.dense_fallback, "{what}: fallback");
+                assert_eq!(g.factor, w.factor, "{what}: factor stats");
+                assert_eq!(g_basis, w_basis, "{what}: basis");
+            }
+            (Err(g), Err(w)) => assert_eq!(g, w, "{what}: fallback work"),
+            _ => panic!("{what}: only one context fell back"),
+        }
+    }
+
+    /// The basis of an optimal outcome.
+    fn optimal_basis(out: &Outcome) -> Option<Basis> {
+        match out {
+            Ok((res, basis)) if res.status == LpStatus::Optimal => basis.clone(),
+            _ => None,
+        }
+    }
+
+    /// One context driven through a branch-and-bound-like request
+    /// sequence; every solve that misses the hot path is replayed on a
+    /// new context, which must return exactly the same outcome.
+    struct Differential {
+        ctx: LpContext,
+        hits: u32,
+        misses: u32,
+    }
+
+    impl Differential {
+        fn solve(
+            &mut self,
+            model: &Model,
+            bounds: &[(f64, f64)],
+            config: &LpConfig,
+            warm: Option<&Basis>,
+            what: &str,
+        ) -> Outcome {
+            let engine = &self.ctx.engine;
+            let hit = warm.is_some_and(|b| {
+                self.ctx.hot
+                    && engine.age < config.refactor_interval
+                    && engine.matches(model, b, config)
+            });
+            let got = self.ctx.solve(model, bounds, config, warm);
+            if hit {
+                self.hits += 1;
+            } else {
+                self.misses += 1;
+                let want = LpContext::default().solve(model, bounds, config, warm);
+                assert_same_outcome(&got, &want, what);
+            }
+            got
+        }
+
+        /// Dives `depth` levels below `(bounds, parent)`, fixing one more
+        /// variable per level. Both children of a level warm-start from
+        /// the parent's snapshot: the first finds the engine at the
+        /// parent (a hit), the second misses. The dive continues from
+        /// the child visited last, and the value order alternates per
+        /// level.
+        fn dive(
+            &mut self,
+            model: &Model,
+            config: &LpConfig,
+            mut bounds: Vec<(f64, f64)>,
+            mut parent: Basis,
+            depth: usize,
+            what: &str,
+        ) {
+            let n = bounds.len();
+            for level in 0..depth {
+                let j = (2 * level + 1) % n;
+                let values = if level % 2 == 0 {
+                    [0.0, 1.0]
+                } else {
+                    [1.0, 0.0]
+                };
+                let mut next = None;
+                for v in values {
+                    let mut child = bounds.clone();
+                    child[j] = (v, v);
+                    let label = format!("{what}: level {level}, x{j} = {v}");
+                    let out = self.solve(model, &child, config, Some(&parent), &label);
+                    if let Some(basis) = optimal_basis(&out) {
+                        next = Some((child, basis));
+                    }
+                }
+                let Some((child, basis)) = next else { break };
+                bounds = child;
+                parent = basis;
+            }
+        }
+    }
+
+    /// A reloaded engine behaves like a new one: one context is driven,
+    /// model after model, through a cold root, dives whose siblings
+    /// alternate hot-path hits and misses, an infeasible child (hit and
+    /// miss), a `work_limit`-capped solve, an `add_rows` growth and a
+    /// return to the ungrown model; every miss must match a new context
+    /// bit for bit, ticks and factorisation statistics included.
+    #[test]
+    fn reloaded_engine_matches_a_new_context() {
+        let configs = [
+            LpConfig::default(),
+            LpConfig {
+                pricing: PricingRule::SteepestEdge,
+                ..LpConfig::default()
+            },
+            LpConfig {
+                update: UpdateRule::ProductForm,
+                ordering: crate::factor::MarkowitzOrdering::StaticColCount,
+                ..LpConfig::default()
+            },
+            LpConfig {
+                refactor_interval: 2,
+                ..LpConfig::default()
+            },
+            LpConfig {
+                engine: LpEngine::DenseInverse,
+                ..LpConfig::default()
+            },
+        ];
+        let models = [
+            ("ring 10", ring_cover_model(10)),
+            ("ring 13", ring_cover_model(13)),
+            ("chain 9", chain_model(9).0),
+            ("chain 12", chain_model(12).0),
+        ];
+        for (ci, config) in configs.iter().enumerate() {
+            // One context per configuration, so the models follow each
+            // other through the same engine, growing and shrinking it.
+            let mut run = Differential {
+                ctx: LpContext::default(),
+                hits: 0,
+                misses: 0,
+            };
+            for (name, model) in &models {
+                let what = format!("config {ci}, {name}");
+                let n = model.num_vars();
+                let m = model.num_constraints();
+                let (hits, misses) = (run.hits, run.misses);
+                let root_bounds = vec![(0.0, 1.0); n];
+                let root = run.solve(model, &root_bounds, config, None, &format!("{what}: root"));
+                let root_basis = optimal_basis(&root).expect("root optimal");
+                let x0 = root.as_ref().map(|r| r.0.values[0]).unwrap_or_default();
+                run.dive(
+                    model,
+                    config,
+                    root_bounds.clone(),
+                    root_basis.clone(),
+                    n / 2,
+                    &what,
+                );
+
+                // An infeasible child, first as a miss, then (after a
+                // re-solve puts the engine at the root) as a hit, which
+                // confirms the verdict with a reinstall.
+                let mut infeasible = root_bounds.clone();
+                infeasible[0] = (0.0, 0.0);
+                infeasible[1] = (0.0, 0.0);
+                for pass in ["miss", "hit"] {
+                    if pass == "hit" {
+                        let label = format!("{what}: root re-solve");
+                        let out = run.solve(model, &root_bounds, config, Some(&root_basis), &label);
+                        assert!(optimal_basis(&out).is_some(), "{label}");
+                    }
+                    let label = format!("{what}: infeasible child ({pass})");
+                    let out = run.solve(model, &infeasible, config, Some(&root_basis), &label);
+                    assert!(
+                        matches!(&out, Ok((r, _)) if r.status == LpStatus::Infeasible),
+                        "{label}"
+                    );
+                }
+
+                // A solve capped by its work limit stops before its first
+                // pivot: x0 moves off its root value.
+                let capped = LpConfig {
+                    work_limit: 1,
+                    ..*config
+                };
+                let mut moved = root_bounds.clone();
+                let v = 1.0 - x0.round();
+                moved[0] = (v, v);
+                let label = format!("{what}: capped");
+                let out = run.solve(model, &moved, &capped, Some(&root_basis), &label);
+                assert!(
+                    matches!(&out, Ok((r, _)) if r.status == LpStatus::IterLimit),
+                    "{label}"
+                );
+
+                // Row growth on the engine hot at the root, then dives on
+                // the grown model from the grown snapshot.
+                let label = format!("{what}: root before growth");
+                let out = run.solve(model, &root_bounds, config, Some(&root_basis), &label);
+                assert!(optimal_basis(&out).is_some(), "{label}");
+                let mut grown = model.clone();
+                let cut = grown.expr([(VarId(0), 1.0), (VarId(1), 1.0), (VarId(2), 1.0)]);
+                grown.append_row("cut", cut.geq(2.0));
+                let (grown_basis, _) = run.ctx.add_rows(&grown, m, &root_basis);
+                let grown_basis = grown_basis.expect("hot engine absorbs the row");
+                let label = format!("{what}: grown");
+                run.dive(&grown, config, root_bounds.clone(), grown_basis, 3, &label);
+
+                // Back on the ungrown model: the reload must rebuild the
+                // row-major companion for the other matrix.
+                let label = format!("{what}: back on the ungrown model");
+                run.dive(model, config, root_bounds, root_basis, 2, &label);
+
+                assert!(run.hits - hits >= 3, "{what}: {} hits", run.hits - hits);
+                assert!(
+                    run.misses - misses >= 6,
+                    "{what}: {} misses",
+                    run.misses - misses
+                );
+            }
+        }
     }
 
     #[test]
@@ -2056,7 +2294,8 @@ mod tests {
                     match out {
                         Ok((res, b)) if res.status == LpStatus::Optimal => {
                             basis = b;
-                            let eng = ctx.engine.as_mut().expect("engine kept on optimal");
+                            assert!(ctx.hot, "engine kept hot on optimal");
+                            let eng = &mut ctx.engine;
                             if eng.pricing == PricingRule::SteepestEdge && eng.dse_ok {
                                 let maintained = eng.dse.clone();
                                 eng.init_dse_exact();

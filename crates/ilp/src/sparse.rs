@@ -21,6 +21,13 @@ pub struct CscMatrix {
     values: Vec<f64>,
 }
 
+impl Default for CscMatrix {
+    /// The empty `0 × 0` matrix.
+    fn default() -> Self {
+        CscMatrix::from_columns(0, &[])
+    }
+}
+
 impl CscMatrix {
     /// Builds a CSC matrix from per-column `(row, value)` entry lists.
     ///
@@ -237,7 +244,8 @@ impl CscMatrix {
 /// for every column — but row-wise only the columns adjacent to `ρ`'s
 /// non-zero rows can produce a non-zero `αⱼ`, which needs the row
 /// adjacency the CSC layout cannot provide. The engine builds this view
-/// once per install and rebuilds it after row growth.
+/// once, and again only after row growth or when it loads a different
+/// matrix.
 #[derive(Debug, Clone, Default)]
 pub struct RowMajor {
     row_ptr: Vec<usize>,

@@ -628,3 +628,230 @@ fn update_accumulation_with_forced_refactorisation_is_bit_deterministic() {
         }
     }
 }
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Applies up to `count` pivots to every factorisation in `lus` alike: a
+/// random entering column replaces the basic column of a random row, and
+/// a declined update or the refactor policy triggers a refactorisation,
+/// as in the engine. The pivot columns must agree bit for bit.
+#[allow(clippy::too_many_arguments)]
+fn pivot_alike(
+    rng: &mut SmallRng,
+    lus: &mut [LuFactors],
+    basis: &mut [usize],
+    a: &CscMatrix,
+    n: usize,
+    opts: &FactorOpts,
+    count: usize,
+    what: &str,
+) {
+    let m = basis.len();
+    let mut done = 0;
+    for q in 0..n {
+        if done == count {
+            break;
+        }
+        let r = rng.gen_range(0..m);
+        let ws: Vec<Vec<f64>> = lus
+            .iter_mut()
+            .map(|lu| {
+                let mut w = vec![0.0; m];
+                a.axpy_col(&mut w, 1.0, q);
+                lu.ftran(&mut w);
+                w
+            })
+            .collect();
+        for w in &ws[1..] {
+            assert_eq!(bits(w), bits(&ws[0]), "{what}: pivot column {q}");
+        }
+        if ws[0][r].abs() < 1e-6 || basis.contains(&q) {
+            continue;
+        }
+        basis[r] = q;
+        for (lu, w) in lus.iter_mut().zip(&ws) {
+            if !lu.update(r, w, opts) || lu.needs_refactor(opts) {
+                assert!(lu.factorize(basis, a, n), "{what}: refactorise");
+            }
+        }
+        done += 1;
+    }
+}
+
+/// A nonsingular basis over `a`: `pivots` random pivots away from the
+/// slack basis.
+fn pivoted_basis(rng: &mut SmallRng, a: &CscMatrix, n: usize, pivots: usize) -> Vec<usize> {
+    let m = a.rows();
+    let mut basis: Vec<usize> = (n..n + m).collect();
+    let mut lu = LuFactors::identity(m);
+    assert!(lu.factorize(&basis, a, n));
+    let opts = FactorOpts::default();
+    pivot_alike(
+        rng,
+        std::slice::from_mut(&mut lu),
+        &mut basis,
+        a,
+        n,
+        &opts,
+        pivots,
+        "basis",
+    );
+    basis
+}
+
+/// A factorisation that has already factorised one basis, absorbed
+/// updates and (every third seed) grown by bordered rows must factorise a
+/// second basis — the updated one or an unrelated one — exactly as a new
+/// identity does: bit-identical FTRAN and
+/// BTRAN, the same fill, ticks and statistics, and the same behaviour
+/// under further updates — for both update rules and both orderings. The
+/// persistent elimination workspace carries nothing from one
+/// factorisation into the next.
+#[test]
+fn reused_factorisation_matches_a_new_identity() {
+    let mut compared = 0u32;
+    let mut grown = 0u32;
+    for ordering in [
+        MarkowitzOrdering::Dynamic,
+        MarkowitzOrdering::StaticColCount,
+    ] {
+        for rule in [UpdateRule::ProductForm, UpdateRule::ForrestTomlin] {
+            let opts = FactorOpts {
+                update: rule,
+                ordering,
+                ..FactorOpts::default()
+            };
+            for seed in 900..960u64 {
+                let what = format!("{ordering:?} {rule:?} seed {seed}");
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let m0 = rng.gen_range(4usize..=24);
+                let k = if seed % 3 == 0 {
+                    rng.gen_range(1usize..=3)
+                } else {
+                    0
+                };
+                let m = m0 + k;
+                let n = rng.gen_range(m..=2 * m);
+                let a0 = random_csc(&mut rng, m0, n);
+
+                // First life: a basis B1, then a few updates.
+                let mut reused = LuFactors::identity(m0);
+                reused.set_ordering(ordering);
+                let mut b1 = pivoted_basis(&mut rng, &a0, n, m0);
+                assert!(reused.factorize(&b1, &a0, n), "{what}: B1");
+                pivot_alike(
+                    &mut rng,
+                    std::slice::from_mut(&mut reused),
+                    &mut b1,
+                    &a0,
+                    n,
+                    &opts,
+                    3,
+                    &what,
+                );
+                // Bordered growth by k rows, with the multipliers
+                // μ = B⁻ᵀ n the engine computes against the live basis.
+                let a = if k > 0 {
+                    let extra: Vec<Vec<(usize, f64)>> = (0..k)
+                        .map(|_| {
+                            (0..3)
+                                .map(|_| (rng.gen_range(0..n), f64::from(rng.gen_range(1i32..=3))))
+                                .collect()
+                        })
+                        .collect();
+                    let borders = extra
+                        .iter()
+                        .map(|row| {
+                            let mut y = vec![0.0; m0];
+                            for (r, &c) in b1.iter().enumerate() {
+                                for &(j, v) in row {
+                                    if j == c {
+                                        y[r] += v;
+                                    }
+                                }
+                            }
+                            reused.btran(&mut y);
+                            y.iter()
+                                .enumerate()
+                                .filter(|&(_, &v)| v != 0.0)
+                                .map(|(i, &v)| (i, v))
+                                .collect()
+                        })
+                        .collect();
+                    reused.grow(borders);
+                    grown += 1;
+                    a0.append_rows(&extra)
+                } else {
+                    a0
+                };
+
+                // Second life: B2, against a new identity.
+                let mut fresh = LuFactors::identity(m);
+                fresh.set_ordering(ordering);
+                reused.take_work();
+                reused.take_stats();
+                fresh.take_work();
+                if seed % 2 == 0 {
+                    reused.reset_identity();
+                    fresh.reset_identity();
+                }
+                // B2 is either the basis the updates led to (with the
+                // grown rows' slacks), as in a refactorisation mid-solve,
+                // or an unrelated one, as in a reinstall.
+                let mut b2 = if (seed / 2) % 2 == 0 {
+                    b1.iter().copied().chain(n + m0..n + m).collect()
+                } else {
+                    pivoted_basis(&mut rng, &a, n, m)
+                };
+                let ok = reused.factorize(&b2, &a, n);
+                assert_eq!(ok, fresh.factorize(&b2, &a, n), "{what}: verdict");
+                assert_eq!(reused.take_work(), fresh.take_work(), "{what}: ticks");
+                assert_eq!(reused.take_stats(), fresh.take_stats(), "{what}: stats");
+                if !ok {
+                    continue;
+                }
+                assert_eq!(reused.lu_nnz(), fresh.lu_nnz(), "{what}: fill");
+                let mut pair = [reused, fresh];
+                for round in 0..2 {
+                    for trial in 0..3 {
+                        let rhs: Vec<f64> = (0..m)
+                            .map(|_| f64::from(rng.gen_range(-5i32..=5)))
+                            .collect();
+                        let [x, y] = pair.each_mut().map(|lu| {
+                            let mut x = rhs.clone();
+                            lu.ftran(&mut x);
+                            x
+                        });
+                        assert_eq!(bits(&x), bits(&y), "{what}: round {round} ftran {trial}");
+                        let [x, y] = pair.each_mut().map(|lu| {
+                            let mut x = rhs.clone();
+                            lu.btran(&mut x);
+                            x
+                        });
+                        assert_eq!(bits(&x), bits(&y), "{what}: round {round} btran {trial}");
+                    }
+                    let [reused, fresh] = &mut pair;
+                    assert_eq!(
+                        reused.take_work(),
+                        fresh.take_work(),
+                        "{what}: round {round}"
+                    );
+                    assert_eq!(
+                        reused.take_stats(),
+                        fresh.take_stats(),
+                        "{what}: round {round}"
+                    );
+                    pivot_alike(&mut rng, &mut pair, &mut b2, &a, n, &opts, 3, &what);
+                }
+                compared += 1;
+            }
+        }
+    }
+    assert!(
+        compared >= 200,
+        "too few nonsingular second bases: {compared}"
+    );
+    assert!(grown >= 60, "too few grown factorisations: {grown}");
+}
