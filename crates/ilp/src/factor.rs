@@ -374,10 +374,16 @@ pub struct LuFactors {
     /// Scratch pattern buffers (row/position and slot space).
     pat: Vec<usize>,
     pat2: Vec<usize>,
-    /// DFS reach output (postorder, then sorted by pivotal position).
+    /// DFS reach output: postorder from `compute_reach`, then rewritten
+    /// in the order its solve runs (ascending slot for the `L` phases,
+    /// ascending pivotal position for the `U` phases) by `bitmap_sort`.
     reach: Vec<usize>,
     /// DFS stack of `(slot, next child index)`.
     rstack: Vec<(usize, usize)>,
+    /// Ordered bitmap over `0..m`, one bit per index, all-zero between
+    /// calls: `bitmap_sort` orders reaches and tracked result patterns
+    /// with it instead of a comparison sort.
+    bits: Vec<u64>,
     /// Visit stamps for the DFS and pattern tracking.
     mark: Vec<u32>,
     stamp: u32,
@@ -430,6 +436,36 @@ pub(crate) fn refill<T: Clone>(v: &mut Vec<T>, len: usize, value: T) {
     v.resize(len, value);
 }
 
+/// Rewrites `v` as `emit(b)` for each distinct key `b = key(x)` of its
+/// entries `x`, in ascending key order, through the ordered bitmap
+/// `bits`: it sets one bit per entry, then walks the words between the
+/// lowest and the highest key, so repeats collapse and no two keys are
+/// ever compared. Keys must lie below `64 · bits.len()`; `bits` is
+/// all-zero on entry and again on return.
+fn bitmap_sort(
+    bits: &mut [u64],
+    v: &mut Vec<usize>,
+    key: impl Fn(usize) -> usize,
+    emit: impl Fn(usize) -> usize,
+) {
+    let (mut lo, mut hi) = (usize::MAX, 0);
+    for &x in v.iter() {
+        let b = key(x);
+        bits[b / 64] |= 1 << (b % 64);
+        lo = lo.min(b / 64);
+        hi = hi.max(b / 64);
+    }
+    v.clear();
+    // An empty `v` leaves `lo > hi`: the walk is empty.
+    for w in lo..=hi {
+        let mut word = std::mem::take(&mut bits[w]);
+        while word != 0 {
+            v.push(emit(w * 64 + word.trailing_zeros() as usize));
+            word &= word - 1;
+        }
+    }
+}
+
 /// Empties every inner vector of `v`, keeping their allocations, and
 /// sizes `v` to `len` entries.
 fn clear_nested<T>(v: &mut Vec<Vec<T>>, len: usize) {
@@ -474,6 +510,7 @@ impl LuFactors {
             pat2: Vec::new(),
             reach: Vec::new(),
             rstack: Vec::new(),
+            bits: Vec::new(),
             mark: Vec::new(),
             stamp: 0,
             track: false,
@@ -501,6 +538,7 @@ impl LuFactors {
         self.pat2.clear();
         self.reach.clear();
         self.rstack.clear();
+        refill(&mut self.bits, m.div_ceil(64), 0);
         refill(&mut self.mark, m, 0);
         self.stamp = 0;
         self.track = false;
@@ -577,6 +615,7 @@ impl LuFactors {
         }
         self.scratch.resize(m, 0.0);
         self.aux.resize(m, 0.0);
+        self.bits.resize(m.div_ceil(64), 0);
         self.mark.resize(m, 0);
         self.lu_nnz += k;
         self.u_nnz += k;
@@ -1298,7 +1337,7 @@ impl LuFactors {
 
     /// [`ftran_sparse`](Self::ftran_sparse) that additionally captures
     /// the **result's** non-zero pattern (basis positions, a superset,
-    /// sorted and duplicate-free) into `result` — the
+    /// ascending and duplicate-free) into `result` — the
     /// solve-pattern-threading primitive: the caller seeds the next
     /// dependent solve's DFS from it instead of scanning the dense
     /// vector. Returns `false` when the solve ran on the scanning
@@ -1329,14 +1368,14 @@ impl LuFactors {
         std::mem::swap(result, &mut self.result_pat);
         // Eta/transform targets can repeat reach positions; consumers
         // apply pattern-indexed updates exactly once per position, so
-        // canonicalise here (sorted order also keeps them deterministic).
-        result.sort_unstable();
-        result.dedup();
+        // the bitmap walk canonicalises the pattern: ascending, each
+        // position once.
+        bitmap_sort(&mut self.bits, result, |i| i, |i| i);
         true
     }
 
     /// `x ← e_rᵀ B⁻¹` with the result's non-zero pattern (constraint
-    /// rows, a sorted duplicate-free superset) captured into `result`;
+    /// rows, an ascending duplicate-free superset) captured into `result`;
     /// `x` must be all-zero on entry (it is overwritten in place).
     /// Returns `false` when the solve cut over to the scanning kernel
     /// (then `result` is empty and the result must be treated as dense).
@@ -1360,8 +1399,7 @@ impl LuFactors {
         std::mem::swap(result, &mut self.result_pat);
         // Border targets can repeat reach positions; see
         // `ftran_sparse_tracked` for why the pattern is canonicalised.
-        result.sort_unstable();
-        result.dedup();
+        bitmap_sort(&mut self.bits, result, |i| i, |i| i);
         true
     }
 
@@ -1461,7 +1499,7 @@ impl LuFactors {
             pat2.push(pinv[row]);
         }
         let mut edges = self.compute_reach(Phase::LowerFwd);
-        self.reach.sort_unstable();
+        bitmap_sort(&mut self.bits, &mut self.reach, |k| k, |k| k);
         let mut visited = 0u64;
         {
             let LuFactors {
@@ -1524,18 +1562,19 @@ impl LuFactors {
         edges += self.compute_reach(Phase::UpperBwd);
         let LuFactors {
             q,
-            order: _,
+            order,
             pos,
             u_cols,
             u_diag,
             etas,
             reach,
+            bits,
             scratch: z,
             track,
             result_pat,
             ..
         } = self;
-        reach.sort_unstable_by_key(|&k| pos[k]);
+        bitmap_sort(bits, reach, |k| pos[k], |j| order[j]);
         for &k in reach.iter().rev() {
             let zk = z[k];
             if zk == 0.0 {
@@ -1748,18 +1787,20 @@ impl LuFactors {
         let mut edges = self.compute_reach(Phase::UpperTFwd);
         {
             let LuFactors {
+                order,
                 pos,
                 u_rows,
                 u_diag,
                 ft,
                 reach,
+                bits,
                 pat2,
                 scratch: z,
                 mark,
                 stamp,
                 ..
             } = self;
-            reach.sort_unstable_by_key(|&k| pos[k]);
+            bitmap_sort(bits, reach, |k| pos[k], |j| order[j]);
             // Forward solve Uᵀ z = c over the reach, ascending pivotal
             // order, scatter form.
             for &k in reach.iter() {
@@ -1807,12 +1848,13 @@ impl LuFactors {
             p,
             l_rows,
             reach,
+            bits,
             scratch: z,
             track,
             result_pat,
             ..
         } = self;
-        reach.sort_unstable();
+        bitmap_sort(bits, reach, |k| k, |k| k);
         // Backward solve Lᵀ y = z over the reach, descending slots; the
         // scratch is re-zeroed as each slot is consumed. The reach is
         // the tracked result pattern (constraint rows).
@@ -2346,7 +2388,8 @@ impl Factorization {
     }
 
     /// FTRAN that also records the result's non-zero pattern into
-    /// `result` (a superset; exact zeros may appear). Returns `true` when
+    /// `result` (an ascending, duplicate-free superset; exact zeros may
+    /// appear). Returns `true` when
     /// the pattern is valid — `false` means a dense kernel ran and the
     /// caller must fall back to scanning the dense result.
     pub(crate) fn ftran_sparse_tracked(
@@ -2365,8 +2408,9 @@ impl Factorization {
     }
 
     /// Unit-vector BTRAN (row `r` of `B⁻¹`) that also records the
-    /// result's non-zero pattern into `result`. `out` must be all-zero on
-    /// entry. Returns `false` when a dense kernel ran (no pattern).
+    /// result's non-zero pattern into `result` (an ascending,
+    /// duplicate-free superset). `out` must be all-zero on entry.
+    /// Returns `false` when a dense kernel ran (no pattern).
     pub(crate) fn btran_unit_tracked(
         &mut self,
         r: usize,

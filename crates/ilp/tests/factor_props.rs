@@ -10,7 +10,9 @@
 //! cycle must be bit-for-bit deterministic across runs under either
 //! update rule.
 
-use croxmap_ilp::{CscMatrix, DenseInverse, FactorOpts, LuFactors, MarkowitzOrdering, UpdateRule};
+use croxmap_ilp::{
+    CscMatrix, DenseInverse, FactorOpts, FactorStats, LuFactors, MarkowitzOrdering, UpdateRule,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -316,19 +318,111 @@ fn three_representations_agree_on_degenerate_and_near_singular_sequences() {
     assert!(total_pivots > 120, "too few pivots overall: {total_pivots}");
 }
 
+/// Systems the kernel-agreement suites run on, as `(seed, m0, k)`: an
+/// `m0`-row factorisation (`None`: a size drawn from `6..=14`) that,
+/// when `k > 0`, grows by `k` bordered rows halfway through its pivot
+/// sequence. Besides the small random systems, the sizes 63, 64, 65 and
+/// 129 put the last index on either side of a 64-bit word boundary, and
+/// the grown cases reach those sizes by growth, so the ordered bitmap
+/// the hyper-sparse kernels sort with is walked across words.
+fn agreement_cases(seeds: std::ops::Range<u64>) -> Vec<(u64, Option<usize>, usize)> {
+    let edges = [
+        (63, 0),
+        (64, 0),
+        (65, 0),
+        (129, 0),
+        (61, 2),
+        (62, 2),
+        (63, 2),
+        (127, 2),
+    ];
+    let end = seeds.end;
+    seeds
+        .map(|seed| (seed, None, 0))
+        .chain(
+            edges
+                .into_iter()
+                .zip(end..)
+                .map(|((m0, k), seed)| (seed, Some(m0), k)),
+        )
+        .collect()
+}
+
+/// Unit right-hand sides probed after every pivot: the first rows and
+/// the rows on either side of the first word boundary and of the end.
+fn probe_rows(m: usize) -> Vec<usize> {
+    let mut rows: Vec<usize> = [0, 1, 2, 63, 64, m - 2, m - 1]
+        .into_iter()
+        .filter(|&i| i < m)
+        .collect();
+    rows.sort_unstable();
+    rows.dedup();
+    rows
+}
+
+/// Grows every factorisation in `lus` alike by `k` random constraint
+/// rows over the structural columns of `a`, each with the border
+/// multipliers `μ = B⁻ᵀ n` it computes against the live basis, as the
+/// engine does. The new rows' slacks join `basis`; returns the grown
+/// matrix.
+fn grow_alike(
+    rng: &mut SmallRng,
+    lus: &mut [LuFactors],
+    basis: &mut Vec<usize>,
+    a: &CscMatrix,
+    n: usize,
+    k: usize,
+) -> CscMatrix {
+    let m0 = basis.len();
+    let extra: Vec<Vec<(usize, f64)>> = (0..k)
+        .map(|_| {
+            (0..3)
+                .map(|_| (rng.gen_range(0..n), f64::from(rng.gen_range(1i32..=3))))
+                .collect()
+        })
+        .collect();
+    for lu in lus.iter_mut() {
+        let borders: Vec<Vec<(usize, f64)>> = extra
+            .iter()
+            .map(|row| {
+                let mut y = vec![0.0; m0];
+                for (r, &c) in basis.iter().enumerate() {
+                    for &(j, v) in row {
+                        if j == c {
+                            y[r] += v;
+                        }
+                    }
+                }
+                lu.btran(&mut y);
+                y.iter()
+                    .enumerate()
+                    .filter(|&(_, &v)| v != 0.0)
+                    .map(|(i, &v)| (i, v))
+                    .collect()
+            })
+            .collect();
+        lu.grow(borders);
+    }
+    basis.extend(n + m0..n + m0 + k);
+    a.append_rows(&extra)
+}
+
 /// The hyper-sparse (DFS reach) and scanning kernels execute the same
 /// scatter arithmetic in the same pivot order, so forcing either via the
 /// density cutover must not change a single result — across both update
-/// rules, sparse and dense right-hand sides, and refactorisations.
+/// rules, sparse and dense right-hand sides, refactorisations, bordered
+/// growth and sizes on either side of a 64-bit word boundary.
 #[test]
 fn hyper_sparse_and_scanning_kernels_agree_exactly() {
     for rule in [UpdateRule::ProductForm, UpdateRule::ForrestTomlin] {
         let opts = opts_for(rule);
-        for seed in 700..740u64 {
+        for (seed, size, k) in agreement_cases(700..740) {
             let mut rng = SmallRng::seed_from_u64(seed);
-            let m = rng.gen_range(6usize..=14);
+            // Every case draws a size; the word-edge cases override it.
+            let drawn = rng.gen_range(6usize..=14);
+            let mut m = size.unwrap_or(drawn);
             let n = rng.gen_range(m..=2 * m);
-            let a = random_csc(&mut rng, m, n);
+            let mut a = random_csc(&mut rng, m, n);
             let mut basis: Vec<usize> = (n..n + m).collect();
             let mut scan = LuFactors::identity(m);
             let mut hyper = LuFactors::identity(m);
@@ -337,6 +431,12 @@ fn hyper_sparse_and_scanning_kernels_agree_exactly() {
             assert!(scan.factorize(&basis, &a, n));
             assert!(hyper.factorize(&basis, &a, n));
             for q in 0..n {
+                if k > 0 && q == n / 2 {
+                    let mut pair = [scan, hyper];
+                    a = grow_alike(&mut rng, &mut pair, &mut basis, &a, n, k);
+                    [scan, hyper] = pair;
+                    m += k;
+                }
                 let r = rng.gen_range(0..m);
                 let mut w1 = vec![0.0; m];
                 a.axpy_col(&mut w1, 1.0, q);
@@ -358,7 +458,7 @@ fn hyper_sparse_and_scanning_kernels_agree_exactly() {
                 // Sparse probes (unit vectors: the hyper-sparse fast
                 // path) and a dense probe (forced through the reach
                 // kernel only on `hyper`).
-                for probe in 0..m.min(3) {
+                for probe in probe_rows(m) {
                     let mut x1 = vec![0.0; m];
                     let mut x2 = vec![0.0; m];
                     x1[probe] = 1.0;
@@ -397,17 +497,21 @@ fn hyper_sparse_and_scanning_kernels_agree_exactly() {
 /// **exactly**, the captured pattern must be a sorted duplicate-free
 /// superset of the result's non-zeros, and feeding a captured pattern
 /// into the *next* dependent solve (the reuse the engine performs every
-/// iteration) must again match the oracle exactly.
+/// iteration) must again match the oracle exactly — on the systems of
+/// [`agreement_cases`], word-boundary sizes and bordered growth
+/// included.
 #[test]
 fn tracked_kernels_match_scan_kernels_and_chain_patterns() {
     for rule in [UpdateRule::ProductForm, UpdateRule::ForrestTomlin] {
         let opts = opts_for(rule);
         let mut tracked_solves = 0u32;
-        for seed in 800..840u64 {
+        for (seed, size, k) in agreement_cases(800..840) {
             let mut rng = SmallRng::seed_from_u64(seed);
-            let m = rng.gen_range(6usize..=14);
+            // Every case draws a size; the word-edge cases override it.
+            let drawn = rng.gen_range(6usize..=14);
+            let mut m = size.unwrap_or(drawn);
             let n = rng.gen_range(m..=2 * m);
-            let a = random_csc(&mut rng, m, n);
+            let mut a = random_csc(&mut rng, m, n);
             let mut basis: Vec<usize> = (n..n + m).collect();
             let mut scan = LuFactors::identity(m);
             let mut track = LuFactors::identity(m);
@@ -418,6 +522,12 @@ fn tracked_kernels_match_scan_kernels_and_chain_patterns() {
             let mut result_pat = Vec::new();
             let mut next_pat = Vec::new();
             for q in 0..n {
+                if k > 0 && q == n / 2 {
+                    let mut pair = [scan, track];
+                    a = grow_alike(&mut rng, &mut pair, &mut basis, &a, n, k);
+                    [scan, track] = pair;
+                    m += k;
+                }
                 let r = rng.gen_range(0..m);
                 // FTRAN of the raw column, tracked vs oracle.
                 let mut x1 = vec![0.0; m];
@@ -450,24 +560,27 @@ fn tracked_kernels_match_scan_kernels_and_chain_patterns() {
                         tracked_solves += 1;
                     }
                 }
-                // Unit BTRAN, tracked vs oracle.
-                let mut u1 = vec![0.0; m];
-                let mut u2 = vec![0.0; m];
-                u2[r] = 1.0;
-                let bhit = track.btran_unit_tracked(r, &mut u1, &mut result_pat);
-                scan.btran(&mut u2);
-                assert_eq!(u1, u2, "{rule:?} seed {seed} row {r}: tracked btran");
-                if bhit {
-                    tracked_solves += 1;
-                    assert!(
-                        result_pat.windows(2).all(|w| w[0] < w[1]),
-                        "{rule:?} seed {seed} row {r}: btran pattern not sorted/deduped"
-                    );
-                    for (i, &v) in u1.iter().enumerate() {
+                // Unit BTRANs (the pivot row and the probe rows), tracked
+                // vs oracle.
+                for row in std::iter::once(r).chain(probe_rows(m)) {
+                    let mut u1 = vec![0.0; m];
+                    let mut u2 = vec![0.0; m];
+                    u2[row] = 1.0;
+                    let bhit = track.btran_unit_tracked(row, &mut u1, &mut result_pat);
+                    scan.btran(&mut u2);
+                    assert_eq!(u1, u2, "{rule:?} seed {seed} row {row}: tracked btran");
+                    if bhit {
+                        tracked_solves += 1;
                         assert!(
-                            v == 0.0 || result_pat.contains(&i),
-                            "{rule:?} seed {seed} row {r}: non-zero {i} outside btran pattern"
+                            result_pat.windows(2).all(|w| w[0] < w[1]),
+                            "{rule:?} seed {seed} row {row}: btran pattern not sorted/deduped"
                         );
+                        for (i, &v) in u1.iter().enumerate() {
+                            assert!(
+                                v == 0.0 || result_pat.contains(&i),
+                                "{rule:?} seed {seed} row {row}: non-zero {i} outside btran pattern"
+                            );
+                        }
                     }
                 }
                 // Layer a pivot update so the kernels run over a growing
@@ -490,6 +603,109 @@ fn tracked_kernels_match_scan_kernels_and_chain_patterns() {
             tracked_solves > 400,
             "{rule:?}: too few tracked solves: {tracked_solves}"
         );
+    }
+}
+
+/// Drives one seeded, engine-like solve sequence on an `m0`-row basis
+/// under `rule` with the default kernel cutover. Per structural column:
+/// the tracked pivot-column FTRAN and a chained re-solve from its
+/// pattern, a tracked unit BTRAN of a random pivot row among the
+/// column's usable entries, a unit FTRAN and a two-entry BTRAN, then the
+/// pivot unless the column is basic already (refactorising when the
+/// update is declined or the policy asks); halfway it grows by two
+/// bordered rows. Returns the drained ticks and the counters
+/// `[work, ftran_visited, btran_visited, ftran_hyper, btran_hyper]`.
+fn tick_sequence(m0: usize, seed: u64, rule: UpdateRule) -> [u64; 5] {
+    let opts = opts_for(rule);
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let n = 2 * m0;
+    let mut m = m0;
+    let mut a = random_csc(&mut rng, m, n);
+    let mut basis: Vec<usize> = (n..n + m).collect();
+    let mut lu = LuFactors::identity(m);
+    assert!(lu.factorize(&basis, &a, n));
+    let mut work = 0u64;
+    let mut stats = FactorStats::default();
+    let mut pat = Vec::new();
+    let mut next = Vec::new();
+    for q in 0..n {
+        if q == n / 2 {
+            let lus = std::slice::from_mut(&mut lu);
+            a = grow_alike(&mut rng, lus, &mut basis, &a, n, 2);
+            m += 2;
+        }
+        let mut w = vec![0.0; m];
+        a.axpy_col(&mut w, 1.0, q);
+        if lu.ftran_sparse_tracked(&mut w, a.col(q).0, &mut pat) {
+            let mut y = w.clone();
+            lu.ftran_sparse_tracked(&mut y, &pat, &mut next);
+        }
+        // The pivot row: a random usable entry of the pivot column.
+        let rows: Vec<usize> = (0..m).filter(|&i| w[i].abs() >= 1e-6).collect();
+        let r = rows[rng.gen_range(0..rows.len())];
+        let mut rho = vec![0.0; m];
+        lu.btran_unit_tracked(r, &mut rho, &mut pat);
+        let mut e = vec![0.0; m];
+        e[q % m] = 1.0;
+        lu.ftran(&mut e);
+        let mut c = vec![0.0; m];
+        c[(r + m / 2) % m] = -2.0;
+        c[r] = 1.0;
+        lu.btran(&mut c);
+        if !basis.contains(&q) {
+            basis[r] = q;
+            if !lu.update(r, &w, &opts) || lu.needs_refactor(&opts) {
+                assert!(lu.factorize(&basis, &a, n), "seed {seed}: refactorise");
+            }
+        }
+        work += lu.take_work();
+        stats.merge(&lu.take_stats());
+    }
+    [
+        work,
+        stats.ftran_visited,
+        stats.btran_visited,
+        stats.ftran_hyper,
+        stats.btran_hyper,
+    ]
+}
+
+/// Exact output of [`tick_sequence`] per `m0` (which also seeds it),
+/// under Forrest–Tomlin and then product-form updates. The deterministic
+/// clock bills the solves these count, so the hyper-sparse kernels'
+/// charges must not drift by a single tick: how a kernel orders its
+/// reach is free, what it charges is not.
+const PINNED_TICKS: [(usize, [u64; 5], [u64; 5]); 3] = [
+    (
+        14,
+        [11_447, 3714, 2492, 35, 43],
+        [10_091, 2594, 3350, 33, 43],
+    ),
+    (
+        65,
+        [249_352, 116_906, 51_677, 294, 262],
+        [216_006, 78_587, 83_114, 271, 262],
+    ),
+    (
+        130,
+        [1_094_834, 536_919, 222_517, 597, 522],
+        [955_011, 375_892, 367_800, 550, 522],
+    ),
+];
+
+#[test]
+fn hyper_kernel_tick_charges_are_pinned() {
+    for (m0, ft, pf) in PINNED_TICKS {
+        for (rule, want) in [
+            (UpdateRule::ForrestTomlin, ft),
+            (UpdateRule::ProductForm, pf),
+        ] {
+            assert_eq!(
+                tick_sequence(m0, m0 as u64, rule),
+                want,
+                "{rule:?} m0 {m0}: [work, ftran_visited, btran_visited, ftran_hyper, btran_hyper]"
+            );
+        }
     }
 }
 
@@ -751,38 +967,11 @@ fn reused_factorisation_matches_a_new_identity() {
                     3,
                     &what,
                 );
-                // Bordered growth by k rows, with the multipliers
-                // μ = B⁻ᵀ n the engine computes against the live basis.
+                // Bordered growth by k rows; their slacks join B1.
                 let a = if k > 0 {
-                    let extra: Vec<Vec<(usize, f64)>> = (0..k)
-                        .map(|_| {
-                            (0..3)
-                                .map(|_| (rng.gen_range(0..n), f64::from(rng.gen_range(1i32..=3))))
-                                .collect()
-                        })
-                        .collect();
-                    let borders = extra
-                        .iter()
-                        .map(|row| {
-                            let mut y = vec![0.0; m0];
-                            for (r, &c) in b1.iter().enumerate() {
-                                for &(j, v) in row {
-                                    if j == c {
-                                        y[r] += v;
-                                    }
-                                }
-                            }
-                            reused.btran(&mut y);
-                            y.iter()
-                                .enumerate()
-                                .filter(|&(_, &v)| v != 0.0)
-                                .map(|(i, &v)| (i, v))
-                                .collect()
-                        })
-                        .collect();
-                    reused.grow(borders);
                     grown += 1;
-                    a0.append_rows(&extra)
+                    let lus = std::slice::from_mut(&mut reused);
+                    grow_alike(&mut rng, lus, &mut b1, &a0, n, k)
                 } else {
                     a0
                 };
@@ -801,7 +990,7 @@ fn reused_factorisation_matches_a_new_identity() {
                 // grown rows' slacks), as in a refactorisation mid-solve,
                 // or an unrelated one, as in a reinstall.
                 let mut b2 = if (seed / 2) % 2 == 0 {
-                    b1.iter().copied().chain(n + m0..n + m).collect()
+                    b1
                 } else {
                     pivoted_basis(&mut rng, &a, n, m)
                 };

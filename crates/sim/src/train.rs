@@ -70,11 +70,17 @@ impl SpikeTrain {
         self.times.binary_search(&time).is_ok()
     }
 
-    /// Shifts every spike by `offset` timesteps.
+    /// Shifts every spike by `offset` timesteps. Spikes that would land
+    /// past `u32::MAX` are dropped, so the times stay sorted.
     #[must_use]
     pub fn shifted(&self, offset: u32) -> Self {
         SpikeTrain {
-            times: self.times.iter().map(|&t| t + offset).collect(),
+            // Sorted times: once one shift overflows, every later one does.
+            times: self
+                .times
+                .iter()
+                .map_while(|&t| t.checked_add(offset))
+                .collect(),
         }
     }
 }
@@ -113,6 +119,16 @@ mod tests {
     fn shifted_preserves_count() {
         let t = SpikeTrain::from_times([0, 1, 2]).shifted(10);
         assert_eq!(t.times(), &[10, 11, 12]);
+    }
+
+    #[test]
+    fn shifted_drops_spikes_past_u32_max() {
+        let t = SpikeTrain::from_times([1, 5]).shifted(u32::MAX - 2);
+        assert_eq!(t.times(), &[u32::MAX - 1]);
+        assert!(t.fires_at(u32::MAX - 1));
+        let edge = SpikeTrain::from_times([0, 2]).shifted(u32::MAX - 2);
+        assert_eq!(edge.times(), &[u32::MAX - 2, u32::MAX]);
+        assert!(SpikeTrain::from_times([3]).shifted(u32::MAX).is_empty());
     }
 
     #[test]
