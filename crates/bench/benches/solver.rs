@@ -36,10 +36,11 @@
 //! `lp_chain` workloads plus the `cold_root` and `cuts_root` groups, and
 //! **fails (exit 1) if any guarded `work_ticks` (warm lp_chain, cold_root
 //! with presolve / perturbation enabled, or cuts_root) regresses more
-//! than 1.5× against the committed `BENCH_solver.json`**, if a
-//! presolve-enabled cold root pays a dense-tableau fallback, if a cut
-//! round ever *worsens* the root objective bound (valid cuts can only
-//! raise it), or if the cut loop pays a dense fallback. The freshly
+//! than 1.5× against the committed `BENCH_solver.json`**, if any
+//! measured row had an LP solve the engine declined (`LpStatus::Failed`,
+//! counted in the JSON `lp_fallbacks` field), or if a cut round ever
+//! *worsens* the root objective bound (valid cuts can only raise it).
+//! The freshly
 //! measured `parallel_bb/*` rows are gated live: the deterministic
 //! 4-thread schedule must not diverge between its two runs, every mode
 //! must land on the sequential objective, and (only on ≥ 4-core
@@ -51,7 +52,7 @@ use croxmap_core::baseline::greedy_first_fit;
 use croxmap_core::{FormulationConfig, MappingIlp, MappingObjective};
 use croxmap_gen::calibrated::{generate, NetworkSpec};
 use croxmap_ilp::presolve::{presolve, PresolveConfig, PresolveOutcome, PresolveStats};
-use croxmap_ilp::simplex::{self, LpStatus};
+use croxmap_ilp::simplex::{self, LpResult, LpStatus};
 use croxmap_ilp::{
     Cut, CutSeparator, DeterministicClock, FactorStats, LpSession, Model, ParallelMode, Phase,
     PhaseBreakdown, PricingRule, Solver, SolverConfig,
@@ -201,7 +202,8 @@ struct WarmColdRecord {
     objective: Option<f64>,
     /// Root presolve outcome, when the run presolved.
     presolve: Option<PresolveStats>,
-    /// Dense-tableau fallbacks paid during the run.
+    /// LP solves the engine declined during the run (`LpStatus::Failed`;
+    /// `SolveResult::lp_fallbacks` on full solves).
     fallbacks: u64,
     /// Factorisation counters summed over the run's LP solves (None for
     /// runs that only observe `SolveResult`-level aggregates).
@@ -239,6 +241,11 @@ impl WarmColdRecord {
     fn nodes_per_sec(&self) -> f64 {
         self.nodes as f64 / self.wall_seconds.max(1e-9)
     }
+}
+
+/// `1` when the engine declined `result`'s solve, else `0`.
+fn failures(result: &LpResult) -> u64 {
+    u64::from(result.status == LpStatus::Failed)
 }
 
 /// Rounds a reported objective to the documented tolerance so warm/cold
@@ -362,11 +369,13 @@ fn measure_cold_root(name: &str, model: &Model, mode: &'static str) -> WarmColdR
     } else {
         (model.clone(), None)
     };
+    let bounds: Vec<(f64, f64)> = target
+        .variables()
+        .iter()
+        .map(|v| (v.lower, v.upper))
+        .collect();
     let start = Instant::now();
-    // Deliberately measured through the deprecated shim: the cold_root
-    // rows are the committed oracle for shim-vs-session tick identity.
-    #[allow(deprecated)]
-    let result = simplex::solve_model_relaxation(&target, &lp_cfg);
+    let result = LpSession::open(&target, lp_cfg).solve(&bounds, None).result;
     let wall = start.elapsed().as_secs_f64();
     WarmColdRecord {
         instance: format!("cold_root/{name}"),
@@ -377,7 +386,7 @@ fn measure_cold_root(name: &str, model: &Model, mode: &'static str) -> WarmColdR
         wall_seconds: wall,
         objective: Some(result.objective),
         presolve: stats,
-        fallbacks: u64::from(result.dense_fallback),
+        fallbacks: failures(&result),
         factor: Some(result.factor),
         cuts: None,
         phases: PhaseBreakdown::default(),
@@ -439,7 +448,7 @@ fn measure_lp_chain_with(
     let mut basis = root.basis;
     let mut ticks = root.result.work_ticks;
     let mut factor = root.result.factor;
-    let mut fallbacks = u64::from(root.result.dense_fallback);
+    let mut fallbacks = failures(&root.result);
     let mut solves = 1u64;
     let mut last_obj = root.result.objective;
     let mut last_values = root.result.values.clone();
@@ -454,7 +463,7 @@ fn measure_lp_chain_with(
         let out = solver.solve(&bounds, if warm { basis.as_ref() } else { None });
         ticks += out.result.work_ticks;
         factor.merge(&out.result.factor);
-        fallbacks += u64::from(out.result.dense_fallback);
+        fallbacks += failures(&out.result);
         solves += 1;
         if out.result.status != LpStatus::Optimal {
             break;
@@ -504,7 +513,7 @@ fn measure_cuts_root(name: &str, model: &Model) -> WarmColdRecord {
     let root = session.solve(&bounds, None);
     let mut ticks = root.result.work_ticks;
     let mut factor = root.result.factor;
-    let mut fallbacks = u64::from(root.result.dense_fallback);
+    let mut fallbacks = failures(&root.result);
     let mut solves = 1u64;
     let bound_before = root.result.objective;
     let mut bound_after = bound_before;
@@ -548,7 +557,7 @@ fn measure_cuts_root(name: &str, model: &Model) -> WarmColdRecord {
             let out = session.solve(&bounds, added.basis.as_ref());
             ticks += out.result.work_ticks;
             factor.merge(&out.result.factor);
-            fallbacks += u64::from(out.result.dense_fallback);
+            fallbacks += failures(&out.result);
             solves += 1;
             if out.result.status != LpStatus::Optimal {
                 break;
@@ -778,7 +787,7 @@ fn measure_pricing_ablation(records: &mut Vec<WarmColdRecord>) {
             wall_seconds: wall,
             objective: Some(round_objective(out.result.objective)),
             presolve: Some(sp_stats),
-            fallbacks: u64::from(out.result.dense_fallback),
+            fallbacks: failures(&out.result),
             factor: Some(out.result.factor),
             cuts: None,
             phases: PhaseBreakdown::default(),
@@ -830,7 +839,7 @@ fn collect_records(smoke: bool) -> Vec<WarmColdRecord> {
         }
         // Root cutting planes through the live-session API: the smoke
         // gate fails any row whose cut rounds worsen the root bound or
-        // pay a dense fallback.
+        // whose solves fail.
         records.push(measure_cuts_root(&name, &model));
     }
     records.push(measure_cuts_root("knapsack/96", &knapsack(96)));
@@ -901,8 +910,8 @@ fn collect_records(smoke: bool) -> Vec<WarmColdRecord> {
 /// CI smoke: re-measure the committed small instances and fail on a
 /// work_ticks regression beyond 1.5× — warm lp_chain rows, and every
 /// cold_root row (so the presolve-enabled and perturbed cold paths are
-/// guarded too). Also fails if a presolve-enabled cold_root row pays a
-/// dense fallback. Returns `false` on regression.
+/// guarded too). Also fails if any measured row had a failed LP solve.
+/// Returns `false` on regression.
 fn smoke_check() -> bool {
     let committed = match std::fs::read_to_string(bench_json_path()) {
         Ok(s) => parse_committed(&s),
@@ -914,6 +923,15 @@ fn smoke_check() -> bool {
     let records = collect_records(true);
     let mut ok = true;
     for r in &records {
+        // Every LP of the smoke run must finish: a solve the engine
+        // declines proves nothing, on any row.
+        if r.fallbacks > 0 {
+            println!(
+                "bench-smoke: {:<44} {} had {} failed LP solve(s) REGRESSED",
+                r.instance, r.mode, r.fallbacks
+            );
+            ok = false;
+        }
         let guarded = (r.mode == "warm" && r.instance.starts_with("lp_chain/"))
             || (r.instance.starts_with("cold_root/") && r.mode != "noperturb")
             || r.instance.starts_with("cuts_root/")
@@ -921,30 +939,13 @@ fn smoke_check() -> bool {
         if !guarded {
             continue;
         }
-        // Cut-round invariants are measured live, not diffed: valid cuts
-        // can only raise the root bound, and the in-place growth path
-        // must never push a solve onto the dense tableau.
-        if let Some(c) = &r.cuts {
-            if !c.monotone {
-                println!(
-                    "bench-smoke: {:<44} {} cut round worsened the root bound \
-                     ({} -> {}) REGRESSED",
-                    r.instance, r.mode, c.bound_before, c.bound_after
-                );
-                ok = false;
-            }
-            if r.fallbacks > 0 {
-                println!(
-                    "bench-smoke: {:<44} {} cut loop paid {} dense fallback(s) REGRESSED",
-                    r.instance, r.mode, r.fallbacks
-                );
-                ok = false;
-            }
-        }
-        if r.instance.starts_with("cold_root/") && r.fallbacks > 0 {
+        // The cut-round invariant is measured live, not diffed: valid
+        // cuts can only raise the root bound.
+        if let Some(c) = r.cuts.as_ref().filter(|c| !c.monotone) {
             println!(
-                "bench-smoke: {:<44} {} paid {} dense fallback(s) REGRESSED",
-                r.instance, r.mode, r.fallbacks
+                "bench-smoke: {:<44} {} cut round worsened the root bound \
+                 ({} -> {}) REGRESSED",
+                r.instance, r.mode, c.bound_before, c.bound_after
             );
             ok = false;
         }

@@ -43,10 +43,10 @@ impl PipelineConfig {
     }
 
     /// Returns a copy with the given solver configuration. This is how
-    /// callers reach the LP-level knobs — engine selection (sparse LU vs
-    /// the dense oracles), basis-update rule (Forrest–Tomlin vs
-    /// product-form etas, `SolverConfig::with_update_rule`), pricing
-    /// rule, refactorisation cadence, the presolve stack
+    /// callers reach the LP-level knobs — basis-update rule
+    /// (Forrest–Tomlin vs product-form etas,
+    /// `SolverConfig::with_update_rule`), pricing rule, refactorisation
+    /// cadence, the presolve stack
     /// (`SolverConfig::with_presolve`), and the root cutting-plane round
     /// limit (`SolverConfig::with_cuts`) — e.g.
     /// `cfg.with_solver(cfg.solver.clone().with_pricing(...))`.
@@ -706,24 +706,24 @@ mod tests {
     }
 
     #[test]
-    fn lp_engine_options_plumb_through_pipeline() {
-        // Every LP engine behind `PipelineConfig::with_solver` must reach
-        // the same area optimum on the clustered instance.
-        use croxmap_ilp::LpEngine;
+    fn pricing_rule_options_plumb_through_pipeline() {
+        // Every dual pricing rule behind `PipelineConfig::with_solver`
+        // must reach the same area optimum on the clustered instance.
+        use croxmap_ilp::PricingRule;
         let net = clustered();
         let pool = pool();
-        for engine in [
-            LpEngine::SparseLu,
-            LpEngine::DenseInverse,
-            LpEngine::DenseTableau,
+        for pricing in [
+            PricingRule::Devex,
+            PricingRule::Dantzig,
+            PricingRule::SteepestEdge,
         ] {
             let cfg = PipelineConfig::with_budget(10.0).with_solver(
                 SolverConfig::default()
                     .with_det_time_limit(10.0)
-                    .with_lp_engine(engine),
+                    .with_pricing(pricing),
             );
             let run = optimize_area(&net, &pool, &cfg);
-            assert_eq!(run.best_objective(), Some(32.0), "engine {engine:?}");
+            assert_eq!(run.best_objective(), Some(32.0), "pricing {pricing:?}");
         }
     }
 

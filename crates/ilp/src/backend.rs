@@ -1,26 +1,21 @@
-//! The unified, capability-based LP backend API: [`LpBackend`] +
-//! [`LpSession`].
-//!
-//! Three generations of LP engines grew up in this crate — the dense
-//! two-phase tableau, the revised simplex over an explicit dense inverse,
-//! and the sparse LU engine under product-form and Forrest–Tomlin updates
-//! — each reached through its own entry point. This module folds them
-//! behind one **object-safe trait**, [`LpBackend`], whose capability
-//! flags ([`BackendCaps`]) say what a backend can absorb *incrementally*
-//! (without discarding its warm state): warm starts, bound deltas,
-//! objective deltas, and — new with this API — **dynamic row addition**,
-//! the primitive cutting planes and lazy constraints are built on.
+//! The LP session: [`LpSession`], one conversation with the sparse
+//! revised-simplex engine.
 //!
 //! An [`LpSession`] owns everything one LP conversation needs:
 //!
 //! * the **model view** — a private copy of the caller's [`Model`] that
 //!   grows rows as cuts are appended ([`Model::append_row`], grow-only:
 //!   columns and existing rows never move),
-//! * the **backend** holding the live basis/factorisation between solves,
-//! * the dense-tableau **fallback ladder** every solve runs through (any
-//!   solve a backend declines lands on the battle-tested two-phase
-//!   tableau, exactly like the pre-session entry points), and
+//! * the **engine context** holding the live basis and sparse LU between
+//!   solves, so a warm solve from the live basis skips refactorisation,
+//!   appended rows grow the factorisation in place and objective changes
+//!   re-price the live basis, and
 //! * cumulative [`SessionStats`].
+//!
+//! A solve the engine declines (after its warm-to-cold and unperturbed
+//! retries) comes back as [`LpStatus::Failed`] with the work it spent;
+//! nothing falls back to a dense path. A model without rows never
+//! reaches the engine: each variable sits at its cheaper bound.
 //!
 //! ```
 //! use croxmap_ilp::{LpSession, Model};
@@ -52,214 +47,18 @@ use crate::basis::{Basis, VarStatus};
 use crate::expr::Comparison;
 use crate::model::Model;
 use crate::revised::LpContext;
-use crate::simplex::{
-    solve_relaxation_dense, LpConfig, LpEngine, LpResult, LpStatus, WarmLpResult, TOL,
-};
-
-/// What an [`LpBackend`] can absorb **incrementally** — i.e. while
-/// keeping its warm state (basis, factorisation, reduced costs) alive.
-/// Anything a backend cannot absorb is still *correct* through the
-/// session's fallback ladder; the flags only describe what stays warm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(clippy::struct_excessive_bools)] // independent capability flags
-pub struct BackendCaps {
-    /// Re-optimises from a caller-supplied [`Basis`] snapshot.
-    pub warm_start: bool,
-    /// Applies bound changes to a live basis (dual reoptimisation)
-    /// instead of starting over.
-    pub bound_deltas: bool,
-    /// Re-prices a live basis after an objective change, keeping it when
-    /// it stays dual feasible.
-    pub objective_deltas: bool,
-    /// Grows a live basis by appended rows (new logical slacks enter the
-    /// basis; the factorisation absorbs the growth in place).
-    pub row_addition: bool,
-}
-
-impl BackendCaps {
-    /// A backend with no incremental capabilities (every solve is cold).
-    #[must_use]
-    pub const fn none() -> Self {
-        BackendCaps {
-            warm_start: false,
-            bound_deltas: false,
-            objective_deltas: false,
-            row_addition: false,
-        }
-    }
-
-    /// A fully incremental backend.
-    #[must_use]
-    pub const fn full() -> Self {
-        BackendCaps {
-            warm_start: true,
-            bound_deltas: true,
-            objective_deltas: true,
-            row_addition: true,
-        }
-    }
-}
-
-/// One LP engine behind the unified API. Object safe: sessions and tests
-/// hold backends as `Box<dyn LpBackend>` and drive every engine — dense
-/// tableau, dense inverse, sparse LU under either update rule — through
-/// the same calls.
-///
-/// `Send` is a supertrait: parallel tree workers each own a session (and
-/// thus a boxed backend) on their own thread, so an engine that cannot
-/// move across threads cannot implement the API —
-/// [`crate::parallel`] asserts this at compile time.
-pub trait LpBackend: Send {
-    /// Short engine name for diagnostics and bench logs.
-    fn name(&self) -> &'static str;
-
-    /// The backend's incremental capabilities.
-    fn caps(&self) -> BackendCaps;
-
-    /// Solves the relaxation of `view` under `bounds`, warm-starting from
-    /// `warm` when supported. `Err(spent_ticks)` declines the solve (the
-    /// session then runs the dense fallback, charging the declined
-    /// attempt's deterministic work on top).
-    ///
-    /// # Errors
-    ///
-    /// Returns the deterministic work burnt by the failed attempt when
-    /// the backend cannot finish the solve (numerical trouble, unbounded
-    /// dual start, failed verification).
-    fn solve(
-        &mut self,
-        view: &Model,
-        bounds: &[(f64, f64)],
-        config: &LpConfig,
-        warm: Option<&Basis>,
-    ) -> Result<(LpResult, Option<Basis>), u64>;
-
-    /// `view` already contains the appended rows `old_m..`; a backend
-    /// with [`BackendCaps::row_addition`] grows its live state in place
-    /// when that state is exactly `warm`, returning the grown snapshot.
-    /// `(None, spent)` means the growth was not absorbed — the caller
-    /// falls back to reinstalling a grown snapshot (one refactorisation).
-    fn absorb_rows(&mut self, view: &Model, old_m: usize, warm: &Basis) -> (Option<Basis>, u64) {
-        let _ = (view, old_m, warm);
-        (None, 0)
-    }
-
-    /// The objective in `view` changed; a backend with
-    /// [`BackendCaps::objective_deltas`] re-prices its live basis and
-    /// keeps it when dual feasible. Returns whether warm state survived,
-    /// plus the work spent.
-    fn absorb_objective(&mut self, view: &Model) -> (bool, u64) {
-        let _ = view;
-        (false, 0)
-    }
-}
-
-/// The revised-simplex backend: sparse LU (either update rule, per
-/// [`LpConfig::update`]) or the explicit dense inverse, with the full
-/// incremental capability set. Wraps the engine context that keeps the
-/// factorisation hot between solves.
-pub struct RevisedBackend {
-    engine: LpEngine,
-    ctx: LpContext,
-}
-
-impl RevisedBackend {
-    /// A backend over the given revised engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics on [`LpEngine::DenseTableau`], which is not a revised
-    /// engine — use [`TableauBackend`].
-    #[must_use]
-    pub fn new(engine: LpEngine) -> Self {
-        assert_ne!(
-            engine,
-            LpEngine::DenseTableau,
-            "the tableau is not a revised engine; use TableauBackend"
-        );
-        RevisedBackend {
-            engine,
-            ctx: LpContext::default(),
-        }
-    }
-}
-
-impl LpBackend for RevisedBackend {
-    fn name(&self) -> &'static str {
-        match self.engine {
-            LpEngine::SparseLu => "sparse-lu",
-            LpEngine::DenseInverse => "dense-inverse",
-            LpEngine::DenseTableau => unreachable!("rejected in RevisedBackend::new"),
-        }
-    }
-
-    fn caps(&self) -> BackendCaps {
-        BackendCaps::full()
-    }
-
-    fn solve(
-        &mut self,
-        view: &Model,
-        bounds: &[(f64, f64)],
-        config: &LpConfig,
-        warm: Option<&Basis>,
-    ) -> Result<(LpResult, Option<Basis>), u64> {
-        // The engine choice is pinned at construction; per-solve configs
-        // only vary the tuning knobs.
-        let cfg = LpConfig {
-            engine: self.engine,
-            ..*config
-        };
-        self.ctx.solve(view, bounds, &cfg, warm)
-    }
-
-    fn absorb_rows(&mut self, view: &Model, old_m: usize, warm: &Basis) -> (Option<Basis>, u64) {
-        self.ctx.add_rows(view, old_m, warm)
-    }
-
-    fn absorb_objective(&mut self, view: &Model) -> (bool, u64) {
-        self.ctx.set_objective(view)
-    }
-}
-
-/// The dense two-phase primal tableau as a backend: stateless, no
-/// incremental capabilities, never declines. The terminal rung of every
-/// session's fallback ladder, and the slowest, most battle-tested oracle
-/// when selected outright ([`LpEngine::DenseTableau`]).
-#[derive(Default)]
-pub struct TableauBackend;
-
-impl LpBackend for TableauBackend {
-    fn name(&self) -> &'static str {
-        "dense-tableau"
-    }
-
-    fn caps(&self) -> BackendCaps {
-        BackendCaps::none()
-    }
-
-    fn solve(
-        &mut self,
-        view: &Model,
-        bounds: &[(f64, f64)],
-        config: &LpConfig,
-        _warm: Option<&Basis>,
-    ) -> Result<(LpResult, Option<Basis>), u64> {
-        Ok((solve_relaxation_dense(view, bounds, config), None))
-    }
-}
+use crate::simplex::{LpConfig, LpResult, LpStatus, WarmLpResult, TOL};
 
 /// Cumulative counters over one session's lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
-    /// Solves served (any rung of the ladder).
+    /// Solves served.
     pub solves: u64,
-    /// Solves that landed on the dense-tableau rung — either because the
-    /// primary backend declined or because the tableau *is* the backend.
-    pub dense_fallbacks: u64,
+    /// Solves the engine declined ([`LpStatus::Failed`]).
+    pub failures: u64,
     /// Rows appended over the session's lifetime.
     pub rows_added: u64,
-    /// Row batches the backend absorbed in place (live factorisation
+    /// Row batches the engine absorbed in place (live factorisation
     /// growth — no refactorisation from scratch).
     pub incremental_row_batches: u64,
     /// Row batches that fell back to a snapshot reinstall (one
@@ -282,7 +81,7 @@ pub struct RowAddition {
     /// with one refactorisation on the next solve). `None` when no
     /// snapshot was supplied.
     pub basis: Option<Basis>,
-    /// Whether a live factorisation absorbed the growth in place.
+    /// Whether the live factorisation absorbed the growth in place.
     pub absorbed: bool,
     /// Deterministic work spent growing (border BTRANs, any forced
     /// refactorisation). Charge it to your clock like a solve's ticks.
@@ -290,7 +89,7 @@ pub struct RowAddition {
 }
 
 /// An owning, incremental LP solving session: the model view, the live
-/// backend state (basis + factorisation), and stats. See the
+/// engine state (basis + factorisation), and stats. See the
 /// [module docs](self) for an example and
 /// [`Solver`](crate::Solver) for the primary consumer — branch-and-bound
 /// threads one session through an entire search, and the root cut loop
@@ -298,34 +97,21 @@ pub struct RowAddition {
 pub struct LpSession {
     view: Model,
     config: LpConfig,
-    backend: Box<dyn LpBackend>,
+    ctx: LpContext,
     stats: SessionStats,
     base_rows: usize,
 }
 
 impl LpSession {
-    /// Opens a session on a snapshot of `model`, choosing the backend
-    /// from [`LpConfig::engine`]. Later mutations of the caller's model
-    /// do not affect the session; rows added through
+    /// Opens a session on a snapshot of `model`. Later mutations of the
+    /// caller's model do not affect the session; rows added through
     /// [`LpSession::add_rows`] live only in the session's view.
     #[must_use]
     pub fn open(model: &Model, config: LpConfig) -> Self {
-        let backend: Box<dyn LpBackend> = match config.engine {
-            LpEngine::DenseTableau => Box::new(TableauBackend),
-            engine => Box::new(RevisedBackend::new(engine)),
-        };
-        LpSession::with_backend(model, config, backend)
-    }
-
-    /// Opens a session over an explicit backend — the trait-object entry
-    /// point the backend-equivalence property suite drives every engine
-    /// through.
-    #[must_use]
-    pub fn with_backend(model: &Model, config: LpConfig, backend: Box<dyn LpBackend>) -> Self {
         LpSession {
             view: model.clone(),
             config,
-            backend,
+            ctx: LpContext::default(),
             stats: SessionStats::default(),
             base_rows: model.num_constraints(),
         }
@@ -335,18 +121,6 @@ impl LpSession {
     #[must_use]
     pub fn model(&self) -> &Model {
         &self.view
-    }
-
-    /// The active backend's name.
-    #[must_use]
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
-    }
-
-    /// The active backend's incremental capabilities.
-    #[must_use]
-    pub fn caps(&self) -> BackendCaps {
-        self.backend.caps()
     }
 
     /// Rows appended since the session opened.
@@ -361,27 +135,16 @@ impl LpSession {
         &self.stats
     }
 
-    /// The session's current LP configuration.
-    #[must_use]
-    pub fn config(&self) -> &LpConfig {
-        &self.config
-    }
-
     /// Updates the per-solve tuning knobs (iteration caps, refactor
-    /// cadence, perturbation seed, …). The engine choice is pinned at
-    /// [`LpSession::open`]; a differing [`LpConfig::engine`] is ignored.
+    /// cadence, perturbation seed, …).
     pub fn configure(&mut self, config: LpConfig) {
-        self.config = LpConfig {
-            engine: self.config.engine,
-            ..config
-        };
+        self.config = config;
     }
 
     /// Solves the relaxation of the current view under `bounds`
-    /// (one pair per structural variable), warm-starting from `warm`
-    /// when the backend supports it. Any solve the backend declines
-    /// falls through to the dense two-phase tableau, with the declined
-    /// attempt's deterministic work charged on top.
+    /// (one pair per structural variable), warm-starting from `warm`.
+    /// A solve the engine declines reports [`LpStatus::Failed`] with the
+    /// work its attempts spent.
     ///
     /// # Panics
     ///
@@ -390,67 +153,43 @@ impl LpSession {
         let n = self.view.num_vars();
         assert_eq!(bounds.len(), n, "one bound pair per variable required");
         self.stats.solves += 1;
-        // Crossed overrides mean an infeasible node; no engine needed.
-        for &(l, u) in bounds {
-            if l > u + TOL {
-                self.stats.work_ticks += 1;
-                return WarmLpResult {
-                    result: LpResult {
-                        status: LpStatus::Infeasible,
-                        objective: f64::INFINITY,
-                        values: Vec::new(),
-                        iterations: 0,
-                        work_ticks: 1,
-                        dense_fallback: false,
-                        factor: crate::factor::FactorStats::default(),
-                    },
-                    basis: None,
-                };
+        let out = if bounds.iter().any(|&(l, u)| l > u + TOL) {
+            // Crossed overrides mean an infeasible node; no engine needed.
+            WarmLpResult {
+                result: LpResult::without_point(LpStatus::Infeasible, f64::INFINITY, 1),
+                basis: None,
             }
-        }
-        // The capability flags have teeth: a backend that declares no
-        // warm-start support never sees a basis.
-        let warm = if self.backend.caps().warm_start {
-            warm
+        } else if self.view.num_constraints() == 0 {
+            WarmLpResult {
+                result: bound_relaxation(&self.view, bounds),
+                basis: None,
+            }
         } else {
-            None
-        };
-        let mut spent = 0u64;
-        if self.view.num_constraints() > 0 {
-            match self.backend.solve(&self.view, bounds, &self.config, warm) {
-                Ok((result, basis)) => {
-                    if result.dense_fallback {
-                        self.stats.dense_fallbacks += 1;
+            match self.ctx.solve(&self.view, bounds, &self.config, warm) {
+                Ok((result, basis)) => WarmLpResult { result, basis },
+                Err(spent) => {
+                    self.stats.failures += 1;
+                    WarmLpResult {
+                        result: LpResult::without_point(LpStatus::Failed, f64::NAN, spent),
+                        basis: None,
                     }
-                    self.stats.work_ticks += result.work_ticks;
-                    return WarmLpResult { result, basis };
                 }
-                Err(s) => spent = s,
             }
-        }
-        let mut result = solve_relaxation_dense(&self.view, bounds, &self.config);
-        result.work_ticks += spent;
-        if result.dense_fallback {
-            self.stats.dense_fallbacks += 1;
-        }
-        self.stats.work_ticks += result.work_ticks;
-        WarmLpResult {
-            result,
-            basis: None,
-        }
+        };
+        self.stats.work_ticks += out.result.work_ticks;
+        out
     }
 
     /// Appends rows to the live relaxation — the cutting-plane / lazy
     /// constraint primitive. Rows are grow-only: they may reference only
     /// existing variables.
     ///
-    /// With a `basis` from this session's latest optimal solve, a
-    /// backend with [`BackendCaps::row_addition`] grows its live
-    /// factorisation in place (new logical slacks enter the basis; dual
-    /// feasibility is preserved by construction) and returns the grown
-    /// basis; otherwise the snapshot is extended with the new basic
-    /// slacks and the next solve reinstalls it with one refactorisation
-    /// at the grown dimensions. Either way the next
+    /// With a `basis` from this session's latest optimal solve, the
+    /// engine grows its live factorisation in place (new logical slacks
+    /// enter the basis; dual feasibility is preserved by construction)
+    /// and returns the grown basis; otherwise the snapshot is extended
+    /// with the new basic slacks and the next solve reinstalls it with
+    /// one refactorisation at the grown dimensions. Either way the next
     /// [`LpSession::solve`] re-optimises only the violated cuts instead
     /// of starting from scratch.
     pub fn add_rows(
@@ -481,11 +220,7 @@ impl LpSession {
                 work_ticks: 0,
             };
         };
-        let (grown, work) = if self.backend.caps().row_addition {
-            self.backend.absorb_rows(&self.view, old_m, warm)
-        } else {
-            (None, 0)
-        };
+        let (grown, work) = self.ctx.add_rows(&self.view, old_m, warm);
         self.stats.work_ticks += work;
         match grown {
             Some(b) => {
@@ -498,9 +233,8 @@ impl LpSession {
                 }
             }
             None => {
-                // Universal fallback: extend the snapshot with the new
-                // basic slacks; installing it refactorises at the grown
-                // dimensions.
+                // Extend the snapshot with the new basic slacks;
+                // installing it refactorises at the grown dimensions.
                 self.stats.rebuilt_row_batches += 1;
                 let n = self.view.num_vars();
                 let mut cols = warm.cols.clone();
@@ -519,19 +253,43 @@ impl LpSession {
         }
     }
 
-    /// Replaces the view's objective. A backend with
-    /// [`BackendCaps::objective_deltas`] re-prices its live basis and
-    /// keeps it warm when the basis stays dual feasible; otherwise the
-    /// next solve runs cold. Returns `(kept_warm, work_ticks)`.
+    /// Replaces the view's objective. The engine re-prices its live
+    /// basis and keeps it warm when the basis stays dual feasible;
+    /// otherwise the next solve runs cold. Returns
+    /// `(kept_warm, work_ticks)`.
     pub fn set_objective(&mut self, objective: crate::expr::LinExpr) -> (bool, u64) {
         self.view.set_objective(objective);
-        let out = if self.backend.caps().objective_deltas {
-            self.backend.absorb_objective(&self.view)
-        } else {
-            (false, 0)
-        };
+        let out = self.ctx.set_objective(&self.view);
         self.stats.work_ticks += out.1;
         out
+    }
+}
+
+/// The relaxation of a model without rows: each variable sits at its
+/// cheaper bound, at one tick per variable, and an improving infinite
+/// bound is an unbounded ray (one tick).
+fn bound_relaxation(model: &Model, bounds: &[(f64, f64)]) -> LpResult {
+    let mut cost = vec![0.0; bounds.len()];
+    for &(v, c) in model.objective() {
+        cost[v.index()] = c;
+    }
+    let mut values = Vec::with_capacity(bounds.len());
+    for (&(l, u), &c) in bounds.iter().zip(&cost) {
+        values.push(if c >= 0.0 {
+            l
+        } else if u.is_finite() {
+            u
+        } else {
+            return LpResult::without_point(LpStatus::Unbounded, f64::NEG_INFINITY, 1);
+        });
+    }
+    LpResult {
+        status: LpStatus::Optimal,
+        objective: model.objective_value(&values),
+        values,
+        iterations: 0,
+        work_ticks: bounds.len() as u64,
+        factor: crate::factor::FactorStats::default(),
     }
 }
 
@@ -549,31 +307,40 @@ mod tests {
     }
 
     #[test]
-    fn session_solves_and_reports_backend() {
+    fn session_solves_cover_model() {
         let m = cover_model();
         let mut s = LpSession::open(&m, LpConfig::default());
-        assert_eq!(s.backend_name(), "sparse-lu");
-        assert!(s.caps().row_addition);
         let out = s.solve(&[(0.0, 1.0), (0.0, 1.0)], None);
         assert_eq!(out.result.status, LpStatus::Optimal);
         assert!((out.result.objective - 1.0).abs() < 1e-9);
         assert_eq!(s.stats().solves, 1);
     }
 
+    /// A solve the engine declines is a typed failure: no values, no
+    /// basis, the engine's spent ticks, and one failure in the stats.
     #[test]
-    fn tableau_backend_has_no_caps_but_solves() {
-        let m = cover_model();
-        let cfg = LpConfig {
-            engine: LpEngine::DenseTableau,
-            ..LpConfig::default()
+    fn declined_solve_is_a_typed_failure() {
+        // y has negative cost and no upper bound: no dual-feasible start
+        // (the model of the engine's `bails_on_unbounded_direction`).
+        let mut m = Model::new();
+        let x = m.add_continuous("x", 0.0, f64::INFINITY);
+        let y = m.add_continuous("y", 0.0, f64::INFINITY);
+        m.add_constraint("c", m.expr([(x, 1.0), (y, -1.0)]).leq(1.0));
+        m.set_objective(m.expr([(y, -1.0)]));
+        let bounds = [(0.0, f64::INFINITY); 2];
+        let config = LpConfig::default();
+        let Err(spent) = LpContext::default().solve(&m, &bounds, &config, None) else {
+            panic!("the engine must decline an unboxed improving column");
         };
-        let mut s = LpSession::open(&m, cfg);
-        assert_eq!(s.backend_name(), "dense-tableau");
-        assert_eq!(s.caps(), BackendCaps::none());
-        let out = s.solve(&[(0.0, 1.0), (0.0, 1.0)], None);
-        assert_eq!(out.result.status, LpStatus::Optimal);
-        assert!(out.result.dense_fallback);
-        assert_eq!(s.stats().dense_fallbacks, 1);
+        let mut s = LpSession::open(&m, config);
+        let out = s.solve(&bounds, None);
+        assert_eq!(out.result.status, LpStatus::Failed);
+        assert!(out.result.values.is_empty());
+        assert!(out.basis.is_none());
+        assert_eq!(out.result.work_ticks, spent);
+        assert!(spent > 0, "the declined attempts cost work");
+        assert_eq!(s.stats().failures, 1);
+        assert_eq!(s.stats().work_ticks, spent);
     }
 
     #[test]

@@ -9,12 +9,11 @@
 //! simplex typically re-optimises in a handful of pivots instead of a full
 //! two-phase cold solve.
 //!
-//! A snapshot is representation-agnostic: it stores only column indices
-//! and statuses, never factors. Installing one re-factorises the basis in
-//! whatever representation the engine is configured with — the sparse LU
-//! of [`crate::factor::LuFactors`] by default, or the explicit dense
-//! inverse oracle — so snapshots taken under one engine warm-start the
-//! other freely.
+//! A snapshot stores only column indices and statuses, never factors.
+//! Installing one refactorises the basis as a sparse LU
+//! ([`crate::factor::LuFactors`]) under whatever update rule and pivot
+//! ordering the session is configured with, so a snapshot taken under one
+//! configuration warm-starts any other.
 
 use serde::{Deserialize, Serialize};
 
@@ -31,8 +30,8 @@ pub enum VarStatus {
 
 /// A snapshot of an optimal simplex basis, reusable across bound changes.
 ///
-/// Produced by [`crate::simplex::solve_relaxation_warm`] on optimal solves
-/// and accepted back by the same function to warm-start a related solve.
+/// Produced by [`LpSession::solve`](crate::LpSession::solve) on optimal
+/// solves and accepted back by it to warm-start a related solve.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Basis {
     /// The basic column per row (`cols.len()` == number of constraints).

@@ -10,73 +10,67 @@
 //! * **update** — replace the basic column of one row after a pivot,
 //! * **refactorise** — rebuild the representation from the basis columns.
 //!
-//! Two interchangeable representations implement them:
+//! [`LuFactors`] implements them as a sparse LU factorisation
+//! `B·Q = L·U` (columns permuted by `Q`, rows by partial pivoting).
+//! The default [`MarkowitzOrdering::Dynamic`] runs a right-looking
+//! elimination that picks every pivot by **live Markowitz merit on the
+//! active submatrix**: column candidates come out of non-zero-count buckets
+//! (lazily rebucketed as elimination changes the counts), and among
+//! the entries of a candidate column that pass *threshold partial
+//! pivoting* — within 10× of the column's largest magnitude — the one
+//! minimising `(col_count − 1) · (row_count − 1)` wins. Both counts
+//! are the *current* active-submatrix counts, maintained under fill,
+//! so the ordering adapts to the elimination instead of freezing the
+//! input structure. [`MarkowitzOrdering::StaticColCount`] keeps the
+//! PR 2 left-looking Gilbert–Peierls elimination in ascending static
+//! column count as the differential-testing oracle.
 //!
-//! 1. [`LuFactors`] (the default): a sparse LU factorisation `B·Q = L·U`
-//!    (columns permuted by `Q`, rows by partial pivoting). The default
-//!    [`MarkowitzOrdering::Dynamic`] runs a right-looking elimination
-//!    that picks every pivot by **live Markowitz merit on the active
-//!    submatrix**: column candidates come out of non-zero-count buckets
-//!    (lazily rebucketed as elimination changes the counts), and among
-//!    the entries of a candidate column that pass *threshold partial
-//!    pivoting* — within 10× of the column's largest magnitude — the one
-//!    minimising `(col_count − 1) · (row_count − 1)` wins. Both counts
-//!    are the *current* active-submatrix counts, maintained under fill,
-//!    so the ordering adapts to the elimination instead of freezing the
-//!    input structure. [`MarkowitzOrdering::StaticColCount`] keeps the
-//!    PR 2 left-looking Gilbert–Peierls elimination in ascending static
-//!    column count as the differential-testing oracle.
+//! Pivots are applied through one of two update schemes, selected by
+//! [`FactorOpts::update`]:
 //!
-//!    Pivots are applied through one of two update schemes, selected by
-//!    [`FactorOpts::update`]:
+//! * [`UpdateRule::ForrestTomlin`] (the default): the stored `U` is
+//!   modified **in place**. The leaving column's slot `t` is emptied,
+//!   the transformed entering column (the *spike* `v = L̃⁻¹ a_q`) is
+//!   inserted in its place, slot `t` is moved to the end of the pivot
+//!   order, and the now out-of-place row `t` of `U` is eliminated by a
+//!   single row transform `R = I − e_t μᵀ` whose multipliers solve the
+//!   trailing triangular system `Ūᵀ μ = u_tᵀ`. `R` joins a short file
+//!   of row transforms applied between the `L` and `U` solves, so
+//!   FTRAN/BTRAN cost tracks `nnz(L) + nnz(U) + nnz(R-file)` — flat in
+//!   the number of pivots — instead of growing with one eta per pivot.
+//! * [`UpdateRule::ProductForm`]: the classical eta file. After a
+//!   pivot with transformed column `w = B⁻¹ a_q` entering at row `r`,
+//!   the new basis satisfies `B' = B·E` with `E = I` except column
+//!   `r = w`, so FTRAN appends `E⁻¹` and BTRAN prepends `E⁻ᵀ`. The
+//!   file grows with every pivot; kept selectable so the two schemes
+//!   can be differentially tested against each other.
 //!
-//!    * [`UpdateRule::ForrestTomlin`] (the default): the stored `U` is
-//!      modified **in place**. The leaving column's slot `t` is emptied,
-//!      the transformed entering column (the *spike* `v = L̃⁻¹ a_q`) is
-//!      inserted in its place, slot `t` is moved to the end of the pivot
-//!      order, and the now out-of-place row `t` of `U` is eliminated by a
-//!      single row transform `R = I − e_t μᵀ` whose multipliers solve the
-//!      trailing triangular system `Ūᵀ μ = u_tᵀ`. `R` joins a short file
-//!      of row transforms applied between the `L` and `U` solves, so
-//!      FTRAN/BTRAN cost tracks `nnz(L) + nnz(U) + nnz(R-file)` — flat in
-//!      the number of pivots — instead of growing with one eta per pivot.
-//!    * [`UpdateRule::ProductForm`]: the classical eta file. After a
-//!      pivot with transformed column `w = B⁻¹ a_q` entering at row `r`,
-//!      the new basis satisfies `B' = B·E` with `E = I` except column
-//!      `r = w`, so FTRAN appends `E⁻¹` and BTRAN prepends `E⁻ᵀ`. The
-//!      file grows with every pivot; kept selectable so the two schemes
-//!      can be differentially tested against each other and against
-//!      [`DenseInverse`].
+//! [`LuFactors::needs_refactor`] triggers a fresh factorisation
+//! when the update file gets long ([`FactorOpts::refactor_interval`])
+//! or fat ([`FactorOpts::eta_fill_factor`] × the LU fill).
 //!
-//!    [`LuFactors::needs_refactor`] triggers a fresh factorisation
-//!    when the update file gets long ([`FactorOpts::refactor_interval`])
-//!    or fat ([`FactorOpts::eta_fill_factor`] × the LU fill).
+//! The triangular solves are **hyper-sparse**: when the right-hand
+//! side is sparse enough (see the density cutover below), the solver
+//! first computes the *reach* of the RHS pattern — a DFS over the
+//! triangular factor's dependency graph, visited in topological
+//! (pivot) order — and then runs the scatter-form solve over exactly
+//! those columns, so work is proportional to the non-zeros actually
+//! touched rather than to `m`. Dense right-hand sides cut over to the
+//! scanning kernels, which sweep every elimination step and skip zero
+//! multipliers. Both kernels execute bit-identical arithmetic (same
+//! scatter operations in the same pivot order), so results do not
+//! depend on which kernel a density estimate picks.
 //!
-//!    The triangular solves are **hyper-sparse**: when the right-hand
-//!    side is sparse enough (see the density cutover below), the solver
-//!    first computes the *reach* of the RHS pattern — a DFS over the
-//!    triangular factor's dependency graph, visited in topological
-//!    (pivot) order — and then runs the scatter-form solve over exactly
-//!    those columns, so work is proportional to the non-zeros actually
-//!    touched rather than to `m`. Dense right-hand sides cut over to the
-//!    scanning kernels, which sweep every elimination step and skip zero
-//!    multipliers. Both kernels execute bit-identical arithmetic (same
-//!    scatter operations in the same pivot order), so results do not
-//!    depend on which kernel a density estimate picks.
+//! [`DenseInverse`], the explicit dense `m × m` basis inverse of the
+//! crate's first engine (`O(m³)` Gauss–Jordan refactorisation, `O(m²)`
+//! rank-one pivot updates), stays only as the reference the
+//! factorisation property tests check FTRAN, BTRAN and updates against.
 //!
-//! 2. [`DenseInverse`]: the explicit dense `m × m` basis inverse of the
-//!    original engine — `O(m³)` refactorisation (Gauss–Jordan with
-//!    partial pivoting), `O(m²)` rank-one pivot updates. Kept as the
-//!    correctness oracle behind
-//!    [`LpEngine::DenseInverse`](crate::simplex::LpEngine) and as the
-//!    reference implementation for the property tests.
-//!
-//! Both meter deterministic work: every elementary floating-point
-//! operation charges ticks (see [`crate::DeterministicClock`]), harvested
-//! by the engine through [`take_work`](LuFactors::take_work), so budgets
-//! stay reproducible whichever representation runs. [`FactorStats`]
-//! additionally counts FTRAN/BTRAN visited non-zeros, kernel selections
-//! and update-file growth for the bench log.
+//! Every elementary floating-point operation of the LU charges ticks
+//! (see [`crate::DeterministicClock`]), harvested by the engine through
+//! [`take_work`](LuFactors::take_work), so budgets stay reproducible.
+//! [`FactorStats`] additionally counts FTRAN/BTRAN visited non-zeros,
+//! kernel selections and update-file growth for the bench log.
 //!
 //! Callers that know a solve's right-hand-side pattern ahead of time use
 //! the `*_sparse` entry points; the `*_tracked` variants additionally
@@ -474,6 +468,13 @@ fn clear_nested<T>(v: &mut Vec<Vec<T>>, len: usize) {
         inner.clear();
     }
     v.resize_with(len, Vec::new);
+}
+
+impl Default for LuFactors {
+    /// The identity factorisation of an empty basis.
+    fn default() -> Self {
+        LuFactors::identity(0)
+    }
 }
 
 impl LuFactors {
@@ -2134,9 +2135,9 @@ impl LuFactors {
     }
 }
 
-/// Explicit dense `m × m` basis inverse — the original engine's
-/// representation, kept as the correctness oracle for [`LuFactors`] and
-/// selectable via [`LpEngine::DenseInverse`](crate::simplex::LpEngine).
+/// Explicit dense `m × m` basis inverse — the first engine's
+/// representation, kept as the reference the factorisation property
+/// tests check [`LuFactors`] against.
 #[derive(Debug, Clone)]
 pub struct DenseInverse {
     m: usize,
@@ -2144,63 +2145,21 @@ pub struct DenseInverse {
     /// maps constraint row `k` to basis position `i`.
     binv: Vec<f64>,
     scratch: Vec<f64>,
-    work: u64,
 }
 
 impl DenseInverse {
     /// The identity inverse for an `m`-row basis.
     #[must_use]
     pub fn identity(m: usize) -> Self {
-        let mut inv = DenseInverse {
+        let mut binv = vec![0.0; m * m];
+        for i in 0..m {
+            binv[i * m + i] = 1.0;
+        }
+        DenseInverse {
             m,
-            binv: vec![0.0; m * m],
+            binv,
             scratch: vec![0.0; m],
-            work: 0,
-        };
-        inv.reset_identity();
-        inv
-    }
-
-    /// Resets to the identity basis.
-    pub fn reset_identity(&mut self) {
-        self.binv.fill(0.0);
-        for i in 0..self.m {
-            self.binv[i * self.m + i] = 1.0;
         }
-        self.work += self.m as u64;
-    }
-
-    /// Drains the deterministic work metered since the last call.
-    pub fn take_work(&mut self) -> u64 {
-        std::mem::take(&mut self.work)
-    }
-
-    /// Grows the inverse in place by `borders.len()` appended rows whose
-    /// basic columns are the new logical slacks: with
-    /// `B' = [[B, 0], [N, I]]`, the inverse is exactly
-    /// `[[B⁻¹, 0], [−N B⁻¹, I]]`, so each new row of `binv` is the
-    /// negated multiplier vector `μ_i = B⁻ᵀ n_i` (same convention as
-    /// [`LuFactors::grow`]) followed by the unit diagonal — no
-    /// refactorisation, `O((m + k)²)` for the copy.
-    pub fn grow(&mut self, borders: &[Vec<(usize, f64)>]) {
-        let k = borders.len();
-        let m0 = self.m;
-        let m = m0 + k;
-        let mut binv = vec![0.0f64; m * m];
-        for i in 0..m0 {
-            binv[i * m..i * m + m0].copy_from_slice(&self.binv[i * m0..(i + 1) * m0]);
-        }
-        for (i, entries) in borders.iter().enumerate() {
-            let r = m0 + i;
-            for &(j, mu) in entries {
-                binv[r * m + j] = -mu;
-            }
-            binv[r * m + r] = 1.0;
-        }
-        self.m = m;
-        self.binv = binv;
-        self.scratch.resize(m, 0.0);
-        self.work += (m * m) as u64;
     }
 
     /// Gauss–Jordan inversion of the basis matrix with partial pivoting;
@@ -2263,7 +2222,6 @@ impl DenseInverse {
                 }
             }
         }
-        self.work += (m * m * m) as u64;
         true
     }
 
@@ -2276,7 +2234,6 @@ impl DenseInverse {
             self.scratch[i] = row.iter().zip(x.iter()).map(|(&v, &r)| v * r).sum();
         }
         x.copy_from_slice(&self.scratch);
-        self.work += (m * m) as u64;
     }
 
     /// BTRAN: overwrites `x` (position-indexed) with `B⁻ᵀ x`
@@ -2294,13 +2251,6 @@ impl DenseInverse {
             }
         }
         x.copy_from_slice(&self.scratch);
-        self.work += (m * m) as u64;
-    }
-
-    /// Copies row `r` of `B⁻¹` (`= e_rᵀ B⁻¹`) into `out`.
-    pub fn btran_unit(&mut self, r: usize, out: &mut [f64]) {
-        out.copy_from_slice(&self.binv[r * self.m..(r + 1) * self.m]);
-        self.work += self.m as u64;
     }
 
     /// Rank-one basis-inverse update after a pivot at row `r` with
@@ -2322,160 +2272,6 @@ impl DenseInverse {
                     self.binv[i * m + j] -= f * v;
                 }
             }
-        }
-        self.work += (m * m) as u64;
-    }
-}
-
-/// The engine-facing dispatch over the two representations.
-#[derive(Debug, Clone)]
-pub(crate) enum Factorization {
-    /// Sparse LU with Forrest–Tomlin or product-form updates (boxed:
-    /// the LU machinery is an order of magnitude larger than the dense
-    /// oracle's handle).
-    Lu(Box<LuFactors>),
-    /// Explicit dense inverse (oracle / fallback representation).
-    Dense(DenseInverse),
-}
-
-impl Default for Factorization {
-    /// The identity LU of an empty basis.
-    fn default() -> Self {
-        Factorization::Lu(Box::new(LuFactors::identity(0)))
-    }
-}
-
-impl Factorization {
-    pub(crate) fn reset_identity(&mut self) {
-        match self {
-            Factorization::Lu(f) => f.reset_identity(),
-            Factorization::Dense(f) => f.reset_identity(),
-        }
-    }
-
-    pub(crate) fn factorize(&mut self, cols: &[usize], a: &CscMatrix, n_struct: usize) -> bool {
-        match self {
-            Factorization::Lu(f) => f.factorize(cols, a, n_struct),
-            Factorization::Dense(f) => f.factorize(cols, a, n_struct),
-        }
-    }
-
-    pub(crate) fn ftran(&mut self, x: &mut [f64]) {
-        match self {
-            Factorization::Lu(f) => f.ftran(x),
-            Factorization::Dense(f) => f.ftran(x),
-        }
-    }
-
-    /// BTRAN with the pattern discovered by scanning `x` (property-test
-    /// entry point; the engine always knows its patterns and calls
-    /// [`btran_sparse`](Self::btran_sparse)).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn btran(&mut self, x: &mut [f64]) {
-        match self {
-            Factorization::Lu(f) => f.btran(x),
-            Factorization::Dense(f) => f.btran(x),
-        }
-    }
-
-    /// BTRAN with a known RHS pattern (superset of non-zero positions);
-    /// the dense oracle ignores the hint.
-    pub(crate) fn btran_sparse(&mut self, x: &mut [f64], pattern: &[usize]) {
-        match self {
-            Factorization::Lu(f) => f.btran_sparse(x, pattern),
-            Factorization::Dense(f) => f.btran(x),
-        }
-    }
-
-    /// FTRAN that also records the result's non-zero pattern into
-    /// `result` (an ascending, duplicate-free superset; exact zeros may
-    /// appear). Returns `true` when
-    /// the pattern is valid — `false` means a dense kernel ran and the
-    /// caller must fall back to scanning the dense result.
-    pub(crate) fn ftran_sparse_tracked(
-        &mut self,
-        x: &mut [f64],
-        pattern: &[usize],
-        result: &mut Vec<usize>,
-    ) -> bool {
-        match self {
-            Factorization::Lu(f) => f.ftran_sparse_tracked(x, pattern, result),
-            Factorization::Dense(f) => {
-                f.ftran(x);
-                false
-            }
-        }
-    }
-
-    /// Unit-vector BTRAN (row `r` of `B⁻¹`) that also records the
-    /// result's non-zero pattern into `result` (an ascending,
-    /// duplicate-free superset). `out` must be all-zero on entry.
-    /// Returns `false` when a dense kernel ran (no pattern).
-    pub(crate) fn btran_unit_tracked(
-        &mut self,
-        r: usize,
-        out: &mut [f64],
-        result: &mut Vec<usize>,
-    ) -> bool {
-        match self {
-            Factorization::Lu(f) => f.btran_unit_tracked(r, out, result),
-            Factorization::Dense(f) => {
-                f.btran_unit(r, out);
-                false
-            }
-        }
-    }
-
-    /// Applies a pivot update under the configured rule. Returns `false`
-    /// when the representation could not absorb the pivot (Forrest–Tomlin
-    /// degenerate diagonal) — the caller must refactorise from the
-    /// updated basis columns before the next solve.
-    pub(crate) fn update(&mut self, r: usize, w: &[f64], opts: &FactorOpts) -> bool {
-        match self {
-            Factorization::Lu(f) => f.update(r, w, opts),
-            Factorization::Dense(f) => {
-                f.update(r, w);
-                true
-            }
-        }
-    }
-
-    /// Grows the representation in place by appended rows (new logical
-    /// slacks basic); `borders[i]` holds `μ_i = B⁻ᵀ n_i` computed by the
-    /// caller against the *pre-growth* factors. Exact under both
-    /// representations — the LU keeps the border as a recorded transform
-    /// (counted against the update-file policy), the dense inverse
-    /// materialises the grown inverse outright.
-    pub(crate) fn grow(&mut self, borders: Vec<Vec<(usize, f64)>>) {
-        match self {
-            Factorization::Lu(f) => f.grow(borders),
-            Factorization::Dense(f) => f.grow(&borders),
-        }
-    }
-
-    /// Whether the accumulated updates warrant a fresh factorisation.
-    /// The dense inverse is updated in place and never refactorises
-    /// mid-run (matching the original engine); the LU representation
-    /// follows the update-file policy in `opts`.
-    pub(crate) fn needs_refactor(&self, opts: &FactorOpts) -> bool {
-        match self {
-            Factorization::Lu(f) => f.needs_refactor(opts),
-            Factorization::Dense(_) => false,
-        }
-    }
-
-    pub(crate) fn take_work(&mut self) -> u64 {
-        match self {
-            Factorization::Lu(f) => f.take_work(),
-            Factorization::Dense(f) => f.take_work(),
-        }
-    }
-
-    /// Drains the LU statistics (zero for the dense oracle).
-    pub(crate) fn take_stats(&mut self) -> FactorStats {
-        match self {
-            Factorization::Lu(f) => f.take_stats(),
-            Factorization::Dense(_) => FactorStats::default(),
         }
     }
 }
@@ -2549,10 +2345,10 @@ mod tests {
         assert!(dense.factorize(&cols, &a, 3));
         for r in 0..3 {
             let mut u1 = vec![0.0; 3];
-            let mut u2 = vec![0.0; 3];
             u1[r] = 1.0;
+            let mut u2 = u1.clone();
             lu.btran(&mut u1);
-            dense.btran_unit(r, &mut u2);
+            dense.btran(&mut u2);
             for (a, b) in u1.iter().zip(&u2) {
                 assert!((a - b).abs() < 1e-12, "row {r}: {u1:?} vs {u2:?}");
             }
@@ -2747,7 +2543,7 @@ mod tests {
     /// `fac`: `n_i` scatters each new row's coefficients on the basic
     /// structural columns by their basis position.
     fn borders_for(
-        fac: &mut Factorization,
+        fac: &mut LuFactors,
         cols: &[usize],
         n_struct: usize,
         rows: &[Vec<(usize, f64)>],
@@ -2776,10 +2572,9 @@ mod tests {
 
     /// In-place growth must agree with a from-scratch factorisation of
     /// the grown basis — on solves immediately after the growth *and*
-    /// after further pivot updates under both update rules, for both
-    /// representations. This is the exactness contract behind
-    /// `LpSession::add_rows` absorbing cutting planes without a
-    /// refactorisation.
+    /// after further pivot updates under both update rules. This is the
+    /// exactness contract behind `LpSession::add_rows` absorbing cutting
+    /// planes without a refactorisation.
     #[test]
     fn grow_matches_refactorised_basis_under_further_updates() {
         let a = sample_csc(); // 3×3
@@ -2789,69 +2584,57 @@ mod tests {
         let cols = vec![0, 4, 2]; // structural 0, slack of row 1, structural 2
         let grown_cols = vec![0, 4, 2, 3 + 3, 3 + 4]; // + new slacks
         for opts in [pf_opts(), ft_opts()] {
-            let mut lu = Factorization::Lu(Box::new(LuFactors::identity(3)));
-            let mut dn = Factorization::Dense(DenseInverse::identity(3));
+            let mut lu = LuFactors::identity(3);
             assert!(lu.factorize(&cols, &a, 3));
-            assert!(dn.factorize(&cols, &a, 3));
-            let lb = borders_for(&mut lu, &cols, 3, &new_rows);
-            let db = borders_for(&mut dn, &cols, 3, &new_rows);
-            lu.grow(lb);
-            dn.grow(db);
-            let mut fresh = Factorization::Lu(Box::new(LuFactors::identity(5)));
+            let borders = borders_for(&mut lu, &cols, 3, &new_rows);
+            lu.grow(borders);
+            let mut fresh = LuFactors::identity(5);
             assert!(fresh.factorize(&grown_cols, &big, 3));
             let rhs = [3.0, -1.0, 2.0, 0.5, -4.0];
-            for fac in [&mut lu, &mut dn] {
-                let mut x1 = rhs;
-                let mut x2 = rhs;
-                fac.ftran(&mut x1);
-                fresh.ftran(&mut x2);
-                for (p, q) in x1.iter().zip(&x2) {
-                    assert!(
-                        (p - q).abs() < 1e-9,
-                        "{opts:?}: grown ftran {x1:?} vs {x2:?}"
-                    );
-                }
-                let mut y1 = rhs;
-                let mut y2 = rhs;
-                fac.btran(&mut y1);
-                fresh.btran(&mut y2);
-                for (p, q) in y1.iter().zip(&y2) {
-                    assert!(
-                        (p - q).abs() < 1e-9,
-                        "{opts:?}: grown btran {y1:?} vs {y2:?}"
-                    );
-                }
+            let mut x1 = rhs;
+            let mut x2 = rhs;
+            lu.ftran(&mut x1);
+            fresh.ftran(&mut x2);
+            for (p, q) in x1.iter().zip(&x2) {
+                assert!(
+                    (p - q).abs() < 1e-9,
+                    "{opts:?}: grown ftran {x1:?} vs {x2:?}"
+                );
+            }
+            let mut y1 = rhs;
+            let mut y2 = rhs;
+            lu.btran(&mut y1);
+            fresh.btran(&mut y2);
+            for (p, q) in y1.iter().zip(&y2) {
+                assert!(
+                    (p - q).abs() < 1e-9,
+                    "{opts:?}: grown btran {y1:?} vs {y2:?}"
+                );
             }
             // Pivot structural column 1 into the last (appended) row on
-            // every representation: updates must keep composing exactly
-            // against the border.
-            let mut w_big: Vec<f64> = vec![0.0; 5];
-            big.axpy_col(&mut w_big, 1.0, 1);
-            let mut w_lu = w_big.clone();
-            let mut w_dn = w_big.clone();
-            let mut w_fresh = w_big;
+            // both: updates must keep composing exactly against the
+            // border.
+            let mut w_lu: Vec<f64> = vec![0.0; 5];
+            big.axpy_col(&mut w_lu, 1.0, 1);
+            let mut w_fresh = w_lu.clone();
             lu.ftran(&mut w_lu);
-            dn.ftran(&mut w_dn);
             fresh.ftran(&mut w_fresh);
             assert!(lu.update(4, &w_lu, &opts));
-            assert!(dn.update(4, &w_dn, &opts));
             assert!(fresh.update(4, &w_fresh, &opts));
             let rhs = [1.0, 0.0, -2.0, 3.0, 1.5];
             let mut want_f = rhs;
             fresh.ftran(&mut want_f);
             let mut want_b = rhs;
             fresh.btran(&mut want_b);
-            for fac in [&mut lu, &mut dn] {
-                let mut x = rhs;
-                fac.ftran(&mut x);
-                for (p, q) in x.iter().zip(&want_f) {
-                    assert!((p - q).abs() < 1e-9, "{opts:?}: post-update ftran");
-                }
-                let mut y = rhs;
-                fac.btran(&mut y);
-                for (p, q) in y.iter().zip(&want_b) {
-                    assert!((p - q).abs() < 1e-9, "{opts:?}: post-update btran");
-                }
+            let mut x = rhs;
+            lu.ftran(&mut x);
+            for (p, q) in x.iter().zip(&want_f) {
+                assert!((p - q).abs() < 1e-9, "{opts:?}: post-update ftran");
+            }
+            let mut y = rhs;
+            lu.btran(&mut y);
+            for (p, q) in y.iter().zip(&want_b) {
+                assert!((p - q).abs() < 1e-9, "{opts:?}: post-update btran");
             }
         }
     }
@@ -2867,14 +2650,14 @@ mod tests {
         let mid = a.append_rows(&rows1);
         let big = mid.append_rows(&rows2);
         let cols = vec![0, 4, 2];
-        let mut lu = Factorization::Lu(Box::new(LuFactors::identity(3)));
+        let mut lu = LuFactors::identity(3);
         assert!(lu.factorize(&cols, &a, 3));
         let b1 = borders_for(&mut lu, &cols, 3, &rows1);
         lu.grow(b1);
         let cols_mid = vec![0, 4, 2, 6];
         let b2 = borders_for(&mut lu, &cols_mid, 3, &rows2);
         lu.grow(b2);
-        let mut fresh = Factorization::Lu(Box::new(LuFactors::identity(5)));
+        let mut fresh = LuFactors::identity(5);
         assert!(fresh.factorize(&[0, 4, 2, 6, 7], &big, 3));
         let rhs = [2.0, 1.0, -1.0, 4.0, 0.25];
         let mut x1 = rhs;

@@ -15,14 +15,13 @@
 //!   solution losslessly back to the original variable space — so the
 //!   whole model → presolve → factor → simplex pipeline operates on fewer
 //!   rows, columns and nonzeros,
-//! * a **unified LP backend API** ([`backend`]): every engine — the
-//!   dense two-phase tableau, the dense-inverse revised simplex, and the
-//!   sparse LU engine under product-form or Forrest–Tomlin updates —
-//!   sits behind one object-safe [`LpBackend`] trait with capability
-//!   flags (warm starts, bound deltas, objective deltas, row addition),
-//!   driven through an owning [`LpSession`] that holds the model view,
-//!   the live basis/factorisation and stats,
-//! * a **sparse revised simplex** as the default backend ([`simplex`],
+//! * an **LP session** ([`backend`]): an owning [`LpSession`] holds the
+//!   model view, the live basis and factorisation of the one LP engine,
+//!   and stats; it absorbs warm starts, bound deltas, objective deltas
+//!   and appended rows without rebuilding, and a solve the engine cannot
+//!   finish comes back as [`LpStatus::Failed`](simplex::LpStatus::Failed)
+//!   rather than falling onto a dense path,
+//! * a **sparse revised simplex** as that engine ([`simplex`],
 //!   [`sparse`], [`factor`]): CSC matrix stored once, basis held as a
 //!   sparse LU refactorised under **dynamic Markowitz ordering**
 //!   ([`MarkowitzOrdering::Dynamic`] — pivot merit recomputed on the
@@ -34,10 +33,8 @@
 //!   exact reference weights from hyper-sparse unit BTRANs, updated per
 //!   pivot by the Forrest–Goldfarb recurrence, re-initialised when
 //!   drift exceeds a guard band; Devex and Dantzig remain available),
-//!   deterministic anti-degeneracy cost perturbation on cold starts, a
-//!   per-solve deterministic work budget (`LpConfig::work_limit`), and
-//!   the dense two-phase tableau as the terminal fallback of every
-//!   session's ladder,
+//!   deterministic anti-degeneracy cost perturbation on cold starts, and
+//!   a per-solve deterministic work budget (`LpConfig::work_limit`),
 //! * a **warm-start API** ([`Basis`]): optimal solves return a basis
 //!   snapshot that related solves (same matrix and objective, different
 //!   bounds) resume from via dual-simplex reoptimisation, skipping phase 1
@@ -76,11 +73,11 @@
 //!   CSC matrix is built once and shared by [`std::sync::Arc`] — plus the
 //!   solver configuration and the final root basis every worker seeds
 //!   from.
-//! * **Per-worker:** an [`LpSession`] (live basis, factorisation and
-//!   fallback ladder), a [`DeterministicClock`], an RNG stream offset
-//!   from the solver seed, and pseudo-cost tables. Workers never share
-//!   mutable LP state; `LpBackend: Send` (compile-time asserted in
-//!   [`parallel`]) is what lets each boxed engine move onto its thread.
+//! * **Per-worker:** an [`LpSession`] (live basis and factorisation), a
+//!   [`DeterministicClock`], an RNG stream offset from the solver seed,
+//!   and pseudo-cost tables. Workers never share mutable LP state;
+//!   `LpSession: Send` (compile-time asserted in [`parallel`]) is what
+//!   lets each session move onto its thread.
 //! * **Shared, synchronised:** the incumbent. Pruning reads an atomic
 //!   objective cutoff on every node; accepted solutions pass through a
 //!   mutex-protected exchange that arbitrates races and stamps events
@@ -201,18 +198,6 @@
 //! # let _ = sink;
 //! ```
 //!
-//! ### Migrating from the pre-session entry points
-//!
-//! The free functions `simplex::solve_relaxation*` and the stateful
-//! `simplex::LpSolver` are **deprecated shims** over [`LpSession`], kept
-//! for one release as differential-test oracles:
-//!
-//! * `solve_relaxation(_warm)(model, bounds, cfg, warm)` →
-//!   `LpSession::open(model, cfg).solve(bounds, warm)`,
-//! * `LpSolver::solve(model, …)` → open one session per model and call
-//!   [`LpSession::solve`] (the session keeps the engine hot exactly like
-//!   the old handle, and additionally accepts rows).
-//!
 //! ## Determinism discipline
 //!
 //! The properties above (and the threading model's bit-identical
@@ -309,9 +294,7 @@ pub mod sparse;
 pub mod tol;
 pub mod trace;
 
-pub use backend::{
-    BackendCaps, LpBackend, LpSession, RevisedBackend, RowAddition, SessionStats, TableauBackend,
-};
+pub use backend::{LpSession, RowAddition, SessionStats};
 pub use basis::{Basis, VarStatus};
 pub use clock::{DeterministicClock, TICKS_PER_SECOND};
 pub use cuts::{Cut, CutSeparator, SeparationStats};
@@ -320,7 +303,7 @@ pub use factor::{DenseInverse, FactorOpts, FactorStats, LuFactors, MarkowitzOrde
 pub use model::{Constraint, Model, ModelError, VarType, Variable};
 pub use parallel::{ParallelMode, ParallelStats};
 pub use presolve::{Postsolve, PresolveConfig, PresolveStats, PresolvedModel};
-pub use simplex::{LpEngine, PricingRule};
+pub use simplex::PricingRule;
 pub use solution::{IncumbentEvent, Solution};
 pub use solver::{BranchRule, CutSummary, SolveResult, SolveStatus, Solver, SolverConfig};
 pub use sparse::CscMatrix;

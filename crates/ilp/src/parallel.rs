@@ -1035,7 +1035,6 @@ const fn assert_sync<T: Sync>() {}
 const _: () = {
     // Moved into worker threads.
     assert_send::<crate::backend::LpSession>();
-    assert_send::<Box<dyn crate::backend::LpBackend>>();
     assert_send::<crate::basis::Basis>();
     assert_send::<crate::solution::Solution>();
     assert_send::<crate::model::Model>();

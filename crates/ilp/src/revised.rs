@@ -1,15 +1,13 @@
 //! Sparse revised simplex with bounded-variable dual reoptimisation.
 //!
-//! This is the fast path behind [`crate::simplex::solve_relaxation_warm`].
-//! Instead of the dense `B⁻¹A` tableau of the fallback engine, it keeps:
+//! This is the LP engine behind [`crate::LpSession`]. Instead of a dense
+//! `B⁻¹A` tableau, it keeps:
 //!
 //! * the constraint matrix `A` once, in CSC form (shared via
 //!   [`Model::csc`]),
-//! * the basis in factorised form ([`crate::factor`]): a sparse LU with
-//!   product-form eta updates by default (`O(nnz)`-flavoured FTRAN/BTRAN
-//!   solves, one eta per pivot, periodic refactorisation), or the
-//!   explicit dense `m × m` inverse of the original engine behind
-//!   [`LpEngine::DenseInverse`] (the correctness oracle),
+//! * the basis as a sparse LU ([`crate::factor::LuFactors`]) under
+//!   Forrest–Tomlin or product-form updates (`O(nnz)`-flavoured
+//!   FTRAN/BTRAN solves, periodic refactorisation),
 //! * reduced costs priced through sparse columns (`O(nnz)` per pivot).
 //!
 //! The dual simplex selects its leaving row with **Devex
@@ -52,21 +50,21 @@
 //! and diving loops, where consecutive solves differ by one bound), the
 //! context applies the bound deltas directly to `β` with a single FTRAN —
 //! no factorisation at all. Otherwise the same engine is reloaded in
-//! place and the basis is reinstalled from the snapshot with one
-//! refactorisation (sparse LU by default, `O(m³)` only on the dense
-//! oracle path), still far cheaper than a cold two-phase tableau solve.
+//! place and the basis is reinstalled from the snapshot with one sparse
+//! refactorisation, still far cheaper than a cold solve.
 //!
 //! Any situation the engine cannot handle — a dual-infeasible start (e.g.
 //! an improving direction with an infinite bound), a singular warm basis,
 //! numerical trouble, or a final solution that fails verification — makes
-//! it bail out, and the caller falls back to the robust dense two-phase
-//! primal simplex.
+//! it bail out: a failed warm start retries cold, a failed perturbed cold
+//! start retries unperturbed, and a solve that fails all of them is
+//! declined with the work it spent ([`LpStatus::Failed`] at the session).
 
 use crate::basis::{Basis, VarStatus};
 use crate::expr::ConstraintSense;
-use crate::factor::{refill, DenseInverse, FactorOpts, Factorization, LuFactors};
+use crate::factor::{refill, FactorOpts, LuFactors};
 use crate::model::Model;
-use crate::simplex::{LpConfig, LpEngine, LpResult, LpStatus, PricingRule, TOL};
+use crate::simplex::{LpConfig, LpResult, LpStatus, PricingRule, TOL};
 use crate::sparse::{CscMatrix, RowMajor};
 use crate::tol;
 use std::sync::Arc;
@@ -159,14 +157,12 @@ struct Engine {
     basis: Vec<usize>,
     /// Inverse map: column -> row, or `usize::MAX` when nonbasic.
     in_row: Vec<usize>,
-    /// Basis factorisation (sparse LU + eta file, or dense inverse).
-    factor: Factorization,
-    /// Engine/pricing options this engine was built with; a hot reuse
-    /// with different options must miss and rebuild.
-    kind: LpEngine,
+    /// Basis factorisation: sparse LU under the configured update rule.
+    factor: LuFactors,
+    /// Factorisation/pricing options this engine was built with; a hot
+    /// reuse with different options must miss and rebuild.
     opts: FactorOpts,
     pricing: PricingRule,
-    bound_flips: bool,
     /// Devex reference-framework weight per row.
     devex: Vec<f64>,
     /// Running maximum of the Devex weights — the reference-framework
@@ -228,8 +224,7 @@ struct Engine {
 }
 
 /// Normalises one structural bound pair: free variables are pinned at a
-/// pseudo lower bound of zero (croxmap models never produce them; this
-/// mirrors the dense engine).
+/// pseudo lower bound of zero (croxmap models never produce them).
 fn norm_bounds(l: f64, u: f64) -> (f64, f64) {
     if !l.is_finite() && !u.is_finite() {
         (0.0, u)
@@ -291,25 +286,10 @@ impl Engine {
         refill(&mut self.status, n_total, VarStatus::AtLower);
         refill(&mut self.basis, m, 0);
         refill(&mut self.in_row, n_total, usize::MAX);
-        match (&mut self.factor, config.engine) {
-            (Factorization::Lu(lu), LpEngine::SparseLu) => lu.reset(m),
-            (factor, LpEngine::SparseLu) => {
-                *factor = Factorization::Lu(Box::new(LuFactors::identity(m)));
-            }
-            // The tableau-only engine never reaches this code path (it is
-            // gated in `solve_relaxation_in`); map it to the dense oracle
-            // so a stray load still behaves.
-            (factor, LpEngine::DenseInverse | LpEngine::DenseTableau) => {
-                *factor = Factorization::Dense(DenseInverse::identity(m));
-            }
-        }
-        if let Factorization::Lu(lu) = &mut self.factor {
-            lu.set_ordering(config.factor_opts().ordering);
-        }
-        self.kind = config.engine;
+        self.factor.reset(m);
+        self.factor.set_ordering(config.ordering);
         self.opts = config.factor_opts();
         self.pricing = config.pricing;
-        self.bound_flips = config.bound_flips;
         refill(&mut self.devex, m, 1.0);
         self.devex_max = 1.0;
         refill(&mut self.dse, m, 1.0);
@@ -349,15 +329,13 @@ impl Engine {
 
     /// Returns `true` if this engine's live state is exactly the snapshot
     /// `warm` for the same constraint matrix *and* objective, under the
-    /// same engine options. The cost check matters: the hot path reuses
-    /// the engine's reduced costs, so a caller that mutated the objective
-    /// between solves must not land here (it falls through to the install
-    /// path, which reprices).
+    /// same factorisation and pricing options. The cost check matters:
+    /// the hot path reuses the engine's reduced costs, so a caller that
+    /// mutated the objective between solves must not land here (it falls
+    /// through to the install path, which reprices).
     fn matches(&self, model: &Model, warm: &Basis, config: &LpConfig) -> bool {
-        self.kind == config.engine
-            && self.opts == config.factor_opts()
+        self.opts == config.factor_opts()
             && self.pricing == config.pricing
-            && self.bound_flips == config.bound_flips
             && Arc::ptr_eq(&self.a, &model.csc())
             && warm.cols == self.basis
             && warm.status == self.status
@@ -582,8 +560,8 @@ impl Engine {
     /// Applies the anti-degeneracy cost perturbation: every structural
     /// cost gains a tiny positive, seed-derived amount, breaking the
     /// reduced-cost ties that make set-partitioning cold solves stall on
-    /// degenerate dual pivots (and bail out to the dense tableau). The
-    /// original costs are kept aside for an exact restore.
+    /// degenerate dual pivots. The original costs are kept aside for an
+    /// exact restore.
     fn apply_perturbation(&mut self, seed: u64) {
         if self.base_cost.is_some() {
             return;
@@ -1147,7 +1125,7 @@ impl Engine {
                 }
                 self.work += visited + 2 * self.apat.len() as u64;
             } else {
-                // Dense ρ (or the dense oracle): the classic column sweep.
+                // Dense ρ: the classic column sweep.
                 for j in 0..self.n_total {
                     if self.status[j] == VarStatus::Basic {
                         self.alpha[j] = 0.0;
@@ -1190,7 +1168,7 @@ impl Engine {
             // candidate that exhausts the slope (or is unboxed) enters.
             // Under the Bland guard the plain min-ratio test runs. ---
             self.flips.clear();
-            let q = if self.bound_flips && !bland && self.cands.len() > 1 {
+            let q = if !bland && self.cands.len() > 1 {
                 self.cands
                     .sort_unstable_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
                 let mut slope = delta0.abs();
@@ -1400,11 +1378,11 @@ impl Engine {
             self.basis[r] = q;
             self.iterations += 1;
 
-            // Representation update: in-place Forrest–Tomlin spike / one
-            // eta (LU), or a rank-one sweep (dense oracle). An update the
-            // representation cannot absorb (a numerically degenerate
-            // Forrest–Tomlin diagonal) forces an immediate
-            // refactorisation, exactly like the update-file policy.
+            // Representation update: in-place Forrest–Tomlin spike, or
+            // one eta under the product form. An update the LU cannot
+            // absorb (a numerically degenerate Forrest–Tomlin diagonal)
+            // forces an immediate refactorisation, exactly like the
+            // update-file policy.
             let absorbed = self.factor.update(r, &self.w, &self.opts);
             self.work += self.factor.take_work();
 
@@ -1507,11 +1485,11 @@ pub(crate) struct LpContext {
 }
 
 impl LpContext {
-    /// Attempts a revised-simplex solve; `Err(spent_ticks)` means "use the
-    /// dense fallback", with the deterministic work already burnt by the
-    /// failed attempts so the caller can charge it anyway. On optimal
-    /// solves the second tuple element carries the basis snapshot for
-    /// warm-starting related solves.
+    /// Attempts a revised-simplex solve; `Err(spent_ticks)` declines it,
+    /// with the deterministic work already burnt by the failed attempts
+    /// so the caller can charge it anyway. On optimal solves the second
+    /// tuple element carries the basis snapshot for warm-starting
+    /// related solves.
     pub(crate) fn solve(
         &mut self,
         model: &Model,
@@ -1608,7 +1586,7 @@ impl LpContext {
         // anti-degeneracy cost perturbation on the first attempt. If the
         // perturbed run fails (numerical trouble, or the perturbation
         // cannot be stripped exactly), one unperturbed retry runs before
-        // the dense fallback, carrying the spent work.
+        // the solve is declined, carrying the spent work.
         let mut perturb = config.perturb;
         loop {
             engine.load(model, bounds, config);
@@ -1708,8 +1686,9 @@ pub(crate) fn solve(
     LpContext::default().solve(model, bounds, config, warm).ok()
 }
 
-/// Runs the dual simplex and packages the outcome; `None` requests the
-/// caller to fall back (numerical trouble or failed verification).
+/// Runs the dual simplex and packages the outcome; `None` sends the
+/// caller to its next attempt (numerical trouble or failed
+/// verification).
 fn run(engine: &mut Engine, model: &Model, config: &LpConfig) -> Option<(LpResult, Option<Basis>)> {
     match engine.dual_simplex(config.max_iterations, config.work_limit) {
         RunStatus::Optimal => {
@@ -1731,7 +1710,6 @@ fn run(engine: &mut Engine, model: &Model, config: &LpConfig) -> Option<(LpResul
                 values,
                 iterations: engine.iterations,
                 work_ticks: engine.work,
-                dense_fallback: false,
                 factor: engine.factor.take_stats(),
             };
             let basis = engine.snapshot();
@@ -1744,7 +1722,6 @@ fn run(engine: &mut Engine, model: &Model, config: &LpConfig) -> Option<(LpResul
                 values: Vec::new(),
                 iterations: engine.iterations,
                 work_ticks: engine.work,
-                dense_fallback: false,
                 factor: engine.factor.take_stats(),
             },
             None,
@@ -1759,7 +1736,6 @@ fn run(engine: &mut Engine, model: &Model, config: &LpConfig) -> Option<(LpResul
                     values,
                     iterations: engine.iterations,
                     work_ticks: engine.work,
-                    dense_fallback: false,
                     factor: engine.factor.take_stats(),
                 },
                 None,
@@ -1770,12 +1746,10 @@ fn run(engine: &mut Engine, model: &Model, config: &LpConfig) -> Option<(LpResul
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // exercises the deprecated shims as oracles
 mod tests {
     use super::*;
     use crate::expr::VarId;
     use crate::factor::UpdateRule;
-    use crate::simplex::solve_relaxation_warm;
     use crate::Model;
 
     fn cfg() -> LpConfig {
@@ -1805,25 +1779,6 @@ mod tests {
             res.objective
         );
         assert!(basis.expect("basis on optimal").is_consistent(2, 4));
-    }
-
-    #[test]
-    fn cold_solve_agrees_across_engines() {
-        let m = two_var_model();
-        let bounds = vec![(0.0, 10.0), (0.0, 10.0)];
-        for engine in [LpEngine::SparseLu, LpEngine::DenseInverse] {
-            let config = LpConfig {
-                engine,
-                ..LpConfig::default()
-            };
-            let (res, _) = solve(&m, &bounds, &config, None).expect("revised path");
-            assert_eq!(res.status, LpStatus::Optimal);
-            assert!(
-                (res.objective + 14.0 / 5.0).abs() < 1e-6,
-                "{engine:?}: {}",
-                res.objective
-            );
-        }
     }
 
     #[test]
@@ -1870,7 +1825,7 @@ mod tests {
     /// Bit-level comparison of two context outcomes: status, objective
     /// and every value bit for bit, iterations, work ticks,
     /// factorisation statistics and the basis snapshot — or the same
-    /// fallback work.
+    /// declined work.
     fn assert_same_outcome(got: &Outcome, want: &Outcome, what: &str) {
         match (got, want) {
             (Ok((g, g_basis)), Ok((w, w_basis))) => {
@@ -1884,12 +1839,11 @@ mod tests {
                 assert_eq!(bits(&g.values), bits(&w.values), "{what}: values");
                 assert_eq!(g.iterations, w.iterations, "{what}: iterations");
                 assert_eq!(g.work_ticks, w.work_ticks, "{what}: work ticks");
-                assert_eq!(g.dense_fallback, w.dense_fallback, "{what}: fallback");
                 assert_eq!(g.factor, w.factor, "{what}: factor stats");
                 assert_eq!(g_basis, w_basis, "{what}: basis");
             }
-            (Err(g), Err(w)) => assert_eq!(g, w, "{what}: fallback work"),
-            _ => panic!("{what}: only one context fell back"),
+            (Err(g), Err(w)) => assert_eq!(g, w, "{what}: declined work"),
+            _ => panic!("{what}: only one context declined"),
         }
     }
 
@@ -1999,10 +1953,6 @@ mod tests {
                 refactor_interval: 2,
                 ..LpConfig::default()
             },
-            LpConfig {
-                engine: LpEngine::DenseInverse,
-                ..LpConfig::default()
-            },
         ];
         let models = [
             ("ring 10", ring_cover_model(10)),
@@ -2108,12 +2058,12 @@ mod tests {
         m.add_constraint("need2", m.expr([(x, 1.0), (y, 1.0)]).geq(2.0));
         m.set_objective(m.expr([(x, 1.0), (y, 1.0)]));
         let root = vec![(0.0, 1.0), (0.0, 1.0)];
-        let out = solve_relaxation_warm(&m, &root, &cfg(), None);
-        let basis = out.basis.expect("root optimal");
+        let (_, basis) = solve(&m, &root, &cfg(), None).expect("root solve");
+        let basis = basis.expect("root optimal");
         // Fixing x = 0 makes the cover impossible.
         let child = vec![(0.0, 0.0), (0.0, 1.0)];
-        let warm = solve_relaxation_warm(&m, &child, &cfg(), Some(&basis));
-        assert_eq!(warm.result.status, LpStatus::Infeasible);
+        let (warm, _) = solve(&m, &child, &cfg(), Some(&basis)).expect("warm solve");
+        assert_eq!(warm.status, LpStatus::Infeasible);
     }
 
     #[test]
@@ -2141,12 +2091,11 @@ mod tests {
     }
 
     #[test]
-    fn dantzig_pricing_without_flips_still_optimal() {
+    fn dantzig_pricing_still_optimal() {
         let m = two_var_model();
         let bounds = vec![(0.0, 10.0), (0.0, 10.0)];
         let config = LpConfig {
             pricing: PricingRule::Dantzig,
-            bound_flips: false,
             ..LpConfig::default()
         };
         let (res, _) = solve(&m, &bounds, &config, None).expect("revised path");

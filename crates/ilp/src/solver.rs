@@ -20,7 +20,7 @@ use crate::factor::FactorStats;
 use crate::model::{Model, VarType};
 use crate::parallel::{self, Exchange, ParallelMode, ParallelStats};
 use crate::presolve::{presolve, PresolveConfig, PresolveOutcome, PresolveStats};
-use crate::simplex::{LpConfig, LpEngine, LpStatus, PricingRule, WarmLpResult};
+use crate::simplex::{LpConfig, LpStatus, PricingRule, WarmLpResult};
 use crate::solution::{IncumbentEvent, Solution};
 use crate::tol;
 use crate::trace::{Phase, PhaseBreakdown, ProgressRow, SpanKind, TraceBuf, TraceHandle};
@@ -160,19 +160,11 @@ impl SolverConfig {
         self
     }
 
-    /// Returns a copy with the given LP subsolver configuration (engine
-    /// selection, pricing rule, refactorisation policy, iteration cap).
+    /// Returns a copy with the given LP subsolver configuration (pricing
+    /// rule, update rule, refactorisation policy, iteration cap).
     #[must_use]
     pub fn with_lp(mut self, lp: LpConfig) -> Self {
         self.lp = lp;
-        self
-    }
-
-    /// Returns a copy with the given LP engine (sparse LU, explicit
-    /// dense inverse, or the dense tableau oracle).
-    #[must_use]
-    pub fn with_lp_engine(mut self, engine: LpEngine) -> Self {
-        self.lp.engine = engine;
         self
     }
 
@@ -304,8 +296,10 @@ pub struct SolveResult {
     pub incumbents: Vec<IncumbentEvent>,
     /// What root presolve achieved (all zeros when disabled).
     pub presolve: PresolveStats,
-    /// LP relaxations that fell back to the dense two-phase tableau
-    /// (zero on healthy runs; the degeneracy-handling regression signal).
+    /// LP relaxations the engine could not finish
+    /// ([`LpStatus::Failed`]): each proved nothing, so its node was
+    /// dropped with its inherited bound, or its cut round abandoned.
+    /// Zero on healthy runs.
     pub lp_fallbacks: u64,
     /// What the root cutting-plane loop achieved (all defaults when
     /// disabled or never reached).
@@ -422,7 +416,7 @@ pub(crate) struct Search<'a> {
     /// rows (for pivot cost estimates).
     nnz: usize,
     pub(crate) nodes: u64,
-    /// LP solves served by the dense-tableau fallback.
+    /// LP solves the engine declined ([`LpStatus::Failed`]).
     pub(crate) lp_fallbacks: u64,
     /// Factorisation statistics aggregated over this context's LP solves.
     pub(crate) factor: FactorStats,
@@ -617,7 +611,7 @@ impl<'a> Search<'a> {
                 );
             }
         }
-        if out.result.dense_fallback {
+        if out.result.status == LpStatus::Failed {
             self.lp_fallbacks += 1;
         }
         out
@@ -713,9 +707,9 @@ impl<'a> Search<'a> {
             match out.result.status {
                 LpStatus::Optimal => {}
                 LpStatus::Infeasible => return Err(()),
-                LpStatus::Unbounded | LpStatus::IterLimit => {
+                LpStatus::Unbounded | LpStatus::IterLimit | LpStatus::Failed => {
                     // The reoptimisation blew its round tick budget or
-                    // its LP iteration slice —
+                    // its LP iteration slice, or the engine declined it —
                     // massive dual degeneracy can make even valid cuts
                     // uneconomical. Sessions are grow-only, so drop
                     // *every* cut by reopening on the base model; the
@@ -787,14 +781,15 @@ impl<'a> Search<'a> {
         // Size against the session's view: cut rows count like any other.
         let m = self.session.model().num_constraints().max(1);
         let n_total = self.model.num_vars() + m;
-        // Size by the *most expensive* engine so none can overshoot the
-        // budget. Explicit-inverse revised pivots cost ≈ m² + nnz + n
-        // ticks; sparse-LU pivots are usually far cheaper, but in the
-        // dense-fill worst case their eta-file solves reach a small
-        // multiple of the LU fill (≤ m²) per pivot and the periodic
-        // refactorisation amortises to ≤ m³/interval per pivot, so both
-        // terms are budgeted explicitly. Dense-fallback pivots are
-        // ≈ 2·m·n_cols (n_cols ≤ n + 2m with slacks + artificials).
+        // Worst-case pivot cost, kept from when three engines ran here:
+        // the max of an explicit-inverse pivot (≈ m² + nnz + n ticks), a
+        // dense-tableau pivot (≈ 2·m·n_cols) and the sparse LU's
+        // dense-fill worst case (update-file solves up to a small
+        // multiple of m², refactorisation amortised to m³/interval).
+        // Only the sparse engine remains and its pivots are usually far
+        // cheaper, so at paper scale this clamps the iteration cap well
+        // below what the budget allows. Replacing it moves ticks, so it
+        // is a change of its own.
         let interval = (self.cfg.lp.refactor_interval as usize).max(1);
         let lu_pivot = 12 * m * m + m * m * m / interval + self.nnz + n_total;
         let revised_pivot = m * m + self.nnz + n_total;
@@ -1131,7 +1126,7 @@ impl<'a> Search<'a> {
                 // has unbounded continuous vars; treat as no information.
                 return NodeExpansion::NoInfo;
             }
-            LpStatus::IterLimit => {
+            LpStatus::IterLimit | LpStatus::Failed => {
                 // No valid bound; keep the subtree conservatively open.
                 return NodeExpansion::Dropped(inherited.max(f64::NEG_INFINITY));
             }
@@ -1288,8 +1283,9 @@ impl<'a> Search<'a> {
 pub(crate) enum NodeExpansion {
     /// The relaxation is infeasible: the subtree is exhausted.
     Infeasible,
-    /// The LP blew its iteration slice: no valid bound; the carried value
-    /// is the node's inherited bound, kept conservatively open.
+    /// The LP blew its iteration slice or the engine declined it: no
+    /// valid bound; the carried value is the node's inherited bound, kept
+    /// conservatively open.
     Dropped(f64),
     /// Unbounded relaxation: no bound information at all.
     NoInfo,
@@ -1394,8 +1390,8 @@ impl Solver {
         }
         // The short-circuit exits below happen *before* the first LP
         // relaxation — no `Search` (owner of the real `lp_fallbacks`
-        // counter) exists yet, so a dense fallback is impossible there;
-        // every path that runs LPs reports through `run_search`.
+        // counter) exists yet, so no LP can have failed there; every
+        // path that runs LPs reports through `run_search`.
         let pre_search_fallbacks = 0u64;
         let presolved = match presolve(model, &self.config.presolve) {
             PresolveOutcome::Infeasible(stats) => {
@@ -1688,8 +1684,8 @@ mod tests {
 
     /// The presolve short-circuit exits (model solved outright, or proved
     /// infeasible, before any LP relaxation runs) must report a zero
-    /// dense-fallback count — no `Search` ever exists on those paths, so
-    /// a fallback is impossible by construction.
+    /// failed-LP count — no `Search` ever exists on those paths, so an
+    /// LP failure is impossible by construction.
     #[test]
     fn presolve_short_circuits_report_zero_lp_fallbacks() {
         // Fully fixed by singleton equality rows: presolve solves it.
@@ -1714,6 +1710,26 @@ mod tests {
         assert_eq!(r.status, SolveStatus::Infeasible);
         assert_eq!(r.nodes, 0);
         assert_eq!(r.lp_fallbacks, 0);
+    }
+
+    /// A root relaxation the LP engine cannot finish (an improving
+    /// continuous column without an upper bound has no dual-feasible
+    /// start) is a typed failure: the search drops what it cannot bound,
+    /// counts the failures, and proves nothing.
+    #[test]
+    fn failed_root_relaxation_proves_nothing() {
+        let mut m = Model::new();
+        let x = m.add_binary("x");
+        let y = m.add_continuous("y", 0.0, f64::INFINITY);
+        m.add_constraint("link", m.expr([(y, 1.0), (x, -4.0)]).leq(0.0));
+        m.set_objective(m.expr([(x, 1.0), (y, -1.0)]));
+        let r = Solver::new(quick_config()).solve(&m);
+        assert!(r.lp_fallbacks >= 1, "the root LP must fail");
+        assert!(
+            !matches!(r.status, SolveStatus::Optimal | SolveStatus::Infeasible),
+            "a failed relaxation proves nothing, got {:?}",
+            r.status
+        );
     }
 
     /// The three public entry points (`solve`, `solve_with_callback`,
@@ -1789,7 +1805,7 @@ mod tests {
             r.cuts.root_bound_before,
             r.cuts.root_bound_after
         );
-        assert_eq!(r.lp_fallbacks, 0, "cut rows must not cause dense fallbacks");
+        assert_eq!(r.lp_fallbacks, 0, "cut rows must not make LP solves fail");
     }
 
     /// Cuts may never change the optimum, only the route to it.

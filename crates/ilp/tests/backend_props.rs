@@ -1,20 +1,23 @@
-//! Backend-equivalence and cut-correctness properties.
+//! Engine-equivalence and cut-correctness properties.
 //!
-//! * Every [`LpBackend`] implementation — dense tableau, dense inverse,
-//!   sparse LU under both update rules — must agree on the LP optimum of
-//!   seeded random 0/1 models **through the trait object** (the session
-//!   API), to 1e-6.
+//! * [`LpSession`] under both basis-update rules must agree with the
+//!   dense two-phase tableau oracle (`support`) on the LP status and
+//!   optimum of seeded random 0/1 models, to 1e-6.
 //! * [`LpSession::add_rows`] must be exact: appending separated cuts to a
 //!   live session (in-place factorisation growth) must reach the same
-//!   optimum as cold-solving a rebuilt model that carries the same rows.
+//!   optimum as the oracle on a rebuilt model that carries the same rows.
+//! * What the engine declines is a typed failure the oracle still
+//!   solves.
 //! * Separated cuts must be *valid*: no knapsack cover or clique cut may
 //!   ever cut off an integer-feasible point (checked by exhaustive
 //!   enumeration) — and an integer-feasible LP optimum separates nothing.
 
-use croxmap_ilp::backend::{LpBackend, LpSession, RevisedBackend, TableauBackend};
+mod support;
+
+use croxmap_ilp::backend::LpSession;
 use croxmap_ilp::cuts::CutSeparator;
 use croxmap_ilp::simplex::{LpConfig, LpStatus};
-use croxmap_ilp::{LpEngine, Model, PricingRule, UpdateRule, VarId};
+use croxmap_ilp::{Model, PricingRule, UpdateRule, VarId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -115,83 +118,44 @@ fn model_bounds(m: &Model) -> Vec<(f64, f64)> {
     m.variables().iter().map(|v| (v.lower, v.upper)).collect()
 }
 
-/// Every backend × update-rule combination as `(label, session)`, all
-/// held as trait objects through [`LpSession::with_backend`].
-fn all_backends(model: &Model) -> Vec<(String, LpSession)> {
-    let mut out = Vec::new();
-    for update in [UpdateRule::ForrestTomlin, UpdateRule::ProductForm] {
-        let cfg = LpConfig {
-            engine: LpEngine::SparseLu,
-            update,
-            ..default_cfg()
-        };
-        let backend: Box<dyn LpBackend> = Box::new(RevisedBackend::new(LpEngine::SparseLu));
-        out.push((
-            format!("sparse-lu/{update:?}"),
-            LpSession::with_backend(model, cfg, backend),
-        ));
-    }
-    let cfg = LpConfig {
-        engine: LpEngine::DenseInverse,
-        ..default_cfg()
-    };
-    let backend: Box<dyn LpBackend> = Box::new(RevisedBackend::new(LpEngine::DenseInverse));
-    out.push((
-        "dense-inverse".to_owned(),
-        LpSession::with_backend(model, cfg, backend),
-    ));
-    let cfg = LpConfig {
-        engine: LpEngine::DenseTableau,
-        ..default_cfg()
-    };
-    let backend: Box<dyn LpBackend> = Box::new(TableauBackend);
-    out.push((
-        "dense-tableau".to_owned(),
-        LpSession::with_backend(model, cfg, backend),
-    ));
-    out
-}
-
-/// All integer-feasible points of a small binary model.
-fn feasible_points(m: &Model) -> Vec<Vec<f64>> {
-    let n = m.num_vars();
-    assert!(n <= 16, "enumeration only");
-    let mut out = Vec::new();
-    for bits in 0..(1u32 << n) {
-        let pt: Vec<f64> = (0..n).map(|j| f64::from((bits >> j) & 1)).collect();
-        if m.is_feasible(&pt, 1e-9) {
-            out.push(pt);
-        }
-    }
-    out
+/// A session per basis-update rule, as `(label, session)`.
+fn sessions(model: &Model) -> Vec<(String, LpSession)> {
+    [UpdateRule::ForrestTomlin, UpdateRule::ProductForm]
+        .into_iter()
+        .map(|update| {
+            let cfg = LpConfig {
+                update,
+                ..default_cfg()
+            };
+            (format!("{update:?}"), LpSession::open(model, cfg))
+        })
+        .collect()
 }
 
 #[test]
-fn all_backends_agree_on_relaxation_optimum() {
+fn update_rules_agree_with_dense_oracle_on_relaxation_optimum() {
     let mut optimal = 0u32;
     let mut infeasible = 0u32;
     for seed in 0..40u64 {
         let model = random_model(seed);
         let bounds = model_bounds(&model);
-        let mut results = Vec::new();
-        for (label, mut session) in all_backends(&model) {
-            let out = session.solve(&bounds, None);
-            results.push((label, out.result.status, out.result.objective));
-        }
-        let (ref label0, status0, obj0) = results[0];
-        for (label, status, obj) in &results[1..] {
+        let want = support::solve(&model, &bounds);
+        for (label, mut session) in sessions(&model) {
+            let got = session.solve(&bounds, None).result;
             assert_eq!(
-                status0, *status,
-                "seed {seed}: {label0} vs {label} disagree on status"
+                got.status, want.status,
+                "seed {seed}: {label} vs the oracle disagree on status"
             );
-            if *status == LpStatus::Optimal {
+            if got.status == LpStatus::Optimal {
                 assert!(
-                    (obj0 - obj).abs() < 1e-6,
-                    "seed {seed}: {label0} gives {obj0}, {label} gives {obj}"
+                    (got.objective - want.objective).abs() < 1e-6,
+                    "seed {seed}: {label} gives {}, the oracle {}",
+                    got.objective,
+                    want.objective
                 );
             }
         }
-        match status0 {
+        match want.status {
             LpStatus::Optimal => optimal += 1,
             LpStatus::Infeasible => infeasible += 1,
             other => panic!("seed {seed}: unexpected status {other:?}"),
@@ -202,7 +166,7 @@ fn all_backends_agree_on_relaxation_optimum() {
 }
 
 #[test]
-fn incremental_rows_match_rebuilt_model_on_every_backend() {
+fn incremental_rows_match_rebuilt_model_under_both_update_rules() {
     let mut exercised = 0u32;
     for seed in 0..60u64 {
         let model = if seed % 2 == 0 {
@@ -230,15 +194,11 @@ fn incremental_rows_match_rebuilt_model_on_every_backend() {
         for (name, cmp) in &rows {
             rebuilt.add_constraint(name.clone(), cmp.clone());
         }
-        let tableau_cfg = LpConfig {
-            engine: LpEngine::DenseTableau,
-            ..default_cfg()
-        };
-        let want = LpSession::open(&rebuilt, tableau_cfg).solve(&bounds, None);
-        assert_eq!(want.result.status, LpStatus::Optimal, "cuts are valid");
-        // Every backend: solve, append the same rows to the live session,
-        // re-solve warm; the grown session must match the oracle.
-        for (label, mut session) in all_backends(&model) {
+        let want = support::solve(&rebuilt, &bounds);
+        assert_eq!(want.status, LpStatus::Optimal, "cuts are valid");
+        // Each update rule: solve, append the same rows to the live
+        // session, re-solve warm; the grown session must match the oracle.
+        for (label, mut session) in sessions(&model) {
             let out = session.solve(&bounds, None);
             assert_eq!(out.result.status, LpStatus::Optimal, "{label}");
             let grown = session.add_rows(rows.clone(), out.basis.as_ref());
@@ -246,10 +206,10 @@ fn incremental_rows_match_rebuilt_model_on_every_backend() {
             let cut_out = session.solve(&bounds, grown.basis.as_ref());
             assert_eq!(cut_out.result.status, LpStatus::Optimal, "{label}");
             assert!(
-                (cut_out.result.objective - want.result.objective).abs() < 1e-6,
+                (cut_out.result.objective - want.objective).abs() < 1e-6,
                 "seed {seed}: {label} grown session gives {}, oracle {}",
                 cut_out.result.objective,
-                want.result.objective
+                want.objective
             );
         }
     }
@@ -266,7 +226,7 @@ fn cuts_never_cut_off_integer_feasible_points() {
             random_model(seed)
         };
         let bounds = model_bounds(&model);
-        let feasible = feasible_points(&model);
+        let feasible = support::feasible_points(&model);
         let mut session = LpSession::open(&model, default_cfg());
         let root = session.solve(&bounds, None);
         if root.result.status != LpStatus::Optimal {
@@ -327,4 +287,66 @@ fn integral_optimum_separates_nothing() {
             "seed {seed}: integral point separated {cuts:?}"
         );
     }
+}
+
+/// LPs with an improving column that has no upper bound give the dual
+/// simplex no dual-feasible start: the session reports a typed failure,
+/// and the oracle still finds the optimum or the unbounded ray.
+#[test]
+fn dense_oracle_solves_what_the_engine_declines() {
+    // max x + y s.t. x + 2y ≤ 4, 3x + y ≤ 6: optimum (1.6, 1.2), −14/5.
+    let mut two_var = Model::new();
+    let x = two_var.add_continuous("x", 0.0, f64::INFINITY);
+    let y = two_var.add_continuous("y", 0.0, f64::INFINITY);
+    two_var.add_constraint("c1", two_var.expr([(x, 1.0), (y, 2.0)]).leq(4.0));
+    two_var.add_constraint("c2", two_var.expr([(x, 3.0), (y, 1.0)]).leq(6.0));
+    two_var.set_objective(two_var.expr([(x, -1.0), (y, -1.0)]));
+    // Four rows through the optimum: degenerate, optimum −1.
+    let mut degenerate = Model::new();
+    let x = degenerate.add_continuous("x", 0.0, f64::INFINITY);
+    let y = degenerate.add_continuous("y", 0.0, f64::INFINITY);
+    for (name, cx, cy, rhs) in [
+        ("c1", 1.0, 1.0, 1.0),
+        ("c2", 1.0, 0.0, 1.0),
+        ("c3", 0.0, 1.0, 1.0),
+        ("c4", 2.0, 2.0, 2.0),
+    ] {
+        let row = degenerate.expr([(x, cx), (y, cy)]).leq(rhs);
+        degenerate.add_constraint(name, row);
+    }
+    degenerate.set_objective(degenerate.expr([(x, -1.0), (y, -1.0)]));
+    // min −y s.t. x − y ≤ 1: y grows without bound.
+    let mut unbounded = Model::new();
+    let x = unbounded.add_continuous("x", 0.0, f64::INFINITY);
+    let y = unbounded.add_continuous("y", 0.0, f64::INFINITY);
+    unbounded.add_constraint("c", unbounded.expr([(x, 1.0), (y, -1.0)]).leq(1.0));
+    unbounded.set_objective(unbounded.expr([(y, -1.0)]));
+
+    for (name, model, status, objective) in [
+        ("two-var", &two_var, LpStatus::Optimal, -14.0 / 5.0),
+        ("degenerate", &degenerate, LpStatus::Optimal, -1.0),
+        (
+            "unbounded",
+            &unbounded,
+            LpStatus::Unbounded,
+            f64::NEG_INFINITY,
+        ),
+    ] {
+        let bounds = model_bounds(model);
+        let declined = LpSession::open(model, default_cfg()).solve(&bounds, None);
+        assert_eq!(declined.result.status, LpStatus::Failed, "{name}");
+        let oracle = support::solve(model, &bounds);
+        assert_eq!(oracle.status, status, "{name}");
+        if status == LpStatus::Optimal {
+            assert!(
+                (oracle.objective - objective).abs() < 1e-6,
+                "{name}: oracle {}",
+                oracle.objective
+            );
+        }
+    }
+    let bounds = model_bounds(&two_var);
+    let oracle = support::solve(&two_var, &bounds);
+    assert!((oracle.values[0] - 1.6).abs() < 1e-6);
+    assert!((oracle.values[1] - 1.2).abs() < 1e-6);
 }

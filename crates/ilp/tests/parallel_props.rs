@@ -1,7 +1,7 @@
 //! Parallel tree-search properties.
 //!
-//! * **Objective equivalence**: for seeded random 0/1 models across LP
-//!   engines × basis-update rules, solving with `threads ∈ {2, 4}` — in
+//! * **Objective equivalence**: for seeded random 0/1 models under both
+//!   basis-update rules, solving with `threads ∈ {2, 4}` — in
 //!   both coordination modes — must reach the same optimal objective as
 //!   the sequential solver (1e-6), and agree on infeasibility.
 //! * **Deterministic mode reproducibility**: at a fixed thread count,
@@ -12,8 +12,8 @@
 //!   improving objectives, nondecreasing timestamps.
 
 use croxmap_ilp::{
-    JsonlSink, LpEngine, Model, ParallelMode, SolveStatus, Solver, SolverConfig, TraceHandle,
-    UpdateRule, VarId,
+    JsonlSink, Model, ParallelMode, SolveStatus, Solver, SolverConfig, TraceHandle, UpdateRule,
+    VarId,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -78,12 +78,11 @@ fn random_model(seed: u64) -> Model {
     m
 }
 
-fn base_config(engine: LpEngine, update: UpdateRule, seed: u64) -> SolverConfig {
+fn base_config(update: UpdateRule, seed: u64) -> SolverConfig {
     let cfg = SolverConfig {
         det_time_limit: 5.0,
         ..SolverConfig::default()
     }
-    .with_lp_engine(engine)
     .with_update_rule(update)
     .with_seed(seed);
     match test_trace_handle() {
@@ -92,11 +91,7 @@ fn base_config(engine: LpEngine, update: UpdateRule, seed: u64) -> SolverConfig 
     }
 }
 
-const ENGINES: [(LpEngine, UpdateRule); 3] = [
-    (LpEngine::SparseLu, UpdateRule::ForrestTomlin),
-    (LpEngine::SparseLu, UpdateRule::ProductForm),
-    (LpEngine::DenseInverse, UpdateRule::ForrestTomlin),
-];
+const UPDATES: [UpdateRule; 2] = [UpdateRule::ForrestTomlin, UpdateRule::ProductForm];
 
 #[test]
 fn parallel_reaches_sequential_optimum_across_engines_and_modes() {
@@ -104,8 +99,8 @@ fn parallel_reaches_sequential_optimum_across_engines_and_modes() {
     let mut engaged = 0u32;
     for seed in 0..25u64 {
         let model = random_model(seed);
-        for (engine, update) in ENGINES {
-            let cfg = base_config(engine, update, seed);
+        for update in UPDATES {
+            let cfg = base_config(update, seed);
             let reference = Solver::new(cfg.clone()).solve(&model);
             for threads in [2usize, 4] {
                 for mode in [ParallelMode::Deterministic, ParallelMode::WorkStealing] {
@@ -114,7 +109,7 @@ fn parallel_reaches_sequential_optimum_across_engines_and_modes() {
                             .solve(&model);
                     assert_eq!(
                         reference.status, run.status,
-                        "seed {seed}, {engine:?}/{update:?}, {threads} threads {mode:?}: status"
+                        "seed {seed}, {update:?}, {threads} threads {mode:?}: status"
                     );
                     if reference.status == SolveStatus::Optimal {
                         optimal += 1;
@@ -122,7 +117,7 @@ fn parallel_reaches_sequential_optimum_across_engines_and_modes() {
                         let got = run.best.as_ref().unwrap().objective();
                         assert!(
                             (want - got).abs() < 1e-6,
-                            "seed {seed}, {engine:?}/{update:?}, {threads} threads {mode:?}: \
+                            "seed {seed}, {update:?}, {threads} threads {mode:?}: \
                              sequential {want}, parallel {got}"
                         );
                     }
@@ -162,7 +157,7 @@ fn deterministic_mode_is_reproducible_run_to_run() {
     for seed in 0..15u64 {
         let model = random_model(seed);
         for threads in [2usize, 4] {
-            let cfg = base_config(LpEngine::SparseLu, UpdateRule::ForrestTomlin, seed)
+            let cfg = base_config(UpdateRule::ForrestTomlin, seed)
                 .with_threads(threads)
                 .with_parallel_mode(ParallelMode::Deterministic);
             let a = Solver::new(cfg.clone()).solve(&model);
@@ -201,7 +196,7 @@ fn deterministic_mode_is_reproducible_run_to_run() {
 fn single_thread_ignores_parallel_mode() {
     for seed in 0..10u64 {
         let model = random_model(seed);
-        let cfg = base_config(LpEngine::SparseLu, UpdateRule::ForrestTomlin, seed);
+        let cfg = base_config(UpdateRule::ForrestTomlin, seed);
         let sequential = Solver::new(cfg.clone()).solve(&model);
         for mode in [ParallelMode::Deterministic, ParallelMode::WorkStealing] {
             let run =
