@@ -27,7 +27,7 @@
 //! twice as `t4_det`/`t4_det_rerun`, and work-stealing `t4_ws`), and a
 //! `pricing_ablation/*` group re-running the warm ring-cover chain and
 //! the presolved partition cold root under each dual pricing rule
-//! (Devex, exact steepest edge, Dantzig).
+//! (Devex and exact steepest edge).
 //!
 //! ## CI smoke mode
 //!
@@ -51,7 +51,7 @@ use criterion::{criterion_group, BenchmarkId, Criterion};
 use croxmap_core::baseline::greedy_first_fit;
 use croxmap_core::{FormulationConfig, MappingIlp, MappingObjective};
 use croxmap_gen::calibrated::{generate, NetworkSpec};
-use croxmap_ilp::presolve::{presolve, PresolveConfig, PresolveOutcome, PresolveStats};
+use croxmap_ilp::presolve::{presolve, PresolveOutcome, PresolveStats};
 use croxmap_ilp::simplex::{self, LpResult, LpStatus};
 use croxmap_ilp::{
     Cut, CutSeparator, DeterministicClock, FactorStats, LpSession, Model, ParallelMode, Phase,
@@ -285,17 +285,12 @@ fn measure_bb(name: &str, model: &Model, warm_lp: bool) -> WarmColdRecord {
 /// Full branch-and-bound with presolve toggled (warm LPs in both modes):
 /// the rows/cols/nnz-removed trajectory plus the tick win presolve buys.
 fn measure_bb_presolve(name: &str, model: &Model, presolve_on: bool) -> WarmColdRecord {
-    let presolve_cfg = if presolve_on {
-        PresolveConfig::default()
-    } else {
-        PresolveConfig::off()
-    };
     let cfg = SolverConfig {
         det_time_limit: 5.0,
         enable_lns: false,
         ..SolverConfig::default()
     }
-    .with_presolve(presolve_cfg);
+    .with_presolve(presolve_on);
     let start = Instant::now();
     let result = Solver::new(cfg).solve(model);
     let wall = start.elapsed().as_secs_f64();
@@ -362,7 +357,7 @@ fn measure_cold_root(name: &str, model: &Model, mode: &'static str) -> WarmColdR
         ..simplex::LpConfig::default()
     };
     let (target, stats) = if mode == "presolved" {
-        match presolve(model, &PresolveConfig::default()) {
+        match presolve(model) {
             PresolveOutcome::Reduced(p) => (p.model, Some(p.stats)),
             PresolveOutcome::Infeasible(_) => unreachable!("bench instances are feasible"),
         }
@@ -499,7 +494,7 @@ fn measure_lp_chain_with(
 /// reference branch-and-bound incumbent — the root gap closed.
 fn measure_cuts_root(name: &str, model: &Model) -> WarmColdRecord {
     let lp_cfg = simplex::LpConfig::default();
-    let (target, cliques, pre_stats) = match presolve(model, &PresolveConfig::default()) {
+    let (target, cliques, pre_stats) = match presolve(model) {
         PresolveOutcome::Reduced(p) => (p.model, p.cliques, p.stats),
         PresolveOutcome::Infeasible(_) => unreachable!("bench instances are feasible"),
     };
@@ -735,19 +730,18 @@ fn parse_committed(json: &str) -> Vec<(String, String, u64)> {
 }
 
 /// Pricing-rule ablation: the same warm branching chain and presolved
-/// cold root under each dual pricing rule — Devex, exact steepest edge
-/// and Dantzig — as `pricing_ablation/*` rows. Cheap and deterministic,
+/// cold root under each dual pricing rule — Devex and exact steepest
+/// edge — as `pricing_ablation/*` rows. Cheap and deterministic,
 /// so the smoke gate re-measures them and fails any rule whose ticks
 /// regress > 1.5x against the committed baseline (a pricing change that
 /// helps one rule must not silently wreck another).
 fn measure_pricing_ablation(records: &mut Vec<WarmColdRecord>) {
-    let rules: [(&'static str, PricingRule); 3] = [
+    let rules: [(&'static str, PricingRule); 2] = [
         ("devex", PricingRule::Devex),
         ("steepest", PricingRule::SteepestEdge),
-        ("dantzig", PricingRule::Dantzig),
     ];
     let ring = ring_cover(96);
-    let (sp_target, sp_stats) = match presolve(&set_partition(16), &PresolveConfig::default()) {
+    let (sp_target, sp_stats) = match presolve(&set_partition(16)) {
         PresolveOutcome::Reduced(p) => (p.model, p.stats),
         PresolveOutcome::Infeasible(_) => unreachable!("bench instances are feasible"),
     };

@@ -16,7 +16,7 @@
 use croxmap_core::baseline::greedy_first_fit;
 use croxmap_core::{FormulationConfig, MappingIlp, MappingObjective};
 use croxmap_gen::calibrated::{generate, NetworkSpec};
-use croxmap_ilp::presolve::{presolve, PresolveConfig, PresolveOutcome, PresolvedModel};
+use croxmap_ilp::presolve::{presolve, PresolveOutcome, PresolvedModel};
 use croxmap_ilp::simplex::{LpConfig, LpResult, LpStatus};
 use croxmap_ilp::{LpSession, Model};
 use croxmap_mca::{ArchitectureSpec, AreaModel, CrossbarPool};
@@ -67,7 +67,7 @@ fn cold_root(model: &Model, cfg: &LpConfig) -> LpResult {
 }
 
 fn presolved(model: &Model) -> PresolvedModel {
-    match presolve(model, &PresolveConfig::default()) {
+    match presolve(model) {
         PresolveOutcome::Reduced(p) => p,
         PresolveOutcome::Infeasible(_) => panic!("instance is feasible"),
     }

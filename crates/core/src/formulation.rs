@@ -336,12 +336,6 @@ impl MappingIlp {
         &self.model
     }
 
-    /// Mutable access to the model (e.g. to add side constraints).
-    #[must_use]
-    pub fn model_mut(&mut self) -> &mut Model {
-        &mut self.model
-    }
-
     /// Placement variable `x_ij`.
     ///
     /// # Panics
@@ -428,12 +422,6 @@ impl MappingIlp {
             values[bkj.index()] = if s_on && x_on { 1.0 } else { 0.0 };
         }
         values
-    }
-
-    /// Number of pool slots this model was built over.
-    #[must_use]
-    pub fn slot_count(&self) -> usize {
-        self.n_slots
     }
 }
 

@@ -43,27 +43,16 @@ impl PipelineConfig {
     }
 
     /// Returns a copy with the given solver configuration. This is how
-    /// callers reach the LP-level knobs — basis-update rule
+    /// callers reach the solver knobs — basis-update rule
     /// (Forrest–Tomlin vs product-form etas,
-    /// `SolverConfig::with_update_rule`), pricing rule, refactorisation
-    /// cadence, the presolve stack
-    /// (`SolverConfig::with_presolve`), and the root cutting-plane round
-    /// limit (`SolverConfig::with_cuts`) — e.g.
+    /// `SolverConfig::with_update_rule`), pricing rule, root presolve on
+    /// or off (`SolverConfig::with_presolve`), the root cutting-plane
+    /// round limit (`SolverConfig::with_cuts`) and the tree-search
+    /// threads (`SolverConfig::with_threads`) — e.g.
     /// `cfg.with_solver(cfg.solver.clone().with_pricing(...))`.
     #[must_use]
     pub fn with_solver(mut self, solver: SolverConfig) -> Self {
         self.solver = solver;
-        self
-    }
-
-    /// Returns a copy with the tree search running on `threads` worker
-    /// threads (shorthand for rebuilding the inner
-    /// [`SolverConfig::with_threads`]). `1` keeps the sequential solver;
-    /// the deterministic parallel mode stays the default, so pipeline
-    /// results remain reproducible run-to-run at a fixed thread count.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.solver = self.solver.with_threads(threads);
         self
     }
 }
@@ -712,11 +701,7 @@ mod tests {
         use croxmap_ilp::PricingRule;
         let net = clustered();
         let pool = pool();
-        for pricing in [
-            PricingRule::Devex,
-            PricingRule::Dantzig,
-            PricingRule::SteepestEdge,
-        ] {
+        for pricing in [PricingRule::Devex, PricingRule::SteepestEdge] {
             let cfg = PipelineConfig::with_budget(10.0).with_solver(
                 SolverConfig::default()
                     .with_det_time_limit(10.0)
@@ -751,19 +736,13 @@ mod tests {
         // through `PipelineConfig::with_solver`; every decoded incumbent
         // must be a valid mapping either way (i.e. postsolve hands the
         // decode original-space solutions).
-        use croxmap_ilp::presolve::PresolveConfig;
         let net = clustered();
         let pool = pool();
         for enabled in [true, false] {
-            let presolve = if enabled {
-                PresolveConfig::default()
-            } else {
-                PresolveConfig::off()
-            };
             let cfg = PipelineConfig::with_budget(10.0).with_solver(
                 SolverConfig::default()
                     .with_det_time_limit(10.0)
-                    .with_presolve(presolve),
+                    .with_presolve(enabled),
             );
             let run = optimize_area(&net, &pool, &cfg);
             assert_eq!(run.best_objective(), Some(32.0), "presolve {enabled}");

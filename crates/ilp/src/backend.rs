@@ -267,7 +267,8 @@ impl LpSession {
 
 /// The relaxation of a model without rows: each variable sits at its
 /// cheaper bound, at one tick per variable, and an improving infinite
-/// bound is an unbounded ray (one tick).
+/// bound is an unbounded ray (one tick). A zero-cost variable takes its
+/// lower bound if finite, else its upper bound, else 0.
 fn bound_relaxation(model: &Model, bounds: &[(f64, f64)]) -> LpResult {
     let mut cost = vec![0.0; bounds.len()];
     for &(v, c) in model.objective() {
@@ -275,13 +276,21 @@ fn bound_relaxation(model: &Model, bounds: &[(f64, f64)]) -> LpResult {
     }
     let mut values = Vec::with_capacity(bounds.len());
     for (&(l, u), &c) in bounds.iter().zip(&cost) {
-        values.push(if c >= 0.0 {
+        let x = if c > 0.0 {
+            l
+        } else if c < 0.0 {
+            u
+        } else if l.is_finite() {
             l
         } else if u.is_finite() {
             u
         } else {
+            0.0
+        };
+        if !x.is_finite() {
             return LpResult::without_point(LpStatus::Unbounded, f64::NEG_INFINITY, 1);
-        });
+        }
+        values.push(x);
     }
     LpResult {
         status: LpStatus::Optimal,
@@ -341,6 +350,76 @@ mod tests {
         assert!(spent > 0, "the declined attempts cost work");
         assert_eq!(s.stats().failures, 1);
         assert_eq!(s.stats().work_ticks, spent);
+    }
+
+    /// A free column has no finite bound for the all-slack start to rest
+    /// on. Pinning it at 0 would answer a different LP (optimum 0 with
+    /// `x = 0`); the session must solve the true one (−5) or decline.
+    #[test]
+    fn free_column_is_solved_or_declined_never_pinned() {
+        let mut m = Model::new();
+        let x = m.add_continuous("x", f64::NEG_INFINITY, f64::INFINITY);
+        let y = m.add_binary("y");
+        m.add_constraint("c", m.expr([(x, 1.0), (y, 1.0)]).geq(-5.0));
+        m.set_objective(m.expr([(x, 1.0), (y, 1.0)]));
+        let free = [(f64::NEG_INFINITY, f64::INFINITY), (0.0, 1.0)];
+        let solved_or_declined = |out: &WarmLpResult| {
+            out.result.status == LpStatus::Failed
+                || (out.result.status == LpStatus::Optimal
+                    && (out.result.objective + 5.0).abs() < 1e-9)
+        };
+        let mut s = LpSession::open(&m, LpConfig::default());
+        let cold = s.solve(&free, None);
+        assert!(
+            solved_or_declined(&cold),
+            "cold: {:?} {}",
+            cold.result.status,
+            cold.result.objective
+        );
+        // Warm from a basis found with x boxed, on the hot engine and on
+        // a fresh session that must reinstall the snapshot: x is basic
+        // at -5 inside [-10, 10] and nonbasic at its lower bound -3.
+        for x_box in [(-10.0, 10.0), (-3.0, 10.0)] {
+            let boxed = s.solve(&[x_box, (0.0, 1.0)], None);
+            assert_eq!(boxed.result.status, LpStatus::Optimal);
+            let hot = s.solve(&free, boxed.basis.as_ref());
+            assert!(solved_or_declined(&hot), "hot: {:?}", hot.result.status);
+            let mut fresh = LpSession::open(&m, LpConfig::default());
+            let reinstalled = fresh.solve(&free, boxed.basis.as_ref());
+            assert!(
+                solved_or_declined(&reinstalled),
+                "reinstalled: {:?}",
+                reinstalled.result.status
+            );
+        }
+    }
+
+    /// Without rows, an infinite lower bound under a positive cost is an
+    /// unbounded ray, and a zero-cost variable takes a finite value.
+    #[test]
+    fn zero_row_relaxation_never_reports_an_infinite_optimum() {
+        let mut m = Model::new();
+        let u = m.add_continuous("u", f64::NEG_INFINITY, 3.0);
+        let _w = m.add_continuous("w", f64::NEG_INFINITY, 3.0);
+        let bounds = [(f64::NEG_INFINITY, 3.0); 2];
+        m.set_objective(m.expr([(u, 1.0)]));
+        let ray = LpSession::open(&m, LpConfig::default()).solve(&bounds, None);
+        assert_eq!(ray.result.status, LpStatus::Unbounded);
+        assert_eq!(ray.result.objective, f64::NEG_INFINITY);
+        assert!(ray.result.values.is_empty());
+        assert_eq!(ray.result.work_ticks, 1, "one tick on an unbounded ray");
+
+        m.set_objective(m.expr([(u, -1.0)]));
+        let out = LpSession::open(&m, LpConfig::default()).solve(&bounds, None);
+        assert_eq!(out.result.status, LpStatus::Optimal);
+        assert_eq!(out.result.objective, -3.0);
+        assert_eq!(out.result.values[0], 3.0);
+        assert!(
+            out.result.values[1].is_finite(),
+            "w: {}",
+            out.result.values[1]
+        );
+        assert_eq!(out.result.work_ticks, 2, "one tick per variable");
     }
 
     #[test]

@@ -130,9 +130,11 @@ pub enum UpdateRule {
 /// Policy knobs for folding accumulated updates back into a fresh
 /// factorisation, plus the update scheme itself.
 ///
-/// Reached through [`LpConfig`](crate::simplex::LpConfig) (and from there
-/// [`SolverConfig`](crate::SolverConfig)); replaces the engine's old
-/// hard-coded `REFACTOR_EVERY = 64` constant.
+/// The LP engine takes these from
+/// [`LpConfig::factor_opts`](crate::simplex::LpConfig::factor_opts) (and
+/// from there [`SolverConfig`](crate::SolverConfig)), which sets every
+/// field but `eta_fill_factor`: solves always use its default, 3.0. Direct
+/// [`LuFactors`] users set all four.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FactorOpts {
     /// Pivot updates tolerated — and hot basis reuses across solves —
@@ -731,13 +733,6 @@ impl LuFactors {
         self.updates as usize
     }
 
-    /// Alias for [`update_count`](Self::update_count), kept for callers
-    /// from the product-form era.
-    #[must_use]
-    pub fn eta_count(&self) -> usize {
-        self.update_count()
-    }
-
     /// Non-zeros across the update file: eta entries under ProductForm;
     /// row-transform multipliers plus any net `U` fill under
     /// Forrest–Tomlin. This is the quantity the
@@ -745,12 +740,6 @@ impl LuFactors {
     #[must_use]
     pub fn update_nnz(&self) -> usize {
         self.file_nnz + self.u_nnz.saturating_sub(self.u_nnz0)
-    }
-
-    /// Alias for [`update_nnz`](Self::update_nnz).
-    #[must_use]
-    pub fn eta_nnz(&self) -> usize {
-        self.update_nnz()
     }
 
     /// `nnz(L) + nnz(U)` of the last factorisation (diagonals included).

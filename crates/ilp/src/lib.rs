@@ -7,14 +7,16 @@
 //!
 //! * a [`Model`] builder for variables, linear constraints and a
 //!   minimisation objective,
-//! * a **presolver** ([`presolve`]): before the search starts, a stack of
-//!   reductions (singleton rows, fixed-variable substitution, redundant
-//!   and duplicate rows, dominated and duplicate columns, coefficient
-//!   tightening, clique extraction) shrinks the model to a
+//! * a **presolver** ([`presolve`]): before the search starts, one fixed
+//!   sequence of reductions (singleton rows, fixed-variable substitution,
+//!   redundant and duplicate rows, doubleton equalities, dominated and
+//!   duplicate columns, coefficient tightening), repeated to a fixpoint
+//!   and followed by clique extraction, shrinks the model to a
 //!   [`PresolvedModel`] and records a [`Postsolve`] stack that maps every
 //!   solution losslessly back to the original variable space — so the
 //!   whole model → presolve → factor → simplex pipeline operates on fewer
-//!   rows, columns and nonzeros,
+//!   rows, columns and nonzeros ([`SolverConfig::with_presolve`] turns it
+//!   off),
 //! * an **LP session** ([`backend`]): an owning [`LpSession`] holds the
 //!   model view, the live basis and factorisation of the one LP engine,
 //!   and stats; it absorbs warm starts, bound deltas, objective deltas
@@ -29,10 +31,11 @@
 //!   selectable as a differential oracle) with Forrest–Tomlin updates
 //!   and hyper-sparse triangular solves whose tracked variants capture
 //!   result patterns for reuse by the next solve in a pivot chain,
-//!   **dual steepest-edge pricing** ([`PricingRule::SteepestEdge`]:
-//!   exact reference weights from hyper-sparse unit BTRANs, updated per
-//!   pivot by the Forrest–Goldfarb recurrence, re-initialised when
-//!   drift exceeds a guard band; Devex and Dantzig remain available),
+//!   Devex pricing by default and selectable **dual steepest-edge
+//!   pricing** ([`PricingRule::SteepestEdge`]: exact reference weights
+//!   from hyper-sparse unit BTRANs, updated per pivot by the
+//!   Forrest–Goldfarb recurrence, re-initialised when drift exceeds a
+//!   guard band),
 //!   deterministic anti-degeneracy cost perturbation on cold starts, and
 //!   a per-solve deterministic work budget (`LpConfig::work_limit`),
 //! * a **warm-start API** ([`Basis`]): optimal solves return a basis
@@ -302,7 +305,7 @@ pub use expr::{Comparison, ConstraintSense, LinExpr, VarId};
 pub use factor::{DenseInverse, FactorOpts, FactorStats, LuFactors, MarkowitzOrdering, UpdateRule};
 pub use model::{Constraint, Model, ModelError, VarType, Variable};
 pub use parallel::{ParallelMode, ParallelStats};
-pub use presolve::{Postsolve, PresolveConfig, PresolveStats, PresolvedModel};
+pub use presolve::{Postsolve, PresolveStats, PresolvedModel};
 pub use simplex::PricingRule;
 pub use solution::{IncumbentEvent, Solution};
 pub use solver::{BranchRule, CutSummary, SolveResult, SolveStatus, Solver, SolverConfig};

@@ -390,14 +390,6 @@ impl Model {
         self.constraints.iter().all(|c| c.is_satisfied(values, tol))
     }
 
-    /// Index of the first violated constraint, if any.
-    #[must_use]
-    pub fn first_violated(&self, values: &[f64], tol: f64) -> Option<usize> {
-        self.constraints
-            .iter()
-            .position(|c| !c.is_satisfied(values, tol))
-    }
-
     /// Validates variable bounds and coefficient finiteness.
     ///
     /// # Errors

@@ -164,7 +164,6 @@ pub(crate) struct Exchange {
     stop: AtomicBool,
     steals: AtomicU64,
     limit_ticks: u64,
-    node_limit: u64,
     inner: Mutex<ExchangeInner>,
 }
 
@@ -204,7 +203,6 @@ impl Exchange {
             stop: AtomicBool::new(false),
             steals: AtomicU64::new(0),
             limit_ticks,
-            node_limit: cfg.node_limit,
             inner: Mutex::new(ExchangeInner {
                 best: incumbent,
                 events: Vec::new(),
@@ -244,7 +242,7 @@ impl Exchange {
             // lint: allow(relaxed-ordering) — monotone budget counter; the stop *decision* publishes via the Release store to `stop` above, not via this read
             || self.ticks.load(AtomicOrd::Relaxed) >= self.limit_ticks
             // lint: allow(relaxed-ordering) — same as the tick counter: monotone, decision-tolerant of staleness by one node
-            || self.nodes.load(AtomicOrd::Relaxed) >= self.node_limit
+            || self.nodes.load(AtomicOrd::Relaxed) >= SolverConfig::NODE_LIMIT
     }
 
     /// Current global incumbent objective (`+inf` when none).

@@ -8,9 +8,10 @@
 //! matrix, so each FTRAN/BTRAN, eta update and pricing pass touches fewer
 //! nonzeros.
 //!
-//! Each reduction is a [`Reduction`] implementation over a shared
-//! [`Workspace`]; the driver applies the configured stack round-robin to a
-//! fixpoint (or [`PresolveConfig::max_rounds`]). The reductions:
+//! Every solve runs the same reductions, each a private function over a
+//! shared workspace, in the order listed below (clique extraction
+//! excepted), round after round until a round changes nothing or ten
+//! rounds have run; clique extraction then runs once. The reductions:
 //!
 //! * **Singleton rows** — a one-term row is a variable bound in disguise:
 //!   tighten the bound (rounding for binaries) and drop the row.
@@ -67,53 +68,9 @@ const VIOL: f64 = crate::tol::FEAS;
 /// Integrality tolerance when rounding binary bounds.
 const INT_TOL: f64 = crate::tol::INT_FEAS;
 
-/// Configuration of the presolve stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(clippy::struct_excessive_bools)] // independent per-reduction gates
-pub struct PresolveConfig {
-    /// Master switch; when `false` the solver runs on the original model.
-    pub enabled: bool,
-    /// Maximum fixpoint rounds over the reduction stack.
-    pub max_rounds: u32,
-    /// Enables dominated-column fixing.
-    pub dominated_columns: bool,
-    /// Enables duplicate-row merging.
-    pub duplicate_rows: bool,
-    /// Enables doubleton-equality column substitution (`w ≡ u` merges).
-    pub substitute_doubletons: bool,
-    /// Enables duplicate binary-column fixing.
-    pub duplicate_columns: bool,
-    /// Enables coefficient tightening on all-binary `≤` rows.
-    pub coefficient_tightening: bool,
-    /// Enables clique extraction into branching priorities.
-    pub clique_priorities: bool,
-}
-
-impl Default for PresolveConfig {
-    fn default() -> Self {
-        PresolveConfig {
-            enabled: true,
-            max_rounds: 10,
-            dominated_columns: true,
-            duplicate_rows: true,
-            substitute_doubletons: true,
-            duplicate_columns: true,
-            coefficient_tightening: true,
-            clique_priorities: true,
-        }
-    }
-}
-
-impl PresolveConfig {
-    /// A configuration with presolve disabled entirely.
-    #[must_use]
-    pub fn off() -> Self {
-        PresolveConfig {
-            enabled: false,
-            ..PresolveConfig::default()
-        }
-    }
-}
+/// Most fixpoint rounds [`presolve`] runs over the reductions before it
+/// stops and builds the reduced model from what it has.
+const MAX_ROUNDS: u32 = 10;
 
 /// What presolve did, for reporting and bench logs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -255,7 +212,7 @@ pub struct PresolvedModel {
     /// variable space (the same cliques that refine branching
     /// priorities). The solver's root cut loop seeds its conflict graph
     /// with them ([`crate::cuts::CutSeparator`]); empty when extraction
-    /// is disabled or found nothing.
+    /// found nothing.
     pub cliques: Vec<Vec<VarId>>,
 }
 
@@ -271,7 +228,7 @@ pub enum PresolveOutcome {
 
 /// Marker error: a reduction proved the model infeasible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Infeasible;
+struct Infeasible;
 
 /// Row sense inside the workspace: `≥` rows are normalised to `≤` on
 /// ingestion, halving the case analysis of every reduction.
@@ -291,9 +248,9 @@ struct Row {
     alive: bool,
 }
 
-/// Mutable presolve state shared by every [`Reduction`].
+/// Mutable presolve state shared by every reduction.
 #[derive(Debug)]
-pub struct Workspace {
+struct Workspace {
     ty: Vec<VarType>,
     lower: Vec<f64>,
     upper: Vec<f64>,
@@ -312,6 +269,7 @@ pub struct Workspace {
     stats: PresolveStats,
     /// Clique membership count per column (set by clique extraction).
     clique_count: Vec<u32>,
+    /// Whether any reduction changed the workspace this round.
     changed: bool,
 }
 
@@ -551,169 +509,126 @@ impl Workspace {
     }
 }
 
-/// One model reduction, applied repeatedly until the stack reaches a
-/// fixpoint. Implementations mutate the shared [`Workspace`] and report
-/// whether they changed anything.
-pub trait Reduction {
-    /// Diagnostic name of the reduction.
-    fn name(&self) -> &'static str;
-
-    /// Applies the reduction once over the whole workspace.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Infeasible`] when the reduction proves the model has no
-    /// feasible solution.
-    fn apply(&mut self, ws: &mut Workspace) -> Result<bool, Infeasible>;
-}
-
 /// Singleton rows become variable bounds.
-struct SingletonRows;
-
-impl Reduction for SingletonRows {
-    fn name(&self) -> &'static str {
-        "singleton-rows"
-    }
-
-    fn apply(&mut self, ws: &mut Workspace) -> Result<bool, Infeasible> {
-        ws.changed = false;
-        for ri in 0..ws.rows.len() as u32 {
-            let row = &ws.rows[ri as usize];
-            if !row.alive || row.terms.len() != 1 {
-                continue;
-            }
-            let (j, a) = row.terms[0];
-            let j = j as usize;
-            if a.abs() < crate::tol::ZERO {
-                continue; // degenerate coefficient: leave to redundancy pass
-            }
-            let bound = row.rhs / a;
-            let sense = row.sense;
-            match sense {
-                RowSense::Le => {
-                    if a > 0.0 {
-                        ws.tighten_upper(j, bound)?;
-                    } else {
-                        ws.tighten_lower(j, bound)?;
-                    }
-                }
-                RowSense::Eq => {
+fn singleton_rows(ws: &mut Workspace) -> Result<(), Infeasible> {
+    for ri in 0..ws.rows.len() as u32 {
+        let row = &ws.rows[ri as usize];
+        if !row.alive || row.terms.len() != 1 {
+            continue;
+        }
+        let (j, a) = row.terms[0];
+        let j = j as usize;
+        if a.abs() < crate::tol::ZERO {
+            continue; // degenerate coefficient: leave to redundancy pass
+        }
+        let bound = row.rhs / a;
+        let sense = row.sense;
+        match sense {
+            RowSense::Le => {
+                if a > 0.0 {
                     ws.tighten_upper(j, bound)?;
+                } else {
                     ws.tighten_lower(j, bound)?;
                 }
             }
-            ws.kill_row(ri);
-            ws.charge(1);
+            RowSense::Eq => {
+                ws.tighten_upper(j, bound)?;
+                ws.tighten_lower(j, bound)?;
+            }
         }
-        Ok(ws.changed)
+        ws.kill_row(ri);
+        ws.charge(1);
     }
+    Ok(())
 }
 
 /// Columns with collapsed bounds are substituted out.
-struct FixedColumns;
-
-impl Reduction for FixedColumns {
-    fn name(&self) -> &'static str {
-        "fixed-columns"
-    }
-
-    fn apply(&mut self, ws: &mut Workspace) -> Result<bool, Infeasible> {
-        ws.changed = false;
-        for j in 0..ws.num_cols() {
-            if !ws.removed[j] && ws.upper[j] - ws.lower[j] <= TOL {
-                let v = 0.5 * (ws.lower[j] + ws.upper[j]);
-                ws.fix_col(j, v)?;
-            }
+fn fixed_columns(ws: &mut Workspace) -> Result<(), Infeasible> {
+    for j in 0..ws.num_cols() {
+        if !ws.removed[j] && ws.upper[j] - ws.lower[j] <= TOL {
+            let v = 0.5 * (ws.lower[j] + ws.upper[j]);
+            ws.fix_col(j, v)?;
         }
-        Ok(ws.changed)
     }
+    Ok(())
 }
 
 /// Redundant rows are dropped; forcing rows fix their variables.
-struct RedundantRows;
-
-impl Reduction for RedundantRows {
-    fn name(&self) -> &'static str {
-        "redundant-rows"
-    }
-
-    fn apply(&mut self, ws: &mut Workspace) -> Result<bool, Infeasible> {
-        ws.changed = false;
-        for ri in 0..ws.rows.len() as u32 {
-            let row = &ws.rows[ri as usize];
-            if !row.alive {
-                continue;
-            }
-            if row.terms.is_empty() {
-                match row.sense {
-                    RowSense::Le => {
-                        if row.rhs < -VIOL {
-                            return Err(Infeasible);
-                        }
-                        if row.rhs >= -TOL {
-                            ws.kill_row(ri);
-                        }
+fn redundant_rows(ws: &mut Workspace) -> Result<(), Infeasible> {
+    for ri in 0..ws.rows.len() as u32 {
+        let row = &ws.rows[ri as usize];
+        if !row.alive {
+            continue;
+        }
+        if row.terms.is_empty() {
+            match row.sense {
+                RowSense::Le => {
+                    if row.rhs < -VIOL {
+                        return Err(Infeasible);
                     }
-                    RowSense::Eq => {
-                        if row.rhs.abs() > VIOL {
-                            return Err(Infeasible);
-                        }
+                    if row.rhs >= -TOL {
                         ws.kill_row(ri);
                     }
                 }
-                continue;
-            }
-            let (lo, hi) = ws.activity_bounds(row);
-            let rhs = row.rhs;
-            let sense = row.sense;
-            let nterms = row.terms.len();
-            ws.charge(nterms);
-            let force = |ws: &mut Workspace, ri: u32, at_min: bool| -> Result<(), Infeasible> {
-                let fixes: Vec<(usize, f64)> = ws.rows[ri as usize]
-                    .terms
-                    .iter()
-                    .map(|&(j, a)| {
-                        let j = j as usize;
-                        let v = if (a > 0.0) == at_min {
-                            ws.lower[j]
-                        } else {
-                            ws.upper[j]
-                        };
-                        (j, v)
-                    })
-                    .collect();
-                ws.kill_row(ri);
-                for (j, v) in fixes {
-                    ws.fix_col(j, v)?;
-                }
-                Ok(())
-            };
-            match sense {
-                RowSense::Le => {
-                    if lo > rhs + VIOL {
-                        return Err(Infeasible);
-                    }
-                    if hi <= rhs + TOL {
-                        ws.kill_row(ri); // never binding
-                    } else if lo >= rhs - TOL && lo.is_finite() {
-                        // Satisfiable only at minimum activity.
-                        force(ws, ri, true)?;
-                    }
-                }
                 RowSense::Eq => {
-                    if lo > rhs + VIOL || hi < rhs - VIOL {
+                    if row.rhs.abs() > VIOL {
                         return Err(Infeasible);
                     }
-                    if lo >= rhs - TOL && lo.is_finite() {
-                        force(ws, ri, true)?;
-                    } else if hi <= rhs + TOL && hi.is_finite() {
-                        force(ws, ri, false)?;
-                    }
+                    ws.kill_row(ri);
+                }
+            }
+            continue;
+        }
+        let (lo, hi) = ws.activity_bounds(row);
+        let rhs = row.rhs;
+        let sense = row.sense;
+        let nterms = row.terms.len();
+        ws.charge(nterms);
+        let force = |ws: &mut Workspace, ri: u32, at_min: bool| -> Result<(), Infeasible> {
+            let fixes: Vec<(usize, f64)> = ws.rows[ri as usize]
+                .terms
+                .iter()
+                .map(|&(j, a)| {
+                    let j = j as usize;
+                    let v = if (a > 0.0) == at_min {
+                        ws.lower[j]
+                    } else {
+                        ws.upper[j]
+                    };
+                    (j, v)
+                })
+                .collect();
+            ws.kill_row(ri);
+            for (j, v) in fixes {
+                ws.fix_col(j, v)?;
+            }
+            Ok(())
+        };
+        match sense {
+            RowSense::Le => {
+                if lo > rhs + VIOL {
+                    return Err(Infeasible);
+                }
+                if hi <= rhs + TOL {
+                    ws.kill_row(ri); // never binding
+                } else if lo >= rhs - TOL && lo.is_finite() {
+                    // Satisfiable only at minimum activity.
+                    force(ws, ri, true)?;
+                }
+            }
+            RowSense::Eq => {
+                if lo > rhs + VIOL || hi < rhs - VIOL {
+                    return Err(Infeasible);
+                }
+                if lo >= rhs - TOL && lo.is_finite() {
+                    force(ws, ri, true)?;
+                } else if hi <= rhs + TOL && hi.is_finite() {
+                    force(ws, ri, false)?;
                 }
             }
         }
-        Ok(ws.changed)
     }
+    Ok(())
 }
 
 /// Hash of a sign-canonical sparse row pattern.
@@ -744,106 +659,97 @@ fn canon_terms_equal(ra: &Row, fa: bool, rb: &Row, fb: bool) -> bool {
 }
 
 /// Duplicate rows merge; opposing duplicates become equalities.
-struct DuplicateRows;
-
-impl Reduction for DuplicateRows {
-    fn name(&self) -> &'static str {
-        "duplicate-rows"
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn apply(&mut self, ws: &mut Workspace) -> Result<bool, Infeasible> {
-        ws.changed = false;
-        // Canonical orientation: flip so the first coefficient is positive.
-        let canon_flip = |row: &Row| -> bool { row.terms.first().is_some_and(|&(_, a)| a < 0.0) };
-        let mut buckets: HashMap<u64, Vec<(u32, bool)>> = HashMap::new();
-        for ri in 0..ws.rows.len() as u32 {
-            if !ws.rows[ri as usize].alive || ws.rows[ri as usize].terms.is_empty() {
+#[allow(clippy::too_many_lines)]
+fn duplicate_rows(ws: &mut Workspace) -> Result<(), Infeasible> {
+    // Canonical orientation: flip so the first coefficient is positive.
+    let canon_flip = |row: &Row| -> bool { row.terms.first().is_some_and(|&(_, a)| a < 0.0) };
+    let mut buckets: HashMap<u64, Vec<(u32, bool)>> = HashMap::new();
+    for ri in 0..ws.rows.len() as u32 {
+        if !ws.rows[ri as usize].alive || ws.rows[ri as usize].terms.is_empty() {
+            continue;
+        }
+        let flip_r = canon_flip(&ws.rows[ri as usize]);
+        let key = pattern_hash(ws.rows[ri as usize].terms.iter(), flip_r);
+        ws.charge(ws.rows[ri as usize].terms.len());
+        let bucket = buckets.entry(key).or_default();
+        let mut merged = false;
+        for &(pi, flip_p) in bucket.iter() {
+            let (prev, cur) = (&ws.rows[pi as usize], &ws.rows[ri as usize]);
+            if !prev.alive || !canon_terms_equal(prev, flip_p, cur, flip_r) {
                 continue;
             }
-            let flip_r = canon_flip(&ws.rows[ri as usize]);
-            let key = pattern_hash(ws.rows[ri as usize].terms.iter(), flip_r);
-            ws.charge(ws.rows[ri as usize].terms.len());
-            let bucket = buckets.entry(key).or_default();
-            let mut merged = false;
-            for &(pi, flip_p) in bucket.iter() {
-                let (prev, cur) = (&ws.rows[pi as usize], &ws.rows[ri as usize]);
-                if !prev.alive || !canon_terms_equal(prev, flip_p, cur, flip_r) {
-                    continue;
+            // Canonical-space view: Eq pins the canonical activity,
+            // an unflipped Le caps it above, a flipped Le caps below.
+            let canon_rhs = |row: &Row, flip: bool| if flip { -row.rhs } else { row.rhs };
+            let (crp, crr) = (canon_rhs(prev, flip_p), canon_rhs(cur, flip_r));
+            match (prev.sense, cur.sense) {
+                (RowSense::Eq, RowSense::Eq) => {
+                    if (crp - crr).abs() > VIOL {
+                        return Err(Infeasible);
+                    }
+                    ws.kill_row(ri);
+                    merged = true;
                 }
-                // Canonical-space view: Eq pins the canonical activity,
-                // an unflipped Le caps it above, a flipped Le caps below.
-                let canon_rhs = |row: &Row, flip: bool| if flip { -row.rhs } else { row.rhs };
-                let (crp, crr) = (canon_rhs(prev, flip_p), canon_rhs(cur, flip_r));
-                match (prev.sense, cur.sense) {
-                    (RowSense::Eq, RowSense::Eq) => {
-                        if (crp - crr).abs() > VIOL {
-                            return Err(Infeasible);
+                (RowSense::Eq, RowSense::Le) | (RowSense::Le, RowSense::Eq) => {
+                    let (eq_rhs, le_rhs, le_flipped, le_row) = if prev.sense == RowSense::Eq {
+                        (crp, crr, flip_r, ri)
+                    } else {
+                        (crr, crp, flip_p, pi)
+                    };
+                    // A flipped Le bounds canonical activity from
+                    // below (its canonical rhs *is* that lower bound);
+                    // an unflipped one caps it from above.
+                    let ok = if le_flipped {
+                        eq_rhs >= le_rhs - VIOL
+                    } else {
+                        eq_rhs <= le_rhs + VIOL
+                    };
+                    if !ok {
+                        return Err(Infeasible);
+                    }
+                    ws.kill_row(le_row);
+                    if le_row == ri {
+                        merged = true;
+                    }
+                }
+                (RowSense::Le, RowSense::Le) => {
+                    if flip_p == flip_r {
+                        // Same orientation: tighter right-hand side wins.
+                        let tighter = ws.rows[pi as usize].rhs.min(ws.rows[ri as usize].rhs);
+                        if (tighter - ws.rows[pi as usize].rhs).abs() > 0.0 {
+                            ws.rows[pi as usize].rhs = tighter;
+                            ws.changed = true;
                         }
                         ws.kill_row(ri);
                         merged = true;
-                    }
-                    (RowSense::Eq, RowSense::Le) | (RowSense::Le, RowSense::Eq) => {
-                        let (eq_rhs, le_rhs, le_flipped, le_row) = if prev.sense == RowSense::Eq {
-                            (crp, crr, flip_r, ri)
+                    } else {
+                        // Opposing pair: lower ≤ canonical activity ≤ upper.
+                        let (upper, lower) = if flip_p {
+                            (crr, -ws.rows[pi as usize].rhs)
                         } else {
-                            (crr, crp, flip_p, pi)
+                            (crp, -ws.rows[ri as usize].rhs)
                         };
-                        // A flipped Le bounds canonical activity from
-                        // below (its canonical rhs *is* that lower bound);
-                        // an unflipped one caps it from above.
-                        let ok = if le_flipped {
-                            eq_rhs >= le_rhs - VIOL
-                        } else {
-                            eq_rhs <= le_rhs + VIOL
-                        };
-                        if !ok {
+                        if lower > upper + VIOL {
                             return Err(Infeasible);
                         }
-                        ws.kill_row(le_row);
-                        if le_row == ri {
-                            merged = true;
-                        }
-                    }
-                    (RowSense::Le, RowSense::Le) => {
-                        if flip_p == flip_r {
-                            // Same orientation: tighter right-hand side wins.
-                            let tighter = ws.rows[pi as usize].rhs.min(ws.rows[ri as usize].rhs);
-                            if (tighter - ws.rows[pi as usize].rhs).abs() > 0.0 {
-                                ws.rows[pi as usize].rhs = tighter;
-                                ws.changed = true;
-                            }
+                        if (upper - lower).abs() <= TOL {
+                            ws.rows[pi as usize].sense = RowSense::Eq;
                             ws.kill_row(ri);
                             merged = true;
-                        } else {
-                            // Opposing pair: lower ≤ canonical activity ≤ upper.
-                            let (upper, lower) = if flip_p {
-                                (crr, -ws.rows[pi as usize].rhs)
-                            } else {
-                                (crp, -ws.rows[ri as usize].rhs)
-                            };
-                            if lower > upper + VIOL {
-                                return Err(Infeasible);
-                            }
-                            if (upper - lower).abs() <= TOL {
-                                ws.rows[pi as usize].sense = RowSense::Eq;
-                                ws.kill_row(ri);
-                                merged = true;
-                                ws.changed = true;
-                            }
+                            ws.changed = true;
                         }
                     }
                 }
-                if merged {
-                    break;
-                }
             }
-            if !merged && ws.rows[ri as usize].alive {
-                buckets.entry(key).or_default().push((ri, flip_r));
+            if merged {
+                break;
             }
         }
-        Ok(ws.changed)
+        if !merged && ws.rows[ri as usize].alive {
+            buckets.entry(key).or_default().push((ri, flip_r));
+        }
     }
+    Ok(())
 }
 
 /// Doubleton equalities `a·u − a·w = 0` prove `w ≡ u`: merge the columns.
@@ -852,237 +758,199 @@ impl Reduction for DuplicateRows {
 /// ILPs: `s ≤ x` and `x ≤ s` first fuse into `s − x = 0` (duplicate-row
 /// merging), then the `s` column dissolves into `x` here, taking the
 /// equality row with it.
-struct DoubletonEquations;
-
-impl Reduction for DoubletonEquations {
-    fn name(&self) -> &'static str {
-        "doubleton-equations"
-    }
-
-    fn apply(&mut self, ws: &mut Workspace) -> Result<bool, Infeasible> {
-        ws.changed = false;
-        for ri in 0..ws.rows.len() as u32 {
-            let row = &ws.rows[ri as usize];
-            if !row.alive || row.sense != RowSense::Eq || row.terms.len() != 2 || row.rhs != 0.0 {
-                continue;
-            }
-            let ((c1, a1), (c2, a2)) = (row.terms[0], row.terms[1]);
-            // Only the exact `w = u` shape (equal magnitude, opposite
-            // sign, same variable class) merges; anything else would need
-            // scaling or complement bookkeeping.
-            if a1 != -a2 || ws.ty[c1 as usize] != ws.ty[c2 as usize] {
-                continue;
-            }
-            ws.kill_row(ri);
-            ws.substitute_equal(c2 as usize, c1 as usize)?;
+fn doubleton_equations(ws: &mut Workspace) -> Result<(), Infeasible> {
+    for ri in 0..ws.rows.len() as u32 {
+        let row = &ws.rows[ri as usize];
+        if !row.alive || row.sense != RowSense::Eq || row.terms.len() != 2 || row.rhs != 0.0 {
+            continue;
         }
-        Ok(ws.changed)
+        let ((c1, a1), (c2, a2)) = (row.terms[0], row.terms[1]);
+        // Only the exact `w = u` shape (equal magnitude, opposite
+        // sign, same variable class) merges; anything else would need
+        // scaling or complement bookkeeping.
+        if a1 != -a2 || ws.ty[c1 as usize] != ws.ty[c2 as usize] {
+            continue;
+        }
+        ws.kill_row(ri);
+        ws.substitute_equal(c2 as usize, c1 as usize)?;
     }
+    Ok(())
 }
 
 /// Dominated columns are fixed at their cost-preferred bound.
-struct DominatedColumns;
-
-impl Reduction for DominatedColumns {
-    fn name(&self) -> &'static str {
-        "dominated-columns"
-    }
-
-    fn apply(&mut self, ws: &mut Workspace) -> Result<bool, Infeasible> {
-        ws.changed = false;
-        for j in 0..ws.num_cols() {
-            if ws.removed[j] {
+fn dominated_columns(ws: &mut Workspace) -> Result<(), Infeasible> {
+    for j in 0..ws.num_cols() {
+        if ws.removed[j] {
+            continue;
+        }
+        // Orientation over the live rows: "consuming" columns only eat
+        // `≤` slack as they grow; "helping" columns only create it.
+        let mut consuming = true;
+        let mut helping = true;
+        for k in 0..ws.col_rows[j].len() {
+            let ri = ws.col_rows[j][k];
+            if !ws.rows[ri as usize].alive {
                 continue;
             }
-            // Orientation over the live rows: "consuming" columns only eat
-            // `≤` slack as they grow; "helping" columns only create it.
-            let mut consuming = true;
-            let mut helping = true;
-            for k in 0..ws.col_rows[j].len() {
-                let ri = ws.col_rows[j][k];
-                if !ws.rows[ri as usize].alive {
-                    continue;
-                }
-                let Some(a) = ws.coeff_of(ri, j as u32) else {
-                    continue;
-                };
-                ws.charge(1);
-                if ws.rows[ri as usize].sense == RowSense::Eq {
-                    consuming = false;
-                    helping = false;
-                    break;
-                }
-                if a > 0.0 {
-                    helping = false;
-                } else if a < 0.0 {
-                    consuming = false;
-                }
-                if !consuming && !helping {
-                    break;
-                }
+            let Some(a) = ws.coeff_of(ri, j as u32) else {
+                continue;
+            };
+            ws.charge(1);
+            if ws.rows[ri as usize].sense == RowSense::Eq {
+                consuming = false;
+                helping = false;
+                break;
             }
-            let c = ws.obj[j];
-            if consuming && c >= 0.0 && ws.lower[j].is_finite() {
-                ws.fix_col(j, ws.lower[j])?;
-            } else if helping && c <= 0.0 && ws.upper[j].is_finite() {
-                ws.fix_col(j, ws.upper[j])?;
+            if a > 0.0 {
+                helping = false;
+            } else if a < 0.0 {
+                consuming = false;
+            }
+            if !consuming && !helping {
+                break;
             }
         }
-        Ok(ws.changed)
+        let c = ws.obj[j];
+        if consuming && c >= 0.0 && ws.lower[j].is_finite() {
+            ws.fix_col(j, ws.lower[j])?;
+        } else if helping && c <= 0.0 && ws.upper[j].is_finite() {
+            ws.fix_col(j, ws.upper[j])?;
+        }
     }
+    Ok(())
+}
+
+/// Live `(row, coeff)` pattern of column `j`, sorted by row.
+fn column_pattern(ws: &Workspace, j: usize) -> Vec<(u32, f64)> {
+    let mut pat: Vec<(u32, f64)> = ws.col_rows[j]
+        .iter()
+        .filter(|&&ri| ws.rows[ri as usize].alive)
+        .filter_map(|&ri| ws.coeff_of(ri, j as u32).map(|a| (ri, a)))
+        .collect();
+    pat.sort_unstable_by_key(|&(ri, _)| ri);
+    pat.dedup_by_key(|&mut (ri, _)| ri);
+    pat
+}
+
+/// Whether some shared row caps `x_j + x_k ≤ 1`: a `≤`/`=` row with
+/// right-hand side ≤ 1, both coefficients ≥ 1, and every other term's
+/// contribution provably non-negative.
+fn has_cap_row(ws: &Workspace, pat: &[(u32, f64)], j: u32, k: u32) -> bool {
+    pat.iter().any(|&(ri, a)| {
+        let row = &ws.rows[ri as usize];
+        if a < 1.0 - TOL || row.rhs > 1.0 + TOL {
+            return false;
+        }
+        row.terms.iter().all(|&(c, ac)| {
+            if c == j || c == k {
+                ac >= 1.0 - TOL
+            } else {
+                ac >= -TOL && ws.lower[c as usize] >= -TOL
+            }
+        })
+    })
 }
 
 /// Duplicate binary columns under a packing row: fix the costlier twin.
-struct DuplicateColumns;
-
-impl DuplicateColumns {
-    /// Live `(row, coeff)` pattern of column `j`, sorted by row.
-    fn pattern(ws: &Workspace, j: usize) -> Vec<(u32, f64)> {
-        let mut pat: Vec<(u32, f64)> = ws.col_rows[j]
-            .iter()
-            .filter(|&&ri| ws.rows[ri as usize].alive)
-            .filter_map(|&ri| ws.coeff_of(ri, j as u32).map(|a| (ri, a)))
-            .collect();
-        pat.sort_unstable_by_key(|&(ri, _)| ri);
-        pat.dedup_by_key(|&mut (ri, _)| ri);
-        pat
-    }
-
-    /// Whether some shared row caps `x_j + x_k ≤ 1`: a `≤`/`=` row with
-    /// right-hand side ≤ 1, both coefficients ≥ 1, and every other term's
-    /// contribution provably non-negative.
-    fn has_cap_row(ws: &Workspace, pat: &[(u32, f64)], j: u32, k: u32) -> bool {
-        pat.iter().any(|&(ri, a)| {
-            let row = &ws.rows[ri as usize];
-            if a < 1.0 - TOL || row.rhs > 1.0 + TOL {
-                return false;
-            }
-            row.terms.iter().all(|&(c, ac)| {
-                if c == j || c == k {
-                    ac >= 1.0 - TOL
-                } else {
-                    ac >= -TOL && ws.lower[c as usize] >= -TOL
-                }
-            })
-        })
-    }
-}
-
-impl Reduction for DuplicateColumns {
-    fn name(&self) -> &'static str {
-        "duplicate-columns"
-    }
-
-    fn apply(&mut self, ws: &mut Workspace) -> Result<bool, Infeasible> {
-        ws.changed = false;
-        let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
-        for j in 0..ws.num_cols() {
-            if ws.removed[j] || ws.ty[j] != VarType::Binary {
-                continue;
-            }
-            let pat = Self::pattern(ws, j);
-            if pat.is_empty() {
-                continue;
-            }
-            ws.charge(pat.len());
-            let key = pattern_hash(pat.iter(), false);
-            let bucket = buckets.entry(key).or_default();
-            let mut fixed_self = false;
-            for &k in bucket.iter() {
-                if ws.removed[k] {
-                    continue;
-                }
-                let pk = Self::pattern(ws, k);
-                if pk != pat || !Self::has_cap_row(ws, &pat, j as u32, k as u32) {
-                    continue;
-                }
-                // At most one of the twins can be 1; drop the costlier
-                // (ties keep the earlier column).
-                if ws.obj[k] <= ws.obj[j] {
-                    ws.fix_col(j, 0.0)?;
-                    fixed_self = true;
-                } else {
-                    ws.fix_col(k, 0.0)?;
-                }
-                break;
-            }
-            if !fixed_self {
-                buckets.entry(key).or_default().push(j);
-            }
+fn duplicate_columns(ws: &mut Workspace) -> Result<(), Infeasible> {
+    let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
+    for j in 0..ws.num_cols() {
+        if ws.removed[j] || ws.ty[j] != VarType::Binary {
+            continue;
         }
-        Ok(ws.changed)
+        let pat = column_pattern(ws, j);
+        if pat.is_empty() {
+            continue;
+        }
+        ws.charge(pat.len());
+        let key = pattern_hash(pat.iter(), false);
+        let bucket = buckets.entry(key).or_default();
+        let mut fixed_self = false;
+        for &k in bucket.iter() {
+            if ws.removed[k] {
+                continue;
+            }
+            let pk = column_pattern(ws, k);
+            if pk != pat || !has_cap_row(ws, &pat, j as u32, k as u32) {
+                continue;
+            }
+            // At most one of the twins can be 1; drop the costlier
+            // (ties keep the earlier column).
+            if ws.obj[k] <= ws.obj[j] {
+                ws.fix_col(j, 0.0)?;
+                fixed_self = true;
+            } else {
+                ws.fix_col(k, 0.0)?;
+            }
+            break;
+        }
+        if !fixed_self {
+            buckets.entry(key).or_default().push(j);
+        }
     }
+    Ok(())
 }
 
 /// Coefficient tightening and implied fixing on all-binary `≤` rows.
-struct CoefficientTightening;
-
-impl Reduction for CoefficientTightening {
-    fn name(&self) -> &'static str {
-        "coefficient-tightening"
-    }
-
-    fn apply(&mut self, ws: &mut Workspace) -> Result<bool, Infeasible> {
-        ws.changed = false;
-        for ri in 0..ws.rows.len() {
-            let row = &ws.rows[ri];
-            if !row.alive || row.sense != RowSense::Le || row.terms.is_empty() {
-                continue;
-            }
-            let all_binary = row.terms.iter().all(|&(j, _)| {
-                let j = j as usize;
-                ws.ty[j] == VarType::Binary && !ws.removed[j]
-            });
-            if !all_binary {
-                continue;
-            }
-            let (lo, hi) = ws.activity_bounds(row);
-            let rhs = row.rhs;
-            if hi <= rhs + TOL {
-                ws.charge(ws.rows[ri].terms.len());
-                continue; // redundant: the row pass removes it
-            }
-            // Implied fixing: a term whose forced side overshoots the
-            // right-hand side even at minimum activity elsewhere.
-            let mut fixes: Vec<(usize, f64)> = Vec::new();
-            for &(j, a) in &row.terms {
-                if a > 0.0 && lo + a > rhs + VIOL {
-                    fixes.push((j as usize, 0.0)); // x_j = 1 impossible
-                } else if a < 0.0 && lo - a > rhs + VIOL {
-                    fixes.push((j as usize, 1.0)); // x_j = 0 impossible
-                }
-            }
+fn coefficient_tightening(ws: &mut Workspace) -> Result<(), Infeasible> {
+    for ri in 0..ws.rows.len() {
+        let row = &ws.rows[ri];
+        if !row.alive || row.sense != RowSense::Le || row.terms.is_empty() {
+            continue;
+        }
+        let all_binary = row.terms.iter().all(|&(j, _)| {
+            let j = j as usize;
+            ws.ty[j] == VarType::Binary && !ws.removed[j]
+        });
+        if !all_binary {
+            continue;
+        }
+        let (lo, hi) = ws.activity_bounds(row);
+        let rhs = row.rhs;
+        if hi <= rhs + TOL {
             ws.charge(ws.rows[ri].terms.len());
-            if !fixes.is_empty() {
-                for (j, v) in fixes {
-                    ws.fix_col(j, v)?;
-                }
-                continue; // row changed: revisit next round
-            }
-            // Classic tightening: a' = maxact − rhs, rhs' = maxact − a
-            // preserves the 0/1 solution set exactly (both cases of x_j
-            // reduce to the same residual constraint) while shrinking the
-            // LP-feasible region.
-            let row = &mut ws.rows[ri];
-            let mut hi = hi;
-            for t in 0..row.terms.len() {
-                let (_, a) = row.terms[t];
-                if a > 0.0 && hi > row.rhs + TOL && hi - a < row.rhs - TOL {
-                    let a_new = hi - row.rhs;
-                    let rhs_new = hi - a;
-                    row.terms[t].1 = a_new;
-                    row.rhs = rhs_new;
-                    hi += a_new - a;
-                    ws.stats.coeffs_tightened += 1;
-                    ws.changed = true;
-                }
+            continue; // redundant: the row pass removes it
+        }
+        // Implied fixing: a term whose forced side overshoots the
+        // right-hand side even at minimum activity elsewhere.
+        let mut fixes: Vec<(usize, f64)> = Vec::new();
+        for &(j, a) in &row.terms {
+            if a > 0.0 && lo + a > rhs + VIOL {
+                fixes.push((j as usize, 0.0)); // x_j = 1 impossible
+            } else if a < 0.0 && lo - a > rhs + VIOL {
+                fixes.push((j as usize, 1.0)); // x_j = 0 impossible
             }
         }
-        Ok(ws.changed)
+        ws.charge(ws.rows[ri].terms.len());
+        if !fixes.is_empty() {
+            for (j, v) in fixes {
+                ws.fix_col(j, v)?;
+            }
+            continue; // row changed: revisit next round
+        }
+        // Classic tightening: a' = maxact − rhs, rhs' = maxact − a
+        // preserves the 0/1 solution set exactly (both cases of x_j
+        // reduce to the same residual constraint) while shrinking the
+        // LP-feasible region.
+        let row = &mut ws.rows[ri];
+        let mut hi = hi;
+        for t in 0..row.terms.len() {
+            let (_, a) = row.terms[t];
+            if a > 0.0 && hi > row.rhs + TOL && hi - a < row.rhs - TOL {
+                let a_new = hi - row.rhs;
+                let rhs_new = hi - a;
+                row.terms[t].1 = a_new;
+                row.rhs = rhs_new;
+                hi += a_new - a;
+                ws.stats.coeffs_tightened += 1;
+                ws.changed = true;
+            }
+        }
     }
+    Ok(())
 }
 
-/// The set-packing clique criterion shared by [`CliqueExtraction`]
+/// The set-packing clique criterion shared by [`extract_cliques`]
 /// (membership counts into branching priorities) and the clique export
 /// on [`PresolvedModel`] — one predicate so the two can never drift: a
 /// live row of ≥ 2 binary, unremoved columns with coefficients ≥ 1 and a
@@ -1097,88 +965,54 @@ fn is_packing_clique(row: &Row, ty: &[VarType], removed: &[bool]) -> bool {
         })
 }
 
-/// Counts set-packing cliques into per-column membership counts.
-struct CliqueExtraction;
-
-impl Reduction for CliqueExtraction {
-    fn name(&self) -> &'static str {
-        "clique-extraction"
-    }
-
-    fn apply(&mut self, ws: &mut Workspace) -> Result<bool, Infeasible> {
-        ws.stats.cliques = 0;
-        for count in &mut ws.clique_count {
-            *count = 0;
+/// Counts set-packing cliques into per-column membership counts. An
+/// analysis pass: it runs once, after the fixpoint, and removes or
+/// changes no row or column.
+fn extract_cliques(ws: &mut Workspace) {
+    for row in &ws.rows {
+        if !is_packing_clique(row, &ws.ty, &ws.removed) {
+            continue;
         }
-        for row in &ws.rows {
-            if !is_packing_clique(row, &ws.ty, &ws.removed) {
-                continue;
-            }
-            ws.stats.cliques += 1;
-            for &(j, _) in &row.terms {
-                ws.clique_count[j as usize] += 1;
-            }
+        ws.stats.cliques += 1;
+        for &(j, _) in &row.terms {
+            ws.clique_count[j as usize] += 1;
         }
-        ws.stats.work_ticks += ws.rows.len() as u64;
-        Ok(false) // analysis only: never re-triggers the fixpoint
     }
+    ws.stats.work_ticks += ws.rows.len() as u64;
 }
 
-/// Runs the configured reduction stack to a fixpoint and builds the
+/// Runs the reductions to a fixpoint, extracts the cliques and builds the
 /// reduced model.
 #[must_use]
-pub fn presolve(model: &Model, config: &PresolveConfig) -> PresolveOutcome {
+pub fn presolve(model: &Model) -> PresolveOutcome {
     let mut ws = Workspace::new(model);
-    if !config.enabled {
-        let stats = PresolveStats {
-            nnz_after: ws.stats.nnz_before,
-            ..ws.stats
-        };
-        ws.stats = stats;
-        return PresolveOutcome::Reduced(build_reduced(model, ws, config));
-    }
-    let mut stack: Vec<Box<dyn Reduction>> = vec![
-        Box::new(SingletonRows),
-        Box::new(FixedColumns),
-        Box::new(RedundantRows),
-    ];
-    if config.duplicate_rows {
-        stack.push(Box::new(DuplicateRows));
-    }
-    if config.substitute_doubletons {
-        stack.push(Box::new(DoubletonEquations));
-    }
-    if config.dominated_columns {
-        stack.push(Box::new(DominatedColumns));
-    }
-    if config.duplicate_columns {
-        stack.push(Box::new(DuplicateColumns));
-    }
-    if config.coefficient_tightening {
-        stack.push(Box::new(CoefficientTightening));
-    }
-    for _ in 0..config.max_rounds {
-        let mut any = false;
-        for reduction in &mut stack {
-            match reduction.apply(&mut ws) {
-                Ok(changed) => any |= changed,
-                Err(Infeasible) => {
-                    finish_stats(&mut ws);
-                    return PresolveOutcome::Infeasible(ws.stats);
-                }
+    for _ in 0..MAX_ROUNDS {
+        // Each reduction is one pass over the whole workspace that
+        // records any change in `ws.changed`, or proves infeasibility.
+        ws.changed = false;
+        for reduce in [
+            singleton_rows,
+            fixed_columns,
+            redundant_rows,
+            duplicate_rows,
+            doubleton_equations,
+            dominated_columns,
+            duplicate_columns,
+            coefficient_tightening,
+        ] {
+            if reduce(&mut ws).is_err() {
+                finish_stats(&mut ws);
+                return PresolveOutcome::Infeasible(ws.stats);
             }
         }
         ws.stats.rounds += 1;
-        if !any {
+        if !ws.changed {
             break;
         }
     }
-    if config.clique_priorities {
-        // Analysis pass: never fails, never re-triggers the fixpoint.
-        let _ = CliqueExtraction.apply(&mut ws);
-    }
+    extract_cliques(&mut ws);
     finish_stats(&mut ws);
-    PresolveOutcome::Reduced(build_reduced(model, ws, config))
+    PresolveOutcome::Reduced(build_reduced(model, ws))
 }
 
 fn finish_stats(ws: &mut Workspace) {
@@ -1191,7 +1025,7 @@ fn finish_stats(ws: &mut Workspace) {
 }
 
 /// Materialises the reduced [`Model`] and the [`Postsolve`] stack.
-fn build_reduced(model: &Model, ws: Workspace, config: &PresolveConfig) -> PresolvedModel {
+fn build_reduced(model: &Model, ws: Workspace) -> PresolvedModel {
     let n = ws.num_cols();
     let mut kept: Vec<u32> = Vec::with_capacity(n);
     let mut col_map: Vec<u32> = vec![u32::MAX; n];
@@ -1207,9 +1041,8 @@ fn build_reduced(model: &Model, ws: Workspace, config: &PresolveConfig) -> Preso
             VarType::Binary => {
                 let id = reduced.add_binary(name);
                 // Carry surviving bound tightenings (a collapsed pair the
-                // fixpoint did not get to substitute, or a caller's
-                // fix_binary passing through with presolve disabled) —
-                // add_binary alone would silently widen back to [0, 1].
+                // fixpoint ran out of rounds to substitute) — add_binary
+                // alone would silently widen back to [0, 1].
                 if ws.lower[j] > 0.0 || ws.upper[j] < 1.0 {
                     reduced.set_bounds(id, ws.lower[j], ws.upper[j]);
                 }
@@ -1242,7 +1075,7 @@ fn build_reduced(model: &Model, ws: Workspace, config: &PresolveConfig) -> Preso
     // Branching priorities carry over; clique membership refines the order
     // *within* each priority class (the multiplier keeps classes intact).
     let priorities = model.branch_priorities();
-    let use_cliques = config.clique_priorities && ws.stats.cliques > 0;
+    let use_cliques = ws.stats.cliques > 0;
     for (new_j, &old_j) in kept.iter().enumerate() {
         let base = priorities[old_j as usize];
         let p = if use_cliques {
@@ -1259,7 +1092,7 @@ fn build_reduced(model: &Model, ws: Workspace, config: &PresolveConfig) -> Preso
     // criterion clique extraction counts, materialised for the root cut
     // separator's conflict graph.
     let mut cliques = Vec::new();
-    if config.clique_priorities && ws.stats.cliques > 0 {
+    if use_cliques {
         for row in &ws.rows {
             if is_packing_clique(row, &ws.ty, &ws.removed) {
                 cliques.push(
@@ -1289,7 +1122,7 @@ mod tests {
     use crate::Model;
 
     fn reduced(model: &Model) -> PresolvedModel {
-        match presolve(model, &PresolveConfig::default()) {
+        match presolve(model) {
             PresolveOutcome::Reduced(p) => p,
             PresolveOutcome::Infeasible(_) => panic!("unexpected infeasibility"),
         }
@@ -1311,7 +1144,7 @@ mod tests {
         m.add_constraint("tight", m.expr([(x, 1.0)]).leq(1.0 - 5e-7));
         m.set_objective(m.expr([(x, 1.0)]));
         assert!(m.is_feasible(&[1.0], 1e-6), "solver-side check accepts");
-        match presolve(&m, &PresolveConfig::default()) {
+        match presolve(&m) {
             PresolveOutcome::Reduced(p) => {
                 let restored = p
                     .postsolve
@@ -1328,10 +1161,7 @@ mod tests {
         m.fix_binary(x, true);
         m.add_constraint("tight", m.expr([(x, 1.0)]).leq(1.0 - 2e-6));
         m.set_objective(m.expr([(x, 1.0)]));
-        assert!(matches!(
-            presolve(&m, &PresolveConfig::default()),
-            PresolveOutcome::Infeasible(_)
-        ));
+        assert!(matches!(presolve(&m), PresolveOutcome::Infeasible(_)));
     }
 
     #[test]
@@ -1445,10 +1275,7 @@ mod tests {
         m.add_constraint("eq", m.expr([(x, 1.0), (y, 1.0)]).eq(2.0));
         m.add_constraint("lb", m.expr([(x, 1.0), (y, 1.0)]).geq(3.0));
         m.set_objective(m.expr([(x, 1.0)]));
-        assert!(matches!(
-            presolve(&m, &PresolveConfig::default()),
-            PresolveOutcome::Infeasible(_)
-        ));
+        assert!(matches!(presolve(&m), PresolveOutcome::Infeasible(_)));
         // The mirror case is implied, not contradictory: the ≥ −3 row is
         // absorbed and the model stays feasible.
         let mut m = Model::new();
@@ -1464,18 +1291,16 @@ mod tests {
 
     #[test]
     fn surviving_binary_bounds_carry_into_reduced_model() {
-        // With presolve disabled no reduction substitutes the fixing, so
-        // the bound itself must survive into the rebuilt model.
+        // A fixing the fixpoint ran out of rounds to substitute: rebuilt
+        // from a workspace no reduction touched, the bound itself must
+        // survive into the reduced model.
         let mut m = Model::new();
         let x = m.add_binary("x");
         let y = m.add_binary("y");
         m.fix_binary(x, true);
         m.add_constraint("c", m.expr([(x, 1.0), (y, 1.0)]).leq(2.0));
         m.set_objective(m.expr([(x, 1.0), (y, 1.0)]));
-        let p = match presolve(&m, &PresolveConfig::off()) {
-            PresolveOutcome::Reduced(p) => p,
-            PresolveOutcome::Infeasible(_) => panic!("feasible model"),
-        };
+        let p = build_reduced(&m, Workspace::new(&m));
         assert_eq!(p.postsolve.num_reduced_vars(), 2);
         let xv = &p.model.variables()[x.index()];
         assert_eq!((xv.lower, xv.upper), (1.0, 1.0));
@@ -1494,10 +1319,7 @@ mod tests {
         m.add_constraint("a", m.expr([(x, 1.0), (y, 1.0)]).eq(2.0));
         m.add_constraint("b", m.expr([(x, 1.0), (y, 1.0)]).eq(5.0));
         m.set_objective(m.expr([(x, 1.0)]));
-        assert!(matches!(
-            presolve(&m, &PresolveConfig::default()),
-            PresolveOutcome::Infeasible(_)
-        ));
+        assert!(matches!(presolve(&m), PresolveOutcome::Infeasible(_)));
     }
 
     #[test]
@@ -1507,10 +1329,7 @@ mod tests {
         m.add_constraint("ge", m.expr([(x, 1.0)]).geq(1.0));
         m.add_constraint("le", m.expr([(x, 1.0)]).leq(0.0));
         m.set_objective(m.expr([(x, 1.0)]));
-        assert!(matches!(
-            presolve(&m, &PresolveConfig::default()),
-            PresolveOutcome::Infeasible(_)
-        ));
+        assert!(matches!(presolve(&m), PresolveOutcome::Infeasible(_)));
     }
 
     #[test]
@@ -1551,20 +1370,13 @@ mod tests {
         let mut m = Model::new();
         let x = m.add_binary("x");
         let y = m.add_binary("y");
-        // 5x + y ≤ 5: x = 1 forces y = 0; tightening yields x + ... with
-        // the same 0/1 solutions but a tighter LP. Duplicate-column
-        // merging is off here: it would (validly) fix one of the twins
-        // the tightening creates, which this test is not about.
-        m.add_constraint("k", m.expr([(x, 5.0), (y, 1.0)]).leq(5.0));
+        // 5x + 2y ≤ 5: x = 1 forces y = 0; tightening yields 2x + 2y ≤ 2
+        // with the same 0/1 solutions but a tighter LP. Its right-hand
+        // side of 2 is no packing row, so duplicate-column fixing leaves
+        // the two equal columns alone.
+        m.add_constraint("k", m.expr([(x, 5.0), (y, 2.0)]).leq(5.0));
         m.set_objective(m.expr([(x, -1.0), (y, -1.0)]));
-        let cfg = PresolveConfig {
-            duplicate_columns: false,
-            ..PresolveConfig::default()
-        };
-        let p = match presolve(&m, &cfg) {
-            PresolveOutcome::Reduced(p) => p,
-            PresolveOutcome::Infeasible(_) => panic!("feasible model"),
-        };
+        let p = reduced(&m);
         assert!(p.stats.coeffs_tightened >= 1, "stats: {:?}", p.stats);
         // The 0/1 solution set must be preserved.
         for (xv, yv) in [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)] {
@@ -1639,20 +1451,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn disabled_presolve_is_identity() {
-        let mut m = Model::new();
-        let x = m.add_binary("x");
-        m.fix_binary(x, true);
-        m.set_objective(m.expr([(x, 1.0)]));
-        let p = match presolve(&m, &PresolveConfig::off()) {
-            PresolveOutcome::Reduced(p) => p,
-            PresolveOutcome::Infeasible(_) => panic!("must not run reductions"),
-        };
-        assert_eq!(p.postsolve.num_reduced_vars(), 1);
-        assert_eq!(p.stats.cols_removed, 0);
     }
 
     #[test]

@@ -12,16 +12,15 @@
 //!
 //! The dual simplex selects its leaving row with **Devex
 //! reference-framework pricing** (violation² over an evolving row weight;
-//! the default), exact **dual steepest-edge** weights
+//! the default) or exact **dual steepest-edge** weights
 //! ([`PricingRule::SteepestEdge`]: `violation² / ‖e_r B⁻¹‖²`, maintained
 //! by the Forrest–Goldfarb recurrence at the cost of one extra FTRAN per
 //! pivot, degrading to the Devex framework when weight drift is
-//! detected), or plain Dantzig largest-violation — with Bland-style
-//! lowest-index selection under stalls in every mode. It then runs a
-//! **bound-flipping dual ratio test**: boxed candidates whose dual ratio
-//! is passed by the step are flipped to their other bound — one FTRAN
-//! folds all flips into `β` — which lets one iteration absorb many
-//! would-be degenerate pivots.
+//! detected), with Bland-style lowest-index selection under stalls in
+//! either mode. It then runs a **bound-flipping dual ratio test**: boxed
+//! candidates whose dual ratio is passed by the step are flipped to their
+//! other bound — one FTRAN folds all flips into `β` — which lets one
+//! iteration absorb many would-be degenerate pivots.
 //!
 //! Per-iteration work is kept proportional to what the iteration touches,
 //! not to the problem size: the BTRAN/FTRAN results carry their non-zero
@@ -53,8 +52,9 @@
 //! place and the basis is reinstalled from the snapshot with one sparse
 //! refactorisation, still far cheaper than a cold solve.
 //!
-//! Any situation the engine cannot handle — a dual-infeasible start (e.g.
-//! an improving direction with an infinite bound), a singular warm basis,
+//! Any situation the engine cannot handle — a dual-infeasible start (an
+//! improving direction with an infinite bound, or a free column, which
+//! has no finite bound to start from), a singular warm basis,
 //! numerical trouble, or a final solution that fails verification — makes
 //! it bail out: a failed warm start retries cold, a failed perturbed cold
 //! start retries unperturbed, and a solve that fails all of them is
@@ -223,16 +223,6 @@ struct Engine {
     work: u64,
 }
 
-/// Normalises one structural bound pair: free variables are pinned at a
-/// pseudo lower bound of zero (croxmap models never produce them).
-fn norm_bounds(l: f64, u: f64) -> (f64, f64) {
-    if !l.is_finite() && !u.is_finite() {
-        (0.0, u)
-    } else {
-        (l, u)
-    }
-}
-
 impl Engine {
     /// Loads `model` under `bounds` and `config`, whatever the engine held
     /// before: afterwards it is in the state a newly built engine would
@@ -256,7 +246,7 @@ impl Engine {
         refill(&mut self.lower, n_total, 0.0);
         refill(&mut self.upper, n_total, f64::INFINITY);
         for j in 0..n {
-            (self.lower[j], self.upper[j]) = norm_bounds(bounds[j].0, bounds[j].1);
+            (self.lower[j], self.upper[j]) = bounds[j];
         }
         refill(&mut self.rhs, m, 0.0);
         for (i, con) in model.constraints().iter().enumerate() {
@@ -358,13 +348,15 @@ impl Engine {
     /// reduced costs untouched (dual feasibility is unaffected by bound
     /// *values*). Returns `false` when a bound change forced a nonbasic
     /// column onto its other side and the stored reduced cost is dual
-    /// infeasible there — the caller must then reinstall (and reprice)
-    /// instead.
+    /// infeasible there, or freed a nonbasic column (both bounds
+    /// infinite, so no side to rest on). Either way the installed basis
+    /// no longer fits the bounds: the caller must reload the engine
+    /// instead of running it.
     fn retarget_bounds(&mut self, bounds: &[(f64, f64)]) -> bool {
         let mut flips_ok = true;
         let mut any = false;
         for j in 0..self.n {
-            let (nl, nu) = norm_bounds(bounds[j].0, bounds[j].1);
+            let (nl, nu) = bounds[j];
             if nl.to_bits() == self.lower[j].to_bits() && nu.to_bits() == self.upper[j].to_bits() {
                 continue;
             }
@@ -392,6 +384,12 @@ impl Engine {
                     VarStatus::AtUpper => self.d[j] <= DFEAS,
                     VarStatus::Basic => unreachable!(),
                 };
+            }
+            // A free column has no finite side to rest on: only the
+            // reinstall (which reloads every vector) can judge the basis.
+            if !nl.is_finite() && !nu.is_finite() {
+                flips_ok = false;
+                continue;
             }
             // Keep the nonbasic column on a finite side; a side switch is
             // only dual feasible if the reduced cost sign allows it.
@@ -589,7 +587,8 @@ impl Engine {
     }
 
     /// All-slack dual-feasible start. Returns `false` when no dual-feasible
-    /// nonbasic point exists (improving direction with an infinite bound).
+    /// nonbasic point exists: an improving direction with an infinite
+    /// bound, or a free column, which has no finite bound to rest on.
     fn cold_start(&mut self) -> bool {
         for j in 0..self.n {
             let c = self.cost[j];
@@ -605,8 +604,10 @@ impl Engine {
                 VarStatus::AtUpper
             } else if self.lower[j].is_finite() {
                 VarStatus::AtLower
-            } else {
+            } else if self.upper[j].is_finite() {
                 VarStatus::AtUpper
+            } else {
+                return false;
             };
         }
         for i in 0..self.m {
@@ -652,24 +653,22 @@ impl Engine {
         for (i, &c) in self.basis.iter().enumerate() {
             self.in_row[c] = i;
         }
-        // Nonbasic statuses must sit on finite bounds.
+        // Nonbasic statuses must sit on finite bounds; a nonbasic free
+        // column has none, so the snapshot is unusable.
         for j in 0..self.n_total {
             match self.status[j] {
                 VarStatus::Basic => {}
                 VarStatus::AtLower if !self.lower[j].is_finite() => {
-                    if self.upper[j].is_finite() {
-                        self.status[j] = VarStatus::AtUpper;
-                    } else {
-                        self.lower[j] = 0.0;
+                    if !self.upper[j].is_finite() {
+                        return false;
                     }
+                    self.status[j] = VarStatus::AtUpper;
                 }
                 VarStatus::AtUpper if !self.upper[j].is_finite() => {
-                    if self.lower[j].is_finite() {
-                        self.status[j] = VarStatus::AtLower;
-                    } else {
-                        self.lower[j] = 0.0;
-                        self.status[j] = VarStatus::AtLower;
+                    if !self.lower[j].is_finite() {
+                        return false;
                     }
+                    self.status[j] = VarStatus::AtLower;
                 }
                 _ => {}
             }
@@ -724,11 +723,7 @@ impl Engine {
     /// either as the configured rule or as the fallback for drifted
     /// steepest-edge weights.
     fn devex_active(&self) -> bool {
-        match self.pricing {
-            PricingRule::Devex => true,
-            PricingRule::SteepestEdge => !self.dse_ok,
-            PricingRule::Dantzig => false,
-        }
+        self.pricing == PricingRule::Devex || !self.dse_ok
     }
 
     /// Forrest–Goldfarb steepest-edge recurrence for one pivot: row `r`
@@ -975,9 +970,9 @@ impl Engine {
             "alpha scratch dirty without its flag"
         );
         loop {
-            // --- Leaving row: Devex-weighted (or plain largest) violation;
-            // under stall, the violated row with the smallest basic column
-            // index (Bland-like). ---
+            // --- Leaving row: the largest weighted violation `v² / γᵢ`
+            // (Devex or steepest-edge weights); under stall, the violated
+            // row with the smallest basic column index (Bland-like). ---
             let bland = stall > STALL_LIMIT;
             // Devex reference-framework lifecycle: the weights approximate
             // steepest-edge norms *relative to the basis at the last
@@ -999,23 +994,18 @@ impl Engine {
             }
             let mut leave: Option<(usize, f64)> = None; // (row, score)
             let mut total_infeasibility = 0.0;
+            let weights = if self.devex_active() {
+                &self.devex
+            } else {
+                &self.dse
+            };
             for i in 0..self.m {
                 let (v, _) = self.violation(i);
                 if v <= 0.0 {
                     continue;
                 }
                 total_infeasibility += v;
-                let score = match self.pricing {
-                    PricingRule::Devex => v * v / self.devex[i],
-                    PricingRule::Dantzig => v,
-                    PricingRule::SteepestEdge => {
-                        if self.dse_ok {
-                            v * v / self.dse[i]
-                        } else {
-                            v * v / self.devex[i]
-                        }
-                    }
-                };
+                let score = v * v / weights[i];
                 let better = if bland {
                     leave.is_none_or(|(r, _)| self.basis[i] < self.basis[r])
                 } else {
@@ -1521,7 +1511,8 @@ impl LpContext {
                     run(engine, model, config)
                 } else {
                     // A bound change flipped a nonbasic column onto a dual
-                    // infeasible side: must reinstall and reprice.
+                    // infeasible side, or freed one: must reinstall and
+                    // reprice.
                     None
                 };
                 let spent = engine.work;
@@ -1595,8 +1586,9 @@ impl LpContext {
                 engine.apply_perturbation(config.perturb_seed);
             }
             if !engine.cold_start() {
-                // Perturbed costs can flip a free column's preferred bound
-                // onto an infinite side; the unperturbed retry decides.
+                // Perturbed costs can flip a zero-cost column's preferred
+                // bound onto an infinite side; the unperturbed retry
+                // decides.
                 carried_work = engine.work;
                 carried_stats.merge(&engine.factor.take_stats());
                 if perturb {
@@ -2088,19 +2080,6 @@ mod tests {
         m.set_objective(m.expr([(y, -1.0)]));
         let bounds = vec![(0.0, f64::INFINITY); 2];
         assert!(solve(&m, &bounds, &cfg(), None).is_none());
-    }
-
-    #[test]
-    fn dantzig_pricing_still_optimal() {
-        let m = two_var_model();
-        let bounds = vec![(0.0, 10.0), (0.0, 10.0)];
-        let config = LpConfig {
-            pricing: PricingRule::Dantzig,
-            ..LpConfig::default()
-        };
-        let (res, _) = solve(&m, &bounds, &config, None).expect("revised path");
-        assert_eq!(res.status, LpStatus::Optimal);
-        assert!((res.objective + 14.0 / 5.0).abs() < 1e-6);
     }
 
     /// A cover-style LP whose dual solve needs a handful of pivots —

@@ -7,8 +7,8 @@
 //! [`Model`](crate::Model) ([`Model::csc`](crate::Model::csc)); the basis is held as a sparse LU factorisation
 //! ([`crate::factor::LuFactors`]) and columns are priced by sparse dot
 //! products. The dual simplex selects leaving rows by Devex
-//! reference-framework pricing ([`PricingRule`]: Dantzig and exact dual
-//! steepest edge selectable, Bland guard on stalls) and runs a
+//! reference-framework pricing ([`PricingRule`]: exact dual steepest
+//! edge selectable, Bland guard on stalls) and runs a
 //! bound-flipping dual ratio test. It always starts *dual feasible* —
 //! from the all-slack basis on a cold start, or from a caller-supplied
 //! [`Basis`] snapshot on a warm start — so phase 1 is never run.
@@ -94,9 +94,6 @@ pub enum PricingRule {
     /// reference framework. The default.
     #[default]
     Devex,
-    /// Classic Dantzig pricing: the largest violation leaves. Cheapest
-    /// per iteration, often more iterations overall.
-    Dantzig,
     /// Exact dual steepest-edge (Forrest–Goldfarb): rows are scored by
     /// `violation² / ‖B⁻ᵀeᵢ‖²` with exact reference weights, maintained
     /// under basis changes by the standard recurrence (one extra FTRAN
@@ -126,9 +123,6 @@ pub struct LpConfig {
     /// Eta updates / hot basis reuses tolerated before a refactorisation
     /// (replaces the old hard-coded `REFACTOR_EVERY = 64`).
     pub refactor_interval: u32,
-    /// Refactorise when the update file outgrows this multiple of the LU
-    /// fill-in (see [`crate::factor::FactorOpts`]).
-    pub eta_fill_factor: f64,
     /// How pivots are folded into the sparse LU factorisation: in-place
     /// Forrest–Tomlin updates (the default) or the product-form eta file
     /// (kept as the differential-testing oracle).
@@ -157,7 +151,6 @@ impl Default for LpConfig {
             work_limit: u64::MAX,
             pricing: PricingRule::Devex,
             refactor_interval: 96,
-            eta_fill_factor: 3.0,
             update: UpdateRule::default(),
             ordering: MarkowitzOrdering::default(),
             perturb: true,
@@ -167,14 +160,17 @@ impl Default for LpConfig {
 }
 
 impl LpConfig {
-    /// The factorisation policy carried by this configuration.
+    /// The factorisation policy carried by this configuration; the
+    /// update-file fill bound is always [`FactorOpts`]' default.
+    ///
+    /// [`FactorOpts`]: crate::factor::FactorOpts
     #[must_use]
     pub fn factor_opts(&self) -> crate::factor::FactorOpts {
         crate::factor::FactorOpts {
             refactor_interval: self.refactor_interval,
-            eta_fill_factor: self.eta_fill_factor,
             update: self.update,
             ordering: self.ordering,
+            ..crate::factor::FactorOpts::default()
         }
     }
 }

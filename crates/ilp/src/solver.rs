@@ -19,7 +19,7 @@ use crate::expr::{Comparison, VarId};
 use crate::factor::FactorStats;
 use crate::model::{Model, VarType};
 use crate::parallel::{self, Exchange, ParallelMode, ParallelStats};
-use crate::presolve::{presolve, PresolveConfig, PresolveOutcome, PresolveStats};
+use crate::presolve::{presolve, PresolveOutcome, PresolveStats};
 use crate::simplex::{LpConfig, LpStatus, PricingRule, WarmLpResult};
 use crate::solution::{IncumbentEvent, Solution};
 use crate::tol;
@@ -54,17 +54,10 @@ pub struct SolverConfig {
     /// Deterministic-time budget in seconds (see
     /// [`DeterministicClock`]). The solver stops improving when exhausted.
     pub det_time_limit: f64,
-    /// Maximum number of branch-and-bound nodes to expand.
-    pub node_limit: u64,
-    /// Relative optimality gap at which the search stops and reports
-    /// [`SolveStatus::Optimal`].
-    pub gap_tolerance: f64,
     /// RNG seed; fixes the entire solve deterministically.
     pub seed: u64,
     /// Enables periodic large-neighbourhood search around the incumbent.
     pub enable_lns: bool,
-    /// Fraction of binaries released per LNS round.
-    pub lns_destroy_fraction: f64,
     /// Branching rule.
     pub branch_rule: BranchRule,
     /// LP subsolver configuration.
@@ -73,10 +66,11 @@ pub struct SolverConfig {
     /// simplex reoptimisation). Disable to force cold solves everywhere —
     /// useful only for benchmarking the warm-start win itself.
     pub warm_lp: bool,
-    /// Presolve configuration: the model is reduced once at the root
-    /// (rows, columns and nonzeros removed; see [`crate::presolve`]) and
-    /// every incumbent/bound is mapped back through the postsolve stack.
-    pub presolve: PresolveConfig,
+    /// Presolve: when `true` (the default) the model is reduced once at
+    /// the root (rows, columns and nonzeros removed; see
+    /// [`crate::presolve`]) and every incumbent is mapped back through
+    /// the postsolve stack. `false` runs the search on the model as given.
+    pub presolve: bool,
     /// Root cutting-plane rounds: before the tree search, knapsack cover
     /// and clique cuts ([`crate::cuts`]) violated by the root relaxation
     /// are appended to the live session — up to this many
@@ -101,15 +95,12 @@ impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
             det_time_limit: 30.0,
-            node_limit: 200_000,
-            gap_tolerance: tol::GAP_REL,
             seed: 0,
             enable_lns: true,
-            lns_destroy_fraction: 0.3,
             branch_rule: BranchRule::MostFractional,
             lp: LpConfig::default(),
             warm_lp: true,
-            presolve: PresolveConfig::default(),
+            presolve: true,
             cut_rounds: 4,
             threads: 1,
             parallel_mode: ParallelMode::default(),
@@ -119,6 +110,12 @@ impl Default for SolverConfig {
 }
 
 impl SolverConfig {
+    /// Branch-and-bound nodes a solve expands at most (counted over every
+    /// worker in parallel runs); the search stops like on a spent budget.
+    pub(crate) const NODE_LIMIT: u64 = 200_000;
+    /// Share of the binaries each large-neighbourhood search round
+    /// releases; the rest stay frozen at the incumbent's values.
+    pub(crate) const LNS_DESTROY_FRACTION: f64 = 0.3;
     /// Most-violated cuts kept per root separation round. Shared with
     /// the bench harness so the guarded `cuts_root/*` rows measure the
     /// same per-round cap the solver ships.
@@ -160,26 +157,10 @@ impl SolverConfig {
         self
     }
 
-    /// Returns a copy with the given LP subsolver configuration (pricing
-    /// rule, update rule, refactorisation policy, iteration cap).
-    #[must_use]
-    pub fn with_lp(mut self, lp: LpConfig) -> Self {
-        self.lp = lp;
-        self
-    }
-
     /// Returns a copy with the given dual pricing rule.
     #[must_use]
     pub fn with_pricing(mut self, pricing: PricingRule) -> Self {
         self.lp.pricing = pricing;
-        self
-    }
-
-    /// Returns a copy with the given refactorisation cadence (pivot
-    /// updates / hot basis reuses tolerated before a fresh factorisation).
-    #[must_use]
-    pub fn with_refactor_interval(mut self, interval: u32) -> Self {
-        self.lp.refactor_interval = interval;
         self
     }
 
@@ -191,9 +172,10 @@ impl SolverConfig {
         self
     }
 
-    /// Returns a copy with the given presolve configuration.
+    /// Returns a copy with root presolve switched on (the default) or
+    /// off.
     #[must_use]
-    pub fn with_presolve(mut self, presolve: PresolveConfig) -> Self {
+    pub fn with_presolve(mut self, presolve: bool) -> Self {
         self.presolve = presolve;
         self
     }
@@ -758,7 +740,7 @@ impl<'a> Search<'a> {
 
     pub(crate) fn out_of_budget(&self) -> bool {
         self.clock.seconds() >= self.det_limit
-            || self.nodes >= self.cfg.node_limit
+            || self.nodes >= SolverConfig::NODE_LIMIT
             || self.shared.is_some_and(Exchange::exhausted)
     }
 
@@ -1059,7 +1041,7 @@ impl<'a> Search<'a> {
         }
         let mut released = binaries.clone();
         released.shuffle(&mut self.rng);
-        let keep = ((1.0 - self.cfg.lns_destroy_fraction) * binaries.len() as f64) as usize;
+        let keep = ((1.0 - SolverConfig::LNS_DESTROY_FRACTION) * binaries.len() as f64) as usize;
         let frozen = &released[..keep.min(released.len())];
 
         let mut bounds = base_bounds.to_vec();
@@ -1385,7 +1367,7 @@ impl Solver {
             // concrete defect instead of a bare unwrap.
             panic!("solve called with an invalid model: {e}");
         }
-        if !self.config.presolve.enabled {
+        if !self.config.presolve {
             return self.run_search(model, warm, &mut callback, PresolveStats::default(), &[]);
         }
         // The short-circuit exits below happen *before* the first LP
@@ -1393,7 +1375,7 @@ impl Solver {
         // counter) exists yet, so no LP can have failed there; every
         // path that runs LPs reports through `run_search`.
         let pre_search_fallbacks = 0u64;
-        let presolved = match presolve(model, &self.config.presolve) {
+        let presolved = match presolve(model) {
             PresolveOutcome::Infeasible(stats) => {
                 return SolveResult {
                     status: SolveStatus::Infeasible,
@@ -1598,7 +1580,7 @@ impl Solver {
                 } else {
                     search.branch_and_bound(
                         &root_bounds,
-                        self.config.node_limit,
+                        SolverConfig::NODE_LIMIT,
                         remaining,
                         root_warm.map(Rc::new),
                         &mut callback,
@@ -1640,7 +1622,7 @@ impl Solver {
             (Some(sol), _) => {
                 let gap_closed = proved.is_finite()
                     && (sol.objective() - proved).abs()
-                        <= self.config.gap_tolerance * sol.objective().abs().max(1.0);
+                        <= tol::GAP_REL * sol.objective().abs().max(1.0);
                 let exhausted = proved >= sol.objective() - tol::OBJ_AGREE;
                 if gap_closed || exhausted {
                     SolveStatus::Optimal
@@ -1732,6 +1714,32 @@ mod tests {
         );
     }
 
+    /// A free continuous column the LP engine cannot bound: the solver
+    /// may find the true optimum (−5) or prove nothing, but it may never
+    /// report the optimum of the LP with the column pinned at 0.
+    #[test]
+    fn free_column_never_yields_a_wrong_optimum() {
+        let mut m = Model::new();
+        let x = m.add_continuous("x", f64::NEG_INFINITY, f64::INFINITY);
+        let y = m.add_binary("y");
+        m.add_constraint("c", m.expr([(x, 1.0), (y, 1.0)]).geq(-5.0));
+        m.set_objective(m.expr([(x, 1.0), (y, 1.0)]));
+        let r = Solver::new(quick_config()).solve(&m);
+        if r.status == SolveStatus::Optimal {
+            let best = r.best.expect("an optimal solve has an incumbent");
+            assert!(
+                (best.objective() + 5.0).abs() < 1e-6,
+                "{}",
+                best.objective()
+            );
+        }
+        assert!(
+            r.best_bound <= -5.0 + 1e-6,
+            "bound {} cuts off the optimum",
+            r.best_bound
+        );
+    }
+
     /// The three public entry points (`solve`, `solve_with_callback`,
     /// `solve_with_warm_start`) must run the exact same session path: a
     /// rejected warm start and a no-op callback may not perturb a single
@@ -1793,7 +1801,7 @@ mod tests {
         m.add_constraint("p3", m.expr([(a, 1.0), (c, 1.0)]).leq(1.0));
         m.set_objective(m.expr([(a, -1.0), (b, -1.0), (c, -1.0)]));
         // Presolve off isolates the cut loop (no reductions interfering).
-        let cfg = quick_config().with_presolve(PresolveConfig::off());
+        let cfg = quick_config().with_presolve(false);
         let r = Solver::new(cfg).solve(&m);
         assert_eq!(r.status, SolveStatus::Optimal);
         assert!((r.best.unwrap().objective() + 1.0).abs() < 1e-6);

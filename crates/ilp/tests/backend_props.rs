@@ -22,13 +22,12 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// Pricing rule under test: `CROXMAP_TEST_PRICING` selects `devex` (the
-/// default), `steepest` or `dantzig`, so CI re-runs this whole suite
-/// under each pricing rule without a code change — every property here
+/// default) or `steepest`, so CI re-runs this whole suite under each
+/// pricing rule without a code change — every property here
 /// must hold regardless of how the dual loop picks its leaving row.
 fn test_pricing() -> PricingRule {
     match std::env::var("CROXMAP_TEST_PRICING").as_deref() {
         Ok("steepest") => PricingRule::SteepestEdge,
-        Ok("dantzig") => PricingRule::Dantzig,
         _ => PricingRule::Devex,
     }
 }

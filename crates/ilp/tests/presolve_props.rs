@@ -6,7 +6,7 @@
 
 mod support;
 
-use croxmap_ilp::presolve::{presolve, PresolveConfig, PresolveOutcome};
+use croxmap_ilp::presolve::{presolve, PresolveOutcome};
 use croxmap_ilp::{
     JsonlSink, Model, SolveStatus, Solver, SolverConfig, TraceHandle, UpdateRule, VarId,
 };
@@ -79,11 +79,6 @@ fn config(presolve_on: bool) -> SolverConfig {
 }
 
 fn config_with_update(update: UpdateRule, presolve_on: bool) -> SolverConfig {
-    let presolve = if presolve_on {
-        PresolveConfig::default()
-    } else {
-        PresolveConfig::off()
-    };
     // `CROXMAP_TEST_THREADS=n` re-runs the whole suite through the
     // parallel tree driver (CI exercises n = 4): every equivalence
     // property here must hold at any thread count.
@@ -97,7 +92,7 @@ fn config_with_update(update: UpdateRule, presolve_on: bool) -> SolverConfig {
         ..SolverConfig::default()
     }
     .with_update_rule(update)
-    .with_presolve(presolve)
+    .with_presolve(presolve_on)
     .with_threads(threads);
     match test_trace_handle() {
         Some(trace) => cfg.with_trace(trace),
@@ -169,11 +164,10 @@ fn presolve_on_off_reach_identical_optima_across_engines() {
 
 #[test]
 fn direct_presolve_roundtrip_preserves_feasible_points() {
-    let cfg = PresolveConfig::default();
     let mut checked = 0u32;
     for seed in 200..320u64 {
         let model = random_model(seed);
-        let p = match presolve(&model, &cfg) {
+        let p = match presolve(&model) {
             PresolveOutcome::Reduced(p) => p,
             PresolveOutcome::Infeasible(_) => continue,
         };

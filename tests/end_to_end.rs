@@ -23,7 +23,7 @@ fn het_pool(n: usize) -> CrossbarPool {
 fn area_pipeline_on_generated_network() {
     let net = scaled_network();
     let pool = het_pool(net.node_count());
-    let run = pipeline::optimize_area(&net, &pool, &pipeline::PipelineConfig::with_budget(15.0));
+    let run = pipeline::optimize_area(&net, &pool, &pipeline::PipelineConfig::with_budget(2.0));
     let m = run.best_mapping().expect("mappable");
     m.validate(&net, &pool).unwrap();
     // The incumbent stream is strictly improving and time-ordered.
@@ -45,7 +45,7 @@ fn heterogeneous_beats_homogeneous_area() {
         16,
     );
     let het_pool = het_pool(net.node_count());
-    let cfg = pipeline::PipelineConfig::with_budget(15.0);
+    let cfg = pipeline::PipelineConfig::with_budget(2.0);
     let hom = pipeline::optimize_area(&net, &hom_pool, &cfg);
     let het = pipeline::optimize_area(&net, &het_pool, &cfg);
     let hom_area = hom.best_objective().expect("hom feasible");
@@ -60,7 +60,7 @@ fn heterogeneous_beats_homogeneous_area() {
 fn snu_then_pgo_chain_preserves_area_and_improves_routes() {
     let net = scaled_network();
     let pool = het_pool(net.node_count());
-    let cfg = pipeline::PipelineConfig::with_budget(10.0);
+    let cfg = pipeline::PipelineConfig::with_budget(2.0);
     let area_run = pipeline::optimize_area(&net, &pool, &cfg);
     let base = area_run.best_mapping().expect("mappable").clone();
     let base_area = base.area(&pool);
@@ -86,7 +86,7 @@ fn metrics_match_processor_simulation() {
     // the profile of the same run.
     let net = scaled_network();
     let pool = het_pool(net.node_count());
-    let cfg = pipeline::PipelineConfig::with_budget(8.0);
+    let cfg = pipeline::PipelineConfig::with_budget(2.0);
     let mapping = pipeline::optimize_area(&net, &pool, &cfg)
         .best_mapping()
         .expect("mappable")
@@ -112,7 +112,7 @@ fn pgo_beats_or_ties_snu_on_predicted_packets() {
     // must be at least as good as evaluating Eq. 12 on the SNU mapping.
     let net = generate(&NetworkSpec::scaled_a(20));
     let pool = het_pool(net.node_count());
-    let cfg = pipeline::PipelineConfig::with_budget(20.0);
+    let cfg = pipeline::PipelineConfig::with_budget(2.0);
     let base = pipeline::optimize_area(&net, &pool, &cfg)
         .best_mapping()
         .expect("mappable")
@@ -152,11 +152,10 @@ fn eons_champion_is_mappable() {
     let run = evolve(&cfg, |n| smartpixel::accuracy(n, &sim, &events, 12));
     let net = run.best.to_network(&cfg);
     let pool = het_pool(net.node_count());
-    let mapping =
-        pipeline::optimize_area(&net, &pool, &pipeline::PipelineConfig::with_budget(10.0))
-            .best_mapping()
-            .expect("evolved networks are mappable")
-            .clone();
+    let mapping = pipeline::optimize_area(&net, &pool, &pipeline::PipelineConfig::with_budget(2.0))
+        .best_mapping()
+        .expect("evolved networks are mappable")
+        .clone();
     mapping.validate(&net, &pool).unwrap();
 }
 
@@ -164,7 +163,7 @@ fn eons_champion_is_mappable() {
 fn deterministic_pipeline_runs() {
     let net = scaled_network();
     let pool = het_pool(net.node_count());
-    let cfg = pipeline::PipelineConfig::with_budget(5.0);
+    let cfg = pipeline::PipelineConfig::with_budget(2.0);
     let a = pipeline::optimize_area(&net, &pool, &cfg);
     let b = pipeline::optimize_area(&net, &pool, &cfg);
     assert_eq!(a.det_time, b.det_time);
