@@ -106,11 +106,31 @@ struct KnapRow {
 }
 
 /// Stateful separator for one model: built once at the root (knapsack
-/// rows + conflict graph), then queried with successive fractional
-/// points. Tracks emitted supports so no cut is produced twice.
+/// rows + conflict-graph cliques), then queried with successive
+/// fractional points. Tracks emitted supports so no cut is produced twice.
 pub struct CutSeparator {
     /// Binary `≤` rows in complemented knapsack form.
     knap_rows: Vec<KnapRow>,
+    /// Cliques the conflict graph is built from: the model's packing
+    /// rows, then the given cliques, each as its binary members.
+    cliques: Vec<Vec<u32>>,
+    /// Columns of the model.
+    n: usize,
+    /// The conflict graph, built by the first [`separate`](Self::separate)
+    /// call: a root whose LP stops early never pays for it.
+    graph: Option<ConflictGraph>,
+    /// Supports already emitted (family tag + sign-encoded columns).
+    /// Ordered set: dedup keys, but safe to iterate (e.g. when dumping
+    /// separator state) without a determinism hazard.
+    seen: BTreeSet<Vec<u32>>,
+    /// Monotone name counter.
+    emitted: usize,
+    /// Observational separation counters.
+    stats: SeparationStats,
+}
+
+/// The conflict graph over the binary columns.
+struct ConflictGraph {
     /// Conflict-graph adjacency per column (binary columns only).
     ///
     /// **Membership-only by contract**: these sets are probed with
@@ -122,31 +142,14 @@ pub struct CutSeparator {
     adj: Vec<HashSet<u32>>,
     /// Columns with any conflict, for the clique growth candidate sweep.
     in_graph: Vec<u32>,
-    /// Supports already emitted (family tag + sign-encoded columns).
-    /// Ordered set: dedup keys, but safe to iterate (e.g. when dumping
-    /// separator state) without a determinism hazard.
-    seen: BTreeSet<Vec<u32>>,
-    /// Monotone name counter.
-    emitted: usize,
-    /// Observational separation counters.
-    stats: SeparationStats,
 }
 
-impl CutSeparator {
-    /// Builds the separator for `model`, seeding the conflict graph with
-    /// `cliques` (e.g. the packing cliques presolve exports) in addition
-    /// to the packing rows found in the model itself.
-    #[must_use]
-    pub fn new(model: &Model, cliques: &[Vec<VarId>]) -> Self {
-        let n = model.num_vars();
-        let binary: Vec<bool> = model
-            .variables()
-            .iter()
-            .map(|v| v.ty == VarType::Binary)
-            .collect();
-        let mut knap_rows: Vec<KnapRow> = Vec::new();
+impl ConflictGraph {
+    /// Every pair of distinct members of each clique, then the pairwise
+    /// knapsack conflicts.
+    fn build(n: usize, cliques: &[Vec<u32>], knap_rows: &[KnapRow]) -> Self {
         let mut adj: Vec<HashSet<u32>> = vec![HashSet::new(); n];
-        let add_clique = |members: &[u32], adj: &mut Vec<HashSet<u32>>| {
+        for members in cliques {
             for (i, &u) in members.iter().enumerate() {
                 for &v in &members[i + 1..] {
                     if u != v {
@@ -155,54 +158,6 @@ impl CutSeparator {
                     }
                 }
             }
-        };
-        for con in model.constraints() {
-            if con.terms.len() < 2 || !con.terms.iter().all(|&(v, _)| binary[v.index()]) {
-                continue;
-            }
-            // Binary `≤` rows feed the cover separator in complemented
-            // form: negative-coefficient columns enter as `1 − x`, the
-            // right-hand side absorbs their magnitude.
-            if con.sense == ConstraintSense::Le {
-                let items: Vec<KnapItem> = con
-                    .terms
-                    .iter()
-                    .filter(|&&(_, a)| a != 0.0)
-                    .map(|&(v, a)| KnapItem {
-                        col: v.0,
-                        weight: a.abs(),
-                        complemented: a < 0.0,
-                    })
-                    .collect();
-                let rhs = con.rhs
-                    + con
-                        .terms
-                        .iter()
-                        .filter(|&&(_, a)| a < 0.0)
-                        .map(|&(_, a)| -a)
-                        .sum::<f64>();
-                let total: f64 = items.iter().map(|i| i.weight).sum();
-                if rhs > CUT_TOL && total > rhs + CUT_TOL {
-                    knap_rows.push(KnapRow { items, rhs });
-                }
-            }
-            // Packing rows (and the ≤ side of partition equalities) are
-            // conflict-graph cliques.
-            let packing = matches!(con.sense, ConstraintSense::Le | ConstraintSense::Eq)
-                && con.rhs <= 1.0 + CUT_TOL
-                && con.terms.iter().all(|&(_, a)| a >= 1.0 - CUT_TOL);
-            if packing {
-                let members: Vec<u32> = con.terms.iter().map(|&(v, _)| v.0).collect();
-                add_clique(&members, &mut adj);
-            }
-        }
-        for clique in cliques {
-            let members: Vec<u32> = clique
-                .iter()
-                .filter(|v| v.index() < n && binary[v.index()])
-                .map(|v| v.0)
-                .collect();
-            add_clique(&members, &mut adj);
         }
         // Pairwise knapsack conflicts: in a positive binary row
         // `Σ a_j x_j ≤ b`, two columns with `a_u + a_v > b` can never both
@@ -213,7 +168,7 @@ impl CutSeparator {
         // prefix, so a two-pointer sweep enumerates only real edges; a
         // global cap bounds pathological rows.
         let mut edge_budget = 50_000usize;
-        for row in &knap_rows {
+        for row in knap_rows {
             if edge_budget == 0 {
                 break;
             }
@@ -253,10 +208,122 @@ impl CutSeparator {
         let in_graph: Vec<u32> = (0..n as u32)
             .filter(|&j| !adj[j as usize].is_empty())
             .collect();
+        ConflictGraph { adj, in_graph }
+    }
+
+    /// Greedy clique growth around every fractional seed.
+    fn separate_cliques(&self, x: &[f64], out: &mut Vec<Cut>) {
+        // Candidates: conflict-graph members with meaningful value,
+        // descending, so the greedy extension favours violation.
+        let mut cand: Vec<u32> = self
+            .in_graph
+            .iter()
+            .copied()
+            .filter(|&j| x[j as usize] > FRAC_TOL)
+            .collect();
+        if cand.len() < 2 {
+            return;
+        }
+        cand.sort_by(|&p, &q| x[q as usize].total_cmp(&x[p as usize]).then(p.cmp(&q)));
+        let mut local: BTreeSet<Vec<u32>> = BTreeSet::new();
+        for seed_at in 0..cand.len() {
+            let seed = cand[seed_at];
+            let mut clique = vec![seed];
+            let mut lhs = x[seed as usize];
+            for &v in &cand {
+                if v == seed {
+                    continue;
+                }
+                if clique.iter().all(|&u| self.adj[u as usize].contains(&v)) {
+                    clique.push(v);
+                    lhs += x[v as usize];
+                }
+            }
+            let violation = lhs - 1.0;
+            if clique.len() >= 2 && violation > CUT_TOL {
+                clique.sort_unstable();
+                if local.insert(clique.clone()) {
+                    out.push(Cut {
+                        name: String::new(),
+                        terms: clique.iter().map(|&j| (VarId(j), 1.0)).collect(),
+                        rhs: 1.0,
+                        violation,
+                        kind: CutKind::Clique,
+                    });
+                }
+            }
+        }
+    }
+}
+
+impl CutSeparator {
+    /// Builds the separator for `model`, seeding the conflict graph with
+    /// `cliques` (e.g. the packing cliques presolve exports) in addition
+    /// to the packing rows found in the model itself. The graph itself is
+    /// built on the first [`separate`](Self::separate) call.
+    #[must_use]
+    pub fn new(model: &Model, cliques: &[Vec<VarId>]) -> Self {
+        let n = model.num_vars();
+        let binary: Vec<bool> = model
+            .variables()
+            .iter()
+            .map(|v| v.ty == VarType::Binary)
+            .collect();
+        let mut knap_rows: Vec<KnapRow> = Vec::new();
+        let mut members_of: Vec<Vec<u32>> = Vec::new();
+        for con in model.constraints() {
+            if con.terms.len() < 2 || !con.terms.iter().all(|&(v, _)| binary[v.index()]) {
+                continue;
+            }
+            // Binary `≤` rows feed the cover separator in complemented
+            // form: negative-coefficient columns enter as `1 − x`, the
+            // right-hand side absorbs their magnitude.
+            if con.sense == ConstraintSense::Le {
+                let items: Vec<KnapItem> = con
+                    .terms
+                    .iter()
+                    .filter(|&&(_, a)| a != 0.0)
+                    .map(|&(v, a)| KnapItem {
+                        col: v.0,
+                        weight: a.abs(),
+                        complemented: a < 0.0,
+                    })
+                    .collect();
+                let rhs = con.rhs
+                    + con
+                        .terms
+                        .iter()
+                        .filter(|&&(_, a)| a < 0.0)
+                        .map(|&(_, a)| -a)
+                        .sum::<f64>();
+                let total: f64 = items.iter().map(|i| i.weight).sum();
+                if rhs > CUT_TOL && total > rhs + CUT_TOL {
+                    knap_rows.push(KnapRow { items, rhs });
+                }
+            }
+            // Packing rows (and the ≤ side of partition equalities) are
+            // conflict-graph cliques.
+            let packing = matches!(con.sense, ConstraintSense::Le | ConstraintSense::Eq)
+                && con.rhs <= 1.0 + CUT_TOL
+                && con.terms.iter().all(|&(_, a)| a >= 1.0 - CUT_TOL);
+            if packing {
+                members_of.push(con.terms.iter().map(|&(v, _)| v.0).collect());
+            }
+        }
+        for clique in cliques {
+            members_of.push(
+                clique
+                    .iter()
+                    .filter(|v| v.index() < n && binary[v.index()])
+                    .map(|v| v.0)
+                    .collect(),
+            );
+        }
         CutSeparator {
             knap_rows,
-            adj,
-            in_graph,
+            cliques: members_of,
+            n,
+            graph: None,
             seen: BTreeSet::new(),
             emitted: 0,
             stats: SeparationStats::default(),
@@ -269,10 +336,17 @@ impl CutSeparator {
         self.stats
     }
 
-    /// Whether any separation is possible at all on this model.
+    /// Whether any separation is possible at all on this model: no
+    /// knapsack row, and no clique with two distinct members (knapsack
+    /// conflicts need a knapsack row), so the graph need not be built to
+    /// tell.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.knap_rows.is_empty() && self.in_graph.is_empty()
+        self.knap_rows.is_empty()
+            && self
+                .cliques
+                .iter()
+                .all(|members| members.iter().all(|&v| v == members[0]))
     }
 
     /// Separates up to `max_cuts` cuts violated by the fractional point
@@ -282,7 +356,10 @@ impl CutSeparator {
     pub fn separate(&mut self, x: &[f64], max_cuts: usize) -> Vec<Cut> {
         let mut cuts = Vec::new();
         self.separate_covers(x, &mut cuts);
-        self.separate_cliques(x, &mut cuts);
+        let graph = self
+            .graph
+            .get_or_insert_with(|| ConflictGraph::build(self.n, &self.cliques, &self.knap_rows));
+        graph.separate_cliques(x, &mut cuts);
         self.stats.rounds += 1;
         self.stats.candidates += cuts.len() as u64;
         cuts.sort_by(|a, b| b.violation.total_cmp(&a.violation));
@@ -416,55 +493,13 @@ impl CutSeparator {
             }
         }
     }
-
-    /// Greedy clique growth around every fractional seed.
-    fn separate_cliques(&self, x: &[f64], out: &mut Vec<Cut>) {
-        // Candidates: conflict-graph members with meaningful value,
-        // descending, so the greedy extension favours violation.
-        let mut cand: Vec<u32> = self
-            .in_graph
-            .iter()
-            .copied()
-            .filter(|&j| x[j as usize] > FRAC_TOL)
-            .collect();
-        if cand.len() < 2 {
-            return;
-        }
-        cand.sort_by(|&p, &q| x[q as usize].total_cmp(&x[p as usize]).then(p.cmp(&q)));
-        let mut local: BTreeSet<Vec<u32>> = BTreeSet::new();
-        for seed_at in 0..cand.len() {
-            let seed = cand[seed_at];
-            let mut clique = vec![seed];
-            let mut lhs = x[seed as usize];
-            for &v in &cand {
-                if v == seed {
-                    continue;
-                }
-                if clique.iter().all(|&u| self.adj[u as usize].contains(&v)) {
-                    clique.push(v);
-                    lhs += x[v as usize];
-                }
-            }
-            let violation = lhs - 1.0;
-            if clique.len() >= 2 && violation > CUT_TOL {
-                clique.sort_unstable();
-                if local.insert(clique.clone()) {
-                    out.push(Cut {
-                        name: String::new(),
-                        terms: clique.iter().map(|&j| (VarId(j), 1.0)).collect(),
-                        rhs: 1.0,
-                        violation,
-                        kind: CutKind::Clique,
-                    });
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn cover_cut_separates_fractional_knapsack_point() {
@@ -583,5 +618,199 @@ mod tests {
                 "integer-feasible {pt:?} must separate nothing"
             );
         }
+    }
+
+    /// The conflict graph as `CutSeparator::new` built it eagerly before
+    /// the separator deferred it to the first round: the reference the
+    /// lazy construction is checked against.
+    fn eager_graph(model: &Model, cliques: &[Vec<VarId>]) -> (bool, ConflictGraph) {
+        let n = model.num_vars();
+        let binary: Vec<bool> = model
+            .variables()
+            .iter()
+            .map(|v| v.ty == VarType::Binary)
+            .collect();
+        let mut knap_rows: Vec<KnapRow> = Vec::new();
+        let mut adj: Vec<HashSet<u32>> = vec![HashSet::new(); n];
+        let add_clique = |members: &[u32], adj: &mut Vec<HashSet<u32>>| {
+            for (i, &u) in members.iter().enumerate() {
+                for &v in &members[i + 1..] {
+                    if u != v {
+                        adj[u as usize].insert(v);
+                        adj[v as usize].insert(u);
+                    }
+                }
+            }
+        };
+        for con in model.constraints() {
+            if con.terms.len() < 2 || !con.terms.iter().all(|&(v, _)| binary[v.index()]) {
+                continue;
+            }
+            if con.sense == ConstraintSense::Le {
+                let items: Vec<KnapItem> = con
+                    .terms
+                    .iter()
+                    .filter(|&&(_, a)| a != 0.0)
+                    .map(|&(v, a)| KnapItem {
+                        col: v.0,
+                        weight: a.abs(),
+                        complemented: a < 0.0,
+                    })
+                    .collect();
+                let rhs = con.rhs
+                    + con
+                        .terms
+                        .iter()
+                        .filter(|&&(_, a)| a < 0.0)
+                        .map(|&(_, a)| -a)
+                        .sum::<f64>();
+                let total: f64 = items.iter().map(|i| i.weight).sum();
+                if rhs > CUT_TOL && total > rhs + CUT_TOL {
+                    knap_rows.push(KnapRow { items, rhs });
+                }
+            }
+            let packing = matches!(con.sense, ConstraintSense::Le | ConstraintSense::Eq)
+                && con.rhs <= 1.0 + CUT_TOL
+                && con.terms.iter().all(|&(_, a)| a >= 1.0 - CUT_TOL);
+            if packing {
+                let members: Vec<u32> = con.terms.iter().map(|&(v, _)| v.0).collect();
+                add_clique(&members, &mut adj);
+            }
+        }
+        for clique in cliques {
+            let members: Vec<u32> = clique
+                .iter()
+                .filter(|v| v.index() < n && binary[v.index()])
+                .map(|v| v.0)
+                .collect();
+            add_clique(&members, &mut adj);
+        }
+        let mut edge_budget = 50_000usize;
+        for row in &knap_rows {
+            if edge_budget == 0 {
+                break;
+            }
+            let mut order: Vec<(u32, f64)> = row
+                .items
+                .iter()
+                .filter(|i| !i.complemented)
+                .map(|i| (i.col, i.weight))
+                .collect();
+            order.sort_by(|p, q| q.1.total_cmp(&p.1).then(p.0.cmp(&q.0)));
+            let mut t = order.len();
+            for i in 0..order.len() {
+                while t > i + 1 && order[i].1 + order[t - 1].1 <= row.rhs + CUT_TOL {
+                    t -= 1;
+                }
+                if t <= i + 1 {
+                    break;
+                }
+                for &(v, _) in &order[i + 1..t] {
+                    let u = order[i].0;
+                    if adj[u as usize].insert(v) {
+                        adj[v as usize].insert(u);
+                        edge_budget = edge_budget.saturating_sub(1);
+                    }
+                }
+                if edge_budget == 0 {
+                    break;
+                }
+            }
+        }
+        let in_graph: Vec<u32> = (0..n as u32)
+            .filter(|&j| !adj[j as usize].is_empty())
+            .collect();
+        let empty = knap_rows.is_empty() && in_graph.is_empty();
+        (empty, ConflictGraph { adj, in_graph })
+    }
+
+    /// A random model over 2–9 binaries (and sometimes one continuous
+    /// column): packing rows, mixed-sign knapsack rows, `≥` and
+    /// equality rows, plus random presolve-style cliques.
+    fn random_model(rng: &mut SmallRng) -> (Model, Vec<Vec<VarId>>) {
+        let mut m = Model::new();
+        let n = rng.gen_range(2usize..10);
+        let mut vars: Vec<VarId> = (0..n).map(|i| m.add_binary(format!("x{i}"))).collect();
+        if rng.gen_range(0..4) == 0 {
+            vars.push(m.add_continuous("y", 0.0, 3.0));
+        }
+        let pick = |rng: &mut SmallRng| -> Vec<VarId> {
+            let k = rng.gen_range(1..=vars.len().min(5));
+            let mut out: Vec<VarId> = Vec::new();
+            while out.len() < k {
+                let v = vars[rng.gen_range(0..vars.len())];
+                if !out.contains(&v) {
+                    out.push(v);
+                }
+            }
+            out
+        };
+        for r in 0..rng.gen_range(0usize..5) {
+            let support = pick(rng);
+            let name = format!("r{r}");
+            match rng.gen_range(0..4) {
+                0 => {
+                    let e = m.expr(support.iter().map(|&v| (v, 1.0)));
+                    let cmp = if rng.gen_range(0..2) == 0 {
+                        e.leq(1.0)
+                    } else {
+                        e.eq(1.0)
+                    };
+                    m.add_constraint(name, cmp);
+                }
+                1 | 2 => {
+                    let e = m.expr(
+                        support
+                            .iter()
+                            .map(|&v| (v, f64::from(rng.gen_range(-3i32..=7)))),
+                    );
+                    m.add_constraint(name, e.leq(f64::from(rng.gen_range(-1i32..=8))));
+                }
+                _ => {
+                    let e = m.expr(support.iter().map(|&v| (v, 1.0)));
+                    m.add_constraint(name, e.geq(1.0));
+                }
+            }
+        }
+        let cliques = (0..rng.gen_range(0usize..3)).map(|_| pick(rng)).collect();
+        (m, cliques)
+    }
+
+    /// The lazily built conflict graph answers `is_empty` and separates
+    /// exactly like the eager construction it replaced, round after
+    /// round, on random models.
+    #[test]
+    fn lazy_conflict_graph_matches_eager_construction() {
+        let mut rng = SmallRng::seed_from_u64(7);
+        let (mut empty_models, mut clique_cuts) = (0, 0);
+        for case in 0..600 {
+            let (model, cliques) = random_model(&mut rng);
+            let (eager_empty, graph) = eager_graph(&model, &cliques);
+            let mut lazy = CutSeparator::new(&model, &cliques);
+            assert_eq!(lazy.is_empty(), eager_empty, "case {case}: is_empty");
+            empty_models += usize::from(eager_empty);
+            let mut eager = CutSeparator::new(&model, &cliques);
+            eager.graph = Some(graph);
+            for round in 0..4 {
+                let x: Vec<f64> = (0..model.num_vars())
+                    .map(|_| f64::from(rng.gen_range(0..=4)) / 4.0)
+                    .collect();
+                let (a, b) = (lazy.separate(&x, 3), eager.separate(&x, 3));
+                // Debug prints every f64 exactly (shortest round trip).
+                assert_eq!(
+                    format!("{a:?}"),
+                    format!("{b:?}"),
+                    "case {case}, round {round}: cuts"
+                );
+                clique_cuts += a.iter().filter(|c| c.kind == CutKind::Clique).count();
+            }
+            assert_eq!(lazy.stats(), eager.stats(), "case {case}: stats");
+        }
+        // The draw covers both answers of `is_empty` and clique cuts.
+        assert!(
+            empty_models > 20 && empty_models < 580,
+            "{empty_models} empty"
+        );
+        assert!(clique_cuts > 50, "only {clique_cuts} clique cuts");
     }
 }

@@ -107,6 +107,10 @@ pub enum MarkowitzOrdering {
     StaticColCount,
 }
 
+/// A vacated pivotal position in [`LuFactors`]' `order`: the slot that
+/// held it moved to the end in a Forrest–Tomlin update.
+const HOLE: usize = usize::MAX;
+
 /// Bounded candidate search of the dynamic ordering: how many usable
 /// pivot columns are examined (in ascending active count) before the
 /// best Markowitz merit seen so far is accepted.
@@ -314,11 +318,15 @@ pub struct LuFactors {
     q: Vec<usize>,
     /// Inverse of `q`: elimination slot of each basis position.
     qinv: Vec<usize>,
-    /// Slots in current pivotal order. After a factorisation this is the
-    /// identity; Forrest–Tomlin updates cyclically move the updated slot
-    /// to the end.
+    /// Slots in current pivotal order, indexed by pivotal position. After
+    /// a factorisation this is the identity. A Forrest–Tomlin update
+    /// moves its slot to the next free position at the end and leaves a
+    /// [`HOLE`] at the old one, so positions only grow between
+    /// refactorisations: `order` holds `m` slots among `m` + (updates
+    /// and grown rows since the factorisation) positions, and the
+    /// scanning kernels skip the holes.
     order: Vec<usize>,
-    /// Inverse of `order`: pivotal position of each slot.
+    /// Inverse of `order`: pivotal position of each slot (never a hole).
     pos: Vec<usize>,
     /// Columns of unit-lower-triangular `L`: `(original_row, value)`
     /// pairs over rows not yet pivoted at that slot. Static between
@@ -376,9 +384,10 @@ pub struct LuFactors {
     reach: Vec<usize>,
     /// DFS stack of `(slot, next child index)`.
     rstack: Vec<(usize, usize)>,
-    /// Ordered bitmap over `0..m`, one bit per index, all-zero between
-    /// calls: `bitmap_sort` orders reaches and tracked result patterns
-    /// with it instead of a comparison sort.
+    /// Ordered bitmap over `0..m` and over the pivotal positions
+    /// (`0..order.len()`), one bit per index, all-zero between calls:
+    /// `bitmap_sort` orders reaches and tracked result patterns with it
+    /// instead of a comparison sort.
     bits: Vec<u64>,
     /// Visit stamps for the DFS and pattern tracking.
     mark: Vec<u32>,
@@ -608,8 +617,8 @@ impl LuFactors {
             self.pinv.push(s);
             self.q.push(s);
             self.qinv.push(s);
+            self.pos.push(self.order.len());
             self.order.push(s);
-            self.pos.push(s);
             self.l_cols.push(Vec::new());
             self.l_rows.push(Vec::new());
             self.u_cols.push(Vec::new());
@@ -618,7 +627,7 @@ impl LuFactors {
         }
         self.scratch.resize(m, 0.0);
         self.aux.resize(m, 0.0);
-        self.bits.resize(m.div_ceil(64), 0);
+        self.bits.resize(self.order.len().div_ceil(64), 0);
         self.mark.resize(m, 0);
         self.lu_nnz += k;
         self.u_nnz += k;
@@ -1439,8 +1448,10 @@ impl LuFactors {
             visited += tr.entries.len() as u64;
         }
         // Backward solve U z = y in pivotal order.
-        for j in (0..m).rev() {
-            let k = order[j];
+        for &k in order.iter().rev() {
+            if k == HOLE {
+                continue;
+            }
             let zk = z[k];
             if zk == 0.0 {
                 continue;
@@ -1684,8 +1695,10 @@ impl LuFactors {
             x[q[k]] = 0.0;
         }
         // Forward solve Uᵀ z = c in pivotal order, scatter form.
-        for j in 0..m {
-            let k = order[j];
+        for &k in order.iter() {
+            if k == HOLE {
+                continue;
+            }
             let v = z[k];
             if v == 0.0 {
                 continue;
@@ -1877,7 +1890,38 @@ impl LuFactors {
     /// the stored `U` is modified in place; returns `false` when the
     /// updated diagonal would be numerically degenerate — the caller must
     /// then refactorise from the (already updated) basis columns instead.
+    /// Scans all of `w`; prefer [`update_sparse`](Self::update_sparse)
+    /// when the FTRAN that produced `w` returned its pattern.
     pub fn update(&mut self, r: usize, w: &[f64], opts: &FactorOpts) -> bool {
+        self.update_with(r, w, None, opts)
+    }
+
+    /// [`update`](Self::update) with `w`'s non-zero pattern: `pattern`
+    /// must be a superset of the non-zero basis positions of `w`
+    /// (duplicates allowed), such as the result pattern of
+    /// [`ftran_sparse_tracked`](Self::ftran_sparse_tracked). Within the
+    /// hyper-sparse density cutover the Forrest–Tomlin update then walks
+    /// patterns instead of sweeping all `m` slots; the arithmetic, the
+    /// stored factors and the charged ticks are identical to
+    /// [`update`](Self::update). The product form ignores the pattern.
+    pub fn update_sparse(
+        &mut self,
+        r: usize,
+        w: &[f64],
+        pattern: &[usize],
+        opts: &FactorOpts,
+    ) -> bool {
+        debug_check_superset(w, pattern);
+        self.update_with(r, w, Some(pattern), opts)
+    }
+
+    fn update_with(
+        &mut self,
+        r: usize,
+        w: &[f64],
+        pattern: Option<&[usize]>,
+        opts: &FactorOpts,
+    ) -> bool {
         debug_assert_eq!(w.len(), self.m);
         debug_assert!(w[r] != 0.0, "pivot element must be non-zero");
         let ok = match opts.update {
@@ -1885,7 +1929,7 @@ impl LuFactors {
                 self.update_product_form(r, w);
                 true
             }
-            UpdateRule::ForrestTomlin => self.update_forrest_tomlin(r, w),
+            UpdateRule::ForrestTomlin => self.update_forrest_tomlin(r, w, pattern),
         };
         if ok {
             self.updates += 1;
@@ -1927,90 +1971,69 @@ impl LuFactors {
     /// end of the pivotal order, and eliminate the out-of-place `U` row
     /// with a recorded row transform.
     ///
-    /// Cost per pivot is `O(m + reach + fill)`: the *floating-point*
-    /// work (spike accumulation, μ elimination, structure edits) is
-    /// reach/fill-bounded, but three pointer-light `Θ(m)` sweeps remain
-    /// — the scan of `w` for the spike pattern, the zero-skipping walk
-    /// of the trailing pivotal positions, and the cyclic order shift.
-    /// What matters for the solve-cost story is that *FTRAN/BTRAN* stay
-    /// flat; the update itself is charged for what it touches.
+    /// The moved slot takes the next free pivotal position, in `O(1)`.
+    /// When `pattern` (the tracked pattern of `w`) is within the
+    /// hyper-sparse density cutover, the rest costs
+    /// `O(nnz(w) + reach + fill)`: the spike walks the pattern in
+    /// ascending slot order, and the μ elimination visits only the reach
+    /// of row `t`'s pattern over `Uᵀ`. Otherwise `w` is dense enough that
+    /// the sweeps win: the spike scans all `m` slots and μ every trailing
+    /// pivotal position. Both paths do the same floating-point work in the
+    /// same order, and only that work is charged: the bitmap walks, the
+    /// DFS edges and the sweeps' zero tests are bookkeeping.
     ///
     /// Returns `false` (leaving the factors untouched) when the new
     /// diagonal is numerically degenerate.
-    fn update_forrest_tomlin(&mut self, r: usize, w: &[f64]) -> bool {
-        let m = self.m;
+    fn update_forrest_tomlin(&mut self, r: usize, w: &[f64], pattern: Option<&[usize]>) -> bool {
+        let pattern = pattern.filter(|p| p.len() <= self.hyper_cap());
         let t = self.qinv[r];
         let mut ops = 0u64;
 
-        // --- Spike v = L̃⁻¹ a_q = U ẑ, where ẑ is `w` mapped to slot
-        // space (w = B⁻¹ a_q = U⁻¹ L̃⁻¹ a_q). Computed as a sparse
-        // combination of U's columns so the engine need not save the
-        // FTRAN intermediate. Scratch `aux` holds the spike. ---
-        self.pat2.clear();
-        {
-            let LuFactors {
-                q,
-                u_cols,
-                u_diag,
-                aux,
-                pat2,
-                mark,
-                stamp,
-                ..
-            } = self;
-            *stamp = stamp.wrapping_add(1);
-            if *stamp == 0 {
-                mark.fill(0);
-                *stamp = 1;
-            }
-            let mut mark_spike = |i: usize, pat2: &mut Vec<usize>| {
-                if mark[i] != *stamp {
-                    mark[i] = *stamp;
-                    pat2.push(i);
-                }
-            };
-            for k in 0..m {
-                let zv = w[q[k]];
-                if zv == 0.0 {
-                    continue;
-                }
-                mark_spike(k, pat2);
-                aux[k] += u_diag[k] * zv;
-                for &(i, val) in &u_cols[k] {
-                    mark_spike(i, pat2);
-                    aux[i] += val * zv;
-                }
-                ops += u_cols[k].len() as u64 + 1;
-            }
-        }
-
         // --- Row elimination multipliers: solve Ūᵀ μ = u_tᵀ over the
         // trailing principal submatrix (slots after `t` in pivotal
-        // order), forward in pivotal order, scatter form. The reach of
-        // u_t's pattern bounds the non-zero μ's; a zero-skipping sweep of
-        // the trailing positions visits exactly those slots. ---
-        let mut mu: Vec<(usize, f64)> = Vec::new();
+        // order), forward in pivotal order, scatter form. Only the reach
+        // of u_t's pattern over `Uᵀ` can turn non-zero. ---
         {
-            // Scatter row t of U into scratch (slot space).
+            // Scatter row t of U into scratch (slot space); its slots
+            // seed the reach.
             let LuFactors {
-                u_rows, scratch: z, ..
+                u_rows,
+                scratch: z,
+                pat2,
+                ..
             } = self;
+            pat2.clear();
             for &(k, val) in &u_rows[t] {
                 z[k] = val;
+                pat2.push(k);
             }
             ops += u_rows[t].len() as u64;
         }
-        let pos_t = self.pos[t];
+        if pattern.is_some() {
+            self.compute_reach(Phase::UpperTFwd);
+        }
+        let mut mu: Vec<(usize, f64)> = Vec::new();
         {
             let LuFactors {
                 order,
+                pos,
                 u_rows,
                 u_diag,
+                reach,
+                bits,
                 scratch: z,
                 ..
             } = self;
-            for j in pos_t + 1..m {
-                let c = order[j];
+            // The slots to eliminate in ascending pivotal position: the
+            // reach, or (with `reach` left empty) every trailing slot.
+            let trailing = if pattern.is_some() {
+                bitmap_sort(bits, reach, |k| pos[k], |j| order[j]);
+                &order[order.len()..]
+            } else {
+                reach.clear();
+                &order[pos[t] + 1..]
+            };
+            for &c in reach.iter().chain(trailing.iter().filter(|&&c| c != HOLE)) {
                 let v = z[c];
                 if v == 0.0 {
                     continue;
@@ -2022,6 +2045,64 @@ impl LuFactors {
                     z[k] -= val * mc;
                 }
                 ops += u_rows[c].len() as u64;
+            }
+        }
+
+        // --- Spike v = L̃⁻¹ a_q = U ẑ, where ẑ is `w` mapped to slot
+        // space (w = B⁻¹ a_q = U⁻¹ L̃⁻¹ a_q). Computed as a sparse
+        // combination of U's columns, in ascending slot order, so the
+        // engine need not save the FTRAN intermediate. Scratch `aux`
+        // holds the spike, `pat2` its pattern. ---
+        {
+            let LuFactors {
+                q,
+                qinv,
+                u_cols,
+                u_diag,
+                aux,
+                pat,
+                pat2,
+                bits,
+                mark,
+                stamp,
+                m,
+                ..
+            } = self;
+            // The slots of `w`'s non-zeros in ascending order: the
+            // pattern's, or (with `pat` left empty) every slot below `all`.
+            pat.clear();
+            let all = match pattern {
+                Some(wpat) => {
+                    pat.extend(wpat.iter().map(|&i| qinv[i]));
+                    bitmap_sort(bits, pat, |k| k, |k| k);
+                    0
+                }
+                None => *m,
+            };
+            *stamp = stamp.wrapping_add(1);
+            if *stamp == 0 {
+                mark.fill(0);
+                *stamp = 1;
+            }
+            pat2.clear();
+            let mut mark_spike = |i: usize, pat2: &mut Vec<usize>| {
+                if mark[i] != *stamp {
+                    mark[i] = *stamp;
+                    pat2.push(i);
+                }
+            };
+            for k in pat.iter().copied().chain(0..all) {
+                let zv = w[q[k]];
+                if zv == 0.0 {
+                    continue;
+                }
+                mark_spike(k, pat2);
+                aux[k] += u_diag[k] * zv;
+                for &(i, val) in &u_cols[k] {
+                    mark_spike(i, pat2);
+                    aux[i] += val * zv;
+                }
+                ops += u_cols[k].len() as u64 + 1;
             }
         }
 
@@ -2088,16 +2169,14 @@ impl LuFactors {
         self.u_diag[t] = d;
         self.u_nnz += spike_fill;
         ops += spike_fill as u64;
-        // ...move slot t to the end of the pivotal order... ---
-        {
-            let LuFactors { order, pos, .. } = self;
-            for j in pos_t + 1..m {
-                let s = order[j];
-                order[j - 1] = s;
-                pos[s] = j - 1;
-            }
-            order[m - 1] = t;
-            pos[t] = m - 1;
+        // ...move slot t to the next free pivotal position, leaving a
+        // hole at its old one, and widen the bitmap over positions... ---
+        let pos_t = self.pos[t];
+        self.order[pos_t] = HOLE;
+        self.pos[t] = self.order.len();
+        self.order.push(t);
+        if self.bits.len() * 64 < self.order.len() {
+            self.bits.push(0);
         }
         // ...and record the row transform for the solves. ---
         self.file_nnz += mu.len();
@@ -2268,6 +2347,8 @@ impl DenseInverse {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn pf_opts() -> FactorOpts {
         FactorOpts {
@@ -2694,5 +2775,386 @@ mod tests {
         assert_eq!(stats.refactors, 1);
         assert!(stats.refactor_ticks > 0);
         assert_eq!(lu.take_stats(), FactorStats::default());
+    }
+
+    /// The Forrest–Tomlin update before it walked patterns: the spike
+    /// scans every slot, μ is eliminated by a zero-skipping sweep of
+    /// every trailing pivotal position, and the moved slot is cycled to
+    /// the end by shifting `order`/`pos` down by one. The reference the
+    /// pattern-driven update is checked against, bit for bit; only it
+    /// updates the factors it runs on, so their `order` never holds a
+    /// hole.
+    fn dense_sweep_update(lu: &mut LuFactors, r: usize, w: &[f64]) -> bool {
+        let m = lu.m;
+        let t = lu.qinv[r];
+        let mut ops = 0u64;
+        lu.pat2.clear();
+        lu.stamp = lu.stamp.wrapping_add(1);
+        if lu.stamp == 0 {
+            lu.mark.fill(0);
+            lu.stamp = 1;
+        }
+        for k in 0..m {
+            let zv = w[lu.q[k]];
+            if zv == 0.0 {
+                continue;
+            }
+            let diagonal = std::iter::once((k, lu.u_diag[k]));
+            for (i, val) in diagonal.chain(lu.u_cols[k].iter().copied()) {
+                if lu.mark[i] != lu.stamp {
+                    lu.mark[i] = lu.stamp;
+                    lu.pat2.push(i);
+                }
+                lu.aux[i] += val * zv;
+            }
+            ops += lu.u_cols[k].len() as u64 + 1;
+        }
+        let mut mu: Vec<(usize, f64)> = Vec::new();
+        for &(k, val) in &lu.u_rows[t] {
+            lu.scratch[k] = val;
+        }
+        ops += lu.u_rows[t].len() as u64;
+        let pos_t = lu.pos[t];
+        for j in pos_t + 1..m {
+            let c = lu.order[j];
+            let v = lu.scratch[c];
+            if v == 0.0 {
+                continue;
+            }
+            lu.scratch[c] = 0.0;
+            let mc = v / lu.u_diag[c];
+            mu.push((c, mc));
+            for &(k, val) in &lu.u_rows[c] {
+                lu.scratch[k] -= val * mc;
+            }
+            ops += lu.u_rows[c].len() as u64;
+        }
+        let mut d = lu.aux[t];
+        let spike_max = lu.pat2.iter().map(|&k| lu.aux[k].abs()).fold(0.0, f64::max);
+        for &(c, mc) in &mu {
+            d -= mc * lu.aux[c];
+        }
+        ops += mu.len() as u64;
+        if d.abs() < PIVOT_TOL * (1.0 + spike_max) {
+            for &k in &lu.pat2 {
+                lu.aux[k] = 0.0;
+            }
+            lu.work += ops;
+            return false;
+        }
+        let old_col = std::mem::take(&mut lu.u_cols[t]);
+        for &(i, _) in &old_col {
+            let rowlist = &mut lu.u_rows[i];
+            if let Some(at) = rowlist.iter().position(|&(k, _)| k == t) {
+                rowlist.swap_remove(at);
+            }
+            ops += rowlist.len() as u64;
+        }
+        lu.u_nnz -= old_col.len();
+        let old_row = std::mem::take(&mut lu.u_rows[t]);
+        for &(k, _) in &old_row {
+            let collist = &mut lu.u_cols[k];
+            if let Some(at) = collist.iter().position(|&(i, _)| i == t) {
+                collist.swap_remove(at);
+            }
+            ops += collist.len() as u64;
+        }
+        lu.u_nnz -= old_row.len();
+        let mut spike_fill = 0usize;
+        for idx in 0..lu.pat2.len() {
+            let i = lu.pat2[idx];
+            let v = lu.aux[i];
+            lu.aux[i] = 0.0;
+            if i == t || v == 0.0 {
+                continue;
+            }
+            lu.u_cols[t].push((i, v));
+            lu.u_rows[i].push((t, v));
+            spike_fill += 1;
+        }
+        lu.u_diag[t] = d;
+        lu.u_nnz += spike_fill;
+        ops += spike_fill as u64;
+        for j in pos_t + 1..m {
+            let s = lu.order[j];
+            lu.order[j - 1] = s;
+            lu.pos[s] = j - 1;
+        }
+        lu.order[m - 1] = t;
+        lu.pos[t] = m - 1;
+        lu.file_nnz += mu.len();
+        lu.stats.update_nnz += mu.len() as u64 + spike_fill as u64;
+        if !mu.is_empty() {
+            lu.ft.push(FtTransform { t, entries: mu });
+        }
+        lu.work += ops;
+        lu.updates += 1;
+        lu.stats.updates += 1;
+        true
+    }
+
+    fn pair_bits(list: &[(usize, f64)]) -> Vec<(usize, u64)> {
+        list.iter().map(|&(i, v)| (i, v.to_bits())).collect()
+    }
+
+    fn lists_bits(lists: &[Vec<(usize, f64)>]) -> Vec<Vec<(usize, u64)>> {
+        lists.iter().map(|l| pair_bits(l)).collect()
+    }
+
+    fn value_bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Asserts that the pattern-driven factors `lu` hold exactly what
+    /// the dense-sweep reference `want` holds: `U` by columns and rows
+    /// (entry order included), its diagonal, the pivotal order with the
+    /// holes dropped, the row transforms, the undrained work and the
+    /// statistics.
+    fn assert_same_factors(lu: &mut LuFactors, want: &mut LuFactors, ctx: &str) {
+        assert_eq!(
+            lists_bits(&lu.u_cols),
+            lists_bits(&want.u_cols),
+            "{ctx}: U columns"
+        );
+        assert_eq!(
+            lists_bits(&lu.u_rows),
+            lists_bits(&want.u_rows),
+            "{ctx}: U rows"
+        );
+        assert_eq!(
+            value_bits(&lu.u_diag),
+            value_bits(&want.u_diag),
+            "{ctx}: U diagonal"
+        );
+        let live: Vec<usize> = lu.order.iter().copied().filter(|&k| k != HOLE).collect();
+        assert_eq!(live, want.order, "{ctx}: pivotal order");
+        for (k, &j) in lu.pos.iter().enumerate() {
+            assert_eq!(lu.order[j], k, "{ctx}: pos is not the inverse of order");
+        }
+        assert!(
+            lu.bits.len() * 64 >= lu.order.len(),
+            "{ctx}: bitmap misses positions"
+        );
+        let transforms = |f: &LuFactors| -> Vec<(usize, Vec<(usize, u64)>)> {
+            f.ft.iter()
+                .map(|tr| (tr.t, pair_bits(&tr.entries)))
+                .collect()
+        };
+        assert_eq!(transforms(lu), transforms(want), "{ctx}: row transforms");
+        assert_eq!(lu.u_nnz, want.u_nnz, "{ctx}: nnz(U)");
+        assert_eq!(lu.update_count(), want.update_count(), "{ctx}: updates");
+        assert_eq!(lu.take_work(), want.take_work(), "{ctx}: work");
+        // Growth peaks are bookkeeping of `update` itself, which the
+        // reference leaves out.
+        let (mut got, mut expected) = (lu.take_stats(), want.take_stats());
+        got.growth_peak = 0.0;
+        expected.growth_peak = 0.0;
+        assert_eq!(got, expected, "{ctx}: statistics");
+    }
+
+    /// Solves one unit and one dense right-hand side each way through
+    /// both factor sets and asserts bit-identical results, result
+    /// patterns and work.
+    fn assert_same_solves(lu: &mut LuFactors, want: &mut LuFactors, rng: &mut SmallRng, ctx: &str) {
+        let m = lu.m;
+        let r = rng.gen_range(0..m);
+        let (mut p1, mut p2) = (Vec::new(), Vec::new());
+        let mut x1 = vec![0.0; m];
+        x1[r] = 1.0;
+        let mut x2 = x1.clone();
+        let h1 = lu.ftran_sparse_tracked(&mut x1, &[r], &mut p1);
+        let h2 = want.ftran_sparse_tracked(&mut x2, &[r], &mut p2);
+        assert_eq!((h1, &p1), (h2, &p2), "{ctx}: ftran pattern");
+        assert_eq!(value_bits(&x1), value_bits(&x2), "{ctx}: ftran");
+        let mut y1 = vec![0.0; m];
+        let mut y2 = vec![0.0; m];
+        let h1 = lu.btran_unit_tracked(r, &mut y1, &mut p1);
+        let h2 = want.btran_unit_tracked(r, &mut y2, &mut p2);
+        assert_eq!((h1, &p1), (h2, &p2), "{ctx}: btran pattern");
+        assert_eq!(value_bits(&y1), value_bits(&y2), "{ctx}: btran");
+        let dense: Vec<f64> = (0..m)
+            .map(|_| f64::from(rng.gen_range(-4i32..=4)))
+            .collect();
+        let (mut x1, mut x2) = (dense.clone(), dense.clone());
+        lu.ftran(&mut x1);
+        want.ftran(&mut x2);
+        assert_eq!(value_bits(&x1), value_bits(&x2), "{ctx}: dense ftran");
+        let (mut y1, mut y2) = (dense.clone(), dense);
+        lu.btran(&mut y1);
+        want.btran(&mut y2);
+        assert_eq!(value_bits(&y1), value_bits(&y2), "{ctx}: dense btran");
+        assert_eq!(lu.take_work(), want.take_work(), "{ctx}: solve work");
+    }
+
+    /// The pattern-driven Forrest–Tomlin update against the dense-sweep
+    /// reference over random pivot sequences: both orderings, tracked
+    /// and untracked pivot columns, `m` on both sides of a bitmap word
+    /// and one 1,000-row system with sparse columns, each sequence
+    /// growing by two bordered rows halfway. After every update the
+    /// factors, and later solves through them, agree bit for bit.
+    #[test]
+    fn pattern_update_matches_dense_sweep_reference() {
+        let (mut walks, mut sweeps) = (0, 0);
+        for m0 in [63usize, 64, 65, 129, 1000] {
+            for ordering in [
+                MarkowitzOrdering::Dynamic,
+                MarkowitzOrdering::StaticColCount,
+            ] {
+                for tracked in [true, false] {
+                    let (w, s) = differential_sequence(m0, ordering, tracked);
+                    walks += w;
+                    sweeps += s;
+                }
+            }
+        }
+        // Both sides of the density cutover are exercised.
+        assert!(
+            walks > 200 && sweeps > 200,
+            "{walks} walks, {sweeps} sweeps"
+        );
+    }
+
+    /// One random pivot sequence of [`pattern_update_matches_dense_sweep_reference`]
+    /// on an `m0`-row basis over `2·m0` structural columns of 2–4
+    /// non-zeros each; no refactorisation unless an update is declined,
+    /// so the holes pile up over several bitmap words. Returns how many
+    /// updates walked `w`'s pattern and how many swept.
+    fn differential_sequence(
+        m0: usize,
+        ordering: MarkowitzOrdering,
+        tracked: bool,
+    ) -> (usize, usize) {
+        let ctx = format!("m {m0}, {ordering:?}, tracked {tracked}");
+        let opts = FactorOpts {
+            refactor_interval: 1000,
+            eta_fill_factor: 1e9,
+            ..ft_opts()
+        };
+        let mut rng = SmallRng::seed_from_u64(m0 as u64 * 4 + u64::from(tracked));
+        let n = 2 * m0;
+        let cols: Vec<Vec<(usize, f64)>> = (0..n)
+            .map(|_| {
+                let nnz = rng.gen_range(2usize..=4);
+                let mut col: Vec<(usize, f64)> = Vec::new();
+                while col.len() < nnz {
+                    let i = rng.gen_range(0..m0);
+                    let v = f64::from(rng.gen_range(-3i32..=3));
+                    if v != 0.0 && col.iter().all(|&(k, _)| k != i) {
+                        col.push((i, v));
+                    }
+                }
+                col
+            })
+            .collect();
+        let mut a = CscMatrix::from_columns(m0, &cols);
+        let mut m = m0;
+        let mut basis: Vec<usize> = (n..n + m0).collect();
+        let mut lu = LuFactors::identity(m0);
+        lu.set_ordering(ordering);
+        assert!(lu.factorize(&basis, &a, n));
+        // Pivot structural columns in (about half the rows of the small
+        // systems, a tenth of the large one, whose pivot columns then stay
+        // hyper-sparse) and refactorise, so the sequence starts from an LU
+        // whose slot and position orders differ.
+        for _ in 0..m0.min(200) {
+            let q = rng.gen_range(0..n);
+            if basis.contains(&q) {
+                continue;
+            }
+            let mut w = vec![0.0; m];
+            a.axpy_col(&mut w, 1.0, q);
+            lu.ftran(&mut w);
+            if let Some(r) = (0..m).find(|&i| w[i].abs() >= 0.5 && basis[i] >= n) {
+                basis[r] = q;
+                if !lu.update(r, &w, &opts) {
+                    assert!(lu.factorize(&basis, &a, n), "{ctx}: warm-up");
+                }
+            }
+        }
+        assert!(lu.factorize(&basis, &a, n), "{ctx}: warm-up");
+        assert!(
+            lu.q.iter().enumerate().any(|(k, &p)| k != p),
+            "{ctx}: slots are in position order"
+        );
+        lu.take_work();
+        lu.take_stats();
+        let mut want = lu.clone();
+        let steps = 160;
+        let (mut accepted, mut walks, mut sweeps) = (0, 0, 0);
+        for step in 0..steps {
+            let ctx = format!("{ctx}, step {step}");
+            if step == steps / 2 {
+                let rows: Vec<Vec<(usize, f64)>> = (0..2)
+                    .map(|_| {
+                        (0..3)
+                            .map(|_| (rng.gen_range(0..n), f64::from(rng.gen_range(1i32..=3))))
+                            .collect()
+                    })
+                    .collect();
+                let borders = borders_for(&mut lu, &basis, n, &rows);
+                assert_eq!(
+                    borders,
+                    borders_for(&mut want, &basis, n, &rows),
+                    "{ctx}: borders"
+                );
+                lu.grow(borders.clone());
+                want.grow(borders);
+                basis.extend(n + m..n + m + 2);
+                a = a.append_rows(&rows);
+                m += 2;
+                assert_same_factors(&mut lu, &mut want, &ctx);
+            }
+            let q = rng.gen_range(0..n);
+            if basis.contains(&q) {
+                continue;
+            }
+            let mut w = vec![0.0; m];
+            a.axpy_col(&mut w, 1.0, q);
+            let mut w_ref = w.clone();
+            let (mut wpat, mut wpat_ref) = (Vec::new(), Vec::new());
+            let hyper = if tracked {
+                let hyper = lu.ftran_sparse_tracked(&mut w, a.col(q).0, &mut wpat);
+                want.ftran_sparse_tracked(&mut w_ref, a.col(q).0, &mut wpat_ref);
+                hyper
+            } else {
+                lu.ftran(&mut w);
+                want.ftran(&mut w_ref);
+                false
+            };
+            assert_eq!(wpat, wpat_ref, "{ctx}: pivot column pattern");
+            assert_eq!(value_bits(&w), value_bits(&w_ref), "{ctx}: pivot column");
+            let usable: Vec<usize> = (0..m).filter(|&i| w[i].abs() >= 1e-3).collect();
+            let Some(&r) = usable.get(rng.gen_range(0..usable.len().max(1))) else {
+                assert_same_factors(&mut lu, &mut want, &ctx);
+                continue;
+            };
+            basis[r] = q;
+            let ok = if hyper {
+                lu.update_sparse(r, &w, &wpat, &opts)
+            } else {
+                lu.update(r, &w, &opts)
+            };
+            if hyper && wpat.len() <= lu.hyper_cap() {
+                walks += 1;
+            } else {
+                sweeps += 1;
+            }
+            assert_eq!(
+                ok,
+                dense_sweep_update(&mut want, r, &w_ref),
+                "{ctx}: accepted"
+            );
+            assert_same_factors(&mut lu, &mut want, &ctx);
+            assert_same_solves(&mut lu, &mut want, &mut rng, &ctx);
+            if ok {
+                accepted += 1;
+            } else {
+                assert!(lu.factorize(&basis, &a, n), "{ctx}: refactorise");
+                assert!(want.factorize(&basis, &a, n), "{ctx}: refactorise");
+                assert_same_factors(&mut lu, &mut want, &ctx);
+            }
+        }
+        assert!(accepted > steps / 2, "{ctx}: only {accepted} updates");
+        (walks, sweeps)
     }
 }

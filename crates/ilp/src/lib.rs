@@ -220,7 +220,7 @@
 //!   (keyed lookups stay legal) but never *iterated*: iteration order
 //!   would leak the hasher's per-process state into results. Anything
 //!   traversed is a `Vec`/`BTreeMap`/`BTreeSet` — see
-//!   `CutSeparator::adj`'s membership-only contract in `cuts.rs`.
+//!   the conflict graph's membership-only `adj` contract in `cuts.rs`.
 //! * **`relaxed-ordering`** / **`thread-spawn`** — every
 //!   `Ordering::Relaxed` and any threading outside `parallel.rs` needs
 //!   a written justification; `parallel.rs`'s module docs carry the

@@ -820,16 +820,59 @@ fn dominated_columns(ws: &mut Workspace) -> Result<(), Infeasible> {
     Ok(())
 }
 
-/// Live `(row, coeff)` pattern of column `j`, sorted by row.
-fn column_pattern(ws: &Workspace, j: usize) -> Vec<(u32, f64)> {
-    let mut pat: Vec<(u32, f64)> = ws.col_rows[j]
-        .iter()
-        .filter(|&&ri| ws.rows[ri as usize].alive)
-        .filter_map(|&ri| ws.coeff_of(ri, j as u32).map(|a| (ri, a)))
-        .collect();
-    pat.sort_unstable_by_key(|&(ri, _)| ri);
-    pat.dedup_by_key(|&mut (ri, _)| ri);
-    pat
+/// The live `(row, coeff)` pattern of every column, sorted by row: one
+/// transposition of the live rows, in `O(nnz)`.
+struct ColumnPatterns {
+    /// `entries[start[j]..end[j]]` is column `j`'s pattern.
+    start: Vec<usize>,
+    end: Vec<usize>,
+    entries: Vec<(u32, f64)>,
+}
+
+impl ColumnPatterns {
+    fn new(ws: &Workspace) -> Self {
+        let n = ws.num_cols();
+        let live = || ws.rows.iter().enumerate().filter(|(_, row)| row.alive);
+        let mut start = vec![0usize; n + 1];
+        for (_, row) in live() {
+            for &(c, _) in &row.terms {
+                start[c as usize + 1] += 1;
+            }
+        }
+        for j in 0..n {
+            start[j + 1] += start[j];
+        }
+        let mut end = start[..n].to_vec();
+        let mut entries = vec![(0u32, 0.0); start[n]];
+        for (ri, row) in live() {
+            let ri = ri as u32;
+            for &(c, a) in &row.terms {
+                let c = c as usize;
+                // A row repeating a column contributes its first term,
+                // the coefficient `coeff_of` finds.
+                if end[c] > start[c] && entries[end[c] - 1].0 == ri {
+                    continue;
+                }
+                entries[end[c]] = (ri, a);
+                end[c] += 1;
+            }
+        }
+        ColumnPatterns {
+            start,
+            end,
+            entries,
+        }
+    }
+
+    /// Column `j`'s pattern over the rows still alive into `out`.
+    fn read(&self, rows: &[Row], j: usize, out: &mut Vec<(u32, f64)>) {
+        out.clear();
+        out.extend(
+            self.entries[self.start[j]..self.end[j]]
+                .iter()
+                .filter(|&&(ri, _)| rows[ri as usize].alive),
+        );
+    }
 }
 
 /// Whether some shared row caps `x_j + x_k ≤ 1`: a `≤`/`=` row with
@@ -852,13 +895,20 @@ fn has_cap_row(ws: &Workspace, pat: &[(u32, f64)], j: u32, k: u32) -> bool {
 }
 
 /// Duplicate binary columns under a packing row: fix the costlier twin.
+///
+/// Column patterns come from one transposition of the live rows at the
+/// start of the pass. Fixing a column only drops that column's terms and
+/// moves right-hand sides, so every other column's pattern stays as
+/// built; rows killed since are skipped on reading all the same.
 fn duplicate_columns(ws: &mut Workspace) -> Result<(), Infeasible> {
+    let patterns = ColumnPatterns::new(ws);
+    let (mut pat, mut pk) = (Vec::new(), Vec::new());
     let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
     for j in 0..ws.num_cols() {
         if ws.removed[j] || ws.ty[j] != VarType::Binary {
             continue;
         }
-        let pat = column_pattern(ws, j);
+        patterns.read(&ws.rows, j, &mut pat);
         if pat.is_empty() {
             continue;
         }
@@ -870,7 +920,7 @@ fn duplicate_columns(ws: &mut Workspace) -> Result<(), Infeasible> {
             if ws.removed[k] {
                 continue;
             }
-            let pk = column_pattern(ws, k);
+            patterns.read(&ws.rows, k, &mut pk);
             if pk != pat || !has_cap_row(ws, &pat, j as u32, k as u32) {
                 continue;
             }

@@ -1372,8 +1372,14 @@ impl Engine {
             // one eta under the product form. An update the LU cannot
             // absorb (a numerically degenerate Forrest–Tomlin diagonal)
             // forces an immediate refactorisation, exactly like the
-            // update-file policy.
-            let absorbed = self.factor.update(r, &self.w, &self.opts);
+            // update-file policy. A tracked `w` hands its pattern over, so
+            // a hyper-sparse one is walked instead of every slot swept.
+            let absorbed = if w_tracked {
+                self.factor
+                    .update_sparse(r, &self.w, &self.wpat, &self.opts)
+            } else {
+                self.factor.update(r, &self.w, &self.opts)
+            };
             self.work += self.factor.take_work();
 
             // Restore the all-zero scratch invariants over the patterns

@@ -576,8 +576,8 @@ pub struct LockEdge {
 /// The workspace lock-acquisition graph.
 #[derive(Debug, Default)]
 pub struct LockGraph {
-    /// Every lock: name → (declaring file, line).
-    pub locks: BTreeMap<String, (String, u32)>,
+    /// Every lock: name → declaring file.
+    pub locks: BTreeMap<String, String>,
     /// Acquisition-order edges.
     pub edges: Vec<LockEdge>,
 }
@@ -594,11 +594,11 @@ impl LockGraph {
         // which is conservative).
         let mut fn_locks: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
         for (path, fns, decls) in files {
-            for (name, &(line, _)) in decls {
+            for name in decls.keys() {
                 graph
                     .locks
                     .entry(name.clone())
-                    .or_insert_with(|| (path.clone(), line));
+                    .or_insert_with(|| path.clone());
             }
             for f in fns {
                 let entry = fn_locks.entry(f.name.as_str()).or_default();
@@ -747,8 +747,8 @@ impl LockGraph {
     }
 
     /// Renders the committed lock-order contract: every lock with its
-    /// declaration site, every edge with its witness, the proven order,
-    /// and a DOT block for visualisation.
+    /// declaring file, every edge with its witness's file, the proven
+    /// order, and a DOT block for visualisation.
     #[must_use]
     pub fn render_contract(&self) -> String {
         let mut s = String::new();
@@ -760,8 +760,11 @@ impl LockGraph {
              direct callees), and fails the build on any cycle.\n\n",
         );
         s.push_str("## Locks\n\n");
-        for (name, (file, line)) in &self.locks {
-            s.push_str(&format!("- `{name}` — declared at {file}:{line}\n"));
+        // Files, not lines: the contract changes when a lock or an edge
+        // appears, moves to another file or closes a cycle, not when a
+        // line above a declaration does.
+        for (name, file) in &self.locks {
+            s.push_str(&format!("- `{name}` — declared in {file}\n"));
         }
         s.push_str("\n## Acquisition edges (held → acquired)\n\n");
         if self.edges.is_empty() {
@@ -776,8 +779,8 @@ impl LockGraph {
                     .as_deref()
                     .map_or(String::new(), |c| format!(" via `{c}()`"));
                 s.push_str(&format!(
-                    "- `{}` → `{}` at {}:{}{}\n",
-                    e.held, e.acquired, e.file, e.line, via
+                    "- `{}` → `{}` in {}{}\n",
+                    e.held, e.acquired, e.file, via
                 ));
             }
         }

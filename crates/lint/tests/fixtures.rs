@@ -618,6 +618,29 @@ fn lock_order_consistent_nesting_is_clean() {
 }
 
 #[test]
+fn lock_order_contract_names_files_not_lines() {
+    let decl =
+        "pub struct Exchange { pub queue_a: Mutex<Vec<u32>>, pub queue_b: Mutex<Vec<u32>> }\n";
+    let body = "fn drain_ab(ex: &Exchange) {\n    let g = ex.queue_a.lock().unwrap_or_else(|e| e.into_inner());\n    let h = ex.queue_b.lock().unwrap_or_else(|e| e.into_inner());\n    drop((g, h));\n}";
+    let contract = |files: &[(&str, &str)]| scan_files(files).lock_graph.render_contract();
+    let base = contract(&[("crates/ilp/src/a.rs", &format!("{decl}{body}"))]);
+    // Lines added above the declaration and the acquisitions move no
+    // entry of the contract...
+    let shifted = contract(&[(
+        "crates/ilp/src/a.rs",
+        &format!("\n\n// moved\n{decl}\n{body}"),
+    )]);
+    assert_eq!(base, shifted);
+    // ...while the locks moving to another file does.
+    let moved = contract(&[("crates/ilp/src/a.rs", body), ("crates/ilp/src/b.rs", decl)]);
+    assert_ne!(base, moved);
+    assert!(
+        moved.contains("`queue_a` — declared in crates/ilp/src/b.rs"),
+        "{moved}"
+    );
+}
+
+#[test]
 fn lock_order_temporary_guard_drops_at_statement_end() {
     // Statement temporaries release at `;`: sequential acquisitions in
     // separate statements are not nested and produce no edge.

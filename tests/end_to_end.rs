@@ -173,3 +173,57 @@ fn deterministic_pipeline_runs() {
         assert_eq!(x.det_time, y.det_time);
     }
 }
+
+/// Presolve of the paper-scale PGO formulation (Eq. 12) of Table I
+/// network A at full size on the Table II pool (at most 4 replicas),
+/// restricted to a first-fit mapping's crossbars like the pipeline's
+/// re-solve: the reductions it makes and the ticks it charges are pinned,
+/// so a change to how presolve finds its reductions cannot move either.
+#[test]
+fn paper_scale_pgo_presolve_is_pinned() {
+    use croxmap::ilp::presolve::{presolve, PresolveOutcome, PresolveStats};
+    use croxmap_core::{baseline, MappingIlp, MappingObjective};
+    let spec = NetworkSpec::table_i_scaled(1)
+        .into_iter()
+        .find(|s| s.name.starts_with('A'))
+        .expect("Table I network A");
+    let net = generate(&spec);
+    let pool = CrossbarPool::for_network_capped(
+        &ArchitectureSpec::table_ii_heterogeneous(),
+        &AreaModel::memristor_count(),
+        net.node_count(),
+        4,
+    );
+    let base = baseline::greedy_first_fit(&net, &pool).expect("first fit places A/1");
+    // Deterministic stand-in spike counts, zero for every seventh neuron.
+    let weights: Vec<u64> = (0..net.node_count() as u64).map(|i| i * 37 % 7).collect();
+    let formulation = pipeline::PipelineConfig::default()
+        .formulation
+        .restricted_to(&base);
+    let ilp = MappingIlp::build(
+        &net,
+        &pool,
+        &MappingObjective::PgoPackets(weights),
+        &formulation,
+    );
+    let PresolveOutcome::Reduced(reduced) = presolve(ilp.model()) else {
+        panic!("the PGO formulation of a first-fit mapping is feasible");
+    };
+    assert_eq!(
+        reduced.stats,
+        PresolveStats {
+            rows_removed: 8852,
+            cols_removed: 6282,
+            nnz_before: 91_440,
+            nnz_after: 60_399,
+            rounds: 3,
+            coeffs_tightened: 0,
+            cliques: 229,
+            work_ticks: 772_377,
+        }
+    );
+    assert_eq!(
+        (reduced.model.num_vars(), reduced.model.num_constraints()),
+        (13_278, 12_177)
+    );
+}
