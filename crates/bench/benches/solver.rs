@@ -24,10 +24,7 @@
 //! root gap closed against a reference incumbent), a `parallel_bb/*`
 //! group running the tree-heavy instances through the parallel driver
 //! (sequential `t1` baseline, deterministic 4-thread schedule measured
-//! twice as `t4_det`/`t4_det_rerun`, and work-stealing `t4_ws`), and a
-//! `pricing_ablation/*` group re-running the warm ring-cover chain and
-//! the presolved partition cold root under each dual pricing rule
-//! (Devex and exact steepest edge).
+//! twice as `t4_det`/`t4_det_rerun`, and work-stealing `t4_ws`).
 //!
 //! ## CI smoke mode
 //!
@@ -55,7 +52,7 @@ use croxmap_ilp::presolve::{presolve, PresolveOutcome, PresolveStats};
 use croxmap_ilp::simplex::{self, LpResult, LpStatus};
 use croxmap_ilp::{
     Cut, CutSeparator, DeterministicClock, FactorStats, LpSession, Model, ParallelMode, Phase,
-    PhaseBreakdown, PricingRule, Solver, SolverConfig,
+    PhaseBreakdown, Solver, SolverConfig,
 };
 use croxmap_mca::{ArchitectureSpec, AreaModel, CrossbarPool};
 use std::fmt::Write as _;
@@ -411,33 +408,12 @@ fn measure_lp_chain(
     rule: FixRule,
     max_steps: usize,
 ) -> WarmColdRecord {
-    measure_lp_chain_with(
-        simplex::LpConfig::default(),
-        name,
-        model,
-        warm,
-        rule,
-        max_steps,
-    )
-}
-
-/// [`measure_lp_chain`] under an explicit LP configuration (the pricing
-/// ablation varies the pricing rule; everything else stays the shipped
-/// default).
-fn measure_lp_chain_with(
-    lp_cfg: simplex::LpConfig,
-    name: &str,
-    model: &Model,
-    warm: bool,
-    rule: FixRule,
-    max_steps: usize,
-) -> WarmColdRecord {
     let mut bounds: Vec<(f64, f64)> = model
         .variables()
         .iter()
         .map(|v| (v.lower, v.upper))
         .collect();
-    let mut solver = LpSession::open(model, lp_cfg);
+    let mut solver = LpSession::open(model, simplex::LpConfig::default());
     let start = Instant::now();
     let root = solver.solve(&bounds, None);
     let mut basis = root.basis;
@@ -729,66 +705,6 @@ fn parse_committed(json: &str) -> Vec<(String, String, u64)> {
         .collect()
 }
 
-/// Pricing-rule ablation: the same warm branching chain and presolved
-/// cold root under each dual pricing rule — Devex and exact steepest
-/// edge — as `pricing_ablation/*` rows. Cheap and deterministic,
-/// so the smoke gate re-measures them and fails any rule whose ticks
-/// regress > 1.5x against the committed baseline (a pricing change that
-/// helps one rule must not silently wreck another).
-fn measure_pricing_ablation(records: &mut Vec<WarmColdRecord>) {
-    let rules: [(&'static str, PricingRule); 2] = [
-        ("devex", PricingRule::Devex),
-        ("steepest", PricingRule::SteepestEdge),
-    ];
-    let ring = ring_cover(96);
-    let (sp_target, sp_stats) = match presolve(&set_partition(16)) {
-        PresolveOutcome::Reduced(p) => (p.model, p.stats),
-        PresolveOutcome::Infeasible(_) => unreachable!("bench instances are feasible"),
-    };
-    let sp_bounds: Vec<(f64, f64)> = sp_target
-        .variables()
-        .iter()
-        .map(|v| (v.lower, v.upper))
-        .collect();
-    for (label, pricing) in rules {
-        let lp_cfg = simplex::LpConfig {
-            pricing,
-            ..simplex::LpConfig::default()
-        };
-        // Warm branching chain (the dive workload pricing exists for).
-        let mut row = measure_lp_chain_with(
-            lp_cfg,
-            "ring_cover/96",
-            &ring,
-            true,
-            FixRule::Ones,
-            usize::MAX,
-        );
-        row.instance = format!("pricing_ablation/{}", row.instance);
-        row.mode = label;
-        records.push(row);
-        // Presolved cold root on the degenerate partition family (the
-        // cold workload where leaving-row choice decides the pivot count).
-        let start = Instant::now();
-        let out = LpSession::open(&sp_target, lp_cfg).solve(&sp_bounds, None);
-        let wall = start.elapsed().as_secs_f64();
-        records.push(WarmColdRecord {
-            instance: "pricing_ablation/cold_root/set_partition/scaled_a_16".to_owned(),
-            mode: label,
-            nodes: 1,
-            det_seconds: DeterministicClock::ticks_to_seconds(out.result.work_ticks),
-            work_ticks: out.result.work_ticks,
-            wall_seconds: wall,
-            objective: Some(round_objective(out.result.objective)),
-            presolve: Some(sp_stats),
-            fallbacks: failures(&out.result),
-            factor: Some(out.result.factor),
-            cuts: None,
-            phases: PhaseBreakdown::default(),
-        });
-    }
-}
-
 /// All instance measurements for the JSON log. `smoke` restricts the run
 /// to the small, committed lp_chain/bb sizes plus the (cheap,
 /// deterministic) cold-root group.
@@ -837,9 +753,6 @@ fn collect_records(smoke: bool) -> Vec<WarmColdRecord> {
         records.push(measure_cuts_root(&name, &model));
     }
     records.push(measure_cuts_root("knapsack/96", &knapsack(96)));
-    // Pricing-rule ablation rows, always measured (smoke included): the
-    // gate guards each rule's ticks against the committed baseline.
-    measure_pricing_ablation(&mut records);
     // Parallel tree-search rows on the two instances whose sequential
     // solves are tree-heavy enough for worker threads to matter. Always
     // measured (smoke included): the run-to-run determinism diff needs
@@ -928,8 +841,7 @@ fn smoke_check() -> bool {
         }
         let guarded = (r.mode == "warm" && r.instance.starts_with("lp_chain/"))
             || (r.instance.starts_with("cold_root/") && r.mode != "noperturb")
-            || r.instance.starts_with("cuts_root/")
-            || r.instance.starts_with("pricing_ablation/");
+            || r.instance.starts_with("cuts_root/");
         if !guarded {
             continue;
         }

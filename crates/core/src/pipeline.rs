@@ -45,11 +45,11 @@ impl PipelineConfig {
     /// Returns a copy with the given solver configuration. This is how
     /// callers reach the solver knobs — basis-update rule
     /// (Forrest–Tomlin vs product-form etas,
-    /// `SolverConfig::with_update_rule`), pricing rule, root presolve on
-    /// or off (`SolverConfig::with_presolve`), the root cutting-plane
-    /// round limit (`SolverConfig::with_cuts`) and the tree-search
-    /// threads (`SolverConfig::with_threads`) — e.g.
-    /// `cfg.with_solver(cfg.solver.clone().with_pricing(...))`.
+    /// `SolverConfig::with_update_rule`), root presolve on or off
+    /// (`SolverConfig::with_presolve`), the root cutting-plane round
+    /// limit (`SolverConfig::with_cuts`) and the tree-search threads
+    /// (`SolverConfig::with_threads`) — e.g.
+    /// `cfg.with_solver(cfg.solver.clone().with_threads(4))`.
     #[must_use]
     pub fn with_solver(mut self, solver: SolverConfig) -> Self {
         self.solver = solver;
@@ -540,19 +540,6 @@ pub fn optimize_routes_after_area(
     run_ilp(network, &ilp, Some(&warm), &config.solver)
 }
 
-/// Total-route optimisation (objective Eq. 9) under the same restriction.
-#[must_use]
-pub fn optimize_total_routes_after_area(
-    network: &Network,
-    pool: &CrossbarPool,
-    base: &Mapping,
-    config: &PipelineConfig,
-) -> OptimizationRun {
-    let formulation = config.formulation.clone().restricted_to(base);
-    let ilp = MappingIlp::build(network, pool, &MappingObjective::TotalRoutes, &formulation);
-    run_ilp(network, &ilp, Some(base), &config.solver)
-}
-
 /// Profile-guided packet optimisation (objective Eq. 12) restricted to
 /// `base`'s crossbars (§V-H). `weights` are per-neuron spike counts from a
 /// profiling run.
@@ -692,24 +679,6 @@ mod tests {
         best.validate(&net, &pool).unwrap();
         assert_eq!(best.used_slots().len(), 2);
         assert_eq!(run.best_objective(), Some(32.0));
-    }
-
-    #[test]
-    fn pricing_rule_options_plumb_through_pipeline() {
-        // Every dual pricing rule behind `PipelineConfig::with_solver`
-        // must reach the same area optimum on the clustered instance.
-        use croxmap_ilp::PricingRule;
-        let net = clustered();
-        let pool = pool();
-        for pricing in [PricingRule::Devex, PricingRule::SteepestEdge] {
-            let cfg = PipelineConfig::with_budget(10.0).with_solver(
-                SolverConfig::default()
-                    .with_det_time_limit(10.0)
-                    .with_pricing(pricing),
-            );
-            let run = optimize_area(&net, &pool, &cfg);
-            assert_eq!(run.best_objective(), Some(32.0), "pricing {pricing:?}");
-        }
     }
 
     #[test]

@@ -143,8 +143,10 @@ impl LpSession {
 
     /// Solves the relaxation of the current view under `bounds`
     /// (one pair per structural variable), warm-starting from `warm`.
-    /// A solve the engine declines reports [`LpStatus::Failed`] with the
-    /// work its attempts spent.
+    /// A pair crossed by more than the LP tolerance ([`TOL`]) makes the
+    /// node infeasible; one crossed by less is solved as fixed at its
+    /// upper bound. A solve the engine declines reports
+    /// [`LpStatus::Failed`] with the work its attempts spent.
     ///
     /// # Panics
     ///

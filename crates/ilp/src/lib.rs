@@ -30,12 +30,10 @@
 //!   shrinking active submatrix; the static column-count ordering stays
 //!   selectable as a differential oracle) with Forrest–Tomlin updates
 //!   and hyper-sparse triangular solves whose tracked variants capture
-//!   result patterns for reuse by the next solve in a pivot chain,
-//!   Devex pricing by default and selectable **dual steepest-edge
-//!   pricing** ([`PricingRule::SteepestEdge`]: exact reference weights
-//!   from hyper-sparse unit BTRANs, updated per pivot by the
-//!   Forrest–Goldfarb recurrence, re-initialised when drift exceeds a
-//!   guard band),
+//!   result patterns that the rest of the pivot walks (sparse PRICE,
+//!   the β and weight updates, the Forrest–Tomlin update),
+//!   **Devex pricing** of the leaving row (reference-framework weights,
+//!   with a Bland guard on stalls),
 //!   deterministic anti-degeneracy cost perturbation on cold starts, and
 //!   a per-solve deterministic work budget (`LpConfig::work_limit`),
 //! * a **warm-start API** ([`Basis`]): optimal solves return a basis
@@ -306,7 +304,6 @@ pub use factor::{DenseInverse, FactorOpts, FactorStats, LuFactors, MarkowitzOrde
 pub use model::{Constraint, Model, ModelError, VarType, Variable};
 pub use parallel::{ParallelMode, ParallelStats};
 pub use presolve::{Postsolve, PresolveStats, PresolvedModel};
-pub use simplex::PricingRule;
 pub use solution::{IncumbentEvent, Solution};
 pub use solver::{BranchRule, CutSummary, SolveResult, SolveStatus, Solver, SolverConfig};
 pub use sparse::CscMatrix;

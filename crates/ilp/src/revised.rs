@@ -11,13 +11,9 @@
 //! * reduced costs priced through sparse columns (`O(nnz)` per pivot).
 //!
 //! The dual simplex selects its leaving row with **Devex
-//! reference-framework pricing** (violation² over an evolving row weight;
-//! the default) or exact **dual steepest-edge** weights
-//! ([`PricingRule::SteepestEdge`]: `violation² / ‖e_r B⁻¹‖²`, maintained
-//! by the Forrest–Goldfarb recurrence at the cost of one extra FTRAN per
-//! pivot, degrading to the Devex framework when weight drift is
-//! detected), with Bland-style lowest-index selection under stalls in
-//! either mode. It then runs a **bound-flipping dual ratio test**: boxed
+//! reference-framework pricing** (violation² over an evolving row
+//! weight), with Bland-style lowest-index selection under stalls. It
+//! then runs a **bound-flipping dual ratio test**: boxed
 //! candidates whose dual ratio is passed by the step are flipped to their
 //! other bound — one FTRAN folds all flips into `β` — which lets one
 //! iteration absorb many would-be degenerate pivots.
@@ -28,9 +24,7 @@
 //! [`crate::factor`]), the dual row is priced **row-wise over `ρ`'s
 //! support** against a CSR companion view of the matrix (sparse PRICE)
 //! instead of a dense sweep over all columns, and the β/weight/reduced-
-//! cost updates and scratch re-zeroing all walk those patterns. One
-//! solve's result pattern seeds the next dependent solve's DFS (the DSE
-//! FTRAN reuses the BTRAN's pattern directly).
+//! cost updates and scratch re-zeroing all walk those patterns.
 //!
 //! The engine always starts **dual feasible** and drives out primal
 //! infeasibility with the dual simplex:
@@ -64,7 +58,7 @@ use crate::basis::{Basis, VarStatus};
 use crate::expr::ConstraintSense;
 use crate::factor::{refill, FactorOpts, LuFactors};
 use crate::model::Model;
-use crate::simplex::{LpConfig, LpResult, LpStatus, PricingRule, TOL};
+use crate::simplex::{LpConfig, LpResult, LpStatus, TOL};
 use crate::sparse::{CscMatrix, RowMajor};
 use crate::tol;
 use std::sync::Arc;
@@ -79,14 +73,6 @@ const VERIFY_TOL: f64 = tol::VERIFY;
 const STALL_LIMIT: u32 = 64;
 /// Devex weights above this trigger a reference-framework reset.
 const DEVEX_RESET: f64 = 1e8;
-/// Lower clamp on dual steepest-edge weights (guards the score division
-/// and the recurrence against cancellation-driven negatives).
-const DSE_FLOOR: f64 = tol::DSE_FLOOR;
-/// Drift gate for the steepest-edge recurrence: when the maintained
-/// weight of the leaving row and its exact norm `‖ρ‖²` disagree by more
-/// than this factor, the weights are abandoned for the rest of the solve
-/// (the Devex framework takes over).
-const DSE_DRIFT: f64 = 16.0;
 /// Remaining-slope floor for accepting another bound flip in the dual
 /// ratio test.
 const FLIP_SLOPE_TOL: f64 = tol::FLIP_SLOPE;
@@ -159,10 +145,9 @@ struct Engine {
     in_row: Vec<usize>,
     /// Basis factorisation: sparse LU under the configured update rule.
     factor: LuFactors,
-    /// Factorisation/pricing options this engine was built with; a hot
-    /// reuse with different options must miss and rebuild.
+    /// Factorisation options this engine was built with; a hot reuse
+    /// with different options must miss and rebuild.
     opts: FactorOpts,
-    pricing: PricingRule,
     /// Devex reference-framework weight per row.
     devex: Vec<f64>,
     /// Running maximum of the Devex weights — the reference-framework
@@ -171,13 +156,6 @@ struct Engine {
     /// after a leaving-row weight shrinks, triggering a reset at worst
     /// one framework early — a policy choice, not a correctness issue.)
     devex_max: f64,
-    /// Dual steepest-edge weight per row (`γᵢ ≈ ‖eᵢB⁻¹‖²`); only
-    /// maintained under [`PricingRule::SteepestEdge`].
-    dse: Vec<f64>,
-    /// `false` once steepest-edge weight drift was detected: scoring and
-    /// maintenance degrade to the Devex framework until the next
-    /// install/cold start restores exact weights.
-    dse_ok: bool,
     /// Values of basic variables per row.
     beta: Vec<f64>,
     /// Reduced costs per column (zero on basic columns).
@@ -205,13 +183,11 @@ struct Engine {
     /// factorisation's hyper-sparse solves.
     pat: Vec<usize>,
     /// Scratch: result pattern of the leaving row's BTRAN (`ρ`'s
-    /// support) — drives sparse PRICE and seeds the DSE FTRAN.
+    /// support) — drives sparse PRICE.
     rpat: Vec<usize>,
     /// Scratch: result pattern of the pivot column's FTRAN (`w`'s
     /// support) — drives the β/weight updates and re-zeroing.
     wpat: Vec<usize>,
-    /// Scratch: result pattern of the DSE FTRAN (`τ`'s support).
-    tpat: Vec<usize>,
     /// Scratch: columns touched by sparse PRICE (`α`'s support).
     apat: Vec<usize>,
     /// Column marks + stamp deduplicating sparse PRICE touches.
@@ -279,11 +255,8 @@ impl Engine {
         self.factor.reset(m);
         self.factor.set_ordering(config.ordering);
         self.opts = config.factor_opts();
-        self.pricing = config.pricing;
         refill(&mut self.devex, m, 1.0);
         self.devex_max = 1.0;
-        refill(&mut self.dse, m, 1.0);
-        self.dse_ok = true;
         refill(&mut self.beta, m, 0.0);
         refill(&mut self.d, n_total, 0.0);
         refill(&mut self.alpha, n_total, 0.0);
@@ -297,7 +270,6 @@ impl Engine {
             &mut self.pat,
             &mut self.rpat,
             &mut self.wpat,
-            &mut self.tpat,
             &mut self.apat,
         ] {
             pattern.clear();
@@ -319,13 +291,12 @@ impl Engine {
 
     /// Returns `true` if this engine's live state is exactly the snapshot
     /// `warm` for the same constraint matrix *and* objective, under the
-    /// same factorisation and pricing options. The cost check matters:
+    /// same factorisation options. The cost check matters:
     /// the hot path reuses the engine's reduced costs, so a caller that
     /// mutated the objective between solves must not land here (it falls
     /// through to the install path, which reprices).
     fn matches(&self, model: &Model, warm: &Basis, config: &LpConfig) -> bool {
         self.opts == config.factor_opts()
-            && self.pricing == config.pricing
             && Arc::ptr_eq(&self.a, &model.csc())
             && warm.cols == self.basis
             && warm.status == self.status
@@ -457,7 +428,6 @@ impl Engine {
             }
             if self.pat.is_empty() {
                 borders.push(Vec::new());
-                self.dse.push(1.0);
                 continue;
             }
             self.factor.btran_sparse(&mut self.rho, &self.pat);
@@ -469,12 +439,6 @@ impl Engine {
                 .map(|(i, &v)| (i, v))
                 .collect();
             self.work += (con.terms.len() + mu.len()) as u64 + self.factor.take_work();
-            // Steepest-edge weight of the new basic slack's row: with the
-            // bordered basis, `e_newᵀ B'⁻¹ = (−μᵀ, 1)`, so its squared
-            // norm is `1 + ‖μ‖²` exactly — the old rows' weights are
-            // untouched by the growth.
-            let g: f64 = 1.0 + mu.iter().map(|&(_, v)| v * v).sum::<f64>();
-            self.dse.push(g.max(DSE_FLOOR));
             borders.push(mu);
         }
         self.rho.fill(0.0);
@@ -619,10 +583,6 @@ impl Engine {
         self.factor.reset_identity();
         self.devex.fill(1.0);
         self.devex_max = 1.0;
-        // With B = I every row of B⁻¹ is a unit vector, so the all-ones
-        // steepest-edge weights are *exact* — no solves needed.
-        self.dse.fill(1.0);
-        self.dse_ok = true;
         // β = b − N x_N; with B = I (slacks) no solve is needed.
         self.beta.copy_from_slice(&self.rhs);
         let mut acc = std::mem::take(&mut self.beta);
@@ -678,151 +638,11 @@ impl Engine {
         }
         self.devex.fill(1.0);
         self.devex_max = 1.0;
-        if self.pricing == PricingRule::SteepestEdge {
-            self.init_dse_exact();
-        }
         if !self.reprice() {
             return false;
         }
         self.refresh_beta();
         true
-    }
-
-    /// Recomputes the steepest-edge weights exactly from the installed
-    /// basis: `γᵢ = ‖eᵢB⁻¹‖²` via one hyper-sparse unit BTRAN per row.
-    /// Affordable at install cadence precisely because the BTRANs are
-    /// hyper-sparse; the dual loop then only pays the recurrence.
-    fn init_dse_exact(&mut self) {
-        self.rho.fill(0.0);
-        for i in 0..self.m {
-            let tracked = self
-                .factor
-                .btran_unit_tracked(i, &mut self.rho, &mut self.rpat);
-            let mut g = 0.0;
-            if tracked {
-                for &k in &self.rpat {
-                    let v = self.rho[k];
-                    g += v * v;
-                    self.rho[k] = 0.0;
-                }
-                self.work += self.rpat.len() as u64 + 1;
-            } else {
-                for v in &mut self.rho {
-                    g += *v * *v;
-                    *v = 0.0;
-                }
-                self.work += self.m as u64;
-            }
-            self.dse[i] = g.max(DSE_FLOOR);
-        }
-        self.dse_ok = true;
-        self.work += self.factor.take_work();
-    }
-
-    /// Whether the Devex framework is the active leaving-row weighting —
-    /// either as the configured rule or as the fallback for drifted
-    /// steepest-edge weights.
-    fn devex_active(&self) -> bool {
-        self.pricing == PricingRule::Devex || !self.dse_ok
-    }
-
-    /// Forrest–Goldfarb steepest-edge recurrence for one pivot: row `r`
-    /// leaves with pivot element `wr = α_r`, `rho` holds `ρ = e_r B⁻¹`
-    /// (pattern `rpat` when `rho_tracked`) and `w` holds `α = B⁻¹A_q`
-    /// (pattern `wpat` when `w_tracked`). With `τ = B⁻¹ρ` (the one extra
-    /// FTRAN this rule costs, seeded by ρ's tracked pattern):
-    ///
-    /// ```text
-    ///   γ_r' = γ_r / α_r²
-    ///   γ_i' = γ_i − 2(α_i/α_r)τ_i + (α_i/α_r)²γ_r     (i ≠ r)
-    /// ```
-    ///
-    /// The exact `γ_r = ‖ρ‖²` is free here and is used both in the
-    /// recurrence and as a drift detector against the maintained weight;
-    /// on drift the weights are abandoned (Devex framework takes over
-    /// until the next install). `rho` is consumed either way — it leaves
-    /// this method all-zero.
-    fn update_dse_weights(&mut self, r: usize, wr: f64, rho_tracked: bool, w_tracked: bool) {
-        // Exact squared norm of the leaving row of B⁻¹.
-        let mut gr_exact = 0.0;
-        if rho_tracked {
-            for &i in &self.rpat {
-                let v = self.rho[i];
-                gr_exact += v * v;
-            }
-            self.work += self.rpat.len() as u64;
-        } else {
-            for &v in &self.rho {
-                gr_exact += v * v;
-            }
-            self.work += self.m as u64;
-        }
-        let est = self.dse[r];
-        if gr_exact <= 0.0
-            || gr_exact.is_nan()
-            || est > gr_exact * DSE_DRIFT
-            || gr_exact > est * DSE_DRIFT
-        {
-            // Drifted recurrence: degrade to the Devex framework for the
-            // rest of this solve (fresh reference basis).
-            self.dse_ok = false;
-            self.devex.fill(1.0);
-            self.devex_max = 1.0;
-            if rho_tracked {
-                for &i in &self.rpat {
-                    self.rho[i] = 0.0;
-                }
-            } else {
-                self.rho.fill(0.0);
-            }
-            self.work += 2 * self.m as u64;
-            return;
-        }
-        // τ = B⁻¹ρ, computed in place (ρ has no further use this
-        // iteration); the BTRAN's result pattern seeds the FTRAN's DFS.
-        let tau_tracked = if rho_tracked {
-            self.factor
-                .ftran_sparse_tracked(&mut self.rho, &self.rpat, &mut self.tpat)
-        } else {
-            self.factor.ftran(&mut self.rho);
-            false
-        };
-        self.work += self.factor.take_work();
-        let ar_inv = 1.0 / wr;
-        if w_tracked {
-            for &i in &self.wpat {
-                let wi = self.w[i];
-                if i == r || wi == 0.0 {
-                    continue;
-                }
-                let ratio = wi * ar_inv;
-                let g = self.dse[i] + ratio * (ratio * gr_exact - 2.0 * self.rho[i]);
-                self.dse[i] = g.max(DSE_FLOOR);
-            }
-            self.work += self.wpat.len() as u64;
-        } else {
-            for i in 0..self.m {
-                let wi = self.w[i];
-                if i == r || wi == 0.0 {
-                    continue;
-                }
-                let ratio = wi * ar_inv;
-                let g = self.dse[i] + ratio * (ratio * gr_exact - 2.0 * self.rho[i]);
-                self.dse[i] = g.max(DSE_FLOOR);
-            }
-            self.work += self.m as u64;
-        }
-        self.dse[r] = (gr_exact * ar_inv * ar_inv).max(DSE_FLOOR);
-        // Consume τ: restore the all-zero scratch invariant.
-        if tau_tracked {
-            for &i in &self.tpat {
-                self.rho[i] = 0.0;
-            }
-            self.work += self.tpat.len() as u64;
-        } else {
-            self.rho.fill(0.0);
-            self.work += self.m as u64;
-        }
     }
 
     /// Recomputes reduced costs `d = c − c_B B⁻¹ A` and gates on dual
@@ -960,7 +780,7 @@ impl Engine {
         // between uses, scattering and re-zeroing over the tracked solve
         // patterns instead of sweeping dense vectors. Every path into
         // here maintains the invariant (constructors and resizes start
-        // zeroed; `reprice`/`refresh_beta`/`init_dse_exact` restore it;
+        // zeroed; `reprice`/`refresh_beta` restore it;
         // the dirty mid-iteration exits below clean up before returning),
         // so entry costs nothing — just assert it in debug builds.
         debug_assert!(self.rho.iter().all(|&v| v == 0.0), "rho scratch dirty");
@@ -970,9 +790,9 @@ impl Engine {
             "alpha scratch dirty without its flag"
         );
         loop {
-            // --- Leaving row: the largest weighted violation `v² / γᵢ`
-            // (Devex or steepest-edge weights); under stall, the violated
-            // row with the smallest basic column index (Bland-like). ---
+            // --- Leaving row: the largest Devex-weighted violation
+            // `v² / γᵢ`; under stall, the violated row with the smallest
+            // basic column index (Bland-like). ---
             let bland = stall > STALL_LIMIT;
             // Devex reference-framework lifecycle: the weights approximate
             // steepest-edge norms *relative to the basis at the last
@@ -981,31 +801,22 @@ impl Engine {
             // still valid), but a Bland-guard episode pivots without
             // regard for the weights — reset the framework on entry so
             // the degenerate thrash does not distort it, and again on
-            // exit so Devex resumes from a fresh reference basis. (Exact
-            // steepest-edge weights need no reset: their recurrence runs
-            // through Bland episodes unchanged.)
+            // exit so Devex resumes from a fresh reference basis.
             if bland != was_bland {
                 was_bland = bland;
-                if self.devex_active() {
-                    self.devex.fill(1.0);
-                    self.devex_max = 1.0;
-                    self.work += self.m as u64;
-                }
+                self.devex.fill(1.0);
+                self.devex_max = 1.0;
+                self.work += self.m as u64;
             }
             let mut leave: Option<(usize, f64)> = None; // (row, score)
             let mut total_infeasibility = 0.0;
-            let weights = if self.devex_active() {
-                &self.devex
-            } else {
-                &self.dse
-            };
             for i in 0..self.m {
                 let (v, _) = self.violation(i);
                 if v <= 0.0 {
                     continue;
                 }
                 total_infeasibility += v;
-                let score = v * v / weights[i];
+                let score = v * v / self.devex[i];
                 let better = if bland {
                     leave.is_none_or(|(r, _)| self.basis[i] < self.basis[r])
                 } else {
@@ -1300,58 +1111,47 @@ impl Engine {
             }
             self.beta[r] = x_q + t;
 
-            // Steepest-edge weight recurrence (consumes ρ as the RHS of
-            // its extra FTRAN), falling back to the Devex framework when
-            // the weights have drifted.
-            let mut rho_consumed = false;
-            if self.pricing == PricingRule::SteepestEdge && self.dse_ok {
-                self.update_dse_weights(r, wr, rho_tracked, w_tracked);
-                rho_consumed = true;
-            }
-
             // Devex weight maintenance within the reference framework
             // (only w's support can raise a weight; the reset trigger is
             // the incrementally maintained running maximum).
-            if self.devex_active() {
-                let wr2 = wr * wr;
-                let gr = self.devex[r].max(1.0);
-                if w_tracked {
-                    for &i in &self.wpat {
-                        let wi = self.w[i];
-                        if i != r && wi != 0.0 {
-                            let cand = (wi * wi / wr2) * gr;
-                            if cand > self.devex[i] {
-                                self.devex[i] = cand;
-                                if cand > self.devex_max {
-                                    self.devex_max = cand;
-                                }
+            let wr2 = wr * wr;
+            let gr = self.devex[r].max(1.0);
+            if w_tracked {
+                for &i in &self.wpat {
+                    let wi = self.w[i];
+                    if i != r && wi != 0.0 {
+                        let cand = (wi * wi / wr2) * gr;
+                        if cand > self.devex[i] {
+                            self.devex[i] = cand;
+                            if cand > self.devex_max {
+                                self.devex_max = cand;
                             }
                         }
                     }
-                    self.work += self.wpat.len() as u64;
-                } else {
-                    for (i, wi) in self.w.iter().enumerate() {
-                        if i != r && *wi != 0.0 {
-                            let cand = (wi * wi / wr2) * gr;
-                            if cand > self.devex[i] {
-                                self.devex[i] = cand;
-                                if cand > self.devex_max {
-                                    self.devex_max = cand;
-                                }
+                }
+                self.work += self.wpat.len() as u64;
+            } else {
+                for (i, wi) in self.w.iter().enumerate() {
+                    if i != r && *wi != 0.0 {
+                        let cand = (wi * wi / wr2) * gr;
+                        if cand > self.devex[i] {
+                            self.devex[i] = cand;
+                            if cand > self.devex_max {
+                                self.devex_max = cand;
                             }
                         }
                     }
-                    self.work += self.m as u64;
                 }
-                self.devex[r] = (gr / wr2).max(1.0);
-                if self.devex[r] > self.devex_max {
-                    self.devex_max = self.devex[r];
-                }
-                if self.devex_max > DEVEX_RESET {
-                    self.devex.fill(1.0); // new reference framework
-                    self.devex_max = 1.0;
-                    self.work += self.m as u64;
-                }
+                self.work += self.m as u64;
+            }
+            self.devex[r] = (gr / wr2).max(1.0);
+            if self.devex[r] > self.devex_max {
+                self.devex_max = self.devex[r];
+            }
+            if self.devex_max > DEVEX_RESET {
+                self.devex.fill(1.0); // new reference framework
+                self.devex_max = 1.0;
+                self.work += self.m as u64;
             }
 
             // Basis bookkeeping before the representation update: a
@@ -1393,16 +1193,14 @@ impl Engine {
                 self.w.fill(0.0);
                 self.work += self.m as u64;
             }
-            if !rho_consumed {
-                if rho_tracked {
-                    for &i in &self.rpat {
-                        self.rho[i] = 0.0;
-                    }
-                    self.work += self.rpat.len() as u64;
-                } else {
-                    self.rho.fill(0.0);
-                    self.work += self.m as u64;
+            if rho_tracked {
+                for &i in &self.rpat {
+                    self.rho[i] = 0.0;
                 }
+                self.work += self.rpat.len() as u64;
+            } else {
+                self.rho.fill(0.0);
+                self.work += self.m as u64;
             }
             if price_sparse {
                 for &j in &self.apat {
@@ -1428,7 +1226,9 @@ impl Engine {
         }
     }
 
-    /// Structural variable values at the current basis, clamped to bounds.
+    /// Structural variable values at the current basis, clamped to
+    /// bounds. A pair crossed by less than the LP tolerance (the session
+    /// passes those on) counts as fixed at its upper bound.
     fn extract_values(&self) -> Vec<f64> {
         (0..self.n)
             .map(|j| {
@@ -1437,7 +1237,8 @@ impl Engine {
                     VarStatus::AtUpper => self.upper[j],
                     VarStatus::Basic => self.beta[self.in_row[j]],
                 };
-                x.clamp(self.lower[j], self.upper[j])
+                let (l, u) = (self.lower[j], self.upper[j]);
+                x.clamp(l.min(u), u)
             })
             .collect()
     }
@@ -1939,10 +1740,6 @@ mod tests {
         let configs = [
             LpConfig::default(),
             LpConfig {
-                pricing: PricingRule::SteepestEdge,
-                ..LpConfig::default()
-            },
-            LpConfig {
                 update: UpdateRule::ProductForm,
                 ordering: crate::factor::MarkowitzOrdering::StaticColCount,
                 ..LpConfig::default()
@@ -2191,69 +1988,5 @@ mod tests {
         }
         m.set_objective(m.expr(vars.iter().map(|&v| (v, 1.0))));
         m
-    }
-
-    /// The Forrest–Goldfarb recurrence maintains `γᵢ = ‖eᵢB⁻¹‖²`
-    /// incrementally; after random pivot sequences (warm re-solves under
-    /// random bound fixes) the maintained weights must still match a
-    /// from-scratch recompute — under both factorisation update rules,
-    /// since the recurrence consumes ρ and τ straight from the update
-    /// files. `init_dse_exact` *is* the from-scratch recompute (one unit
-    /// BTRAN per row), so the comparison pins the recurrence against it.
-    #[test]
-    fn steepest_edge_weights_match_exact_recompute_under_both_update_rules() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        for update in [UpdateRule::ForrestTomlin, UpdateRule::ProductForm] {
-            let mut checked = 0u64;
-            for seed in 0..8u64 {
-                let mut rng = SmallRng::seed_from_u64(seed);
-                let n = 10 + 2 * (seed as usize);
-                let model = ring_cover_model(n);
-                let config = LpConfig {
-                    pricing: PricingRule::SteepestEdge,
-                    update,
-                    ..LpConfig::default()
-                };
-                let mut bounds: Vec<(f64, f64)> = vec![(0.0, 1.0); n];
-                let mut ctx = LpContext::default();
-                let (root, mut basis) = ctx.solve(&model, &bounds, &config, None).expect("root");
-                assert_eq!(root.status, LpStatus::Optimal);
-                for _ in 0..2 * n {
-                    let j = rng.gen_range(0..n);
-                    let fix = f64::from(rng.gen_range(0..=1i32));
-                    let old = bounds[j];
-                    bounds[j] = (fix, fix);
-                    let out = ctx.solve(&model, &bounds, &config, basis.as_ref());
-                    match out {
-                        Ok((res, b)) if res.status == LpStatus::Optimal => {
-                            basis = b;
-                            assert!(ctx.hot, "engine kept hot on optimal");
-                            let eng = &mut ctx.engine;
-                            if eng.pricing == PricingRule::SteepestEdge && eng.dse_ok {
-                                let maintained = eng.dse.clone();
-                                eng.init_dse_exact();
-                                for (i, (&got, &want)) in
-                                    maintained.iter().zip(&eng.dse).enumerate()
-                                {
-                                    assert!(
-                                        (got - want).abs()
-                                            <= 1e-6 * (1.0 + got.abs().max(want.abs())),
-                                        "{update:?} seed {seed} row {i}: \
-                                         maintained {got} vs exact {want}"
-                                    );
-                                    checked += 1;
-                                }
-                            }
-                        }
-                        _ => bounds[j] = old, // infeasible fix: undo and go on
-                    }
-                }
-            }
-            assert!(
-                checked > 500,
-                "{update:?}: too few weights checked: {checked}"
-            );
-        }
     }
 }

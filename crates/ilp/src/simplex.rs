@@ -7,8 +7,7 @@
 //! [`Model`](crate::Model) ([`Model::csc`](crate::Model::csc)); the basis is held as a sparse LU factorisation
 //! ([`crate::factor::LuFactors`]) and columns are priced by sparse dot
 //! products. The dual simplex selects leaving rows by Devex
-//! reference-framework pricing ([`PricingRule`]: exact dual steepest
-//! edge selectable, Bland guard on stalls) and runs a
+//! reference-framework pricing (Bland guard on stalls) and runs a
 //! bound-flipping dual ratio test. It always starts *dual feasible* —
 //! from the all-slack basis on a cold start, or from a caller-supplied
 //! [`Basis`] snapshot on a warm start — so phase 1 is never run.
@@ -85,25 +84,6 @@ impl LpResult {
     }
 }
 
-/// Pricing rule for the dual simplex leaving-row selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PricingRule {
-    /// Devex reference-framework weights: rows are scored by
-    /// `violation² / weight`, approximating dual steepest edge at a
-    /// fraction of the cost. Weights reset when they outgrow the
-    /// reference framework. The default.
-    #[default]
-    Devex,
-    /// Exact dual steepest-edge (Forrest–Goldfarb): rows are scored by
-    /// `violation² / ‖B⁻ᵀeᵢ‖²` with exact reference weights, maintained
-    /// under basis changes by the standard recurrence (one extra FTRAN
-    /// per pivot). The engine falls back to Devex-style unit weights for
-    /// the rest of a solve if drift between the recurrence and the exact
-    /// leaving-row norm is detected. Fewest iterations; highest
-    /// per-iteration cost.
-    SteepestEdge,
-}
-
 /// Configuration for the simplex.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LpConfig {
@@ -117,9 +97,6 @@ pub struct LpConfig {
     /// varies wildly — the root cut loop caps each separation round's
     /// re-solve at a multiple of the root solve's ticks this way.
     pub work_limit: u64,
-    /// Dual pricing rule; a Bland-style anti-cycling guard overrides
-    /// either rule when the objective stalls.
-    pub pricing: PricingRule,
     /// Eta updates / hot basis reuses tolerated before a refactorisation
     /// (replaces the old hard-coded `REFACTOR_EVERY = 64`).
     pub refactor_interval: u32,
@@ -149,7 +126,6 @@ impl Default for LpConfig {
         LpConfig {
             max_iterations: 200_000,
             work_limit: u64::MAX,
-            pricing: PricingRule::Devex,
             refactor_interval: 96,
             update: UpdateRule::default(),
             ordering: MarkowitzOrdering::default(),
@@ -264,6 +240,21 @@ mod tests {
         m.add_constraint("c", m.expr([(x, 1.0)]).leq(1.0));
         let r = solve(&m, &[(1.0, 0.0)]);
         assert_eq!(r.status, LpStatus::Infeasible);
+    }
+
+    #[test]
+    fn override_crossed_within_tolerance_solves_as_fixed() {
+        // x + y >= 1, min x + 2y, with x's override crossed by 1e-8 (less
+        // than `TOL`): the engine sees it and must solve it as x = 1.
+        let mut m = Model::new();
+        let x = m.add_binary("x");
+        let y = m.add_binary("y");
+        m.add_constraint("cover", m.expr([(x, 1.0), (y, 1.0)]).geq(1.0));
+        m.set_objective(m.expr([(x, 1.0), (y, 2.0)]));
+        let r = solve(&m, &[(1.0 + 1e-8, 1.0), (0.0, 1.0)]);
+        assert_eq!(r.status, LpStatus::Optimal);
+        assert_eq!(r.values, vec![1.0, 0.0]);
+        assert_eq!(r.objective, 1.0);
     }
 
     #[test]

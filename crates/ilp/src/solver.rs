@@ -20,7 +20,7 @@ use crate::factor::FactorStats;
 use crate::model::{Model, VarType};
 use crate::parallel::{self, Exchange, ParallelMode, ParallelStats};
 use crate::presolve::{presolve, PresolveOutcome, PresolveStats};
-use crate::simplex::{LpConfig, LpStatus, PricingRule, WarmLpResult};
+use crate::simplex::{LpConfig, LpStatus, WarmLpResult};
 use crate::solution::{IncumbentEvent, Solution};
 use crate::tol;
 use crate::trace::{Phase, PhaseBreakdown, ProgressRow, SpanKind, TraceBuf, TraceHandle};
@@ -154,13 +154,6 @@ impl SolverConfig {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Returns a copy with the given dual pricing rule.
-    #[must_use]
-    pub fn with_pricing(mut self, pricing: PricingRule) -> Self {
-        self.lp.pricing = pricing;
         self
     }
 
@@ -763,24 +756,24 @@ impl<'a> Search<'a> {
         // Size against the session's view: cut rows count like any other.
         let m = self.session.model().num_constraints().max(1);
         let n_total = self.model.num_vars() + m;
-        // Worst-case pivot cost, kept from when three engines ran here:
-        // the max of an explicit-inverse pivot (≈ m² + nnz + n ticks), a
-        // dense-tableau pivot (≈ 2·m·n_cols) and the sparse LU's
-        // dense-fill worst case (update-file solves up to a small
-        // multiple of m², refactorisation amortised to m³/interval).
-        // Only the sparse engine remains and its pivots are usually far
-        // cheaper, so at paper scale this clamps the iteration cap well
-        // below what the budget allows. Replacing it moves ticks, so it
-        // is a change of its own.
+        // Worst-case pivot cost, the larger of two estimates: the sparse
+        // LU's dense-fill worst case (update-file solves up to a small
+        // multiple of m², refactorisation amortised to m³/interval) and a
+        // dense-tableau pivot (≈ 2·m·n_cols). The engine's pivots are
+        // usually far cheaper, so at paper scale this clamps the
+        // iteration cap well below what the budget allows. Replacing it
+        // moves ticks, so it is a change of its own.
         let interval = (self.cfg.lp.refactor_interval as usize).max(1);
         let lu_pivot = 12 * m * m + m * m * m / interval + self.nnz + n_total;
-        let revised_pivot = m * m + self.nnz + n_total;
         let dense_pivot = 2 * m * (n_total + m);
-        let worst = lu_pivot.max(revised_pivot).max(dense_pivot);
+        let worst = lu_pivot.max(dense_pivot);
         let per_pivot = DeterministicClock::ticks_to_seconds(worst as u64);
         let iters = (remaining / per_pivot.max(tol::ZERO)) as u64;
         LpConfig {
-            max_iterations: iters.clamp(64, self.cfg.lp.max_iterations),
+            // At least 64 iterations, so tiny budgets still make
+            // progress, but never more than the configured cap (which
+            // may itself be below 64).
+            max_iterations: iters.max(64).min(self.cfg.lp.max_iterations),
             // The cold-start anti-degeneracy perturbation derives from the
             // solver seed so whole solves stay reproducible.
             perturb_seed: self.cfg.seed,
@@ -1692,6 +1685,27 @@ mod tests {
         assert_eq!(r.status, SolveStatus::Infeasible);
         assert_eq!(r.nodes, 0);
         assert_eq!(r.lp_fallbacks, 0);
+    }
+
+    /// An LP iteration cap below the 64 iterations the search grants
+    /// even a spent budget is honoured, not a panic.
+    #[test]
+    fn lp_iteration_cap_below_the_search_floor_is_honoured() {
+        let mut m = Model::new();
+        let x = m.add_binary("x");
+        let y = m.add_binary("y");
+        m.add_constraint("cover", m.expr([(x, 1.0), (y, 1.0)]).geq(1.0));
+        m.set_objective(m.expr([(x, 1.0), (y, 2.0)]));
+        let cfg = SolverConfig {
+            lp: LpConfig {
+                max_iterations: 10,
+                ..LpConfig::default()
+            },
+            ..SolverConfig::default()
+        };
+        let r = Solver::new(cfg).solve(&m);
+        assert_eq!(r.status, SolveStatus::Optimal);
+        assert_eq!(r.best.map(|s| s.objective()), Some(1.0));
     }
 
     /// A root relaxation the LP engine cannot finish (an improving

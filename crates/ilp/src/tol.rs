@@ -15,7 +15,8 @@
 //! and justify the delta in CHANGES.md.
 
 /// Primal feasibility: maximum admissible bound violation of a basic
-/// variable in the (dense and revised) simplex ratio tests.
+/// variable in the revised simplex (a row violated by more is a
+/// leaving-row candidate); also the LP layer's `simplex::TOL`.
 pub const PRIMAL_FEAS: f64 = 1e-7;
 
 /// Dual feasibility: reduced-cost threshold below which a column is
@@ -23,7 +24,7 @@ pub const PRIMAL_FEAS: f64 = 1e-7;
 pub const DUAL_FEAS: f64 = 1e-6;
 
 /// Constraint-level feasibility: maximum admissible row activity
-/// violation (presolve checks, cut violation, phase-1 residual).
+/// violation (presolve checks, cut violation, incumbent acceptance).
 pub const FEAS: f64 = 1e-6;
 
 /// Integrality: how far from the nearest integer a value may sit and
@@ -49,13 +50,10 @@ pub const PIVOT_MIN: f64 = 1e-9;
 /// zeros (drop tolerance, division-denominator guards).
 pub const ZERO: f64 = 1e-12;
 
-/// Dense-verification slack: how far the revised simplex objective may
-/// sit from the independent dense recomputation before it is an error.
+/// Post-solve verification slack: how far a row's activity at the
+/// revised simplex's reported point may violate the row before the
+/// solution is rejected (`Engine::verify` in `revised.rs`).
 pub const VERIFY: f64 = 1e-5;
-
-/// Floor on dual steepest-edge reference weights; below this the
-/// weight is considered degenerate and reset.
-pub const DSE_FLOOR: f64 = 1e-4;
 
 /// Slope threshold in the bound-flip ratio test: a candidate whose
 /// slope contribution is below this cannot profitably flip.

@@ -17,28 +17,9 @@ mod support;
 use croxmap_ilp::backend::LpSession;
 use croxmap_ilp::cuts::CutSeparator;
 use croxmap_ilp::simplex::{LpConfig, LpStatus};
-use croxmap_ilp::{Model, PricingRule, UpdateRule, VarId};
+use croxmap_ilp::{Model, UpdateRule, VarId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-/// Pricing rule under test: `CROXMAP_TEST_PRICING` selects `devex` (the
-/// default) or `steepest`, so CI re-runs this whole suite under each
-/// pricing rule without a code change — every property here
-/// must hold regardless of how the dual loop picks its leaving row.
-fn test_pricing() -> PricingRule {
-    match std::env::var("CROXMAP_TEST_PRICING").as_deref() {
-        Ok("steepest") => PricingRule::SteepestEdge,
-        _ => PricingRule::Devex,
-    }
-}
-
-/// [`LpConfig::default`] with the suite's pricing override applied.
-fn default_cfg() -> LpConfig {
-    LpConfig {
-        pricing: test_pricing(),
-        ..LpConfig::default()
-    }
-}
 
 /// A seeded random 0/1 model with mixed ≤/≥/= rows, the family the
 /// warm-start and presolve suites use.
@@ -124,7 +105,7 @@ fn sessions(model: &Model) -> Vec<(String, LpSession)> {
         .map(|update| {
             let cfg = LpConfig {
                 update,
-                ..default_cfg()
+                ..LpConfig::default()
             };
             (format!("{update:?}"), LpSession::open(model, cfg))
         })
@@ -175,7 +156,7 @@ fn incremental_rows_match_rebuilt_model_under_both_update_rules() {
         };
         let bounds = model_bounds(&model);
         // Reference fractional point + cuts from the default engine.
-        let mut probe = LpSession::open(&model, default_cfg());
+        let mut probe = LpSession::open(&model, LpConfig::default());
         let root = probe.solve(&bounds, None);
         if root.result.status != LpStatus::Optimal {
             continue;
@@ -226,7 +207,7 @@ fn cuts_never_cut_off_integer_feasible_points() {
         };
         let bounds = model_bounds(&model);
         let feasible = support::feasible_points(&model);
-        let mut session = LpSession::open(&model, default_cfg());
+        let mut session = LpSession::open(&model, LpConfig::default());
         let root = session.solve(&bounds, None);
         if root.result.status != LpStatus::Optimal {
             continue;
@@ -266,7 +247,7 @@ fn integral_optimum_separates_nothing() {
     for seed in 0..40u64 {
         let model = random_model(seed);
         let bounds = model_bounds(&model);
-        let mut session = LpSession::open(&model, default_cfg());
+        let mut session = LpSession::open(&model, LpConfig::default());
         let root = session.solve(&bounds, None);
         if root.result.status != LpStatus::Optimal {
             continue;
@@ -332,7 +313,7 @@ fn dense_oracle_solves_what_the_engine_declines() {
         ),
     ] {
         let bounds = model_bounds(model);
-        let declined = LpSession::open(model, default_cfg()).solve(&bounds, None);
+        let declined = LpSession::open(model, LpConfig::default()).solve(&bounds, None);
         assert_eq!(declined.result.status, LpStatus::Failed, "{name}");
         let oracle = support::solve(model, &bounds);
         assert_eq!(oracle.status, status, "{name}");

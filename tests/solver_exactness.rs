@@ -1,8 +1,20 @@
 //! Property-based exactness check of the ILP engine itself: random small
 //! 0/1 models are solved both by `croxmap-ilp` and by exhaustive
 //! enumeration, and the optima must agree.
+//!
+//! The LP engine's ticks are pinned too: fixed `LpSession` sequences
+//! whose every solve must report exactly the recorded status, iteration
+//! count, deterministic work and objective bits. The deterministic clock
+//! bills these ticks, so an engine change that moves no tick passes
+//! them unmodified.
 
-use croxmap::ilp::{Model, SolveStatus, Solver, SolverConfig, VarId};
+use croxmap::core::baseline::greedy_first_fit;
+use croxmap::core::{FormulationConfig, MappingIlp, MappingObjective};
+use croxmap::gen::calibrated::{generate, NetworkSpec};
+use croxmap::ilp::presolve::{presolve, PresolveOutcome};
+use croxmap::ilp::simplex::{LpConfig, LpResult, LpStatus};
+use croxmap::ilp::{LinExpr, LpSession, Model, SolveStatus, Solver, SolverConfig, VarId};
+use croxmap::mca::{ArchitectureSpec, AreaModel, CrossbarPool};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -136,4 +148,215 @@ proptest! {
         let best = result.best.expect("feasible");
         prop_assert!((best.objective() - opt as f64).abs() < 1e-6);
     }
+}
+
+/// `(status, iterations, work ticks, objective bits)` of one LP solve.
+type Fingerprint = (LpStatus, u64, u64, u64);
+
+fn fingerprint(r: &LpResult) -> Fingerprint {
+    (r.status, r.iterations, r.work_ticks, r.objective.to_bits())
+}
+
+/// The solver bench's ring cover: element `e` is covered by sets `e` and
+/// `e + 1 (mod n)`, and set `i` costs `1 + i mod 3`.
+fn ring_cover(n: usize) -> (Model, Vec<VarId>) {
+    let mut m = Model::new();
+    let vars: Vec<_> = (0..n).map(|i| m.add_binary(format!("x{i}"))).collect();
+    for e in 0..n {
+        m.add_constraint(
+            format!("e{e}"),
+            m.expr([(vars[e], 1.0), (vars[(e + 1) % n], 1.0)]).geq(1.0),
+        );
+    }
+    m.set_objective(ring_costs(&m, &vars, 0));
+    (m, vars)
+}
+
+/// Ring-cover costs `1 + (i + shift) mod 3`.
+fn ring_costs(m: &Model, vars: &[VarId], shift: usize) -> LinExpr {
+    m.expr(
+        vars.iter()
+            .enumerate()
+            .map(|(i, &v)| (v, 1.0 + ((i + shift) % 3) as f64)),
+    )
+}
+
+/// Iterations, ticks and objectives of the ring-cover chain: the cold
+/// root, then `x0 .. x47` fixed to 1 in turn.
+const CHAIN_ITERATIONS: [u64; 49] = [
+    44, 0, 0, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 4,
+    1, 1, 1, 1, 0, 2, 1, 1, 1, 1, 0, 2, 1, 1, 1, 1, 0, 2,
+];
+const CHAIN_TICKS: [u64; 49] = [
+    5479, 48, 48, 1016, 339, 408, 420, 423, 423, 429, 432, 1267, 254, 246, 235, 230, 222, 211, 206,
+    198, 187, 182, 174, 163, 158, 150, 139, 134, 127, 48, 1197, 289, 291, 292, 292, 48, 616, 240,
+    375, 396, 409, 48, 647, 418, 429, 438, 447, 48, 660,
+];
+const CHAIN_OBJECTIVES: [f64; 49] = [
+    48.0, 48.0, 48.0, 50.0, 51.0, 51.0, 53.0, 54.0, 54.0, 56.0, 57.0, 57.0, 59.0, 60.0, 60.0, 62.0,
+    63.0, 63.0, 65.0, 66.0, 66.0, 68.0, 69.0, 69.0, 71.0, 72.0, 72.0, 74.0, 75.0, 75.0, 77.0, 78.0,
+    78.0, 80.0, 81.0, 81.0, 83.0, 84.0, 84.0, 86.0, 87.0, 87.0, 89.0, 90.0, 90.0, 92.0, 93.0, 93.0,
+    96.0,
+];
+
+/// The ring-cover solves after the chain: `(what, status, iterations,
+/// ticks, objective)`.
+const RING_TAIL: [(&str, LpStatus, u64, u64, f64); 4] = [
+    ("reinstalled root basis", LpStatus::Optimal, 0, 1419, 48.0),
+    ("re-solve after the cut", LpStatus::Optimal, 3, 1177, 48.0),
+    (
+        "re-solve after the objective swap",
+        LpStatus::Optimal,
+        40,
+        5784,
+        48.0,
+    ),
+    (
+        "cold solve capped at 1,000 ticks",
+        LpStatus::IterLimit,
+        7,
+        1014,
+        9.0,
+    ),
+];
+
+#[test]
+fn lp_engine_ticks_are_pinned_on_ring_cover() {
+    let n = 48;
+    let (model, vars) = ring_cover(n);
+    let root_bounds = vec![(0.0, 1.0); n];
+    let mut session = LpSession::open(&model, LpConfig::default());
+
+    // The bench's warm `lp_chain/ring_cover/48` row: a cold root, then
+    // every variable fixed to 1 in turn, each solve warm-started from
+    // the previous optimal basis (hot-path hits).
+    let root = session.solve(&root_bounds, None);
+    let root_basis = root.basis.clone().expect("root optimal");
+    let mut chain = vec![fingerprint(&root.result)];
+    let mut bounds = root_bounds.clone();
+    let mut basis = root.basis;
+    for j in 0..n {
+        bounds[j] = (1.0, 1.0);
+        let out = session.solve(&bounds, basis.as_ref());
+        chain.push(fingerprint(&out.result));
+        basis = out.basis;
+    }
+    for (k, got) in chain.iter().enumerate() {
+        let want = (
+            LpStatus::Optimal,
+            CHAIN_ITERATIONS[k],
+            CHAIN_TICKS[k],
+            CHAIN_OBJECTIVES[k].to_bits(),
+        );
+        assert_eq!(*got, want, "chain solve {k}");
+    }
+    assert_eq!(
+        CHAIN_TICKS.iter().sum::<u64>(),
+        21_576,
+        "BENCH_solver.json: lp_chain/ring_cover/48 warm"
+    );
+
+    // A re-solve from the root basis: the engine sits at the chain's
+    // last basis, so the snapshot is reinstalled.
+    let reinstall = session.solve(&root_bounds, Some(&root_basis));
+    let live = reinstall.basis.clone().expect("reinstall optimal");
+    // A row the root point violates, absorbed by the live engine.
+    let x = &reinstall.result.values;
+    assert!(x[2] + x[4] + x[6] < 1.0, "the cut must be violated");
+    let cut = model.expr([(vars[2], 1.0), (vars[4], 1.0), (vars[6], 1.0)]);
+    let grown = session.add_rows(vec![("cut".into(), cut.geq(1.0))], Some(&live));
+    assert!(grown.absorbed, "the hot engine absorbs the row");
+    assert_eq!(grown.work_ticks, 155, "row growth");
+    let after_cut = session.solve(&root_bounds, grown.basis.as_ref());
+    // An objective swap the live basis is dual infeasible for: the
+    // re-solve from it falls back to a cold start.
+    let swap = session.set_objective(ring_costs(&model, &vars, 1));
+    assert_eq!(swap, (false, 547), "objective swap (kept warm, ticks)");
+    let after_swap = session.solve(&root_bounds, after_cut.basis.as_ref());
+    // A cold solve capped by its work limit.
+    session.configure(LpConfig {
+        work_limit: 1_000,
+        ..LpConfig::default()
+    });
+    let capped = session.solve(&root_bounds, None);
+
+    let tail = [reinstall, after_cut, after_swap, capped];
+    for (out, (what, status, iterations, ticks, objective)) in tail.iter().zip(RING_TAIL) {
+        let want = (status, iterations, ticks, objective.to_bits());
+        assert_eq!(fingerprint(&out.result), want, "{what}");
+    }
+    assert_eq!(session.stats().work_ticks, 31_672, "session total");
+}
+
+/// The solver bench's set-partitioning instance: the area ILP (Eqs. 3–7)
+/// over `NetworkSpec::scaled_a(16)` and the Table II pool, capped at two
+/// replicas per crossbar dimension.
+#[test]
+fn lp_engine_ticks_are_pinned_on_set_partition() {
+    let net = generate(&NetworkSpec::scaled_a(16));
+    let pool = CrossbarPool::for_network_capped(
+        &ArchitectureSpec::table_ii_heterogeneous(),
+        &AreaModel::memristor_count(),
+        net.node_count(),
+        2,
+    );
+    let ilp = MappingIlp::build(
+        &net,
+        &pool,
+        &MappingObjective::Area,
+        &FormulationConfig::new(),
+    );
+    let model = ilp.model();
+    let own_bounds = |m: &Model| -> Vec<(f64, f64)> {
+        m.variables().iter().map(|v| (v.lower, v.upper)).collect()
+    };
+
+    // The bench's `cold_root/set_partition/scaled_a_16` rows `noperturb`
+    // and `presolved`.
+    let raw = LpSession::open(
+        model,
+        LpConfig {
+            perturb: false,
+            ..LpConfig::default()
+        },
+    )
+    .solve(&own_bounds(model), None);
+    assert_eq!(
+        fingerprint(&raw.result),
+        (
+            LpStatus::Optimal,
+            377,
+            965_032,
+            79.999_999_999_999_99_f64.to_bits()
+        ),
+        "raw unperturbed cold root"
+    );
+    let PresolveOutcome::Reduced(reduced) = presolve(model) else {
+        panic!("the bench instance is feasible");
+    };
+    let presolved = LpSession::open(&reduced.model, LpConfig::default())
+        .solve(&own_bounds(&reduced.model), None);
+    assert_eq!(
+        fingerprint(&presolved.result),
+        (LpStatus::Optimal, 152, 471_829, 80.0_f64.to_bits()),
+        "presolved perturbed cold root"
+    );
+
+    // One anytime solve, warm-started from the greedy first fit. At this
+    // budget the root LP stops at the iteration cap `Search::lp_config`
+    // derives from the budget, and the search ends on the warm start.
+    let mapping = greedy_first_fit(&net, &pool).expect("greedy mapping exists");
+    let warm = ilp.warm_start(&net, &mapping);
+    let mut stream = Vec::new();
+    let result = Solver::new(SolverConfig::default().with_det_time_limit(0.05))
+        .solve_with_callback(model, Some(&warm), |e| stream.push(e.objective.to_bits()));
+    assert_eq!(result.status, SolveStatus::Feasible);
+    assert_eq!(result.nodes, 13, "nodes");
+    assert_eq!(
+        result.det_time.to_bits(),
+        0.000_524_57_f64.to_bits(),
+        "det_time"
+    );
+    assert_eq!(stream, [96.0_f64.to_bits()], "incumbent objectives");
+    assert_eq!(result.lp_fallbacks, 0);
 }
