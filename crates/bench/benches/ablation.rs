@@ -1,5 +1,5 @@
-//! Ablation benches for the design choices called out in `DESIGN.md` §5:
-//! linking strength, symmetry breaking, warm starting and branching rule.
+//! Ablation benches for four design choices of the mapping ILP: linking
+//! strength, symmetry breaking, warm starting and branching rule.
 //! Each variant solves the same fixed instance to a fixed deterministic
 //! budget; wall time differences show the cost/benefit of each choice.
 

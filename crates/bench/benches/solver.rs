@@ -61,13 +61,12 @@ use std::time::Instant;
 /// Decimal places kept on reported objectives (documented tolerance).
 const OBJECTIVE_DECIMALS: i32 = 6;
 /// Warm `work_ticks` regression factor at which the smoke run fails.
-/// With Forrest–Tomlin updates as the default, the guarded warm
-/// `lp_chain` rows are exactly the Forrest–Tomlin warm ticks.
+/// The guarded warm `lp_chain` rows are the Forrest–Tomlin warm ticks.
 const SMOKE_REGRESSION_LIMIT: f64 = 1.5;
 /// Peak `update file / refactor policy bound` ratio at which the smoke
 /// run fails. Ratios slightly above 1.0 are normal (the policy is
 /// checked after the pivot that crosses it); sustained growth past this
-/// limit means the eta/update file escaped the refactor policy.
+/// limit means the update file escaped the refactor policy.
 const SMOKE_GROWTH_LIMIT: f64 = 1.5;
 /// Minimum `t1 wall / best 4-thread wall` ratio the smoke gate demands
 /// from the `parallel_bb/*` rows — checked only on machines that

@@ -1,10 +1,12 @@
 //! Shared infrastructure for the croxmap experiment harness.
 //!
-//! Every table and figure of the paper has a binary in `src/bin/` that
-//! regenerates it (see `DESIGN.md` for the index). The binaries share the
-//! scaling logic here: by default experiments run on scaled-down Table I
-//! analogs so the whole suite finishes in minutes; `--full` switches to
-//! paper-scale networks (hours of deterministic budget, as in the paper).
+//! Each experiment table and figure of the paper has a binary in
+//! `src/bin/` that regenerates it, named after it: `table1_networks`,
+//! `table2_dimensions`, and `fig2_area_comparison` through `fig9_pgo` for
+//! Figs. 2, 3 and 5–9. The binaries share the scaling logic here: by
+//! default experiments run on scaled-down Table I analogs so the whole
+//! suite finishes in minutes; `--full` switches to paper-scale networks
+//! (hours of deterministic budget, as in the paper).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

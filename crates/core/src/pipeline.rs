@@ -43,9 +43,7 @@ impl PipelineConfig {
     }
 
     /// Returns a copy with the given solver configuration. This is how
-    /// callers reach the solver knobs — basis-update rule
-    /// (Forrest–Tomlin vs product-form etas,
-    /// `SolverConfig::with_update_rule`), root presolve on or off
+    /// callers reach the solver knobs — root presolve on or off
     /// (`SolverConfig::with_presolve`), the root cutting-plane round
     /// limit (`SolverConfig::with_cuts`) and the tree-search threads
     /// (`SolverConfig::with_threads`) — e.g.
@@ -679,24 +677,6 @@ mod tests {
         best.validate(&net, &pool).unwrap();
         assert_eq!(best.used_slots().len(), 2);
         assert_eq!(run.best_objective(), Some(32.0));
-    }
-
-    #[test]
-    fn update_rule_options_plumb_through_pipeline() {
-        // Both basis-update schemes behind `PipelineConfig::with_solver`
-        // must reach the same area optimum on the clustered instance.
-        use croxmap_ilp::UpdateRule;
-        let net = clustered();
-        let pool = pool();
-        for update in [UpdateRule::ForrestTomlin, UpdateRule::ProductForm] {
-            let cfg = PipelineConfig::with_budget(10.0).with_solver(
-                SolverConfig::default()
-                    .with_det_time_limit(10.0)
-                    .with_update_rule(update),
-            );
-            let run = optimize_area(&net, &pool, &cfg);
-            assert_eq!(run.best_objective(), Some(32.0), "update {update:?}");
-        }
     }
 
     #[test]

@@ -151,8 +151,13 @@ impl NetworkSpec {
     }
 
     /// All five analogs scaled down by `scale` (for quick benches).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scale` is zero.
     #[must_use]
     pub fn table_i_scaled(scale: usize) -> Vec<NetworkSpec> {
+        assert!(scale > 0, "scale must be positive");
         NetworkSpec::table_i_all()
             .into_iter()
             .map(|mut s| {
@@ -384,6 +389,12 @@ mod tests {
             assert!(stats.max_fan_in <= spec.max_fan_in);
             assert_eq!(stats.edge_count, spec.edge_count);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "scale must be positive")]
+    fn zero_table_scale_panics() {
+        let _ = NetworkSpec::table_i_scaled(0);
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //! two-phase cold solve.
 //!
 //! A snapshot stores only column indices and statuses, never factors.
-//! Installing one refactorises the basis as a sparse LU
-//! ([`crate::factor::LuFactors`]) under whatever update rule and pivot
-//! ordering the session is configured with, so a snapshot taken under one
+//! Installing one refactorises the basis as a fresh sparse LU
+//! ([`crate::factor::LuFactors`]), so a snapshot taken under one
 //! configuration warm-starts any other.
 
 use serde::{Deserialize, Serialize};

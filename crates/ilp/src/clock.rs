@@ -27,9 +27,9 @@ pub struct DeterministicClock {
 
 /// Ticks per deterministic second — the exchange rate between the
 /// [`work_ticks`](crate::simplex::LpResult::work_ticks) metered by the LP
-/// engines (one tick ≈ one floating-point multiply-add: a factorisation
-/// elimination step, a solve entry touched, an eta application, a pricing
-/// dot-product term) and the deterministic seconds reported by this
+/// engine (one tick ≈ one floating-point multiply-add: a factorisation
+/// elimination step, a solve entry touched, a row-transform multiplier, a
+/// pricing dot-product term) and the deterministic seconds reported by this
 /// clock. Public so harnesses (benches, budget maths) convert without
 /// hard-coding `1e9`.
 pub const TICKS_PER_SECOND: u64 = 1_000_000_000;

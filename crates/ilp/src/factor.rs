@@ -1,5 +1,5 @@
-//! Sparse LU basis factorisation with Forrest–Tomlin or product-form
-//! updates and hyper-sparse triangular solves.
+//! Sparse LU basis factorisation with Forrest–Tomlin updates and
+//! hyper-sparse triangular solves.
 //!
 //! The revised simplex needs four linear-algebra primitives on the basis
 //! matrix `B` (one column per constraint row, drawn from the structural
@@ -12,38 +12,26 @@
 //!
 //! [`LuFactors`] implements them as a sparse LU factorisation
 //! `B·Q = L·U` (columns permuted by `Q`, rows by partial pivoting).
-//! The default [`MarkowitzOrdering::Dynamic`] runs a right-looking
-//! elimination that picks every pivot by **live Markowitz merit on the
-//! active submatrix**: column candidates come out of non-zero-count buckets
-//! (lazily rebucketed as elimination changes the counts), and among
-//! the entries of a candidate column that pass *threshold partial
-//! pivoting* — within 10× of the column's largest magnitude — the one
-//! minimising `(col_count − 1) · (row_count − 1)` wins. Both counts
-//! are the *current* active-submatrix counts, maintained under fill,
-//! so the ordering adapts to the elimination instead of freezing the
-//! input structure. [`MarkowitzOrdering::StaticColCount`] keeps the
-//! PR 2 left-looking Gilbert–Peierls elimination in ascending static
-//! column count as the differential-testing oracle.
+//! [`LuFactors::factorize`] runs a right-looking elimination that picks
+//! every pivot by **live Markowitz merit on the active submatrix**:
+//! column candidates come out of non-zero-count buckets (lazily
+//! rebucketed as elimination changes the counts), and among the entries
+//! of a candidate column that pass *threshold partial pivoting* — within
+//! 10× of the column's largest magnitude — the one minimising
+//! `(col_count − 1) · (row_count − 1)` wins. Both counts are the
+//! *current* active-submatrix counts, maintained under fill, so the
+//! ordering adapts to the elimination instead of freezing the input
+//! structure.
 //!
-//! Pivots are applied through one of two update schemes, selected by
-//! [`FactorOpts::update`]:
-//!
-//! * [`UpdateRule::ForrestTomlin`] (the default): the stored `U` is
-//!   modified **in place**. The leaving column's slot `t` is emptied,
-//!   the transformed entering column (the *spike* `v = L̃⁻¹ a_q`) is
-//!   inserted in its place, slot `t` is moved to the end of the pivot
-//!   order, and the now out-of-place row `t` of `U` is eliminated by a
-//!   single row transform `R = I − e_t μᵀ` whose multipliers solve the
-//!   trailing triangular system `Ūᵀ μ = u_tᵀ`. `R` joins a short file
-//!   of row transforms applied between the `L` and `U` solves, so
-//!   FTRAN/BTRAN cost tracks `nnz(L) + nnz(U) + nnz(R-file)` — flat in
-//!   the number of pivots — instead of growing with one eta per pivot.
-//! * [`UpdateRule::ProductForm`]: the classical eta file. After a
-//!   pivot with transformed column `w = B⁻¹ a_q` entering at row `r`,
-//!   the new basis satisfies `B' = B·E` with `E = I` except column
-//!   `r = w`, so FTRAN appends `E⁻¹` and BTRAN prepends `E⁻ᵀ`. The
-//!   file grows with every pivot; kept selectable so the two schemes
-//!   can be differentially tested against each other.
+//! Pivots are applied as **Forrest–Tomlin updates**: the stored `U` is
+//! modified **in place**. The leaving column's slot `t` is emptied, the
+//! transformed entering column (the *spike* `v = L̃⁻¹ a_q`) is inserted
+//! in its place, slot `t` is moved to the end of the pivot order, and the
+//! now out-of-place row `t` of `U` is eliminated by a single row
+//! transform `R = I − e_t μᵀ` whose multipliers solve the trailing
+//! triangular system `Ūᵀ μ = u_tᵀ`. `R` joins a short file of row
+//! transforms applied between the `L` and `U` solves, so FTRAN/BTRAN cost
+//! tracks `nnz(L) + nnz(U) + nnz(R-file)` — flat in the number of pivots.
 //!
 //! [`LuFactors::needs_refactor`] triggers a fresh factorisation
 //! when the update file gets long ([`FactorOpts::refactor_interval`])
@@ -91,54 +79,23 @@ const PIVOT_THRESHOLD: f64 = 0.1;
 /// already-dense right-hand side rules out.
 const HYPER_DENSITY_CUTOFF: f64 = 0.125;
 
-/// How [`LuFactors::factorize`] orders the elimination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MarkowitzOrdering {
-    /// Right-looking elimination choosing each pivot by live Markowitz
-    /// merit `(col_count − 1)·(row_count − 1)` on the active submatrix,
-    /// with count buckets and lazy rebucketing. Threshold partial
-    /// pivoting is unchanged. The default.
-    #[default]
-    Dynamic,
-    /// The PR 2 left-looking elimination in ascending *static* column
-    /// count, with the sparsest-row tie-break frozen at the input
-    /// counts. Kept as the differential-testing oracle for the dynamic
-    /// ordering.
-    StaticColCount,
-}
-
 /// A vacated pivotal position in [`LuFactors`]' `order`: the slot that
 /// held it moved to the end in a Forrest–Tomlin update.
 const HOLE: usize = usize::MAX;
 
-/// Bounded candidate search of the dynamic ordering: how many usable
+/// Bounded candidate search of the Markowitz ordering: how many usable
 /// pivot columns are examined (in ascending active count) before the
 /// best Markowitz merit seen so far is accepted.
 const MARKOWITZ_CANDIDATES: usize = 4;
 
-/// How a pivot is folded into an existing [`LuFactors`] factorisation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum UpdateRule {
-    /// Forrest–Tomlin: modify the stored `U` in place (spike insertion,
-    /// row elimination, pivot-order bookkeeping). Solve cost stays flat
-    /// in the number of pivots since the last refactorisation. The
-    /// default.
-    #[default]
-    ForrestTomlin,
-    /// Product-form eta file: append one eta per pivot. Solve cost grows
-    /// linearly with pivots since the last refactorisation; kept as the
-    /// differential-testing oracle for the Forrest–Tomlin path.
-    ProductForm,
-}
-
 /// Policy knobs for folding accumulated updates back into a fresh
-/// factorisation, plus the update scheme itself.
+/// factorisation.
 ///
 /// The LP engine takes these from
 /// [`LpConfig::factor_opts`](crate::simplex::LpConfig::factor_opts) (and
-/// from there [`SolverConfig`](crate::SolverConfig)), which sets every
-/// field but `eta_fill_factor`: solves always use its default, 3.0. Direct
-/// [`LuFactors`] users set all four.
+/// from there [`SolverConfig`](crate::SolverConfig)), which sets
+/// `refactor_interval` only: solves always use `eta_fill_factor`'s
+/// default, 3.0. Direct [`LuFactors`] users set both.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FactorOpts {
     /// Pivot updates tolerated — and hot basis reuses across solves —
@@ -150,10 +107,6 @@ pub struct FactorOpts {
     /// diagonal entries of `L`): the trigger point is exactly
     /// `update_nnz > eta_fill_factor · lu_nnz`.
     pub eta_fill_factor: f64,
-    /// Which update scheme [`LuFactors::update`] applies.
-    pub update: UpdateRule,
-    /// Which pivot-ordering strategy [`LuFactors::factorize`] runs.
-    pub ordering: MarkowitzOrdering,
 }
 
 impl Default for FactorOpts {
@@ -161,8 +114,6 @@ impl Default for FactorOpts {
         FactorOpts {
             refactor_interval: 96,
             eta_fill_factor: 3.0,
-            update: UpdateRule::default(),
-            ordering: MarkowitzOrdering::default(),
         }
     }
 }
@@ -186,10 +137,10 @@ pub struct FactorStats {
     pub btran_hyper: u64,
     /// Non-zeros visited across all BTRAN passes.
     pub btran_visited: u64,
-    /// Pivot updates applied (either scheme).
+    /// Forrest–Tomlin pivot updates applied.
     pub updates: u64,
-    /// Entries added to the update file (etas, or spike fill + row
-    /// transform multipliers under Forrest–Tomlin).
+    /// Entries added to the update file: spike fill and row-transform
+    /// multipliers of the updates, and bordered-growth multipliers.
     pub update_nnz: u64,
     /// Successful refactorisations performed.
     pub refactors: u64,
@@ -244,17 +195,6 @@ fn debug_check_superset(x: &[f64], pattern: &[usize]) {
     let _ = (x, pattern);
 }
 
-/// One product-form eta transformation: the basis column of row `r` was
-/// replaced by a column whose transformed form (`B⁻¹ a_q`) had `pivot` at
-/// position `r` and `entries` elsewhere.
-#[derive(Debug, Clone)]
-struct Eta {
-    r: usize,
-    pivot: f64,
-    /// `(position, value)` pairs excluding the pivot position.
-    entries: Vec<(usize, f64)>,
-}
-
 /// One Forrest–Tomlin row transform `R = I − e_t μᵀ`: applied between
 /// the `L` and `U` solves (in slot space), chronologically in FTRAN and
 /// transposed in reverse order in BTRAN.
@@ -274,10 +214,10 @@ struct FtTransform {
 /// multipliers `μ = B⁻ᵀ n` (`n` = the new row over the current basic
 /// columns) are computed once at growth time. `T` is applied *first* in
 /// FTRAN (newest growth first) and its transpose *last* in BTRAN (oldest
-/// growth first); everything downstream — L, the update files, U, etas —
-/// composes against it unchanged, so Forrest–Tomlin and product-form
-/// pivots keep absorbing updates on the grown basis without a
-/// refactorisation from scratch.
+/// growth first); everything downstream — L, the row transforms, U —
+/// composes against it unchanged, so Forrest–Tomlin pivots keep
+/// absorbing updates on the grown basis without a refactorisation from
+/// scratch.
 #[derive(Debug, Clone)]
 struct Border {
     /// The appended row this transform targets.
@@ -304,9 +244,8 @@ enum Phase {
 }
 
 /// Sparse LU factorisation of a simplex basis with in-place
-/// Forrest–Tomlin updates (or a product-form eta file) and hyper-sparse
-/// triangular solves. See the [module docs](self) for the algorithm and
-/// the update calculus.
+/// Forrest–Tomlin updates and hyper-sparse triangular solves. See the
+/// [module docs](self) for the algorithm and the update calculus.
 #[derive(Debug, Clone)]
 pub struct LuFactors {
     m: usize,
@@ -345,11 +284,8 @@ pub struct LuFactors {
     u_rows: Vec<Vec<(usize, f64)>>,
     /// Diagonal of `U`, per slot.
     u_diag: Vec<f64>,
-    /// Product-form pivot updates since the last refactorisation,
-    /// applied after the LU solves in FTRAN order (ProductForm rule).
-    etas: Vec<Eta>,
     /// Forrest–Tomlin row transforms since the last refactorisation,
-    /// applied between the `L` and `U` solves (ForrestTomlin rule).
+    /// applied between the `L` and `U` solves.
     ft: Vec<FtTransform>,
     /// Bordered-growth transforms since the last refactorisation, in
     /// growth order; applied ahead of everything in FTRAN (newest first)
@@ -361,14 +297,13 @@ pub struct LuFactors {
     u_nnz: usize,
     /// `nnz(U)` at the last factorisation.
     u_nnz0: usize,
-    /// Total entries across the update file (etas, or FT multipliers).
+    /// Total entries across the update file (row-transform and border
+    /// multipliers).
     file_nnz: usize,
     /// Pivot updates applied since the last factorisation.
     updates: u32,
     /// RHS density above which solves use the scanning kernels.
     hyper_cutoff: f64,
-    /// Pivot-ordering strategy for `factorize`.
-    ordering: MarkowitzOrdering,
     /// Slot-indexed scratch for the permuted triangular solves; zeroed
     /// between calls.
     scratch: Vec<f64>,
@@ -418,8 +353,7 @@ struct Workspace {
     wcols: Vec<Vec<(usize, f64)>>,
     /// Per row, a superset of the active columns with an entry there.
     rows_pat: Vec<Vec<usize>>,
-    /// Live non-zero count per row of the active submatrix (the static
-    /// ordering keeps the input counts).
+    /// Live non-zero count per row of the active submatrix.
     row_count: Vec<usize>,
     /// Active columns bucketed by non-zero count.
     buckets: Vec<Vec<usize>>,
@@ -431,8 +365,6 @@ struct Workspace {
     occ: Vec<u32>,
     /// Pattern of the column being updated.
     patk: Vec<usize>,
-    /// Elimination order of the static ordering.
-    order: Vec<usize>,
 }
 
 /// Sets `v` to `len` copies of `value`, keeping its allocation.
@@ -506,7 +438,6 @@ impl LuFactors {
             u_cols: Vec::new(),
             u_rows: Vec::new(),
             u_diag: Vec::new(),
-            etas: Vec::new(),
             ft: Vec::new(),
             border: Vec::new(),
             lu_nnz: 0,
@@ -515,7 +446,6 @@ impl LuFactors {
             file_nnz: 0,
             updates: 0,
             hyper_cutoff: HYPER_DENSITY_CUTOFF,
-            ordering: MarkowitzOrdering::default(),
             scratch: Vec::new(),
             aux: Vec::new(),
             pat: Vec::new(),
@@ -543,7 +473,6 @@ impl LuFactors {
     pub(crate) fn reset(&mut self, m: usize) {
         self.m = m;
         self.hyper_cutoff = HYPER_DENSITY_CUTOFF;
-        self.ordering = MarkowitzOrdering::default();
         refill(&mut self.scratch, m, 0.0);
         refill(&mut self.aux, m, 0.0);
         self.pat.clear();
@@ -579,7 +508,6 @@ impl LuFactors {
         clear_nested(&mut self.u_cols, m);
         clear_nested(&mut self.u_rows, m);
         refill(&mut self.u_diag, m, 1.0);
-        self.etas.clear();
         self.ft.clear();
         self.border.clear();
         self.lu_nnz = m;
@@ -711,15 +639,6 @@ impl LuFactors {
         self.stats.btran_visited += visited;
     }
 
-    /// Selects the pivot-ordering strategy for subsequent
-    /// [`factorize`](Self::factorize) calls. Both orderings produce a
-    /// valid LU of the same basis (they generally differ in pivot
-    /// sequence and therefore in round-off); each is individually
-    /// deterministic.
-    pub fn set_ordering(&mut self, ordering: MarkowitzOrdering) {
-        self.ordering = ordering;
-    }
-
     /// Overrides the hyper-sparse density cutover: right-hand sides whose
     /// pattern exceeds `cutoff · m` non-zeros use the scanning kernels.
     /// `0.0` forces scanning everywhere, `1.0` forces the hyper-sparse
@@ -735,17 +654,17 @@ impl LuFactors {
         (self.m as f64 * self.hyper_cutoff) as usize
     }
 
-    /// Number of pivot updates accumulated since the last factorisation
-    /// (etas under ProductForm, in-place updates under Forrest–Tomlin).
+    /// Number of Forrest–Tomlin updates accumulated since the last
+    /// factorisation.
     #[must_use]
     pub fn update_count(&self) -> usize {
         self.updates as usize
     }
 
-    /// Non-zeros across the update file: eta entries under ProductForm;
-    /// row-transform multipliers plus any net `U` fill under
-    /// Forrest–Tomlin. This is the quantity the
-    /// [`FactorOpts::eta_fill_factor`] policy bounds.
+    /// Non-zeros across the update file: row-transform and border
+    /// multipliers plus any net `U` fill of the Forrest–Tomlin updates.
+    /// This is the quantity the [`FactorOpts::eta_fill_factor`] policy
+    /// bounds.
     #[must_use]
     pub fn update_nnz(&self) -> usize {
         self.file_nnz + self.u_nnz.saturating_sub(self.u_nnz0)
@@ -781,40 +700,16 @@ impl LuFactors {
     /// workspace has grown to size.
     pub fn factorize(&mut self, cols: &[usize], a: &CscMatrix, n_struct: usize) -> bool {
         let work_before = self.work;
-        let ok = match self.ordering {
-            MarkowitzOrdering::Dynamic => self.factorize_dynamic(cols, a, n_struct),
-            MarkowitzOrdering::StaticColCount => self.factorize_static(cols, a, n_struct),
-        };
+        let ok = self.eliminate(cols, a, n_struct);
         // Attribute the metered elimination work to the refactorisation
         // bucket so traces can split solve vs refactor time.
         self.stats.refactor_ticks += self.work - work_before;
         ok
     }
 
-    /// Shared prologue of both factorisation paths: clears the update
-    /// files and sizes the permutation/factor arrays for a fresh LU.
-    fn factorize_reset(&mut self) {
-        let m = self.m;
-        self.etas.clear();
-        self.ft.clear();
-        self.border.clear();
-        self.file_nnz = 0;
-        self.updates = 0;
-        self.p.resize(m, 0);
-        self.q.resize(m, 0);
-        self.pinv.clear();
-        self.pinv.resize(m, usize::MAX);
-        // The dynamic path flags pivoted columns through `qinv`; the
-        // epilogue rebuilds it from `q` either way.
-        self.qinv.clear();
-        self.qinv.resize(m, usize::MAX);
-        clear_nested(&mut self.l_cols, m);
-        clear_nested(&mut self.u_cols, m);
-        refill(&mut self.u_diag, m, 0.0);
-    }
-
-    /// Shared epilogue: permutation inverses, identity pivotal order and
-    /// the row-wise mirrors; refreshes the fill counters and stats.
+    /// Epilogue of a successful [`eliminate`](Self::eliminate):
+    /// permutation inverses, identity pivotal order and the row-wise
+    /// mirrors; refreshes the fill counters and stats.
     fn factorize_finish(&mut self, mut ops: u64) {
         let m = self.m;
         self.qinv.clear();
@@ -855,10 +750,25 @@ impl LuFactors {
     /// not to `m²` — on the very sparse bases the simplex produces this
     /// is the difference between a refactorisation costing `O(nnz)` and
     /// one costing `O(m²)`.
-    fn factorize_dynamic(&mut self, cols: &[usize], a: &CscMatrix, n_struct: usize) -> bool {
+    fn eliminate(&mut self, cols: &[usize], a: &CscMatrix, n_struct: usize) -> bool {
         let m = self.m;
         assert_eq!(cols.len(), m, "one basis column per row required");
-        self.factorize_reset();
+        // Clear the update file and size the permutation and factor
+        // arrays for a fresh LU. Pivoted columns are flagged through
+        // `qinv` until the epilogue rebuilds it from `q`.
+        self.ft.clear();
+        self.border.clear();
+        self.file_nnz = 0;
+        self.updates = 0;
+        self.p.resize(m, 0);
+        self.q.resize(m, 0);
+        self.pinv.clear();
+        self.pinv.resize(m, usize::MAX);
+        self.qinv.clear();
+        self.qinv.resize(m, usize::MAX);
+        clear_nested(&mut self.l_cols, m);
+        clear_nested(&mut self.u_cols, m);
+        refill(&mut self.u_diag, m, 0.0);
         if m == 0 {
             self.factorize_finish(0);
             return true;
@@ -1082,130 +992,6 @@ impl LuFactors {
         true
     }
 
-    /// The PR 2 left-looking elimination in static column-count order —
-    /// the differential-testing oracle for
-    /// [`factorize_dynamic`](Self::factorize_dynamic).
-    fn factorize_static(&mut self, cols: &[usize], a: &CscMatrix, n_struct: usize) -> bool {
-        let m = self.m;
-        assert_eq!(cols.len(), m, "one basis column per row required");
-        self.factorize_reset();
-
-        // Static Markowitz data: column non-zero counts order the
-        // elimination; row counts break pivot ties towards sparse rows.
-        let col_nnz = |pos: usize| {
-            if cols[pos] < n_struct {
-                a.col_nnz(cols[pos])
-            } else {
-                1
-            }
-        };
-        let Workspace {
-            row_count,
-            x,
-            order,
-            ..
-        } = &mut self.ws;
-        refill(row_count, m, 0);
-        for k in 0..m {
-            if cols[k] < n_struct {
-                for &i in a.col(cols[k]).0 {
-                    row_count[i] += 1;
-                }
-            } else {
-                row_count[cols[k] - n_struct] += 1;
-            }
-        }
-        order.clear();
-        order.extend(0..m);
-        order.sort_unstable_by_key(|&pos| (col_nnz(pos), pos));
-
-        refill(x, m, 0.0);
-        let mut ops = a.nnz() as u64 + m as u64;
-        for (step, &pos) in order.iter().enumerate() {
-            // Scatter the basis column into the dense work vector.
-            let c = cols[pos];
-            if c < n_struct {
-                a.scatter_col(x, c);
-                ops += a.col_nnz(c) as u64;
-            } else {
-                x[c - n_struct] = 1.0;
-                ops += 1;
-            }
-            // Sparse lower solve `x ← L⁻¹ x` over the slots so far; zero
-            // multipliers are skipped, which is what keeps sparse columns
-            // cheap (hyper-sparsity by value rather than by pattern).
-            for k in 0..step {
-                let t = x[self.p[k]];
-                if t == 0.0 {
-                    continue;
-                }
-                for &(row, val) in &self.l_cols[k] {
-                    x[row] -= val * t;
-                }
-                ops += self.l_cols[k].len() as u64;
-            }
-            ops += step as u64;
-            // Threshold partial pivoting with a Markowitz row bias: the
-            // sparsest row within PIVOT_THRESHOLD of the largest eligible
-            // magnitude becomes the pivot.
-            let mut max_abs = 0.0f64;
-            for row in 0..m {
-                if self.pinv[row] == usize::MAX {
-                    let v = x[row].abs();
-                    if v > max_abs {
-                        max_abs = v;
-                    }
-                }
-            }
-            ops += m as u64;
-            if max_abs < PIVOT_TOL {
-                x.fill(0.0);
-                self.work += ops;
-                return false; // singular in exact or floating arithmetic
-            }
-            let cutoff = max_abs * PIVOT_THRESHOLD;
-            let mut prow = usize::MAX;
-            let mut best_count = usize::MAX;
-            for row in 0..m {
-                if self.pinv[row] == usize::MAX && x[row].abs() >= cutoff {
-                    let count = row_count[row];
-                    if count < best_count {
-                        best_count = count;
-                        prow = row;
-                    }
-                }
-            }
-            debug_assert_ne!(prow, usize::MAX);
-            self.p[step] = prow;
-            self.pinv[prow] = step;
-            self.q[step] = pos;
-            let diag = x[prow];
-            self.u_diag[step] = diag;
-            // Split the eliminated column into U (pivoted rows) and L
-            // (remaining rows, scaled by the pivot); reset the scratch.
-            let inv = 1.0 / diag;
-            for row in 0..m {
-                let v = x[row];
-                if v == 0.0 {
-                    continue;
-                }
-                x[row] = 0.0;
-                if row == prow {
-                    continue;
-                }
-                let k = self.pinv[row];
-                if k == usize::MAX {
-                    self.l_cols[step].push((row, v * inv));
-                } else {
-                    self.u_cols[step].push((k, v));
-                }
-            }
-            ops += m as u64;
-        }
-        self.factorize_finish(ops);
-        true
-    }
-
     /// Computes the reach of the pattern in `self.pat2` (slot space) over
     /// the dependency graph of `phase`, into `self.reach` (unsorted
     /// postorder). Returns the number of edges examined, for metering.
@@ -1280,8 +1066,8 @@ impl LuFactors {
 
     /// FTRAN: overwrites `x` (indexed by constraint row) with `B⁻¹ x`
     /// (indexed by basis position). Scans `x` for its non-zero pattern;
-    /// prefer [`ftran_sparse`](Self::ftran_sparse) when the caller knows
-    /// the pattern.
+    /// prefer [`ftran_sparse_tracked`](Self::ftran_sparse_tracked) when
+    /// the caller knows the pattern.
     pub fn ftran(&mut self, x: &mut [f64]) {
         debug_assert_eq!(x.len(), self.m);
         self.apply_border_ftran(x, false);
@@ -1306,37 +1092,9 @@ impl LuFactors {
 
     /// FTRAN with a caller-supplied non-zero pattern: `pattern` must be a
     /// superset of the non-zero row indices of `x` (duplicates allowed).
-    /// Skips the `O(m)` pattern scan of [`ftran`](Self::ftran).
-    pub fn ftran_sparse(&mut self, x: &mut [f64], pattern: &[usize]) {
-        debug_assert_eq!(x.len(), self.m);
-        if self.border.is_empty() {
-            if pattern.len() <= self.hyper_cap() {
-                debug_check_superset(x, pattern);
-                self.pat.clear();
-                self.pat.extend_from_slice(pattern);
-                self.ftran_hyper(x);
-            } else {
-                self.ftran_scan(x);
-            }
-            return;
-        }
-        // The border transforms may light up appended rows outside the
-        // caller's pattern: apply them first, tracking the touched rows
-        // so the kernel still sees a superset pattern.
-        self.pat.clear();
-        self.pat.extend_from_slice(pattern);
-        self.apply_border_ftran(x, true);
-        if self.pat.len() <= self.hyper_cap() {
-            debug_check_superset(x, &self.pat);
-            self.ftran_hyper(x);
-        } else {
-            self.ftran_scan(x);
-        }
-    }
-
-    /// [`ftran_sparse`](Self::ftran_sparse) that additionally captures
-    /// the **result's** non-zero pattern (basis positions, a superset,
-    /// ascending and duplicate-free) into `result` — the
+    /// Skips the `O(m)` pattern scan of [`ftran`](Self::ftran) and
+    /// captures the **result's** non-zero pattern (basis positions, a
+    /// superset, ascending and duplicate-free) into `result` — the
     /// solve-pattern-threading primitive: the caller seeds the next
     /// dependent solve's DFS from it instead of scanning the dense
     /// vector. Returns `false` when the solve ran on the scanning
@@ -1365,10 +1123,8 @@ impl LuFactors {
         self.ftran_hyper(x);
         self.track = false;
         std::mem::swap(result, &mut self.result_pat);
-        // Eta/transform targets can repeat reach positions; consumers
-        // apply pattern-indexed updates exactly once per position, so
-        // the bitmap walk canonicalises the pattern: ascending, each
-        // position once.
+        // The reach comes out in pivotal order; the bitmap walk puts the
+        // pattern in ascending position order, each position once.
         bitmap_sort(&mut self.bits, result, |i| i, |i| i);
         true
     }
@@ -1396,8 +1152,9 @@ impl LuFactors {
         self.apply_border_btran(x);
         self.track = false;
         std::mem::swap(result, &mut self.result_pat);
-        // Border targets can repeat reach positions; see
-        // `ftran_sparse_tracked` for why the pattern is canonicalised.
+        // Border targets can repeat reach positions, and consumers apply
+        // pattern-indexed updates exactly once per position: the bitmap
+        // walk canonicalises the pattern, ascending, each position once.
         bitmap_sort(&mut self.bits, result, |i| i, |i| i);
         true
     }
@@ -1415,7 +1172,6 @@ impl LuFactors {
             l_cols,
             u_cols,
             u_diag,
-            etas,
             ft,
             scratch: z,
             ..
@@ -1470,18 +1226,6 @@ impl LuFactors {
             z[k] = 0.0;
         }
         ops += 3 * m as u64;
-        // Apply the eta file in pivot order: x ← E⁻¹ x per eta.
-        for eta in etas.iter() {
-            let t = x[eta.r] / eta.pivot;
-            x[eta.r] = t;
-            if t == 0.0 {
-                continue;
-            }
-            for &(i, val) in &eta.entries {
-                x[i] -= val * t;
-            }
-            visited += eta.entries.len() as u64 + 1;
-        }
         self.work += ops + visited;
         self.stats.ftran_solves += 1;
         self.stats.ftran_visited += visited;
@@ -1567,7 +1311,6 @@ impl LuFactors {
             pos,
             u_cols,
             u_diag,
-            etas,
             reach,
             bits,
             scratch: z,
@@ -1596,25 +1339,6 @@ impl LuFactors {
             if *track {
                 result_pat.push(q[k]);
             }
-        }
-        // Apply the eta file (ProductForm) on the dense result; eta
-        // targets extend the result pattern.
-        for eta in etas.iter() {
-            let t = x[eta.r] / eta.pivot;
-            x[eta.r] = t;
-            if *track {
-                result_pat.push(eta.r);
-            }
-            if t == 0.0 {
-                continue;
-            }
-            for &(i, val) in &eta.entries {
-                x[i] -= val * t;
-                if *track {
-                    result_pat.push(i);
-                }
-            }
-            visited += eta.entries.len() as u64 + 1;
         }
         self.work += visited + edges + self.reach.len() as u64;
         self.stats.ftran_solves += 1;
@@ -1675,20 +1399,10 @@ impl LuFactors {
             l_rows,
             u_rows,
             u_diag,
-            etas,
             ft,
             scratch: z,
             ..
         } = self;
-        // Eta transposes first, in reverse pivot order (ProductForm).
-        for eta in etas.iter().rev() {
-            let mut dot = 0.0;
-            for &(i, val) in &eta.entries {
-                dot += val * x[i];
-            }
-            x[eta.r] = (x[eta.r] - dot) / eta.pivot;
-            visited += eta.entries.len() as u64 + 1;
-        }
         // Gather into slot space.
         for k in 0..m {
             z[k] = x[q[k]];
@@ -1745,20 +1459,6 @@ impl LuFactors {
     /// pivot order, only reached slots visited.
     fn btran_hyper(&mut self, x: &mut [f64]) {
         let mut visited = 0u64;
-        {
-            let LuFactors { etas, pat, .. } = self;
-            // Eta transposes on the dense vector (ProductForm): identical
-            // to the scanning kernel; targets extend the pattern.
-            for eta in etas.iter().rev() {
-                let mut dot = 0.0;
-                for &(i, val) in &eta.entries {
-                    dot += val * x[i];
-                }
-                x[eta.r] = (x[eta.r] - dot) / eta.pivot;
-                pat.push(eta.r);
-                visited += eta.entries.len() as u64 + 1;
-            }
-        }
         {
             // Pattern positions → starting slots (deduped via marks).
             let LuFactors {
@@ -1885,11 +1585,10 @@ impl LuFactors {
     /// Records a pivot: the basic column at position `r` is replaced by a
     /// column whose FTRANed form is `w` (so `w[r]` is the pivot element).
     ///
-    /// Under [`UpdateRule::ProductForm`] this appends one eta
-    /// (`O(nnz(w))`, never fails). Under [`UpdateRule::ForrestTomlin`]
-    /// the stored `U` is modified in place; returns `false` when the
-    /// updated diagonal would be numerically degenerate — the caller must
-    /// then refactorise from the (already updated) basis columns instead.
+    /// The stored `U` is modified in place (a Forrest–Tomlin update);
+    /// returns `false` when the updated diagonal would be numerically
+    /// degenerate — the caller must then refactorise from the (already
+    /// updated) basis columns instead.
     /// Scans all of `w`; prefer [`update_sparse`](Self::update_sparse)
     /// when the FTRAN that produced `w` returned its pattern.
     pub fn update(&mut self, r: usize, w: &[f64], opts: &FactorOpts) -> bool {
@@ -1903,7 +1602,7 @@ impl LuFactors {
     /// hyper-sparse density cutover the Forrest–Tomlin update then walks
     /// patterns instead of sweeping all `m` slots; the arithmetic, the
     /// stored factors and the charged ticks are identical to
-    /// [`update`](Self::update). The product form ignores the pattern.
+    /// [`update`](Self::update).
     pub fn update_sparse(
         &mut self,
         r: usize,
@@ -1924,13 +1623,7 @@ impl LuFactors {
     ) -> bool {
         debug_assert_eq!(w.len(), self.m);
         debug_assert!(w[r] != 0.0, "pivot element must be non-zero");
-        let ok = match opts.update {
-            UpdateRule::ProductForm => {
-                self.update_product_form(r, w);
-                true
-            }
-            UpdateRule::ForrestTomlin => self.update_forrest_tomlin(r, w, pattern),
-        };
+        let ok = self.update_forrest_tomlin(r, w, pattern);
         if ok {
             self.updates += 1;
             self.stats.updates += 1;
@@ -1946,24 +1639,6 @@ impl LuFactors {
             }
         }
         ok
-    }
-
-    /// Product-form update: append one eta holding the transformed column.
-    fn update_product_form(&mut self, r: usize, w: &[f64]) {
-        let entries: Vec<(usize, f64)> = w
-            .iter()
-            .enumerate()
-            .filter(|&(i, &v)| i != r && v != 0.0)
-            .map(|(i, &v)| (i, v))
-            .collect();
-        self.work += entries.len() as u64 + 1;
-        self.file_nnz += entries.len() + 1;
-        self.stats.update_nnz += entries.len() as u64 + 1;
-        self.etas.push(Eta {
-            r,
-            pivot: w[r],
-            entries,
-        });
     }
 
     /// Forrest–Tomlin update: replace the `U` column of the leaving
@@ -2350,20 +2025,6 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
-    fn pf_opts() -> FactorOpts {
-        FactorOpts {
-            update: UpdateRule::ProductForm,
-            ..FactorOpts::default()
-        }
-    }
-
-    fn ft_opts() -> FactorOpts {
-        FactorOpts {
-            update: UpdateRule::ForrestTomlin,
-            ..FactorOpts::default()
-        }
-    }
-
     /// 3×3 matrix with a sparse structure and a known inverse action.
     fn sample_csc() -> CscMatrix {
         // [ 2 0 1 ]
@@ -2437,38 +2098,36 @@ mod tests {
     }
 
     #[test]
-    fn updates_track_dense_rank_one_under_both_rules() {
-        for opts in [pf_opts(), ft_opts()] {
-            let a = sample_csc();
-            let cols = vec![3, 4, 5]; // all-slack identity basis
-            let mut lu = LuFactors::identity(3);
-            let mut dense = DenseInverse::identity(3);
-            assert!(lu.factorize(&cols, &a, 3));
-            assert!(dense.factorize(&cols, &a, 3));
-            // Pivot structural column 0 into row 0.
-            let mut w1 = vec![0.0; 3];
-            a.axpy_col(&mut w1, 1.0, 0);
-            let mut w2 = w1.clone();
-            lu.ftran(&mut w1);
-            dense.ftran(&mut w2);
-            assert!(lu.update(0, &w1, &opts), "{opts:?}");
-            dense.update(0, &w2);
-            assert_eq!(lu.update_count(), 1);
-            let rhs = [5.0, -1.0, 2.0];
-            let mut x1 = rhs;
-            let mut x2 = rhs;
-            lu.ftran(&mut x1);
-            dense.ftran(&mut x2);
-            for (a, b) in x1.iter().zip(&x2) {
-                assert!((a - b).abs() < 1e-12, "{opts:?}: {x1:?} vs {x2:?}");
-            }
-            let mut y1 = rhs;
-            let mut y2 = rhs;
-            lu.btran(&mut y1);
-            dense.btran(&mut y2);
-            for (a, b) in y1.iter().zip(&y2) {
-                assert!((a - b).abs() < 1e-12, "{opts:?}: {y1:?} vs {y2:?}");
-            }
+    fn updates_track_dense_rank_one() {
+        let a = sample_csc();
+        let cols = vec![3, 4, 5]; // all-slack identity basis
+        let mut lu = LuFactors::identity(3);
+        let mut dense = DenseInverse::identity(3);
+        assert!(lu.factorize(&cols, &a, 3));
+        assert!(dense.factorize(&cols, &a, 3));
+        // Pivot structural column 0 into row 0.
+        let mut w1 = vec![0.0; 3];
+        a.axpy_col(&mut w1, 1.0, 0);
+        let mut w2 = w1.clone();
+        lu.ftran(&mut w1);
+        dense.ftran(&mut w2);
+        assert!(lu.update(0, &w1, &FactorOpts::default()));
+        dense.update(0, &w2);
+        assert_eq!(lu.update_count(), 1);
+        let rhs = [5.0, -1.0, 2.0];
+        let mut x1 = rhs;
+        let mut x2 = rhs;
+        lu.ftran(&mut x1);
+        dense.ftran(&mut x2);
+        for (a, b) in x1.iter().zip(&x2) {
+            assert!((a - b).abs() < 1e-12, "{x1:?} vs {x2:?}");
+        }
+        let mut y1 = rhs;
+        let mut y2 = rhs;
+        lu.btran(&mut y1);
+        dense.btran(&mut y2);
+        for (a, b) in y1.iter().zip(&y2) {
+            assert!((a - b).abs() < 1e-12, "{y1:?} vs {y2:?}");
         }
     }
 
@@ -2478,103 +2137,100 @@ mod tests {
         let tight = FactorOpts {
             refactor_interval: 0,
             eta_fill_factor: 0.0,
-            ..FactorOpts::default()
         };
         assert!(lu.needs_refactor(&tight));
         let loose = FactorOpts::default();
         assert!(!lu.needs_refactor(&loose));
     }
 
-    /// Pins the fill-trigger point of the refactor policy: with
-    /// `lu_nnz = m` (identity basis) and `eta_fill_factor = 2.0`, the
-    /// bound is exactly `2m` update non-zeros — not `2·(m + m)` as the
-    /// old double-counted formula had it.
+    /// Pins the fill-trigger point of the refactor policy on bordered
+    /// growth, whose sizes are exact: each border multiplier adds 1 to
+    /// `update_nnz` and each grown unit row 1 to `lu_nnz`. With
+    /// `eta_fill_factor = 2.0` the bound is exactly `2 · lu_nnz` update
+    /// non-zeros — not `2·(lu_nnz + m)` as the old double-counted formula
+    /// had it.
     #[test]
     fn refactor_fill_bound_is_exact() {
-        let m = 4;
-        let a = CscMatrix::from_columns(m, &[vec![(0, 1.0)]]);
-        let mut lu = LuFactors::identity(m);
-        assert!(lu.factorize(&[1, 2, 3, 4], &a, 1)); // all-slack: lu_nnz = m
-        assert_eq!(lu.lu_nnz(), m);
+        let m0 = 4;
+        let mut lu = LuFactors::identity(m0); // all-slack: lu_nnz = m
+        assert_eq!(lu.lu_nnz(), m0);
         let opts = FactorOpts {
             refactor_interval: 1000,
             eta_fill_factor: 2.0,
-            update: UpdateRule::ProductForm,
-            ..FactorOpts::default()
         };
-        // Each eta below carries exactly 2 nnz (pivot + 1 off-diagonal).
-        let mut w = vec![0.0; m];
-        w[0] = 2.0;
-        w[1] = 1.0;
+        // Each grown row below carries exactly 4 multipliers, so every
+        // growth moves `update_nnz` by 4 and the bound by 2.
+        let border = || vec![vec![(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)]];
         for k in 0..4 {
             assert!(
                 !lu.needs_refactor(&opts),
                 "fired early at {} nnz (bound {})",
                 lu.update_nnz(),
-                2 * m
+                2 * lu.lu_nnz()
             );
-            assert!(lu.update(0, &w, &opts));
-            assert_eq!(lu.update_nnz(), 2 * (k + 1));
+            lu.grow(border());
+            assert_eq!(lu.update_nnz(), 4 * (k + 1));
+            assert_eq!(lu.lu_nnz(), m0 + k + 1);
         }
-        // 8 nnz = 2·m: the bound is inclusive (trigger is strict >).
-        assert_eq!(lu.update_nnz(), 2 * m);
+        // 16 nnz = 2·8: the bound is inclusive (trigger is strict >).
+        assert_eq!(lu.update_nnz(), 2 * lu.lu_nnz());
         assert!(!lu.needs_refactor(&opts));
-        assert!(lu.update(0, &w, &opts));
-        // 10 nnz > 2·m: must fire now. Under the old `+ m` double-count
-        // the bound would have been 16 and this would still be quiet.
+        lu.grow(border());
+        // 20 nnz > 2·9: must fire now. Under the old `+ m` double-count
+        // the bound would have been 2·(9 + 9) = 36 and this would still
+        // be quiet.
         assert!(lu.needs_refactor(&opts));
     }
 
+    /// After many pivots on the same factorisation, the Forrest–Tomlin
+    /// update file stays below the eta file a product-form update would
+    /// have built (one eta of `nnz(w)` entries per pivot, pivot
+    /// included), and the solves still match the dense oracle.
     #[test]
-    fn forrest_tomlin_keeps_solves_flat_vs_product_form() {
-        // After many pivots on the same factorisation, FTRAN under FT
-        // must not grow with the pivot count the way the eta file does.
+    fn forrest_tomlin_update_file_stays_below_an_eta_file() {
         let m = 16;
         let cols: Vec<Vec<(usize, f64)>> =
             (0..m).map(|j| vec![(j, 2.0), ((j + 1) % m, 1.0)]).collect();
         let a = CscMatrix::from_columns(m, &cols);
         let slack: Vec<usize> = (m..2 * m).collect();
-        let mut pf = LuFactors::identity(m);
         let mut ft = LuFactors::identity(m);
-        assert!(pf.factorize(&slack, &a, m));
+        let mut dense = DenseInverse::identity(m);
         assert!(ft.factorize(&slack, &a, m));
-        let popts = pf_opts();
-        let fopts = ft_opts();
+        assert!(dense.factorize(&slack, &a, m));
+        let opts = FactorOpts::default();
+        let mut eta_nnz = 0;
         for j in 0..m {
             let mut w1 = vec![0.0; m];
             a.axpy_col(&mut w1, 1.0, j);
             let mut w2 = w1.clone();
-            pf.ftran(&mut w1);
-            ft.ftran(&mut w2);
+            ft.ftran(&mut w1);
+            dense.ftran(&mut w2);
             for (x, y) in w1.iter().zip(&w2) {
                 assert!((x - y).abs() < 1e-9, "pivot {j}");
             }
-            assert!(pf.update(j, &w1, &popts));
-            assert!(ft.update(j, &w2, &fopts));
+            // The eta of this pivot: the pivot plus the other non-zeros.
+            eta_nnz += 1 + (0..m).filter(|&i| i != j && w1[i] != 0.0).count();
+            assert!(ft.update(j, &w1, &opts));
+            dense.update(j, &w2);
         }
-        // Eta file carries one eta per pivot; the FT update file stays
-        // bounded by the row-transform fill, far below the eta total.
-        assert_eq!(pf.update_count(), m);
         assert_eq!(ft.update_count(), m);
         assert!(
-            ft.update_nnz() < pf.update_nnz(),
-            "ft {} vs pf {}",
-            ft.update_nnz(),
-            pf.update_nnz()
+            ft.update_nnz() < eta_nnz,
+            "ft {} vs eta file {eta_nnz}",
+            ft.update_nnz()
         );
-        // And the two still agree on solves.
         let rhs: Vec<f64> = (0..m).map(|i| (i as f64) - 7.0).collect();
         let mut x1 = rhs.clone();
         let mut x2 = rhs.clone();
-        pf.ftran(&mut x1);
-        ft.ftran(&mut x2);
+        ft.ftran(&mut x1);
+        dense.ftran(&mut x2);
         for (x, y) in x1.iter().zip(&x2) {
             assert!((x - y).abs() < 1e-8, "{x1:?} vs {x2:?}");
         }
         let mut y1 = rhs.clone();
         let mut y2 = rhs;
-        pf.btran(&mut y1);
-        ft.btran(&mut y2);
+        ft.btran(&mut y1);
+        dense.btran(&mut y2);
         for (x, y) in y1.iter().zip(&y2) {
             assert!((x - y).abs() < 1e-8, "{y1:?} vs {y2:?}");
         }
@@ -2642,9 +2298,9 @@ mod tests {
 
     /// In-place growth must agree with a from-scratch factorisation of
     /// the grown basis — on solves immediately after the growth *and*
-    /// after further pivot updates under both update rules. This is the
-    /// exactness contract behind `LpSession::add_rows` absorbing cutting
-    /// planes without a refactorisation.
+    /// after a further pivot update. This is the exactness contract behind
+    /// `LpSession::add_rows` absorbing cutting planes without a
+    /// refactorisation.
     #[test]
     fn grow_matches_refactorised_basis_under_further_updates() {
         let a = sample_csc(); // 3×3
@@ -2653,59 +2309,52 @@ mod tests {
         let big = a.append_rows(&new_rows);
         let cols = vec![0, 4, 2]; // structural 0, slack of row 1, structural 2
         let grown_cols = vec![0, 4, 2, 3 + 3, 3 + 4]; // + new slacks
-        for opts in [pf_opts(), ft_opts()] {
-            let mut lu = LuFactors::identity(3);
-            assert!(lu.factorize(&cols, &a, 3));
-            let borders = borders_for(&mut lu, &cols, 3, &new_rows);
-            lu.grow(borders);
-            let mut fresh = LuFactors::identity(5);
-            assert!(fresh.factorize(&grown_cols, &big, 3));
-            let rhs = [3.0, -1.0, 2.0, 0.5, -4.0];
-            let mut x1 = rhs;
-            let mut x2 = rhs;
-            lu.ftran(&mut x1);
-            fresh.ftran(&mut x2);
-            for (p, q) in x1.iter().zip(&x2) {
-                assert!(
-                    (p - q).abs() < 1e-9,
-                    "{opts:?}: grown ftran {x1:?} vs {x2:?}"
-                );
-            }
-            let mut y1 = rhs;
-            let mut y2 = rhs;
-            lu.btran(&mut y1);
-            fresh.btran(&mut y2);
-            for (p, q) in y1.iter().zip(&y2) {
-                assert!(
-                    (p - q).abs() < 1e-9,
-                    "{opts:?}: grown btran {y1:?} vs {y2:?}"
-                );
-            }
-            // Pivot structural column 1 into the last (appended) row on
-            // both: updates must keep composing exactly against the
-            // border.
-            let mut w_lu: Vec<f64> = vec![0.0; 5];
-            big.axpy_col(&mut w_lu, 1.0, 1);
-            let mut w_fresh = w_lu.clone();
-            lu.ftran(&mut w_lu);
-            fresh.ftran(&mut w_fresh);
-            assert!(lu.update(4, &w_lu, &opts));
-            assert!(fresh.update(4, &w_fresh, &opts));
-            let rhs = [1.0, 0.0, -2.0, 3.0, 1.5];
-            let mut want_f = rhs;
-            fresh.ftran(&mut want_f);
-            let mut want_b = rhs;
-            fresh.btran(&mut want_b);
-            let mut x = rhs;
-            lu.ftran(&mut x);
-            for (p, q) in x.iter().zip(&want_f) {
-                assert!((p - q).abs() < 1e-9, "{opts:?}: post-update ftran");
-            }
-            let mut y = rhs;
-            lu.btran(&mut y);
-            for (p, q) in y.iter().zip(&want_b) {
-                assert!((p - q).abs() < 1e-9, "{opts:?}: post-update btran");
-            }
+        let opts = FactorOpts::default();
+        let mut lu = LuFactors::identity(3);
+        assert!(lu.factorize(&cols, &a, 3));
+        let borders = borders_for(&mut lu, &cols, 3, &new_rows);
+        lu.grow(borders);
+        let mut fresh = LuFactors::identity(5);
+        assert!(fresh.factorize(&grown_cols, &big, 3));
+        let rhs = [3.0, -1.0, 2.0, 0.5, -4.0];
+        let mut x1 = rhs;
+        let mut x2 = rhs;
+        lu.ftran(&mut x1);
+        fresh.ftran(&mut x2);
+        for (p, q) in x1.iter().zip(&x2) {
+            assert!((p - q).abs() < 1e-9, "grown ftran {x1:?} vs {x2:?}");
+        }
+        let mut y1 = rhs;
+        let mut y2 = rhs;
+        lu.btran(&mut y1);
+        fresh.btran(&mut y2);
+        for (p, q) in y1.iter().zip(&y2) {
+            assert!((p - q).abs() < 1e-9, "grown btran {y1:?} vs {y2:?}");
+        }
+        // Pivot structural column 1 into the last (appended) row on
+        // both: updates must keep composing exactly against the
+        // border.
+        let mut w_lu: Vec<f64> = vec![0.0; 5];
+        big.axpy_col(&mut w_lu, 1.0, 1);
+        let mut w_fresh = w_lu.clone();
+        lu.ftran(&mut w_lu);
+        fresh.ftran(&mut w_fresh);
+        assert!(lu.update(4, &w_lu, &opts));
+        assert!(fresh.update(4, &w_fresh, &opts));
+        let rhs = [1.0, 0.0, -2.0, 3.0, 1.5];
+        let mut want_f = rhs;
+        fresh.ftran(&mut want_f);
+        let mut want_b = rhs;
+        fresh.btran(&mut want_b);
+        let mut x = rhs;
+        lu.ftran(&mut x);
+        for (p, q) in x.iter().zip(&want_f) {
+            assert!((p - q).abs() < 1e-9, "post-update ftran");
+        }
+        let mut y = rhs;
+        lu.btran(&mut y);
+        for (p, q) in y.iter().zip(&want_b) {
+            assert!((p - q).abs() < 1e-9, "post-update btran");
         }
     }
 
@@ -2759,7 +2408,6 @@ mod tests {
         let opts = FactorOpts {
             refactor_interval: 1000,
             eta_fill_factor: 0.0,
-            ..FactorOpts::default()
         };
         assert!(lu.needs_refactor(&opts));
     }
@@ -2987,7 +2635,7 @@ mod tests {
     }
 
     /// The pattern-driven Forrest–Tomlin update against the dense-sweep
-    /// reference over random pivot sequences: both orderings, tracked
+    /// reference over random pivot sequences: two draws each of tracked
     /// and untracked pivot columns, `m` on both sides of a bitmap word
     /// and one 1,000-row system with sparse columns, each sequence
     /// growing by two bordered rows halfway. After every update the
@@ -2996,12 +2644,9 @@ mod tests {
     fn pattern_update_matches_dense_sweep_reference() {
         let (mut walks, mut sweeps) = (0, 0);
         for m0 in [63usize, 64, 65, 129, 1000] {
-            for ordering in [
-                MarkowitzOrdering::Dynamic,
-                MarkowitzOrdering::StaticColCount,
-            ] {
+            for draw in 0..2 {
                 for tracked in [true, false] {
-                    let (w, s) = differential_sequence(m0, ordering, tracked);
+                    let (w, s) = differential_sequence(m0, draw, tracked);
                     walks += w;
                     sweeps += s;
                 }
@@ -3016,21 +2661,18 @@ mod tests {
 
     /// One random pivot sequence of [`pattern_update_matches_dense_sweep_reference`]
     /// on an `m0`-row basis over `2·m0` structural columns of 2–4
-    /// non-zeros each; no refactorisation unless an update is declined,
-    /// so the holes pile up over several bitmap words. Returns how many
-    /// updates walked `w`'s pattern and how many swept.
-    fn differential_sequence(
-        m0: usize,
-        ordering: MarkowitzOrdering,
-        tracked: bool,
-    ) -> (usize, usize) {
-        let ctx = format!("m {m0}, {ordering:?}, tracked {tracked}");
+    /// non-zeros each, seeded by `(m0, draw, tracked)`; no
+    /// refactorisation unless an update is declined, so the holes pile up
+    /// over several bitmap words. Returns how many updates walked `w`'s
+    /// pattern and how many swept.
+    fn differential_sequence(m0: usize, draw: u64, tracked: bool) -> (usize, usize) {
+        let ctx = format!("m {m0}, draw {draw}, tracked {tracked}");
         let opts = FactorOpts {
             refactor_interval: 1000,
             eta_fill_factor: 1e9,
-            ..ft_opts()
         };
-        let mut rng = SmallRng::seed_from_u64(m0 as u64 * 4 + u64::from(tracked));
+        let seed = m0 as u64 * 4 + 2 * draw + u64::from(tracked);
+        let mut rng = SmallRng::seed_from_u64(seed);
         let n = 2 * m0;
         let cols: Vec<Vec<(usize, f64)>> = (0..n)
             .map(|_| {
@@ -3050,7 +2692,6 @@ mod tests {
         let mut m = m0;
         let mut basis: Vec<usize> = (n..n + m0).collect();
         let mut lu = LuFactors::identity(m0);
-        lu.set_ordering(ordering);
         assert!(lu.factorize(&basis, &a, n));
         // Pivot structural columns in (about half the rows of the small
         // systems, a tenth of the large one, whose pivot columns then stay

@@ -26,12 +26,11 @@
 //! * a **sparse revised simplex** as that engine ([`simplex`],
 //!   [`sparse`], [`factor`]): CSC matrix stored once, basis held as a
 //!   sparse LU refactorised under **dynamic Markowitz ordering**
-//!   ([`MarkowitzOrdering::Dynamic`] — pivot merit recomputed on the
-//!   shrinking active submatrix; the static column-count ordering stays
-//!   selectable as a differential oracle) with Forrest–Tomlin updates
-//!   and hyper-sparse triangular solves whose tracked variants capture
-//!   result patterns that the rest of the pivot walks (sparse PRICE,
-//!   the β and weight updates, the Forrest–Tomlin update),
+//!   (pivot merit recomputed on the shrinking active submatrix) with
+//!   Forrest–Tomlin updates and hyper-sparse triangular solves whose
+//!   tracked variants capture result patterns that the rest of the
+//!   pivot walks (sparse PRICE, the β and weight updates, the
+//!   Forrest–Tomlin update),
 //!   **Devex pricing** of the leaving row (reference-framework weights,
 //!   with a Bland guard on stalls),
 //!   deterministic anti-degeneracy cost perturbation on cold starts, and
@@ -300,7 +299,7 @@ pub use basis::{Basis, VarStatus};
 pub use clock::{DeterministicClock, TICKS_PER_SECOND};
 pub use cuts::{Cut, CutSeparator, SeparationStats};
 pub use expr::{Comparison, ConstraintSense, LinExpr, VarId};
-pub use factor::{DenseInverse, FactorOpts, FactorStats, LuFactors, MarkowitzOrdering, UpdateRule};
+pub use factor::{DenseInverse, FactorOpts, FactorStats, LuFactors};
 pub use model::{Constraint, Model, ModelError, VarType, Variable};
 pub use parallel::{ParallelMode, ParallelStats};
 pub use presolve::{Postsolve, PresolveStats, PresolvedModel};

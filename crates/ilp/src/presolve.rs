@@ -5,8 +5,8 @@
 //! [`Postsolve`] stack that losslessly maps any solution of the reduced
 //! model back to the original variable space. The solver presolves once at
 //! the root; every LP relaxation in the tree then runs on the reduced
-//! matrix, so each FTRAN/BTRAN, eta update and pricing pass touches fewer
-//! nonzeros.
+//! matrix, so each FTRAN/BTRAN, basis update and pricing pass touches
+//! fewer nonzeros.
 //!
 //! Every solve runs the same reductions, each a private function over a
 //! shared workspace, in the order listed below (clique extraction

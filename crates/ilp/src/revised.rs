@@ -6,8 +6,8 @@
 //! * the constraint matrix `A` once, in CSC form (shared via
 //!   [`Model::csc`]),
 //! * the basis as a sparse LU ([`crate::factor::LuFactors`]) under
-//!   Forrest–Tomlin or product-form updates (`O(nnz)`-flavoured
-//!   FTRAN/BTRAN solves, periodic refactorisation),
+//!   Forrest–Tomlin updates (`O(nnz)`-flavoured FTRAN/BTRAN solves,
+//!   periodic refactorisation),
 //! * reduced costs priced through sparse columns (`O(nnz)` per pivot).
 //!
 //! The dual simplex selects its leaving row with **Devex
@@ -143,7 +143,7 @@ struct Engine {
     basis: Vec<usize>,
     /// Inverse map: column -> row, or `usize::MAX` when nonbasic.
     in_row: Vec<usize>,
-    /// Basis factorisation: sparse LU under the configured update rule.
+    /// Basis factorisation: sparse LU with Forrest–Tomlin updates.
     factor: LuFactors,
     /// Factorisation options this engine was built with; a hot reuse
     /// with different options must miss and rebuild.
@@ -253,7 +253,6 @@ impl Engine {
         refill(&mut self.basis, m, 0);
         refill(&mut self.in_row, n_total, usize::MAX);
         self.factor.reset(m);
-        self.factor.set_ordering(config.ordering);
         self.opts = config.factor_opts();
         refill(&mut self.devex, m, 1.0);
         self.devex_max = 1.0;
@@ -1168,12 +1167,12 @@ impl Engine {
             self.basis[r] = q;
             self.iterations += 1;
 
-            // Representation update: in-place Forrest–Tomlin spike, or
-            // one eta under the product form. An update the LU cannot
-            // absorb (a numerically degenerate Forrest–Tomlin diagonal)
-            // forces an immediate refactorisation, exactly like the
-            // update-file policy. A tracked `w` hands its pattern over, so
-            // a hyper-sparse one is walked instead of every slot swept.
+            // Representation update: the in-place Forrest–Tomlin spike.
+            // An update the LU cannot absorb (a numerically degenerate
+            // diagonal) forces an immediate refactorisation, exactly like
+            // the update-file policy. A tracked `w` hands its pattern
+            // over, so a hyper-sparse one is walked instead of every slot
+            // swept.
             let absorbed = if w_tracked {
                 self.factor
                     .update_sparse(r, &self.w, &self.wpat, &self.opts)
@@ -1338,8 +1337,8 @@ impl LpContext {
         match hot {
             Hot::Done(Some(out), spent) => {
                 if out.0.status == LpStatus::Infeasible {
-                    // A drifted factorisation (eta updates + retarget
-                    // deltas) can fabricate infeasibility, and
+                    // A drifted factorisation (Forrest–Tomlin updates +
+                    // retarget deltas) can fabricate infeasibility, and
                     // branch-and-bound prunes on it permanently. Confirm
                     // with a freshly factorised install of the same
                     // snapshot below, salvaging the discarded attempt's
@@ -1548,7 +1547,6 @@ fn run(engine: &mut Engine, model: &Model, config: &LpConfig) -> Option<(LpResul
 mod tests {
     use super::*;
     use crate::expr::VarId;
-    use crate::factor::UpdateRule;
     use crate::Model;
 
     fn cfg() -> LpConfig {
@@ -1739,11 +1737,6 @@ mod tests {
     fn reloaded_engine_matches_a_new_context() {
         let configs = [
             LpConfig::default(),
-            LpConfig {
-                update: UpdateRule::ProductForm,
-                ordering: crate::factor::MarkowitzOrdering::StaticColCount,
-                ..LpConfig::default()
-            },
             LpConfig {
                 refactor_interval: 2,
                 ..LpConfig::default()
@@ -1938,20 +1931,20 @@ mod tests {
         assert!((r1.objective - loose.objective).abs() < 1e-9);
     }
 
+    /// A long Forrest–Tomlin update file (refactor interval 64) reaches
+    /// the optimum that a refactorisation after every pivot (interval 1)
+    /// reaches.
     #[test]
-    fn update_rules_agree_on_optimum() {
+    fn long_update_file_keeps_the_optimum() {
         let (m, bounds) = chain_model(12);
         let mut objectives = Vec::new();
-        for update in [UpdateRule::ForrestTomlin, UpdateRule::ProductForm] {
+        for refactor_interval in [64, 1] {
             let config = LpConfig {
-                update,
-                // Keep the update files alive across many pivots so the
-                // rules actually diverge in representation.
-                refactor_interval: 64,
+                refactor_interval,
                 ..LpConfig::default()
             };
             let (res, _) = solve(&m, &bounds, &config, None).expect("revised path");
-            assert_eq!(res.status, LpStatus::Optimal, "{update:?}");
+            assert_eq!(res.status, LpStatus::Optimal, "{refactor_interval}");
             objectives.push(res.objective);
         }
         assert!(

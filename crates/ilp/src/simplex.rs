@@ -27,7 +27,7 @@
 //! reproducible.
 
 use crate::basis::Basis;
-use crate::factor::{FactorStats, MarkowitzOrdering, UpdateRule};
+use crate::factor::FactorStats;
 
 /// Numerical tolerance for feasibility and pricing decisions.
 pub const TOL: f64 = crate::tol::PRIMAL_FEAS;
@@ -97,17 +97,9 @@ pub struct LpConfig {
     /// varies wildly — the root cut loop caps each separation round's
     /// re-solve at a multiple of the root solve's ticks this way.
     pub work_limit: u64,
-    /// Eta updates / hot basis reuses tolerated before a refactorisation
-    /// (replaces the old hard-coded `REFACTOR_EVERY = 64`).
+    /// Forrest–Tomlin updates and hot basis reuses tolerated before a
+    /// refactorisation.
     pub refactor_interval: u32,
-    /// How pivots are folded into the sparse LU factorisation: in-place
-    /// Forrest–Tomlin updates (the default) or the product-form eta file
-    /// (kept as the differential-testing oracle).
-    pub update: UpdateRule,
-    /// How refactorisation picks pivots: live Markowitz counts on the
-    /// active submatrix (the default) or the legacy static column-count
-    /// preorder (kept as the differential-testing oracle).
-    pub ordering: MarkowitzOrdering,
     /// Anti-degeneracy cost perturbation on *cold* revised-simplex starts:
     /// a tiny deterministic, seed-derived amount is added to every
     /// structural cost before the dual simplex runs, breaking the massive
@@ -127,8 +119,6 @@ impl Default for LpConfig {
             max_iterations: 200_000,
             work_limit: u64::MAX,
             refactor_interval: 96,
-            update: UpdateRule::default(),
-            ordering: MarkowitzOrdering::default(),
             perturb: true,
             perturb_seed: 0,
         }
@@ -144,8 +134,6 @@ impl LpConfig {
     pub fn factor_opts(&self) -> crate::factor::FactorOpts {
         crate::factor::FactorOpts {
             refactor_interval: self.refactor_interval,
-            update: self.update,
-            ordering: self.ordering,
             ..crate::factor::FactorOpts::default()
         }
     }

@@ -157,14 +157,6 @@ impl SolverConfig {
         self
     }
 
-    /// Returns a copy with the given basis-update rule (in-place
-    /// Forrest–Tomlin, the default, or the product-form eta file).
-    #[must_use]
-    pub fn with_update_rule(mut self, update: crate::factor::UpdateRule) -> Self {
-        self.lp.update = update;
-        self
-    }
-
     /// Returns a copy with root presolve switched on (the default) or
     /// off.
     #[must_use]

@@ -129,17 +129,6 @@ impl CscMatrix {
         }
     }
 
-    /// Writes column `j`'s entries into a dense work vector (`out[i] = v`
-    /// for each stored `(i, v)`; untouched entries keep their value). The
-    /// basis factorisation uses this to stage one column at a time into a
-    /// scratch vector it resets itself.
-    pub fn scatter_col(&self, out: &mut [f64], j: usize) {
-        let (rows, vals) = self.col(j);
-        for (&i, &v) in rows.iter().zip(vals) {
-            out[i] = v;
-        }
-    }
-
     /// Grow-only row extension: returns a new matrix with `added` rows
     /// appended below the existing ones (`added[i]` holds row `m + i` as
     /// `(col, value)` entries). The column count is unchanged.
@@ -380,13 +369,5 @@ mod tests {
         // Every stored entry appears exactly once, at the same value.
         let total: usize = (0..3).map(|i| r.row_nnz(i)).sum();
         assert_eq!(total, a.nnz());
-    }
-
-    #[test]
-    fn scatter_overwrites_only_stored_rows() {
-        let a = sample();
-        let mut out = vec![7.0; 2];
-        a.scatter_col(&mut out, 0);
-        assert_eq!(out, vec![1.0, 7.0]);
     }
 }

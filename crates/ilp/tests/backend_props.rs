@@ -1,8 +1,8 @@
 //! Engine-equivalence and cut-correctness properties.
 //!
-//! * [`LpSession`] under both basis-update rules must agree with the
-//!   dense two-phase tableau oracle (`support`) on the LP status and
-//!   optimum of seeded random 0/1 models, to 1e-6.
+//! * [`LpSession`] must agree with the dense two-phase tableau oracle
+//!   (`support`) on the LP status and optimum of seeded random 0/1
+//!   models, to 1e-6.
 //! * [`LpSession::add_rows`] must be exact: appending separated cuts to a
 //!   live session (in-place factorisation growth) must reach the same
 //!   optimum as the oracle on a rebuilt model that carries the same rows.
@@ -17,7 +17,7 @@ mod support;
 use croxmap_ilp::backend::LpSession;
 use croxmap_ilp::cuts::CutSeparator;
 use croxmap_ilp::simplex::{LpConfig, LpStatus};
-use croxmap_ilp::{Model, UpdateRule, VarId};
+use croxmap_ilp::{Model, VarId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -98,42 +98,28 @@ fn model_bounds(m: &Model) -> Vec<(f64, f64)> {
     m.variables().iter().map(|v| (v.lower, v.upper)).collect()
 }
 
-/// A session per basis-update rule, as `(label, session)`.
-fn sessions(model: &Model) -> Vec<(String, LpSession)> {
-    [UpdateRule::ForrestTomlin, UpdateRule::ProductForm]
-        .into_iter()
-        .map(|update| {
-            let cfg = LpConfig {
-                update,
-                ..LpConfig::default()
-            };
-            (format!("{update:?}"), LpSession::open(model, cfg))
-        })
-        .collect()
-}
-
 #[test]
-fn update_rules_agree_with_dense_oracle_on_relaxation_optimum() {
+fn session_agrees_with_dense_oracle_on_relaxation_optimum() {
     let mut optimal = 0u32;
     let mut infeasible = 0u32;
     for seed in 0..40u64 {
         let model = random_model(seed);
         let bounds = model_bounds(&model);
         let want = support::solve(&model, &bounds);
-        for (label, mut session) in sessions(&model) {
-            let got = session.solve(&bounds, None).result;
-            assert_eq!(
-                got.status, want.status,
-                "seed {seed}: {label} vs the oracle disagree on status"
+        let got = LpSession::open(&model, LpConfig::default())
+            .solve(&bounds, None)
+            .result;
+        assert_eq!(
+            got.status, want.status,
+            "seed {seed}: the session and the oracle disagree on status"
+        );
+        if got.status == LpStatus::Optimal {
+            assert!(
+                (got.objective - want.objective).abs() < 1e-6,
+                "seed {seed}: the session gives {}, the oracle {}",
+                got.objective,
+                want.objective
             );
-            if got.status == LpStatus::Optimal {
-                assert!(
-                    (got.objective - want.objective).abs() < 1e-6,
-                    "seed {seed}: {label} gives {}, the oracle {}",
-                    got.objective,
-                    want.objective
-                );
-            }
         }
         match want.status {
             LpStatus::Optimal => optimal += 1,
@@ -146,7 +132,7 @@ fn update_rules_agree_with_dense_oracle_on_relaxation_optimum() {
 }
 
 #[test]
-fn incremental_rows_match_rebuilt_model_under_both_update_rules() {
+fn incremental_rows_match_rebuilt_model() {
     let mut exercised = 0u32;
     for seed in 0..60u64 {
         let model = if seed % 2 == 0 {
@@ -176,22 +162,19 @@ fn incremental_rows_match_rebuilt_model_under_both_update_rules() {
         }
         let want = support::solve(&rebuilt, &bounds);
         assert_eq!(want.status, LpStatus::Optimal, "cuts are valid");
-        // Each update rule: solve, append the same rows to the live
-        // session, re-solve warm; the grown session must match the oracle.
-        for (label, mut session) in sessions(&model) {
-            let out = session.solve(&bounds, None);
-            assert_eq!(out.result.status, LpStatus::Optimal, "{label}");
-            let grown = session.add_rows(rows.clone(), out.basis.as_ref());
-            assert_eq!(grown.added, rows.len(), "{label}");
-            let cut_out = session.solve(&bounds, grown.basis.as_ref());
-            assert_eq!(cut_out.result.status, LpStatus::Optimal, "{label}");
-            assert!(
-                (cut_out.result.objective - want.objective).abs() < 1e-6,
-                "seed {seed}: {label} grown session gives {}, oracle {}",
-                cut_out.result.objective,
-                want.objective
-            );
-        }
+        // Append the same rows to the live session and re-solve warm;
+        // the grown session must match the oracle.
+        let added = rows.len();
+        let grown = probe.add_rows(rows, root.basis.as_ref());
+        assert_eq!(grown.added, added, "seed {seed}");
+        let cut_out = probe.solve(&bounds, grown.basis.as_ref());
+        assert_eq!(cut_out.result.status, LpStatus::Optimal, "seed {seed}");
+        assert!(
+            (cut_out.result.objective - want.objective).abs() < 1e-6,
+            "seed {seed}: grown session gives {}, oracle {}",
+            cut_out.result.objective,
+            want.objective
+        );
     }
     assert!(exercised >= 5, "only {exercised} seeds produced cuts");
 }

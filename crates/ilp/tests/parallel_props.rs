@@ -1,9 +1,9 @@
 //! Parallel tree-search properties.
 //!
-//! * **Objective equivalence**: for seeded random 0/1 models under both
-//!   basis-update rules, solving with `threads ∈ {2, 4}` — in
-//!   both coordination modes — must reach the same optimal objective as
-//!   the sequential solver (1e-6), and agree on infeasibility.
+//! * **Objective equivalence**: for seeded random 0/1 models, solving
+//!   with `threads ∈ {2, 4}` — in both coordination modes — must reach
+//!   the same optimal objective as the sequential solver (1e-6), and
+//!   agree on infeasibility.
 //! * **Deterministic mode reproducibility**: at a fixed thread count,
 //!   two runs of [`ParallelMode::Deterministic`] must produce identical
 //!   incumbent-event sequences (objective *and* timestamp), node counts,
@@ -12,8 +12,7 @@
 //!   improving objectives, nondecreasing timestamps.
 
 use croxmap_ilp::{
-    JsonlSink, Model, ParallelMode, SolveStatus, Solver, SolverConfig, TraceHandle, UpdateRule,
-    VarId,
+    JsonlSink, Model, ParallelMode, SolveStatus, Solver, SolverConfig, TraceHandle, VarId,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -78,12 +77,11 @@ fn random_model(seed: u64) -> Model {
     m
 }
 
-fn base_config(update: UpdateRule, seed: u64) -> SolverConfig {
+fn base_config(seed: u64) -> SolverConfig {
     let cfg = SolverConfig {
         det_time_limit: 5.0,
         ..SolverConfig::default()
     }
-    .with_update_rule(update)
     .with_seed(seed);
     match test_trace_handle() {
         Some(trace) => cfg.with_trace(trace),
@@ -91,55 +89,50 @@ fn base_config(update: UpdateRule, seed: u64) -> SolverConfig {
     }
 }
 
-const UPDATES: [UpdateRule; 2] = [UpdateRule::ForrestTomlin, UpdateRule::ProductForm];
-
 #[test]
-fn parallel_reaches_sequential_optimum_across_engines_and_modes() {
+fn parallel_reaches_sequential_optimum_across_modes() {
     let mut optimal = 0u32;
     let mut engaged = 0u32;
-    for seed in 0..25u64 {
+    for seed in 0..50u64 {
         let model = random_model(seed);
-        for update in UPDATES {
-            let cfg = base_config(update, seed);
-            let reference = Solver::new(cfg.clone()).solve(&model);
-            for threads in [2usize, 4] {
-                for mode in [ParallelMode::Deterministic, ParallelMode::WorkStealing] {
-                    let run =
-                        Solver::new(cfg.clone().with_threads(threads).with_parallel_mode(mode))
-                            .solve(&model);
-                    assert_eq!(
-                        reference.status, run.status,
-                        "seed {seed}, {update:?}, {threads} threads {mode:?}: status"
+        let cfg = base_config(seed);
+        let reference = Solver::new(cfg.clone()).solve(&model);
+        for threads in [2usize, 4] {
+            for mode in [ParallelMode::Deterministic, ParallelMode::WorkStealing] {
+                let run = Solver::new(cfg.clone().with_threads(threads).with_parallel_mode(mode))
+                    .solve(&model);
+                assert_eq!(
+                    reference.status, run.status,
+                    "seed {seed}, {threads} threads {mode:?}: status"
+                );
+                if reference.status == SolveStatus::Optimal {
+                    optimal += 1;
+                    let want = reference.best.as_ref().unwrap().objective();
+                    let got = run.best.as_ref().unwrap().objective();
+                    assert!(
+                        (want - got).abs() < 1e-6,
+                        "seed {seed}, {threads} threads {mode:?}: \
+                         sequential {want}, parallel {got}"
                     );
-                    if reference.status == SolveStatus::Optimal {
-                        optimal += 1;
-                        let want = reference.best.as_ref().unwrap().objective();
-                        let got = run.best.as_ref().unwrap().objective();
-                        assert!(
-                            (want - got).abs() < 1e-6,
-                            "seed {seed}, {update:?}, {threads} threads {mode:?}: \
-                             sequential {want}, parallel {got}"
-                        );
-                    }
-                    // Runs that reached the tree phase report driver
-                    // stats (presolve or the root phase may finish the
-                    // model first — those legitimately stay `None`).
-                    if let Some(stats) = run.parallel {
-                        assert_eq!(stats.threads, threads);
-                        assert_eq!(stats.mode, mode);
-                        engaged += 1;
-                    }
-                    // The anytime stream invariants survive parallelism.
-                    for w in run.incumbents.windows(2) {
-                        assert!(
-                            w[1].objective < w[0].objective,
-                            "seed {seed}: non-improving incumbent stream"
-                        );
-                        assert!(
-                            w[1].det_time >= w[0].det_time,
-                            "seed {seed}: time ran backwards"
-                        );
-                    }
+                }
+                // Runs that reached the tree phase report driver
+                // stats (presolve or the root phase may finish the
+                // model first — those legitimately stay `None`).
+                if let Some(stats) = run.parallel {
+                    assert_eq!(stats.threads, threads);
+                    assert_eq!(stats.mode, mode);
+                    engaged += 1;
+                }
+                // The anytime stream invariants survive parallelism.
+                for w in run.incumbents.windows(2) {
+                    assert!(
+                        w[1].objective < w[0].objective,
+                        "seed {seed}: non-improving incumbent stream"
+                    );
+                    assert!(
+                        w[1].det_time >= w[0].det_time,
+                        "seed {seed}: time ran backwards"
+                    );
                 }
             }
         }
@@ -157,7 +150,7 @@ fn deterministic_mode_is_reproducible_run_to_run() {
     for seed in 0..15u64 {
         let model = random_model(seed);
         for threads in [2usize, 4] {
-            let cfg = base_config(UpdateRule::ForrestTomlin, seed)
+            let cfg = base_config(seed)
                 .with_threads(threads)
                 .with_parallel_mode(ParallelMode::Deterministic);
             let a = Solver::new(cfg.clone()).solve(&model);
@@ -196,7 +189,7 @@ fn deterministic_mode_is_reproducible_run_to_run() {
 fn single_thread_ignores_parallel_mode() {
     for seed in 0..10u64 {
         let model = random_model(seed);
-        let cfg = base_config(UpdateRule::ForrestTomlin, seed);
+        let cfg = base_config(seed);
         let sequential = Solver::new(cfg.clone()).solve(&model);
         for mode in [ParallelMode::Deterministic, ParallelMode::WorkStealing] {
             let run =

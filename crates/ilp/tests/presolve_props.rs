@@ -1,15 +1,12 @@
 //! Presolve/postsolve round-trip properties on seeded random 0/1 models:
-//! solving with presolve on and off — under both basis-update rules —
-//! must reach the status and optimum exhaustive enumeration finds, every
+//! solving with presolve on and off must reach the status and optimum exhaustive enumeration finds, every
 //! postsolved incumbent must be feasible in the *original* model, and
 //! direct presolve round-trips must preserve feasibility and objectives.
 
 mod support;
 
 use croxmap_ilp::presolve::{presolve, PresolveOutcome};
-use croxmap_ilp::{
-    JsonlSink, Model, SolveStatus, Solver, SolverConfig, TraceHandle, UpdateRule, VarId,
-};
+use croxmap_ilp::{JsonlSink, Model, SolveStatus, Solver, SolverConfig, TraceHandle, VarId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -75,10 +72,6 @@ fn random_model(seed: u64) -> Model {
 }
 
 fn config(presolve_on: bool) -> SolverConfig {
-    config_with_update(UpdateRule::default(), presolve_on)
-}
-
-fn config_with_update(update: UpdateRule, presolve_on: bool) -> SolverConfig {
     // `CROXMAP_TEST_THREADS=n` re-runs the whole suite through the
     // parallel tree driver (CI exercises n = 4): every equivalence
     // property here must hold at any thread count.
@@ -91,7 +84,6 @@ fn config_with_update(update: UpdateRule, presolve_on: bool) -> SolverConfig {
         enable_lns: false,
         ..SolverConfig::default()
     }
-    .with_update_rule(update)
     .with_presolve(presolve_on)
     .with_threads(threads);
     match test_trace_handle() {
@@ -101,9 +93,7 @@ fn config_with_update(update: UpdateRule, presolve_on: bool) -> SolverConfig {
 }
 
 #[test]
-fn presolve_on_off_reach_identical_optima_across_engines() {
-    // Both basis-update rules, so the Forrest–Tomlin default and the
-    // product-form oracle are both held to the enumerated reference.
+fn presolve_on_off_reach_identical_optima() {
     let mut optimal = 0u32;
     let mut infeasible = 0u32;
     for seed in 0..120u64 {
@@ -114,42 +104,38 @@ fn presolve_on_off_reach_identical_optima_across_engines() {
         } else {
             SolveStatus::Infeasible
         };
-        for update in [UpdateRule::ForrestTomlin, UpdateRule::ProductForm] {
-            for presolve_on in [true, false] {
-                let run = Solver::new(config_with_update(update, presolve_on)).solve(&model);
-                assert_eq!(
-                    run.status, expected,
-                    "seed {seed}, {update:?}, presolve {presolve_on}: status mismatch"
-                );
-                match run.status {
-                    SolveStatus::Optimal => {
-                        let got = run.best.as_ref().expect("optimal has incumbent");
-                        let want = reference.expect("a feasible point exists");
+        for presolve_on in [true, false] {
+            let run = Solver::new(config(presolve_on)).solve(&model);
+            assert_eq!(
+                run.status, expected,
+                "seed {seed}, presolve {presolve_on}: status mismatch"
+            );
+            match run.status {
+                SolveStatus::Optimal => {
+                    let got = run.best.as_ref().expect("optimal has incumbent");
+                    let want = reference.expect("a feasible point exists");
+                    assert!(
+                        (got.objective() - want).abs() <= 1e-6,
+                        "seed {seed}, presolve {presolve_on}: {} vs {want}",
+                        got.objective()
+                    );
+                    // The postsolved solution must be feasible for the
+                    // ORIGINAL model and have a consistent objective.
+                    assert!(
+                        model.is_feasible(got.values(), 1e-6),
+                        "seed {seed}, presolve {presolve_on}: infeasible postsolve"
+                    );
+                    assert!((model.objective_value(got.values()) - got.objective()).abs() <= 1e-6);
+                    // Every incumbent in the stream postsolves feasibly.
+                    for ev in &run.incumbents {
                         assert!(
-                            (got.objective() - want).abs() <= 1e-6,
-                            "seed {seed}, {update:?}, presolve {presolve_on}: {} vs {want}",
-                            got.objective()
+                            model.is_feasible(ev.solution.values(), 1e-6),
+                            "seed {seed}, presolve {presolve_on}: bad incumbent"
                         );
-                        // The postsolved solution must be feasible for the
-                        // ORIGINAL model and have a consistent objective.
-                        assert!(
-                            model.is_feasible(got.values(), 1e-6),
-                            "seed {seed}, {update:?}, presolve {presolve_on}: infeasible postsolve"
-                        );
-                        assert!(
-                            (model.objective_value(got.values()) - got.objective()).abs() <= 1e-6
-                        );
-                        // Every incumbent in the stream postsolves feasibly.
-                        for ev in &run.incumbents {
-                            assert!(
-                                model.is_feasible(ev.solution.values(), 1e-6),
-                                "seed {seed}, {update:?}, presolve {presolve_on}: bad incumbent"
-                            );
-                        }
                     }
-                    SolveStatus::Infeasible => assert!(run.best.is_none()),
-                    other => panic!("seed {seed}: unexpected status {other:?}"),
                 }
+                SolveStatus::Infeasible => assert!(run.best.is_none()),
+                other => panic!("seed {seed}: unexpected status {other:?}"),
             }
         }
         match reference {

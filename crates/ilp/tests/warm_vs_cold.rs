@@ -9,7 +9,7 @@
 mod support;
 
 use croxmap_ilp::simplex::{LpConfig, LpStatus};
-use croxmap_ilp::{LpSession, Model, SolveStatus, Solver, SolverConfig, UpdateRule, VarId};
+use croxmap_ilp::{LpSession, Model, SolveStatus, Solver, SolverConfig, VarId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -178,31 +178,28 @@ fn lp_engines_agree_on_random_relaxations() {
 }
 
 #[test]
-fn engines_reach_identical_bb_optima() {
-    // Full branch-and-bound under both basis-update rules: the status and
-    // optimum must match exhaustive enumeration of the binaries.
+fn bb_reaches_enumerated_optima() {
+    // Full branch-and-bound: the status and optimum must match
+    // exhaustive enumeration of the binaries.
     for seed in 0..16u64 {
         let model = random_model(seed);
         let want = support::enumerated_optimum(&model);
-        for update in [UpdateRule::ForrestTomlin, UpdateRule::ProductForm] {
-            let cfg = SolverConfig {
-                det_time_limit: 5.0,
-                seed,
-                ..SolverConfig::default()
-            }
-            .with_update_rule(update);
-            let r = Solver::new(cfg).solve(&model);
-            match want {
-                None => assert_eq!(r.status, SolveStatus::Infeasible, "seed {seed}: {update:?}"),
-                Some(opt) => {
-                    assert_eq!(r.status, SolveStatus::Optimal, "seed {seed}: {update:?}");
-                    let got = r.best.as_ref().expect("optimal has an incumbent");
-                    assert!(
-                        (got.objective() - opt).abs() <= 1e-6,
-                        "seed {seed}: {update:?} {} vs enumerated {opt}",
-                        got.objective()
-                    );
-                }
+        let cfg = SolverConfig {
+            det_time_limit: 5.0,
+            seed,
+            ..SolverConfig::default()
+        };
+        let r = Solver::new(cfg).solve(&model);
+        match want {
+            None => assert_eq!(r.status, SolveStatus::Infeasible, "seed {seed}"),
+            Some(opt) => {
+                assert_eq!(r.status, SolveStatus::Optimal, "seed {seed}");
+                let got = r.best.as_ref().expect("optimal has an incumbent");
+                assert!(
+                    (got.objective() - opt).abs() <= 1e-6,
+                    "seed {seed}: {} vs enumerated {opt}",
+                    got.objective()
+                );
             }
         }
     }
