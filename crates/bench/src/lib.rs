@@ -51,38 +51,47 @@ impl ExperimentScale {
         }
     }
 
-    /// Parses `--full`, `--scale N`, `--budget X` and `--pool-cap N` from
-    /// process args.
+    /// Parses the process arguments with [`ExperimentScale::parse`]; on a
+    /// bad argument, prints why and exits with status 2.
     #[must_use]
     pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let mut scale = if args.iter().any(|a| a == "--full") {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        ExperimentScale::parse(&args).unwrap_or_else(|msg| {
+            eprintln!("{msg}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parses `--full`, `--scale N`, `--budget X` and `--pool-cap N` from
+    /// `args` (the program name excluded); other arguments are ignored.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the flag when its value is missing or does not
+    /// parse, when `--scale` or `--pool-cap` is 0, or when `--budget` is
+    /// not a positive finite number of deterministic seconds.
+    pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Self, String> {
+        let mut scale = if args.iter().any(|a| a.as_ref() == "--full") {
             ExperimentScale::full()
         } else {
             ExperimentScale::default_scale()
         };
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--scale" => {
-                    if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                        scale.scale = v;
-                    }
-                }
-                "--budget" => {
-                    if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                        scale.budget = v;
-                    }
-                }
-                "--pool-cap" => {
-                    if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                        scale.pool_cap = v;
-                    }
-                }
+        let count = |flag, value| flag_value(flag, value, "a positive integer", |&v| v > 0);
+        let seconds = |flag, value| {
+            flag_value(flag, value, "a positive number", |&v: &f64| {
+                v > 0.0 && v.is_finite()
+            })
+        };
+        let mut it = args.iter().map(AsRef::as_ref);
+        while let Some(flag) = it.next() {
+            match flag {
+                "--scale" => scale.scale = count(flag, it.next())?,
+                "--pool-cap" => scale.pool_cap = count(flag, it.next())?,
+                "--budget" => scale.budget = seconds(flag, it.next())?,
                 _ => {}
             }
         }
-        scale
+        Ok(scale)
     }
 
     /// The five Table I analog networks at this scale, with names.
@@ -151,6 +160,21 @@ pub fn improvement_pct(old: f64, new: f64) -> f64 {
     }
 }
 
+/// The value after `flag`, which must parse and pass `valid`, or a message
+/// naming the flag and the `expected` value.
+fn flag_value<T: std::str::FromStr>(
+    flag: &str,
+    value: Option<&str>,
+    expected: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<T, String> {
+    let raw = value.ok_or_else(|| format!("{flag} needs {expected}"))?;
+    raw.parse()
+        .ok()
+        .filter(valid)
+        .ok_or_else(|| format!("{flag} must be {expected}, got {raw:?}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,6 +198,38 @@ mod tests {
             assert!(pool.slots()[0].dim.admits_fan_in(fan_in));
             // Output slack: strictly more capacity than neurons.
             assert!(pool.total_outputs() > net.node_count());
+        }
+    }
+
+    #[test]
+    fn arguments_parse() {
+        let s = ExperimentScale::parse(&["--scale", "16", "--budget", "0.5", "--pool-cap", "2"])
+            .expect("valid arguments");
+        assert_eq!((s.scale, s.budget, s.pool_cap), (16, 0.5, 2));
+        let s = ExperimentScale::parse(&["--full", "--budget", "3", "--other"]).expect("valid");
+        assert_eq!((s.scale, s.budget, s.pool_cap), (1, 3.0, 4));
+        let none: [&str; 0] = [];
+        let s = ExperimentScale::parse(&none).expect("defaults");
+        assert_eq!((s.scale, s.budget, s.pool_cap), (8, 20.0, 8));
+    }
+
+    #[test]
+    fn bad_arguments_name_their_flag() {
+        for (args, flag) in [
+            (&["--scale", "abc"][..], "--scale"),
+            (&["--scale", "0"], "--scale"),
+            (&["--scale", "-3"], "--scale"),
+            (&["--budget", "1", "--scale"], "--scale"),
+            (&["--pool-cap", "0"], "--pool-cap"),
+            (&["--pool-cap", "two"], "--pool-cap"),
+            (&["--budget", "0"], "--budget"),
+            (&["--budget", "-1"], "--budget"),
+            (&["--budget", "inf"], "--budget"),
+            (&["--budget", "NaN"], "--budget"),
+            (&["--budget"], "--budget"),
+        ] {
+            let err = ExperimentScale::parse(args).expect_err("rejected");
+            assert!(err.starts_with(flag), "{args:?}: {err}");
         }
     }
 

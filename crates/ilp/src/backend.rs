@@ -105,9 +105,12 @@ pub struct LpSession {
 impl LpSession {
     /// Opens a session on a snapshot of `model`. Later mutations of the
     /// caller's model do not affect the session; rows added through
-    /// [`LpSession::add_rows`] live only in the session's view.
+    /// [`LpSession::add_rows`] live only in the session's view. The
+    /// snapshot shares the model's CSC matrix, built here if the model
+    /// has none yet.
     #[must_use]
     pub fn open(model: &Model, config: LpConfig) -> Self {
+        let _ = model.csc();
         LpSession {
             view: model.clone(),
             config,
@@ -315,6 +318,23 @@ mod tests {
         m.add_constraint("cover", m.expr([(x, 1.0), (y, 1.0)]).geq(1.0));
         m.set_objective(m.expr([(x, 1.0), (y, 2.0)]));
         m
+    }
+
+    /// A session's view shares its model's CSC matrix, built once: on a
+    /// model whose matrix is not built yet and on one whose matrix is.
+    #[test]
+    fn session_shares_the_model_csc() {
+        for built in [false, true] {
+            let m = cover_model();
+            if built {
+                let _ = m.csc();
+            }
+            let s = LpSession::open(&m, LpConfig::default());
+            assert!(
+                std::sync::Arc::ptr_eq(&m.csc(), &s.model().csc()),
+                "built before opening: {built}"
+            );
+        }
     }
 
     #[test]

@@ -133,22 +133,24 @@ impl LinExpr {
     }
 
     /// Merges duplicate variables, drops zero coefficients and sorts terms
-    /// by variable id.
+    /// by variable id, in place.
     #[must_use]
     pub fn normalize(mut self) -> Self {
         self.terms.sort_by_key(|&(v, _)| v);
-        let mut merged: Vec<(VarId, f64)> = Vec::with_capacity(self.terms.len());
-        for (v, c) in self.terms {
-            match merged.last_mut() {
-                Some((lv, lc)) if *lv == v => *lc += c,
-                _ => merged.push((v, c)),
+        self.terms.dedup_by(|(v, c), (kept_v, kept_c)| {
+            let repeat = v == kept_v;
+            if repeat {
+                *kept_c += *c;
             }
-        }
-        merged.retain(|&(_, c)| c != 0.0);
-        LinExpr {
-            terms: merged,
-            constant: self.constant,
-        }
+            repeat
+        });
+        self.terms.retain(|&(_, c)| c != 0.0);
+        self
+    }
+
+    /// The term list and the constant offset, by value.
+    pub(crate) fn into_parts(self) -> (Vec<(VarId, f64)>, f64) {
+        (self.terms, self.constant)
     }
 
     /// Total coefficient of `var` (summing duplicates).

@@ -114,12 +114,13 @@ impl fmt::Display for ModelError {
 impl Error for ModelError {}
 
 /// First variable repeated in a term list, if any. Term lists are usually
-/// sorted (normalised) but may not be when built by hand; sort a scratch
-/// copy of the ids rather than assuming order.
-fn first_duplicate(terms: &[(VarId, f64)]) -> Option<VarId> {
-    let mut ids: Vec<VarId> = terms.iter().map(|&(v, _)| v).collect();
-    ids.sort_unstable();
-    ids.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
+/// sorted (normalised) but may not be when built by hand; sort a copy of
+/// the ids in `scratch` rather than assuming order.
+fn first_duplicate(terms: &[(VarId, f64)], scratch: &mut Vec<VarId>) -> Option<VarId> {
+    scratch.clear();
+    scratch.extend(terms.iter().map(|&(v, _)| v));
+    scratch.sort_unstable();
+    scratch.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
 }
 
 /// A minimisation integer linear program.
@@ -202,13 +203,12 @@ impl Model {
     /// constant folded into the right-hand side.
     pub fn add_constraint(&mut self, name: impl Into<String>, cmp: Comparison) {
         self.csc_cache = OnceLock::new();
-        let expr = cmp.expr.normalize();
-        let rhs = cmp.rhs - expr.constant_part();
+        let (terms, constant) = cmp.expr.normalize().into_parts();
         self.constraints.push(Constraint {
             name: name.into(),
-            terms: expr.terms().to_vec(),
+            terms,
             sense: cmp.sense,
-            rhs,
+            rhs: cmp.rhs - constant,
         });
     }
 
@@ -230,15 +230,14 @@ impl Model {
     /// Panics if a term references a variable this model does not have —
     /// rows may grow, columns may not.
     pub fn append_row(&mut self, name: impl Into<String>, cmp: Comparison) {
-        let expr = cmp.expr.normalize();
-        let rhs = cmp.rhs - expr.constant_part();
-        for &(v, _) in expr.terms() {
+        let (terms, constant) = cmp.expr.normalize().into_parts();
+        let rhs = cmp.rhs - constant;
+        for &(v, _) in &terms {
             assert!(
                 v.index() < self.vars.len(),
                 "append_row is grow-only: variable {v} does not exist"
             );
         }
-        let terms = expr.terms().to_vec();
         if let Some(csc) = self.csc_cache.get() {
             let added: Vec<(usize, f64)> = terms.iter().map(|&(v, c)| (v.index(), c)).collect();
             let grown = Arc::new(csc.append_rows(&[added]));
@@ -255,9 +254,7 @@ impl Model {
 
     /// Sets the (minimisation) objective.
     pub fn set_objective(&mut self, expr: LinExpr) {
-        let expr = expr.normalize();
-        self.objective_offset = expr.constant_part();
-        self.objective = expr.terms().to_vec();
+        (self.objective, self.objective_offset) = expr.normalize().into_parts();
     }
 
     /// Overrides the bounds of `v` (e.g. to fix a binary to a constant).
@@ -328,13 +325,8 @@ impl Model {
     pub fn csc(&self) -> Arc<CscMatrix> {
         self.csc_cache
             .get_or_init(|| {
-                let mut columns: Vec<Vec<(usize, f64)>> = vec![Vec::new(); self.vars.len()];
-                for (i, con) in self.constraints.iter().enumerate() {
-                    for &(v, c) in &con.terms {
-                        columns[v.index()].push((i, c));
-                    }
-                }
-                Arc::new(CscMatrix::from_columns(self.constraints.len(), &columns))
+                let rows = self.constraints.iter().map(|con| con.terms.as_slice());
+                Arc::new(CscMatrix::from_rows(self.vars.len(), rows))
             })
             .clone()
     }
@@ -413,13 +405,14 @@ impl Model {
                 });
             }
         }
+        let mut scratch = Vec::new();
         for c in &self.constraints {
             if !c.rhs.is_finite() || c.terms.iter().any(|&(_, co)| !co.is_finite()) {
                 return Err(ModelError::NonFiniteCoefficient {
                     location: c.name.clone(),
                 });
             }
-            if let Some(var) = first_duplicate(&c.terms) {
+            if let Some(var) = first_duplicate(&c.terms, &mut scratch) {
                 return Err(ModelError::DuplicateTerm {
                     location: c.name.clone(),
                     var,
@@ -432,7 +425,7 @@ impl Model {
                 location: "objective".to_owned(),
             });
         }
-        if let Some(var) = first_duplicate(&self.objective) {
+        if let Some(var) = first_duplicate(&self.objective, &mut scratch) {
             return Err(ModelError::DuplicateTerm {
                 location: "objective".to_owned(),
                 var,
@@ -586,6 +579,42 @@ mod tests {
         let csc = m.csc();
         assert_eq!(csc.nnz(), 2);
         assert_eq!(csc.dot_col(&[1.0], x.index()), 3.0);
+    }
+
+    /// The counting CSC build matches the per-column lists handed to
+    /// [`CscMatrix::from_columns`] (the build it replaced), on random
+    /// hand-built term lists with repeated columns, zero coefficients and
+    /// repeats that cancel.
+    #[test]
+    fn counting_csc_matches_per_column_build() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..200 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut m = Model::new();
+            let n = rng.gen_range(1..12usize);
+            for j in 0..n {
+                let _ = m.add_binary(format!("x{j}"));
+            }
+            for i in 0..rng.gen_range(0..15usize) {
+                m.add_constraint(format!("c{i}"), LinExpr::new().leq(1.0));
+                let len = rng.gen_range(0..8usize);
+                m.constraints[i].terms = (0..len)
+                    .map(|_| {
+                        let v = VarId(rng.gen_range(0..n as u32));
+                        (v, [0.0, 1.0, -1.0, 2.5, -2.5][rng.gen_range(0..5usize)])
+                    })
+                    .collect();
+            }
+            let mut columns: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
+            for (i, con) in m.constraints.iter().enumerate() {
+                for &(v, c) in &con.terms {
+                    columns[v.index()].push((i, c));
+                }
+            }
+            let want = CscMatrix::from_columns(m.num_constraints(), &columns);
+            assert_eq!(*m.csc(), want, "seed {seed}");
+        }
     }
 
     #[test]

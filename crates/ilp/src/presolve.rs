@@ -54,6 +54,8 @@ use crate::expr::{ConstraintSense, VarId};
 use crate::model::{Model, VarType};
 use crate::solution::{IncumbentEvent, Solution};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 /// Bound-tightening tolerance: changes smaller than this are ignored.
 const TOL: f64 = crate::tol::OBJ_AGREE;
@@ -238,14 +240,68 @@ enum RowSense {
     Eq,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Row {
-    name: String,
-    /// Terms sorted by column id; zero coefficients never stored.
-    terms: Vec<(u32, f64)>,
+    /// First term of the row in [`Workspace::terms`].
+    start: usize,
+    /// Term count: the row's terms are `terms[start..start + len]`, sorted
+    /// by column id; zero coefficients are never stored. Removing a term
+    /// shortens the span in place.
+    len: usize,
     sense: RowSense,
     rhs: f64,
     alive: bool,
+}
+
+impl Row {
+    /// The row's span in [`Workspace::terms`].
+    fn span(&self) -> Range<usize> {
+        self.start..self.start + self.len
+    }
+}
+
+/// Removes `terms[pos]`, shifting the terms after it left by one (the
+/// order `Vec::remove` leaves).
+fn remove_term(terms: &mut [(u32, f64)], row: &mut Row, pos: usize) {
+    terms[row.span()].copy_within(pos + 1.., pos);
+    row.len -= 1;
+}
+
+/// Rows that (originally) contain each column, every column's list in one
+/// array. Entries can go stale when a row dies or a term is removed;
+/// consumers re-check.
+#[derive(Debug)]
+struct ColRows {
+    /// Column `j`'s list is `entries[start[j]..start[j] + len[j]]`.
+    start: Vec<usize>,
+    len: Vec<usize>,
+    entries: Vec<u32>,
+}
+
+impl ColRows {
+    fn span(&self, j: usize) -> Range<usize> {
+        self.start[j]..self.start[j] + self.len[j]
+    }
+
+    /// Empties column `j`'s list and returns the span it held, whose
+    /// entries stay readable: [`ColRows::push`] only ever appends.
+    fn take(&mut self, j: usize) -> Range<usize> {
+        let span = self.span(j);
+        self.len[j] = 0;
+        span
+    }
+
+    /// Appends row `ri` to column `j`'s list, first moving the list to the
+    /// end of the array unless it already ends there.
+    fn push(&mut self, j: usize, ri: u32) {
+        let span = self.span(j);
+        if span.end != self.entries.len() {
+            self.start[j] = self.entries.len();
+            self.entries.extend_from_within(span);
+        }
+        self.entries.push(ri);
+        self.len[j] += 1;
+    }
 }
 
 /// Mutable presolve state shared by every reduction.
@@ -261,10 +317,11 @@ struct Workspace {
     fixed: Vec<Option<f64>>,
     /// Whether the column has been removed (fixed or merged).
     removed: Vec<bool>,
+    /// One row per model constraint, in model order.
     rows: Vec<Row>,
-    /// Rows that (originally) contain each column. Entries can go stale
-    /// when a row dies or a term is removed; consumers re-check.
-    col_rows: Vec<Vec<u32>>,
+    /// Every row's terms, row after row.
+    terms: Vec<(u32, f64)>,
+    col_rows: ColRows,
     actions: Vec<Action>,
     stats: PresolveStats,
     /// Clique membership count per column (set by clique extraction).
@@ -294,9 +351,25 @@ impl Workspace {
         for &(v, c) in model.objective() {
             obj[v.index()] = c;
         }
-        let mut rows = Vec::with_capacity(model.num_constraints());
-        let mut col_rows: Vec<Vec<u32>> = vec![Vec::new(); n];
+        // Count each column's non-zero terms, lay the column lists out
+        // back to back, then fill them row by row.
+        let mut col_len = vec![0usize; n];
+        for con in model.constraints() {
+            for &(v, c) in &con.terms {
+                if c != 0.0 {
+                    col_len[v.index()] += 1;
+                }
+            }
+        }
+        let mut col_start = Vec::with_capacity(n);
         let mut nnz = 0usize;
+        for len in &mut col_len {
+            col_start.push(nnz);
+            nnz += std::mem::take(len);
+        }
+        let mut entries = vec![0u32; nnz];
+        let mut rows = Vec::with_capacity(model.num_constraints());
+        let mut terms: Vec<(u32, f64)> = Vec::with_capacity(nnz);
         for con in model.constraints() {
             // Normalise `≥` to `≤` by negation.
             let flip = con.sense == ConstraintSense::Ge;
@@ -305,19 +378,20 @@ impl Workspace {
                 ConstraintSense::Le | ConstraintSense::Ge => RowSense::Le,
             };
             let ri = rows.len() as u32;
-            let mut terms: Vec<(u32, f64)> = Vec::with_capacity(con.terms.len());
+            let start = terms.len();
             for &(v, c) in &con.terms {
                 if c == 0.0 {
                     continue;
                 }
                 terms.push((v.0, if flip { -c } else { c }));
-                col_rows[v.index()].push(ri);
-                nnz += 1;
+                let j = v.index();
+                entries[col_start[j] + col_len[j]] = ri;
+                col_len[j] += 1;
             }
-            terms.sort_unstable_by_key(|&(c, _)| c);
+            terms[start..].sort_unstable_by_key(|&(c, _)| c);
             rows.push(Row {
-                name: con.name.clone(),
-                terms,
+                start,
+                len: terms.len() - start,
                 sense,
                 rhs: if flip { -con.rhs } else { con.rhs },
                 alive: true,
@@ -332,7 +406,12 @@ impl Workspace {
             fixed: vec![None; n],
             removed: vec![false; n],
             rows,
-            col_rows,
+            terms,
+            col_rows: ColRows {
+                start: col_start,
+                len: col_len,
+                entries,
+            },
             actions: Vec::new(),
             stats: PresolveStats {
                 nnz_before: nnz,
@@ -347,22 +426,29 @@ impl Workspace {
         self.ty.len()
     }
 
+    /// The terms of row `ri`.
+    fn row_terms(&self, ri: usize) -> &[(u32, f64)] {
+        &self.terms[self.rows[ri].span()]
+    }
+
     fn charge(&mut self, ticks: usize) {
         self.stats.work_ticks += ticks as u64;
     }
 
     /// Coefficient of `col` in row `ri`, if the term is still present.
     fn coeff_of(&self, ri: u32, col: u32) -> Option<f64> {
-        let row = &self.rows[ri as usize];
-        row.terms.iter().find(|&&(c, _)| c == col).map(|&(_, a)| a)
+        self.row_terms(ri as usize)
+            .iter()
+            .find(|&&(c, _)| c == col)
+            .map(|&(_, a)| a)
     }
 
-    /// `(min, max)` activity of a row under the current bounds. Infinite
-    /// bounds propagate to ±∞.
-    fn activity_bounds(&self, row: &Row) -> (f64, f64) {
+    /// `(min, max)` activity of a row's terms under the current bounds.
+    /// Infinite bounds propagate to ±∞.
+    fn activity_bounds(&self, terms: &[(u32, f64)]) -> (f64, f64) {
         let mut lo = 0.0;
         let mut hi = 0.0;
-        for &(j, a) in &row.terms {
+        for &(j, a) in terms {
             let (l, u) = (self.lower[j as usize], self.upper[j as usize]);
             if a > 0.0 {
                 lo += a * l;
@@ -439,18 +525,19 @@ impl Workspace {
         self.lower[j] = v;
         self.upper[j] = v;
         self.obj_offset += self.obj[j] * v;
-        let touched = std::mem::take(&mut self.col_rows[j]);
-        for &ri in &touched {
-            let row = &mut self.rows[ri as usize];
+        let touched = self.col_rows.take(j);
+        for k in touched.clone() {
+            let row = &mut self.rows[self.col_rows.entries[k] as usize];
             if !row.alive {
                 continue;
             }
-            if let Some(pos) = row.terms.iter().position(|&(c, _)| c as usize == j) {
-                let a = row.terms[pos].1;
+            let terms = &self.terms[row.span()];
+            if let Some(pos) = terms.iter().position(|&(c, _)| c as usize == j) {
+                let a = terms[pos].1;
                 if v != 0.0 {
                     row.rhs -= a * v;
                 }
-                row.terms.remove(pos);
+                remove_term(&mut self.terms, row, pos);
             }
         }
         self.charge(touched.len() + 1);
@@ -473,28 +560,40 @@ impl Workspace {
         self.tighten_upper(u, self.upper[w])?;
         self.removed[w] = true;
         self.obj[u] += self.obj[w];
-        let touched = std::mem::take(&mut self.col_rows[w]);
-        for &ri in &touched {
+        let touched = self.col_rows.take(w);
+        for k in touched.clone() {
+            let ri = self.col_rows.entries[k];
             let row = &mut self.rows[ri as usize];
             if !row.alive {
                 continue;
             }
-            let Some(pos_w) = row.terms.iter().position(|&(c, _)| c as usize == w) else {
+            let Some(pos_w) = self.terms[row.span()]
+                .iter()
+                .position(|&(c, _)| c as usize == w)
+            else {
                 continue;
             };
-            let aw = row.terms[pos_w].1;
-            row.terms.remove(pos_w);
-            match row.terms.iter().position(|&(c, _)| c as usize == u) {
+            let aw = self.terms[row.start + pos_w].1;
+            remove_term(&mut self.terms, row, pos_w);
+            match self.terms[row.span()]
+                .iter()
+                .position(|&(c, _)| c as usize == u)
+            {
                 Some(pos_u) => {
-                    row.terms[pos_u].1 += aw;
-                    if row.terms[pos_u].1 == 0.0 {
-                        row.terms.remove(pos_u);
+                    let a = &mut self.terms[row.start + pos_u].1;
+                    *a += aw;
+                    if *a == 0.0 {
+                        remove_term(&mut self.terms, row, pos_u);
                     }
                 }
                 None => {
-                    let at = row.terms.partition_point(|&(c, _)| (c as usize) < u);
-                    row.terms.insert(at, (u as u32, aw));
-                    self.col_rows[u].push(ri);
+                    // The removal of `w` freed the span's last slot.
+                    let at = self.terms[row.span()].partition_point(|&(c, _)| (c as usize) < u);
+                    row.len += 1;
+                    let terms = &mut self.terms[row.span()];
+                    terms.copy_within(at..terms.len() - 1, at + 1);
+                    terms[at] = (u as u32, aw);
+                    self.col_rows.push(u, ri);
                 }
             }
         }
@@ -512,11 +611,11 @@ impl Workspace {
 /// Singleton rows become variable bounds.
 fn singleton_rows(ws: &mut Workspace) -> Result<(), Infeasible> {
     for ri in 0..ws.rows.len() as u32 {
-        let row = &ws.rows[ri as usize];
-        if !row.alive || row.terms.len() != 1 {
+        let row = ws.rows[ri as usize];
+        if !row.alive || row.len != 1 {
             continue;
         }
-        let (j, a) = row.terms[0];
+        let (j, a) = ws.terms[row.start];
         let j = j as usize;
         if a.abs() < crate::tol::ZERO {
             continue; // degenerate coefficient: leave to redundancy pass
@@ -556,11 +655,11 @@ fn fixed_columns(ws: &mut Workspace) -> Result<(), Infeasible> {
 /// Redundant rows are dropped; forcing rows fix their variables.
 fn redundant_rows(ws: &mut Workspace) -> Result<(), Infeasible> {
     for ri in 0..ws.rows.len() as u32 {
-        let row = &ws.rows[ri as usize];
+        let row = ws.rows[ri as usize];
         if !row.alive {
             continue;
         }
-        if row.terms.is_empty() {
+        if row.len == 0 {
             match row.sense {
                 RowSense::Le => {
                     if row.rhs < -VIOL {
@@ -579,14 +678,13 @@ fn redundant_rows(ws: &mut Workspace) -> Result<(), Infeasible> {
             }
             continue;
         }
-        let (lo, hi) = ws.activity_bounds(row);
+        let (lo, hi) = ws.activity_bounds(&ws.terms[row.span()]);
         let rhs = row.rhs;
         let sense = row.sense;
-        let nterms = row.terms.len();
-        ws.charge(nterms);
+        ws.charge(row.len);
         let force = |ws: &mut Workspace, ri: u32, at_min: bool| -> Result<(), Infeasible> {
-            let fixes: Vec<(usize, f64)> = ws.rows[ri as usize]
-                .terms
+            let fixes: Vec<(usize, f64)> = ws
+                .row_terms(ri as usize)
                 .iter()
                 .map(|&(j, a)| {
                     let j = j as usize;
@@ -631,7 +729,10 @@ fn redundant_rows(ws: &mut Workspace) -> Result<(), Infeasible> {
     Ok(())
 }
 
-/// Hash of a sign-canonical sparse row pattern.
+/// Hash of a sign-canonical sparse row pattern. The last step folds the
+/// high half into the low half: a product's low bits depend only on its
+/// factors' low bits, and coefficients such as 1.0 and 2.0 differ only in
+/// their high bits, while [`Buckets`] indexes its table by the low bits.
 fn pattern_hash<'a>(terms: impl Iterator<Item = &'a (u32, f64)>, flip: bool) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &(c, a) in terms {
@@ -641,115 +742,218 @@ fn pattern_hash<'a>(terms: impl Iterator<Item = &'a (u32, f64)>, flip: bool) -> 
         h ^= a.to_bits();
         h = h.wrapping_mul(0x100_0000_01b3);
     }
-    h
+    h ^ (h >> 32)
 }
 
-/// Whether row `a`'s canonical terms equal row `b`'s canonical terms.
-fn canon_terms_equal(ra: &Row, fa: bool, rb: &Row, fb: bool) -> bool {
-    ra.terms.len() == rb.terms.len()
-        && ra
-            .terms
-            .iter()
-            .zip(rb.terms.iter())
-            .all(|(&(ca, aa), &(cb, ab))| {
-                let aa = if fa { -aa } else { aa };
-                let ab = if fb { -ab } else { ab };
-                ca == cb && aa == ab
+/// Hasher for keys [`pattern_hash`] has already mixed: it passes them
+/// through.
+#[derive(Default)]
+struct IdentityHasher(u64);
+
+impl Hasher for IdentityHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
+/// End of a bucket chain.
+const NIL: u32 = u32::MAX;
+
+/// Items grouped by pattern hash, each group in insertion order: one
+/// identity-hashed map from a key to the first and last link of its
+/// chain, the chains threaded through one flat array.
+struct Buckets<T> {
+    ends: HashMap<u64, (u32, u32), BuildHasherDefault<IdentityHasher>>,
+    links: Vec<(T, u32)>,
+}
+
+impl<T: Copy> Buckets<T> {
+    fn with_capacity(n: usize) -> Self {
+        Buckets {
+            ends: HashMap::with_capacity_and_hasher(n, BuildHasherDefault::default()),
+            links: Vec::with_capacity(n),
+        }
+    }
+
+    /// The bucket of `key` (empty if the key is new), found with one
+    /// lookup.
+    fn bucket(&mut self, key: u64) -> Bucket<'_, T> {
+        Bucket {
+            ends: self.ends.entry(key).or_insert((NIL, NIL)),
+            links: &mut self.links,
+        }
+    }
+}
+
+/// One bucket of [`Buckets`].
+struct Bucket<'a, T> {
+    ends: &'a mut (u32, u32),
+    links: &'a mut Vec<(T, u32)>,
+}
+
+impl<T: Copy> Bucket<'_, T> {
+    /// The items in insertion order.
+    fn iter(&self) -> impl Iterator<Item = T> + '_ {
+        let mut at = self.ends.0;
+        std::iter::from_fn(move || {
+            (at != NIL).then(|| {
+                let (item, next) = self.links[at as usize];
+                at = next;
+                item
             })
+        })
+    }
+
+    /// Appends `item` to the bucket.
+    fn push(&mut self, item: T) {
+        let at = self.links.len() as u32;
+        self.links.push((item, NIL));
+        match self.ends.1 {
+            NIL => self.ends.0 = at,
+            last => self.links[last as usize].1 = at,
+        }
+        self.ends.1 = at;
+    }
+}
+
+/// Whether terms `a` (negated if `fa`) equal terms `b` (negated if `fb`).
+fn canon_terms_equal(a: &[(u32, f64)], fa: bool, b: &[(u32, f64)], fb: bool) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(&(ca, aa), &(cb, ab))| {
+            let aa = if fa { -aa } else { aa };
+            let ab = if fb { -ab } else { ab };
+            ca == cb && aa == ab
+        })
+}
+
+/// Row `ri`'s bucket key and canonical orientation (flipped so its first
+/// coefficient is positive), charging one tick per term; `None` for a dead
+/// or empty row.
+fn row_key(ws: &mut Workspace, ri: u32) -> Option<(u64, bool)> {
+    let terms = ws.row_terms(ri as usize);
+    if !ws.rows[ri as usize].alive || terms.is_empty() {
+        return None;
+    }
+    let flip = terms[0].1 < 0.0;
+    let key = pattern_hash(terms.iter(), flip);
+    ws.charge(terms.len());
+    Some((key, flip))
 }
 
 /// Duplicate rows merge; opposing duplicates become equalities.
-#[allow(clippy::too_many_lines)]
 fn duplicate_rows(ws: &mut Workspace) -> Result<(), Infeasible> {
-    // Canonical orientation: flip so the first coefficient is positive.
-    let canon_flip = |row: &Row| -> bool { row.terms.first().is_some_and(|&(_, a)| a < 0.0) };
-    let mut buckets: HashMap<u64, Vec<(u32, bool)>> = HashMap::new();
+    let mut buckets = Buckets::with_capacity(ws.rows.len());
     for ri in 0..ws.rows.len() as u32 {
-        if !ws.rows[ri as usize].alive || ws.rows[ri as usize].terms.is_empty() {
+        let Some((key, flip_r)) = row_key(ws, ri) else {
             continue;
-        }
-        let flip_r = canon_flip(&ws.rows[ri as usize]);
-        let key = pattern_hash(ws.rows[ri as usize].terms.iter(), flip_r);
-        ws.charge(ws.rows[ri as usize].terms.len());
-        let bucket = buckets.entry(key).or_default();
+        };
+        let mut bucket = buckets.bucket(key);
         let mut merged = false;
-        for &(pi, flip_p) in bucket.iter() {
-            let (prev, cur) = (&ws.rows[pi as usize], &ws.rows[ri as usize]);
-            if !prev.alive || !canon_terms_equal(prev, flip_p, cur, flip_r) {
-                continue;
-            }
-            // Canonical-space view: Eq pins the canonical activity,
-            // an unflipped Le caps it above, a flipped Le caps below.
-            let canon_rhs = |row: &Row, flip: bool| if flip { -row.rhs } else { row.rhs };
-            let (crp, crr) = (canon_rhs(prev, flip_p), canon_rhs(cur, flip_r));
-            match (prev.sense, cur.sense) {
-                (RowSense::Eq, RowSense::Eq) => {
-                    if (crp - crr).abs() > VIOL {
-                        return Err(Infeasible);
-                    }
-                    ws.kill_row(ri);
-                    merged = true;
-                }
-                (RowSense::Eq, RowSense::Le) | (RowSense::Le, RowSense::Eq) => {
-                    let (eq_rhs, le_rhs, le_flipped, le_row) = if prev.sense == RowSense::Eq {
-                        (crp, crr, flip_r, ri)
-                    } else {
-                        (crr, crp, flip_p, pi)
-                    };
-                    // A flipped Le bounds canonical activity from
-                    // below (its canonical rhs *is* that lower bound);
-                    // an unflipped one caps it from above.
-                    let ok = if le_flipped {
-                        eq_rhs >= le_rhs - VIOL
-                    } else {
-                        eq_rhs <= le_rhs + VIOL
-                    };
-                    if !ok {
-                        return Err(Infeasible);
-                    }
-                    ws.kill_row(le_row);
-                    if le_row == ri {
-                        merged = true;
-                    }
-                }
-                (RowSense::Le, RowSense::Le) => {
-                    if flip_p == flip_r {
-                        // Same orientation: tighter right-hand side wins.
-                        let tighter = ws.rows[pi as usize].rhs.min(ws.rows[ri as usize].rhs);
-                        if (tighter - ws.rows[pi as usize].rhs).abs() > 0.0 {
-                            ws.rows[pi as usize].rhs = tighter;
-                            ws.changed = true;
-                        }
-                        ws.kill_row(ri);
-                        merged = true;
-                    } else {
-                        // Opposing pair: lower ≤ canonical activity ≤ upper.
-                        let (upper, lower) = if flip_p {
-                            (crr, -ws.rows[pi as usize].rhs)
-                        } else {
-                            (crp, -ws.rows[ri as usize].rhs)
-                        };
-                        if lower > upper + VIOL {
-                            return Err(Infeasible);
-                        }
-                        if (upper - lower).abs() <= TOL {
-                            ws.rows[pi as usize].sense = RowSense::Eq;
-                            ws.kill_row(ri);
-                            merged = true;
-                            ws.changed = true;
-                        }
-                    }
-                }
-            }
-            if merged {
+        for prev in bucket.iter() {
+            if merge_duplicate_row(ws, prev, (ri, flip_r))? {
+                merged = true;
                 break;
             }
         }
         if !merged && ws.rows[ri as usize].alive {
-            buckets.entry(key).or_default().push((ri, flip_r));
+            bucket.push((ri, flip_r));
         }
     }
     Ok(())
+}
+
+/// Merges row `ri` into an earlier row `pi` of the same bucket when both
+/// are alive with equal canonical terms (each row paired with its
+/// canonical flip). Returns whether row `ri` was merged away; an
+/// equality can instead absorb the earlier row, leaving `ri` to meet the
+/// rest of the bucket.
+fn merge_duplicate_row(
+    ws: &mut Workspace,
+    (pi, flip_p): (u32, bool),
+    (ri, flip_r): (u32, bool),
+) -> Result<bool, Infeasible> {
+    let (prev, cur) = (ws.rows[pi as usize], ws.rows[ri as usize]);
+    if !prev.alive
+        || !canon_terms_equal(
+            &ws.terms[prev.span()],
+            flip_p,
+            &ws.terms[cur.span()],
+            flip_r,
+        )
+    {
+        return Ok(false);
+    }
+    // Canonical-space view: Eq pins the canonical activity, an unflipped
+    // Le caps it above, a flipped Le caps below.
+    let canon_rhs = |row: Row, flip: bool| if flip { -row.rhs } else { row.rhs };
+    let (crp, crr) = (canon_rhs(prev, flip_p), canon_rhs(cur, flip_r));
+    match (prev.sense, cur.sense) {
+        (RowSense::Eq, RowSense::Eq) => {
+            if (crp - crr).abs() > VIOL {
+                return Err(Infeasible);
+            }
+            ws.kill_row(ri);
+            Ok(true)
+        }
+        (RowSense::Eq, RowSense::Le) | (RowSense::Le, RowSense::Eq) => {
+            let (eq_rhs, le_rhs, le_flipped, le_row) = if prev.sense == RowSense::Eq {
+                (crp, crr, flip_r, ri)
+            } else {
+                (crr, crp, flip_p, pi)
+            };
+            // A flipped Le bounds canonical activity from below (its
+            // canonical rhs *is* that lower bound); an unflipped one caps
+            // it from above.
+            let ok = if le_flipped {
+                eq_rhs >= le_rhs - VIOL
+            } else {
+                eq_rhs <= le_rhs + VIOL
+            };
+            if !ok {
+                return Err(Infeasible);
+            }
+            ws.kill_row(le_row);
+            Ok(le_row == ri)
+        }
+        (RowSense::Le, RowSense::Le) if flip_p == flip_r => {
+            // Same orientation: tighter right-hand side wins.
+            let tighter = prev.rhs.min(cur.rhs);
+            if (tighter - prev.rhs).abs() > 0.0 {
+                ws.rows[pi as usize].rhs = tighter;
+                ws.changed = true;
+            }
+            ws.kill_row(ri);
+            Ok(true)
+        }
+        (RowSense::Le, RowSense::Le) => {
+            // Opposing pair: lower ≤ canonical activity ≤ upper.
+            let (upper, lower) = if flip_p {
+                (crr, -prev.rhs)
+            } else {
+                (crp, -cur.rhs)
+            };
+            if lower > upper + VIOL {
+                return Err(Infeasible);
+            }
+            if (upper - lower).abs() > TOL {
+                return Ok(false);
+            }
+            ws.rows[pi as usize].sense = RowSense::Eq;
+            ws.kill_row(ri);
+            ws.changed = true;
+            Ok(true)
+        }
+    }
 }
 
 /// Doubleton equalities `a·u − a·w = 0` prove `w ≡ u`: merge the columns.
@@ -760,11 +964,11 @@ fn duplicate_rows(ws: &mut Workspace) -> Result<(), Infeasible> {
 /// equality row with it.
 fn doubleton_equations(ws: &mut Workspace) -> Result<(), Infeasible> {
     for ri in 0..ws.rows.len() as u32 {
-        let row = &ws.rows[ri as usize];
-        if !row.alive || row.sense != RowSense::Eq || row.terms.len() != 2 || row.rhs != 0.0 {
+        let row = ws.rows[ri as usize];
+        if !row.alive || row.sense != RowSense::Eq || row.len != 2 || row.rhs != 0.0 {
             continue;
         }
-        let ((c1, a1), (c2, a2)) = (row.terms[0], row.terms[1]);
+        let ((c1, a1), (c2, a2)) = (ws.terms[row.start], ws.terms[row.start + 1]);
         // Only the exact `w = u` shape (equal magnitude, opposite
         // sign, same variable class) merges; anything else would need
         // scaling or complement bookkeeping.
@@ -787,8 +991,8 @@ fn dominated_columns(ws: &mut Workspace) -> Result<(), Infeasible> {
         // `≤` slack as they grow; "helping" columns only create it.
         let mut consuming = true;
         let mut helping = true;
-        for k in 0..ws.col_rows[j].len() {
-            let ri = ws.col_rows[j][k];
+        for k in ws.col_rows.span(j) {
+            let ri = ws.col_rows.entries[k];
             if !ws.rows[ri as usize].alive {
                 continue;
             }
@@ -832,10 +1036,16 @@ struct ColumnPatterns {
 impl ColumnPatterns {
     fn new(ws: &Workspace) -> Self {
         let n = ws.num_cols();
-        let live = || ws.rows.iter().enumerate().filter(|(_, row)| row.alive);
+        let live = || {
+            ws.rows
+                .iter()
+                .enumerate()
+                .filter(|(_, row)| row.alive)
+                .map(|(ri, row)| (ri, &ws.terms[row.span()]))
+        };
         let mut start = vec![0usize; n + 1];
-        for (_, row) in live() {
-            for &(c, _) in &row.terms {
+        for (_, terms) in live() {
+            for &(c, _) in terms {
                 start[c as usize + 1] += 1;
             }
         }
@@ -844,9 +1054,9 @@ impl ColumnPatterns {
         }
         let mut end = start[..n].to_vec();
         let mut entries = vec![(0u32, 0.0); start[n]];
-        for (ri, row) in live() {
+        for (ri, terms) in live() {
             let ri = ri as u32;
-            for &(c, a) in &row.terms {
+            for &(c, a) in terms {
                 let c = c as usize;
                 // A row repeating a column contributes its first term,
                 // the coefficient `coeff_of` finds.
@@ -880,11 +1090,10 @@ impl ColumnPatterns {
 /// contribution provably non-negative.
 fn has_cap_row(ws: &Workspace, pat: &[(u32, f64)], j: u32, k: u32) -> bool {
     pat.iter().any(|&(ri, a)| {
-        let row = &ws.rows[ri as usize];
-        if a < 1.0 - TOL || row.rhs > 1.0 + TOL {
+        if a < 1.0 - TOL || ws.rows[ri as usize].rhs > 1.0 + TOL {
             return false;
         }
-        row.terms.iter().all(|&(c, ac)| {
+        ws.row_terms(ri as usize).iter().all(|&(c, ac)| {
             if c == j || c == k {
                 ac >= 1.0 - TOL
             } else {
@@ -903,75 +1112,103 @@ fn has_cap_row(ws: &Workspace, pat: &[(u32, f64)], j: u32, k: u32) -> bool {
 fn duplicate_columns(ws: &mut Workspace) -> Result<(), Infeasible> {
     let patterns = ColumnPatterns::new(ws);
     let (mut pat, mut pk) = (Vec::new(), Vec::new());
-    let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
+    let mut buckets = Buckets::with_capacity(ws.num_cols());
     for j in 0..ws.num_cols() {
-        if ws.removed[j] || ws.ty[j] != VarType::Binary {
+        let Some(key) = column_key(ws, &patterns, j, &mut pat) else {
             continue;
-        }
-        patterns.read(&ws.rows, j, &mut pat);
-        if pat.is_empty() {
-            continue;
-        }
-        ws.charge(pat.len());
-        let key = pattern_hash(pat.iter(), false);
-        let bucket = buckets.entry(key).or_default();
+        };
+        let mut bucket = buckets.bucket(key);
         let mut fixed_self = false;
-        for &k in bucket.iter() {
-            if ws.removed[k] {
-                continue;
+        for k in bucket.iter() {
+            if let Some(fixed_j) = fix_costlier_twin(ws, &patterns, &pat, &mut pk, j, k)? {
+                fixed_self = fixed_j;
+                break;
             }
-            patterns.read(&ws.rows, k, &mut pk);
-            if pk != pat || !has_cap_row(ws, &pat, j as u32, k as u32) {
-                continue;
-            }
-            // At most one of the twins can be 1; drop the costlier
-            // (ties keep the earlier column).
-            if ws.obj[k] <= ws.obj[j] {
-                ws.fix_col(j, 0.0)?;
-                fixed_self = true;
-            } else {
-                ws.fix_col(k, 0.0)?;
-            }
-            break;
         }
         if !fixed_self {
-            buckets.entry(key).or_default().push(j);
+            bucket.push(j);
         }
     }
     Ok(())
 }
 
+/// Column `j`'s bucket key, with its live pattern read into `pat`,
+/// charging one tick per entry; `None` for a removed, non-binary or empty
+/// column.
+fn column_key(
+    ws: &mut Workspace,
+    patterns: &ColumnPatterns,
+    j: usize,
+    pat: &mut Vec<(u32, f64)>,
+) -> Option<u64> {
+    if ws.removed[j] || ws.ty[j] != VarType::Binary {
+        return None;
+    }
+    patterns.read(&ws.rows, j, pat);
+    if pat.is_empty() {
+        return None;
+    }
+    ws.charge(pat.len());
+    Some(pattern_hash(pat.iter(), false))
+}
+
+/// If column `j` (pattern `pat`) and `k`, an earlier live column of its
+/// bucket, are twins sharing a packing row, fixes the costlier to 0 (ties
+/// keep `k`) and returns whether that was `j`; `None` if they are not
+/// twins. `pk` is scratch for `k`'s pattern.
+fn fix_costlier_twin(
+    ws: &mut Workspace,
+    patterns: &ColumnPatterns,
+    pat: &[(u32, f64)],
+    pk: &mut Vec<(u32, f64)>,
+    j: usize,
+    k: usize,
+) -> Result<Option<bool>, Infeasible> {
+    if ws.removed[k] {
+        return Ok(None);
+    }
+    patterns.read(&ws.rows, k, pk);
+    if *pk != pat || !has_cap_row(ws, pat, j as u32, k as u32) {
+        return Ok(None);
+    }
+    // At most one of the twins can be 1; drop the costlier.
+    let fixed_j = ws.obj[k] <= ws.obj[j];
+    ws.fix_col(if fixed_j { j } else { k }, 0.0)?;
+    Ok(Some(fixed_j))
+}
+
 /// Coefficient tightening and implied fixing on all-binary `≤` rows.
 fn coefficient_tightening(ws: &mut Workspace) -> Result<(), Infeasible> {
     for ri in 0..ws.rows.len() {
-        let row = &ws.rows[ri];
-        if !row.alive || row.sense != RowSense::Le || row.terms.is_empty() {
+        let row = ws.rows[ri];
+        let terms = &ws.terms[row.span()];
+        if !row.alive || row.sense != RowSense::Le || terms.is_empty() {
             continue;
         }
-        let all_binary = row.terms.iter().all(|&(j, _)| {
+        let all_binary = terms.iter().all(|&(j, _)| {
             let j = j as usize;
             ws.ty[j] == VarType::Binary && !ws.removed[j]
         });
         if !all_binary {
             continue;
         }
-        let (lo, hi) = ws.activity_bounds(row);
+        let (lo, hi) = ws.activity_bounds(terms);
         let rhs = row.rhs;
         if hi <= rhs + TOL {
-            ws.charge(ws.rows[ri].terms.len());
+            ws.charge(row.len);
             continue; // redundant: the row pass removes it
         }
         // Implied fixing: a term whose forced side overshoots the
         // right-hand side even at minimum activity elsewhere.
         let mut fixes: Vec<(usize, f64)> = Vec::new();
-        for &(j, a) in &row.terms {
+        for &(j, a) in terms {
             if a > 0.0 && lo + a > rhs + VIOL {
                 fixes.push((j as usize, 0.0)); // x_j = 1 impossible
             } else if a < 0.0 && lo - a > rhs + VIOL {
                 fixes.push((j as usize, 1.0)); // x_j = 0 impossible
             }
         }
-        ws.charge(ws.rows[ri].terms.len());
+        ws.charge(row.len);
         if !fixes.is_empty() {
             for (j, v) in fixes {
                 ws.fix_col(j, v)?;
@@ -984,12 +1221,12 @@ fn coefficient_tightening(ws: &mut Workspace) -> Result<(), Infeasible> {
         // LP-feasible region.
         let row = &mut ws.rows[ri];
         let mut hi = hi;
-        for t in 0..row.terms.len() {
-            let (_, a) = row.terms[t];
+        for t in row.span() {
+            let (_, a) = ws.terms[t];
             if a > 0.0 && hi > row.rhs + TOL && hi - a < row.rhs - TOL {
                 let a_new = hi - row.rhs;
                 let rhs_new = hi - a;
-                row.terms[t].1 = a_new;
+                ws.terms[t].1 = a_new;
                 row.rhs = rhs_new;
                 hi += a_new - a;
                 ws.stats.coeffs_tightened += 1;
@@ -1006,12 +1243,12 @@ fn coefficient_tightening(ws: &mut Workspace) -> Result<(), Infeasible> {
 /// live row of ≥ 2 binary, unremoved columns with coefficients ≥ 1 and a
 /// right-hand side ≤ 1 (which covers the `≤` direction of partition
 /// equalities).
-fn is_packing_clique(row: &Row, ty: &[VarType], removed: &[bool]) -> bool {
+fn is_packing_clique(ws: &Workspace, row: &Row) -> bool {
     row.alive
-        && row.terms.len() >= 2
+        && row.len >= 2
         && row.rhs <= 1.0 + TOL
-        && row.terms.iter().all(|&(j, a)| {
-            ty[j as usize] == VarType::Binary && !removed[j as usize] && a >= 1.0 - TOL
+        && ws.terms[row.span()].iter().all(|&(j, a)| {
+            ws.ty[j as usize] == VarType::Binary && !ws.removed[j as usize] && a >= 1.0 - TOL
         })
 }
 
@@ -1020,11 +1257,11 @@ fn is_packing_clique(row: &Row, ty: &[VarType], removed: &[bool]) -> bool {
 /// changes no row or column.
 fn extract_cliques(ws: &mut Workspace) {
     for row in &ws.rows {
-        if !is_packing_clique(row, &ws.ty, &ws.removed) {
+        if !is_packing_clique(ws, row) {
             continue;
         }
         ws.stats.cliques += 1;
-        for &(j, _) in &row.terms {
+        for &(j, _) in &ws.terms[row.span()] {
             ws.clique_count[j as usize] += 1;
         }
     }
@@ -1066,12 +1303,7 @@ pub fn presolve(model: &Model) -> PresolveOutcome {
 }
 
 fn finish_stats(ws: &mut Workspace) {
-    ws.stats.nnz_after = ws
-        .rows
-        .iter()
-        .filter(|r| r.alive)
-        .map(|r| r.terms.len())
-        .sum();
+    ws.stats.nnz_after = ws.rows.iter().filter(|r| r.alive).map(|r| r.len).sum();
 }
 
 /// Materialises the reduced [`Model`] and the [`Postsolve`] stack.
@@ -1102,9 +1334,11 @@ fn build_reduced(model: &Model, ws: Workspace) -> PresolvedModel {
             }
         }
     }
-    for row in ws.rows.iter().filter(|r| r.alive) {
-        let terms = row
-            .terms
+    for (con, row) in model.constraints().iter().zip(&ws.rows) {
+        if !row.alive {
+            continue;
+        }
+        let terms = ws.terms[row.span()]
             .iter()
             .map(|&(j, a)| (VarId(col_map[j as usize]), a));
         let expr = reduced.expr(terms);
@@ -1112,7 +1346,7 @@ fn build_reduced(model: &Model, ws: Workspace) -> PresolvedModel {
             RowSense::Le => expr.leq(row.rhs),
             RowSense::Eq => expr.eq(row.rhs),
         };
-        reduced.add_constraint(row.name.clone(), cmp);
+        reduced.add_constraint(con.name.clone(), cmp);
     }
     let mut obj = reduced.expr(
         kept.iter()
@@ -1144,9 +1378,9 @@ fn build_reduced(model: &Model, ws: Workspace) -> PresolvedModel {
     let mut cliques = Vec::new();
     if use_cliques {
         for row in &ws.rows {
-            if is_packing_clique(row, &ws.ty, &ws.removed) {
+            if is_packing_clique(&ws, row) {
                 cliques.push(
-                    row.terms
+                    ws.terms[row.span()]
                         .iter()
                         .map(|&(j, _)| VarId(col_map[j as usize]))
                         .collect(),
@@ -1170,6 +1404,8 @@ fn build_reduced(model: &Model, ws: Workspace) -> PresolvedModel {
 mod tests {
     use super::*;
     use crate::Model;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn reduced(model: &Model) -> PresolvedModel {
         match presolve(model) {
@@ -1500,6 +1736,164 @@ mod tests {
                         < 1e-9
                 );
             }
+        }
+    }
+
+    /// `duplicate_rows` as it bucketed before the chained buckets: a
+    /// SipHash map holding a `Vec` per bucket.
+    fn duplicate_rows_hashed(ws: &mut Workspace) -> Result<(), Infeasible> {
+        let mut buckets: HashMap<u64, Vec<(u32, bool)>> = HashMap::new();
+        for ri in 0..ws.rows.len() as u32 {
+            let Some((key, flip_r)) = row_key(ws, ri) else {
+                continue;
+            };
+            let bucket = buckets.entry(key).or_default();
+            let mut merged = false;
+            for &prev in bucket.iter() {
+                if merge_duplicate_row(ws, prev, (ri, flip_r))? {
+                    merged = true;
+                    break;
+                }
+            }
+            if !merged && ws.rows[ri as usize].alive {
+                buckets.entry(key).or_default().push((ri, flip_r));
+            }
+        }
+        Ok(())
+    }
+
+    /// `duplicate_columns` as it bucketed before the chained buckets.
+    fn duplicate_columns_hashed(ws: &mut Workspace) -> Result<(), Infeasible> {
+        let patterns = ColumnPatterns::new(ws);
+        let (mut pat, mut pk) = (Vec::new(), Vec::new());
+        let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
+        for j in 0..ws.num_cols() {
+            let Some(key) = column_key(ws, &patterns, j, &mut pat) else {
+                continue;
+            };
+            let bucket = buckets.entry(key).or_default();
+            let mut fixed_self = false;
+            for &k in bucket.iter() {
+                if let Some(fixed_j) = fix_costlier_twin(ws, &patterns, &pat, &mut pk, j, k)? {
+                    fixed_self = fixed_j;
+                    break;
+                }
+            }
+            if !fixed_self {
+                buckets.entry(key).or_default().push(j);
+            }
+        }
+        Ok(())
+    }
+
+    /// Runs `new` and `old` on two workspaces of `model` and requires the
+    /// same outcome and the same workspace after: stats, actions, rows,
+    /// terms and bounds (`{:?}` prints every float so that it reads back
+    /// to the same bits). Returns whether the pass proved infeasibility.
+    fn passes_agree(
+        model: &Model,
+        new: fn(&mut Workspace) -> Result<(), Infeasible>,
+        old: fn(&mut Workspace) -> Result<(), Infeasible>,
+        ctx: &str,
+    ) -> bool {
+        let (mut a, mut b) = (Workspace::new(model), Workspace::new(model));
+        let (ra, rb) = (new(&mut a), old(&mut b));
+        assert_eq!(ra, rb, "{ctx}: outcome");
+        assert!(format!("{a:?}") == format!("{b:?}"), "{ctx}: workspace");
+        ra.is_err()
+    }
+
+    /// Chained buckets find the duplicates the `HashMap` buckets found:
+    /// many rows per pattern in both orientations and all three senses,
+    /// so chains hold rows an equality killed after they were bucketed.
+    #[test]
+    fn chained_duplicate_rows_match_hashmap_buckets() {
+        let mut infeasible = 0;
+        for seed in 0..300 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut m = Model::new();
+            let vars: Vec<_> = (0..8)
+                .map(|i| m.add_continuous(format!("x{i}"), 0.0, 10.0))
+                .collect();
+            let patterns: Vec<Vec<(VarId, f64)>> = (0..3)
+                .map(|_| {
+                    let len = rng.gen_range(1..5usize);
+                    let coeff = [1.0, 2.0, -1.0, 0.5];
+                    (0..len)
+                        .map(|_| {
+                            (
+                                vars[rng.gen_range(0..8usize)],
+                                coeff[rng.gen_range(0..4usize)],
+                            )
+                        })
+                        .collect()
+                })
+                .collect();
+            // Rows of one pattern bound its activity around 2: equalities
+            // at 2, caps and floors at a slack of 0 (opposing pairs fuse),
+            // 1 or 2, or rarely -1 (a contradiction). Negating a row keeps
+            // its meaning and flips its orientation.
+            for r in 0..40 {
+                let p = &patterns[rng.gen_range(0..3usize)];
+                let slack = if rng.gen_bool(0.01) {
+                    -1.0
+                } else {
+                    f64::from(rng.gen_range(0..3u32))
+                };
+                let sign = if rng.gen_bool(0.5) { -1.0 } else { 1.0 };
+                let expr = m.expr(p.iter().map(|&(v, a)| (v, sign * a)));
+                let cmp = match (rng.gen_range(0..5u32), sign > 0.0) {
+                    (0, _) => expr.eq(sign * 2.0),
+                    (1 | 2, true) => expr.leq(2.0 + slack),
+                    (1 | 2, false) => expr.geq(-2.0 - slack),
+                    (_, true) => expr.geq(2.0 - slack),
+                    (_, false) => expr.leq(slack - 2.0),
+                };
+                m.add_constraint(format!("r{r}"), cmp);
+            }
+            let ctx = format!("rows, seed {seed}");
+            infeasible += usize::from(passes_agree(
+                &m,
+                duplicate_rows,
+                duplicate_rows_hashed,
+                &ctx,
+            ));
+        }
+        assert!((30..270).contains(&infeasible), "{infeasible} infeasible");
+    }
+
+    /// Chained buckets find the twin columns the `HashMap` buckets found:
+    /// many binaries per pattern under packing rows, with costs that fix
+    /// an earlier twin and leave it dead inside its chain.
+    #[test]
+    fn chained_duplicate_columns_match_hashmap_buckets() {
+        for seed in 0..300 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut m = Model::new();
+            let vars: Vec<_> = (0..30).map(|i| m.add_binary(format!("x{i}"))).collect();
+            let group = |j: usize| j % 3;
+            for g in 0..3 {
+                let members = vars.iter().enumerate().filter(|&(j, _)| group(j) == g);
+                m.add_constraint(
+                    format!("pack{g}"),
+                    m.expr(members.map(|(_, &v)| (v, 1.0))).leq(1.0),
+                );
+            }
+            let weights: Vec<f64> = (0..30)
+                .map(|_| [1.0, 2.0][rng.gen_range(0..2usize)])
+                .collect();
+            m.add_constraint(
+                "cap",
+                m.expr(vars.iter().zip(&weights).map(|(&v, &w)| (v, w)))
+                    .leq(4.0),
+            );
+            m.set_objective(m.expr(vars.iter().map(|&v| (v, f64::from(rng.gen_range(1..4u32))))));
+            passes_agree(
+                &m,
+                duplicate_columns,
+                duplicate_columns_hashed,
+                &format!("columns, seed {seed}"),
+            );
         }
     }
 

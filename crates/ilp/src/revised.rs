@@ -766,6 +766,51 @@ impl Engine {
         }
     }
 
+    /// The leaving row and its score, and the sum of the rows' violations
+    /// in row order. A row is violated when its basic variable lies more
+    /// than `PFEAS` outside its bounds. The leaving row is the first
+    /// violated row with the largest Devex score `v² / γᵢ`, or under
+    /// `bland` the violated row with the smallest basic column index;
+    /// `None` when no row is violated.
+    fn leaving_row(&self, bland: bool) -> (Option<(usize, f64)>, f64) {
+        let mut total = 0.0;
+        if bland {
+            let mut leave: Option<(usize, f64)> = None;
+            for i in 0..self.m {
+                let (v, _) = self.violation(i);
+                if v > 0.0 {
+                    total += v;
+                    if leave.is_none_or(|(r, _)| self.basis[i] < self.basis[r]) {
+                        leave = Some((i, v * v / self.devex[i]));
+                    }
+                }
+            }
+            return (leave, total);
+        }
+        // One pass over the row slices; the violation and its score are
+        // computed for every row (zero where feasible, which leaves the
+        // sum's bits unchanged), so only a new best row branches.
+        let (lower, upper) = (&self.lower[..], &self.upper[..]);
+        let (mut row, mut best) = (usize::MAX, 0.0);
+        let rows = self.basis.iter().zip(&self.beta).zip(&self.devex);
+        for (i, ((&b, &x), &weight)) in rows.enumerate() {
+            let (lo, hi) = (lower[b], upper[b]);
+            let v = if x < lo - PFEAS {
+                lo - x
+            } else if x > hi + PFEAS {
+                x - hi
+            } else {
+                0.0
+            };
+            total += v;
+            let score = v * v / weight;
+            if v > 0.0 && (row == usize::MAX || score > best) {
+                (row, best) = (i, score);
+            }
+        }
+        ((row != usize::MAX).then_some((row, best)), total)
+    }
+
     /// Dual simplex main loop. Dual feasibility is an invariant; the loop
     /// ends when primal feasibility is reached (optimal), a violated row
     /// admits no entering column (infeasible), or a budget/stability limit
@@ -807,24 +852,7 @@ impl Engine {
                 self.devex_max = 1.0;
                 self.work += self.m as u64;
             }
-            let mut leave: Option<(usize, f64)> = None; // (row, score)
-            let mut total_infeasibility = 0.0;
-            for i in 0..self.m {
-                let (v, _) = self.violation(i);
-                if v <= 0.0 {
-                    continue;
-                }
-                total_infeasibility += v;
-                let score = v * v / self.devex[i];
-                let better = if bland {
-                    leave.is_none_or(|(r, _)| self.basis[i] < self.basis[r])
-                } else {
-                    leave.is_none_or(|(_, s)| score > s)
-                };
-                if better {
-                    leave = Some((i, score));
-                }
-            }
+            let (leave, total_infeasibility) = self.leaving_row(bland);
             self.work += self.m as u64;
             let Some((r, _)) = leave else {
                 return RunStatus::Optimal;
@@ -1965,6 +1993,93 @@ mod tests {
         let (res, _) = solve(&m, &bounds, &config, None).expect("revised path");
         assert_eq!(res.status, LpStatus::Optimal);
         assert!((res.objective + 14.0 / 5.0).abs() < 1e-6);
+    }
+
+    /// The leaving-row scan as it was before the streaming pass: one
+    /// `violation` call and one candidate branch per row.
+    fn leaving_row_per_row(engine: &Engine, bland: bool) -> (Option<(usize, f64)>, f64) {
+        let mut leave: Option<(usize, f64)> = None;
+        let mut total_infeasibility = 0.0;
+        for i in 0..engine.m {
+            let (v, _) = engine.violation(i);
+            if v <= 0.0 {
+                continue;
+            }
+            total_infeasibility += v;
+            let score = v * v / engine.devex[i];
+            let better = if bland {
+                leave.is_none_or(|(r, _)| engine.basis[i] < engine.basis[r])
+            } else {
+                leave.is_none_or(|(_, s)| score > s)
+            };
+            if better {
+                leave = Some((i, score));
+            }
+        }
+        (leave, total_infeasibility)
+    }
+
+    /// The streaming scan picks the per-row loop's row, score and
+    /// violation sum, bit for bit, on random engine states: basic values
+    /// on a bound, exactly `PFEAS` outside it (not violated) and further
+    /// out, infinite bounds, and few distinct violations and weights so
+    /// that scores tie.
+    #[test]
+    fn streaming_leaving_row_matches_per_row_scan() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let (mut ties, mut picks) = (0, 0);
+        for seed in 0..400 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let m = rng.gen_range(1..80usize);
+            let n_total = m + rng.gen_range(1..40usize);
+            let mut e = Engine {
+                m,
+                ..Engine::default()
+            };
+            for _ in 0..n_total {
+                let lo = [f64::NEG_INFINITY, 0.0, -1.0, 2.5][rng.gen_range(0..4usize)];
+                let width = [f64::INFINITY, 0.0, 1.0, 3.0][rng.gen_range(0..4usize)];
+                e.lower.push(lo);
+                e.upper
+                    .push(if lo.is_finite() { lo + width } else { width });
+            }
+            let offsets = [0.0, PFEAS, 2.0 * PFEAS, 0.5, 1.0];
+            for _ in 0..m {
+                let b = rng.gen_range(0..n_total);
+                let off = offsets[rng.gen_range(0..offsets.len())];
+                let (lo, hi) = (e.lower[b], e.upper[b]);
+                let x = match rng.gen_range(0..3u32) {
+                    0 if lo.is_finite() => lo - off,
+                    1 if hi.is_finite() => hi + off,
+                    _ if lo.is_finite() => lo,
+                    _ => 0.0,
+                };
+                e.basis.push(b);
+                e.beta.push(x);
+                e.devex.push([1.0, 2.0, 4.5][rng.gen_range(0..3usize)]);
+            }
+            for bland in [false, true] {
+                let (want, want_total) = leaving_row_per_row(&e, bland);
+                let (got, got_total) = e.leaving_row(bland);
+                let bits = |leave: Option<(usize, f64)>| leave.map(|(r, s)| (r, s.to_bits()));
+                assert_eq!(bits(got), bits(want), "seed {seed}, bland {bland}");
+                assert_eq!(
+                    got_total.to_bits(),
+                    want_total.to_bits(),
+                    "seed {seed}, bland {bland}"
+                );
+                if let (Some((r, best)), false) = (want, bland) {
+                    picks += 1;
+                    let later_tie = (r + 1..m).any(|i| {
+                        let v = e.violation(i).0;
+                        v > 0.0 && (v * v / e.devex[i]).total_cmp(&best).is_eq()
+                    });
+                    ties += usize::from(later_tie);
+                }
+            }
+        }
+        assert!(picks > 300 && ties > 100, "{picks} picks, {ties} ties");
     }
 
     /// Ring cover: every element covered by two adjacent sets — small

@@ -9,6 +9,7 @@
 //! every branch-and-bound node then shares the same matrix, which is what
 //! makes per-node LP solves cheap.
 
+use crate::expr::VarId;
 use serde::{Deserialize, Serialize};
 
 /// A sparse `m × n` matrix in compressed sparse column form.
@@ -65,6 +66,80 @@ impl CscMatrix {
                 }
             }
             col_ptr.push(row_idx.len());
+        }
+        CscMatrix {
+            m,
+            n,
+            col_ptr,
+            row_idx,
+            values,
+        }
+    }
+
+    /// Builds the `m × n` matrix whose rows `rows` lists in order as
+    /// `(column, value)` terms, `m` being the number of lists, with the
+    /// normalisation of [`CscMatrix::from_columns`]: zero values dropped,
+    /// a row's repeated column summed in term order (and dropped if the
+    /// sum is zero). One counting pass sizes the columns and one pass
+    /// fills them, so nothing is allocated per column.
+    pub(crate) fn from_rows<'a, I>(n: usize, rows: I) -> Self
+    where
+        I: Iterator<Item = &'a [(VarId, f64)]> + Clone,
+    {
+        let mut col_ptr = vec![0usize; n + 1];
+        let mut m = 0;
+        for terms in rows.clone() {
+            m += 1;
+            for &(v, c) in terms {
+                if c != 0.0 {
+                    col_ptr[v.index() + 1] += 1;
+                }
+            }
+        }
+        for j in 0..n {
+            col_ptr[j + 1] += col_ptr[j];
+        }
+        let mut row_idx = vec![0usize; col_ptr[n]];
+        let mut values = vec![0.0; col_ptr[n]];
+        // `fill[j]` is column `j`'s next free slot; rows arrive in order,
+        // so a repeated column meets its own row in the slot before.
+        let mut fill = col_ptr[..n].to_vec();
+        let mut repeats = false;
+        for (i, terms) in rows.enumerate() {
+            for &(v, c) in terms {
+                if c == 0.0 {
+                    continue;
+                }
+                let j = v.index();
+                let at = fill[j];
+                if at > col_ptr[j] && row_idx[at - 1] == i {
+                    values[at - 1] += c;
+                    repeats = true;
+                } else {
+                    row_idx[at] = i;
+                    values[at] = c;
+                    fill[j] = at + 1;
+                }
+            }
+        }
+        if repeats {
+            // Close the gaps the summed repeats left, dropping sums that
+            // cancelled to zero.
+            let mut kept = 0;
+            for j in 0..n {
+                let (start, end) = (col_ptr[j], fill[j]);
+                col_ptr[j] = kept;
+                for k in start..end {
+                    if values[k] != 0.0 {
+                        row_idx[kept] = row_idx[k];
+                        values[kept] = values[k];
+                        kept += 1;
+                    }
+                }
+            }
+            col_ptr[n] = kept;
+            row_idx.truncate(kept);
+            values.truncate(kept);
         }
         CscMatrix {
             m,

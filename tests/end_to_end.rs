@@ -174,15 +174,12 @@ fn deterministic_pipeline_runs() {
     }
 }
 
-/// Presolve of the paper-scale PGO formulation (Eq. 12) of Table I
-/// network A at full size on the Table II pool (at most 4 replicas),
-/// restricted to a first-fit mapping's crossbars like the pipeline's
-/// re-solve: the reductions it makes and the ticks it charges are pinned,
-/// so a change to how presolve finds its reductions cannot move either.
-#[test]
-fn paper_scale_pgo_presolve_is_pinned() {
-    use croxmap::ilp::presolve::{presolve, PresolveOutcome, PresolveStats};
-    use croxmap_core::{baseline, MappingIlp, MappingObjective};
+/// The paper-scale PGO formulation (Eq. 12) of Table I network A at full
+/// size on the Table II pool (at most 4 replicas), restricted to a
+/// first-fit mapping's crossbars like the pipeline's re-solve, with
+/// deterministic stand-in spike counts (zero for every seventh neuron).
+/// Returns the network, the first fit and the ILP.
+fn paper_scale_pgo_ilp() -> (Network, Mapping, MappingIlp) {
     let spec = NetworkSpec::table_i_scaled(1)
         .into_iter()
         .find(|s| s.name.starts_with('A'))
@@ -194,8 +191,7 @@ fn paper_scale_pgo_presolve_is_pinned() {
         net.node_count(),
         4,
     );
-    let base = baseline::greedy_first_fit(&net, &pool).expect("first fit places A/1");
-    // Deterministic stand-in spike counts, zero for every seventh neuron.
+    let base = greedy_first_fit(&net, &pool).expect("first fit places A/1");
     let weights: Vec<u64> = (0..net.node_count() as u64).map(|i| i * 37 % 7).collect();
     let formulation = pipeline::PipelineConfig::default()
         .formulation
@@ -206,6 +202,16 @@ fn paper_scale_pgo_presolve_is_pinned() {
         &MappingObjective::PgoPackets(weights),
         &formulation,
     );
+    (net, base, ilp)
+}
+
+/// Presolve of [`paper_scale_pgo_ilp`]: the reductions it makes and the
+/// ticks it charges are pinned, so a change to how presolve finds its
+/// reductions cannot move either.
+#[test]
+fn paper_scale_pgo_presolve_is_pinned() {
+    use croxmap::ilp::presolve::{presolve, PresolveOutcome, PresolveStats};
+    let (_, _, ilp) = paper_scale_pgo_ilp();
     let PresolveOutcome::Reduced(reduced) = presolve(ilp.model()) else {
         panic!("the PGO formulation of a first-fit mapping is feasible");
     };
@@ -226,4 +232,37 @@ fn paper_scale_pgo_presolve_is_pinned() {
         (reduced.model.num_vars(), reduced.model.num_constraints()),
         (13_278, 12_177)
     );
+}
+
+/// One anytime solve of [`paper_scale_pgo_ilp`] from the first fit, at
+/// the pipeline's default solver settings and a 0.05 det-s budget: its
+/// clock, each phase's ticks, the node count and the incumbent stream are
+/// pinned. It runs presolve, the root LP's leaving-row scan over
+/// thousands of infeasible rows and the LNS at paper scale, so a change
+/// to how those kernels find their answers cannot move a tick.
+#[test]
+fn paper_scale_pgo_solve_is_pinned() {
+    use croxmap::ilp::trace::Phase;
+    let (net, base, ilp) = paper_scale_pgo_ilp();
+    let warm = ilp.warm_start(&net, &base);
+    let mut stream = Vec::new();
+    let result = Solver::new(SolverConfig::default().with_det_time_limit(0.05))
+        .solve_with_callback(ilp.model(), Some(&warm), |e| {
+            stream.push(e.objective.to_bits());
+        });
+    assert_eq!(result.status, SolveStatus::Feasible);
+    assert_eq!(
+        result.det_time.to_bits(),
+        0.011_177_134_f64.to_bits(),
+        "det_time"
+    );
+    let phases = Phase::ALL.map(|p| result.phases.ticks(p));
+    assert_eq!(
+        phases,
+        [772_377, 1_031_070, 0, 0, 1_031_070, 8_342_617, 0],
+        "ticks of presolve, root_lp, cuts, dive, tree, lns, other"
+    );
+    assert_eq!(result.nodes, 9, "nodes");
+    assert_eq!(stream, [1008.0_f64.to_bits()], "incumbent objectives");
+    assert_eq!(result.lp_fallbacks, 0);
 }
