@@ -18,6 +18,7 @@ use croxmap_snn::{Network, NetworkBuilder, NeuronId, NodeRole};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 
 /// Parameters of one generated network.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -280,6 +281,9 @@ pub fn generate(spec: &NetworkSpec) -> Network {
     };
 
     let mut in_degree = vec![0usize; n];
+    // The (source, target) pairs placed so far: one keyed lookup per draw
+    // instead of `NetworkBuilder::contains_edge`'s scan of every edge.
+    let mut pairs: HashSet<(usize, usize)> = HashSet::with_capacity(spec.edge_count);
     let mut placed = 0usize;
     let mut attempts = 0usize;
     let max_attempts = spec.edge_count * 200;
@@ -289,7 +293,7 @@ pub fn generate(spec: &NetworkSpec) -> Network {
             in_degree[i] >= spec.max_fan_in || i < spec.input_count
         });
         let src = sample(&mut rng, &out_prop, &|i| i == dst);
-        if builder.contains_edge(ids[src], ids[dst]) {
+        if !pairs.insert((src, dst)) {
             continue;
         }
         let weight = if rng.gen_bool(0.8) {

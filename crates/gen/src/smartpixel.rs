@@ -150,36 +150,37 @@ fn generate_event(config: &SmartPixelConfig, rng: &mut SmallRng) -> Event {
     }
 }
 
-/// Encodes an event as spike trains for the first `input_count` input
-/// neurons of `network`: column `c`'s charge `q` produces `round(q)` spikes
-/// on input neuron `c mod input_count`, spread one per timestep from `t=0`.
+/// Encodes an event as spike trains for the input neurons of `network`,
+/// one train per input in index order.
 ///
-/// `window` bounds the encoding horizon.
+/// Column `c`'s charge `q` asks for `round(q)` spikes (none for a negative
+/// or NaN charge), capped at `window`, on input `c mod inputs`, one per
+/// timestep from `t = 0`. A train is a set of timesteps, so columns that
+/// share an input merge as a union: the input's train is `0..m`, where `m`
+/// is the largest capped spike count among its columns, not their sum.
+/// Inputs share columns whenever the event has more columns than the
+/// network has inputs: a quarter-size Table I network has 4 inputs for the
+/// 16 default columns.
 ///
 /// # Panics
 ///
 /// Panics if the network has no input neurons.
 #[must_use]
 pub fn encode(network: &Network, event: &Event, window: u32) -> Stimulus {
-    let inputs: Vec<NeuronId> = network.input_ids().collect();
-    assert!(
-        !inputs.is_empty(),
-        "network needs input neurons for encoding"
-    );
-    let mut per_input: Vec<Vec<u32>> = vec![Vec::new(); inputs.len()];
-    for (c, &q) in event.column_charge.iter().enumerate() {
-        let spikes = q.round().max(0.0) as u32;
-        let slot = c % inputs.len();
-        for k in 0..spikes.min(window) {
-            per_input[slot].push(k);
-        }
-    }
-    Stimulus::new(
-        inputs
-            .into_iter()
-            .zip(per_input)
-            .map(|(id, times)| (id, SpikeTrain::from_times(times))),
-    )
+    let inputs = network.input_ids();
+    let stride = inputs.len();
+    assert!(stride > 0, "network needs input neurons for encoding");
+    let columns = &event.column_charge;
+    Stimulus::new(inputs.enumerate().map(|(slot, id)| {
+        let m = columns
+            .iter()
+            .skip(slot)
+            .step_by(stride)
+            .map(|&q| (q.round().max(0.0) as u32).min(window))
+            .max()
+            .unwrap_or(0);
+        (id, SpikeTrain::periodic(0, 1, m))
+    }))
 }
 
 /// Classifies an event with `network`: runs the simulator and compares the
@@ -296,10 +297,15 @@ mod tests {
             slope: 0.1,
         };
         let stim = encode(&net, &event, 16);
-        // Columns 0 and 2 hit input 0 (2+3 spikes merged per timestep),
-        // columns 1 and 3 hit input 1.
-        assert_eq!(stim.trains().len(), 2);
-        assert!(stim.total_spikes() > 0);
+        // Columns 0 and 2 share input 0: their trains 0..2 and 0..3 merge
+        // as a union. Columns 1 and 3 share input 1.
+        assert_eq!(
+            stim.trains(),
+            [
+                (i0, SpikeTrain::from_times([0, 1, 2])),
+                (i1, SpikeTrain::from_times([0])),
+            ]
+        );
     }
 
     #[test]

@@ -54,7 +54,9 @@ impl Stimulus {
 /// The complete firing record of one simulation run.
 ///
 /// Fires are stored as one CSR over neurons: the steps at which neuron `i`
-/// fired are `times[offsets[i]..offsets[i + 1]]`, ascending.
+/// fired are `times[offsets[i]..offsets[i + 1]]`, ascending. A fire count
+/// is the difference of two offsets, so [`SimRecord::fire_count`] and
+/// [`SimRecord::total_fires`] cost O(1).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimRecord {
     /// `n + 1` offsets into `times`.
@@ -65,24 +67,33 @@ pub struct SimRecord {
 }
 
 impl SimRecord {
-    /// Groups a `(neuron, step)` fire log, in step order, by neuron.
-    fn from_log(n: usize, log: &[(u32, u32)], steps: u32) -> Self {
-        let mut offsets = vec![0; n + 1];
-        for &(i, _) in log {
-            offsets[i as usize + 1] += 1;
+    /// Groups a fire log by neuron: bit `i` of `log[t * words..][..words]`
+    /// flags a fire of neuron `i` at step `t`, for `words = ⌈n / 64⌉`.
+    /// `counts[i]` holds the number of fires of neuron `i` for `i < n`, and
+    /// `counts[n]` is 0; the vector becomes the record's offsets.
+    fn from_log(mut counts: Vec<usize>, log: &[u64], steps: u32) -> Self {
+        let n = counts.len() - 1;
+        // Running sums turn each count into the end of its neuron's run…
+        let mut end = 0;
+        for c in &mut counts[..n] {
+            end += *c;
+            *c = end;
         }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut next = offsets[..n].to_vec();
-        let mut times = vec![0; log.len()];
-        for &(i, t) in log {
-            let at = &mut next[i as usize];
-            times[*at] = t;
-            *at += 1;
+        counts[n] = end;
+        // …and filling each run back to front, from the last step to the
+        // first, steps every one back to its start.
+        let mut times = vec![0; end];
+        for (t, step) in log.chunks(n.div_ceil(64)).enumerate().rev() {
+            for (w, &bits) in step.iter().enumerate() {
+                for i in ones(bits, w) {
+                    let at = &mut counts[i];
+                    *at -= 1;
+                    times[*at] = t as u32;
+                }
+            }
         }
         SimRecord {
-            offsets,
+            offsets: counts,
             times,
             steps,
         }
@@ -104,6 +115,11 @@ impl SimRecord {
     pub fn fire_count(&self, neuron: NeuronId) -> u64 {
         let i = neuron.index();
         (self.offsets[i + 1] - self.offsets[i]) as u64
+    }
+
+    /// Fire counts of every neuron, in index order.
+    pub(crate) fn fire_counts(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        self.offsets.windows(2).map(|w| (w[1] - w[0]) as u64)
     }
 
     /// Total fires across all neurons.
@@ -132,23 +148,29 @@ impl SimRecord {
 /// ascending index order, and schedule its outgoing spikes with the edge
 /// delays, (3) apply leak.
 ///
-/// The kernel is event-driven but keeps that order. A run first copies
-/// thresholds and decay factors out of the network, finds the largest
-/// delay and zeroes the pending ring described below: an O(n·r + E)
-/// set-up for a ring of r slots. A step then visits only the neurons with
-/// charge due and the *active* neurons: those whose potential may be
-/// non-zero, plus those with a threshold ≤ 0, which fire from rest. It
-/// costs O(active neurons + due deliveries + n/64), plus the fan-out of
-/// the neurons that fire and one look at each stimulus train. Every other
-/// neuron rests at a zero potential, where delivery, leak and clamping
-/// cannot change whether it fires, so the record equals that of a sweep
-/// over all neurons.
+/// The kernel is event-driven but keeps that order. It reads thresholds,
+/// leaks, fan-outs and the largest delay straight from the [`Network`]'s
+/// flat layout, so a run copies no network data and never walks the
+/// synapse list. Its set-up is zeroing its own buffers (O(n·r) for a ring
+/// of r slots, described below), one word-wise pass over the thresholds
+/// for the neurons that fire from rest, and one look at each stimulus
+/// train. A step then visits only the neurons with charge due and the
+/// *active* neurons: those whose potential may be non-zero, plus those
+/// with a threshold ≤ 0, which fire from rest. It costs O(active neurons +
+/// due deliveries + n/64), plus the fan-out of the neurons that fire and
+/// one look at each train with spikes still to come. Every other neuron
+/// rests at a zero potential, where delivery, leak and clamping cannot
+/// change whether it fires, so the record equals that of a sweep over all
+/// neurons.
 ///
 /// Pending charge lives in a ring of `min(max delay, steps) + 1` slots of
-/// `n` values. Charge that would arrive at or after `steps` is never
-/// scheduled, so a delay longer than the window costs no memory. Fires
-/// are logged as `(neuron, step)` pairs and grouped into the CSR of
-/// [`SimRecord`] once, at the end of the run.
+/// `n` values; the step's slot wraps around as the steps advance. Charge
+/// that would arrive at or after `steps` is never scheduled, so a delay
+/// longer than the window costs no memory. Fires are logged as one bitset
+/// of `n` bits per step while a per-neuron count grows with them, so the
+/// log has its final size from the start. At the end of the run the counts
+/// become the offsets of [`SimRecord`]'s CSR in place, and one backward
+/// pass over the log fills it.
 ///
 /// The simulator is fully deterministic.
 #[derive(Debug, Clone, Default)]
@@ -183,47 +205,49 @@ impl LifSimulator {
     pub fn run(&self, network: &Network, stimulus: &Stimulus, steps: u32) -> SimRecord {
         let n = network.node_count();
         let words = n.div_ceil(64);
-        let (threshold, decay): (Vec<f64>, Vec<f64>) = network
-            .neuron_ids()
-            .map(|i| {
-                let node = network.node(i);
-                let decay = if node.leak > 0.0 {
-                    1.0 - node.leak
-                } else {
-                    1.0
-                };
-                (node.threshold, decay)
+        let threshold = network.thresholds();
+        let leak = network.leaks();
+        // Bit `i` flags a neuron that fires from a zero potential: it
+        // never rests.
+        let restless: Vec<u64> = threshold
+            .chunks(64)
+            .map(|chunk| {
+                chunk
+                    .iter()
+                    .enumerate()
+                    .fold(0, |bits, (b, &th)| bits | u64::from(th <= 0.0) << b)
             })
-            .unzip();
-        // Neurons that fire from a zero potential never rest.
-        let mut restless = vec![0u64; words];
-        for (i, &th) in threshold.iter().enumerate() {
-            if th <= 0.0 {
-                restless[i / 64] |= 1 << (i % 64);
-            }
-        }
-        let max_delay = network.edges().map(|e| e.delay).max().unwrap_or(1).max(1);
-        let ring = max_delay.min(steps) as usize + 1;
+            .collect();
+        let ring = network.max_delay().min(steps) as usize + 1;
         // Charge due at neuron `i` in ring slot `s` is `pending[s * n + i]`;
         // bit `i` of `due[s * words..][..words]` flags it.
         let mut pending = vec![0.0f64; ring * n];
         let mut due = vec![0u64; ring * words];
         let mut active = restless.clone();
         let mut potential = vec![0.0f64; n];
-        let mut log: Vec<(u32, u32)> = Vec::new();
+        // `fired[i]` counts the fires of neuron `i`, and bit `i` of
+        // `log[t * words..][..words]` flags one at step `t`.
+        let mut fired = vec![0usize; n + 1];
+        let mut log = vec![0u64; steps as usize * words];
 
-        // Index external stimulus per step for O(1) delivery.
-        let mut external: Vec<(usize, &SpikeTrain, usize)> = stimulus
+        // The stimulus spikes still to come inside the window, per train;
+        // a spent train leaves the list, so a step looks only at live ones.
+        let mut external: Vec<(usize, &[u32])> = stimulus
             .trains
             .iter()
-            .map(|(id, t)| {
+            .filter_map(|(id, train)| {
                 assert!(id.index() < n, "stimulus references unknown neuron {id}");
-                (id.index(), t, 0usize)
+                let times = train.times();
+                let times = &times[..times.partition_point(|&t| t < steps)];
+                (!times.is_empty()).then_some((id.index(), times))
             })
             .collect();
 
+        let mut slot = 0;
         for t in 0..steps {
-            let slot = t as usize % ring;
+            // A spike sent now lands inside the window iff its delay is
+            // below `left`.
+            let left = steps - t;
             // 1. Deliver synaptic charge scheduled for this step…
             let pending_now = &mut pending[slot * n..][..n];
             for (w, bits) in due[slot * words..][..words].iter_mut().enumerate() {
@@ -233,44 +257,45 @@ impl LifSimulator {
                     pending_now[i] = 0.0;
                 }
             }
-            // …and external stimulus.
-            for (idx, train, cursor) in &mut external {
-                let times = train.times();
-                while *cursor < times.len() && times[*cursor] == t {
-                    potential[*idx] += self.config.input_gain;
-                    active[*idx / 64] |= 1 << (*idx % 64);
-                    *cursor += 1;
+            // …and external stimulus. Trains are strictly increasing, so
+            // a live train's next spike is at or after `t`.
+            external.retain_mut(|(i, times)| {
+                if times[0] == t {
+                    potential[*i] += self.config.input_gain;
+                    active[*i / 64] |= 1 << (*i % 64);
+                    *times = &times[1..];
                 }
-                // Skip any stale past times (robustness to odd trains).
-                while *cursor < times.len() && times[*cursor] < t {
-                    *cursor += 1;
-                }
-            }
+                !times.is_empty()
+            });
             // 2. Fire and 3. leak. A neuron's leak touches only its own
             // potential, and fires only schedule later charge, so firing
             // and leaking each neuron in turn equals two separate sweeps.
+            let fired_now = &mut log[t as usize * words..][..words];
             for w in 0..words {
                 let mut live = restless[w];
+                let mut spikes = 0;
                 for i in ones(active[w], w) {
                     let p = &mut potential[i];
                     if *p >= threshold[i] {
-                        log.push((i as u32, t));
+                        spikes |= 1 << (i % 64);
+                        fired[i] += 1;
                         if self.config.reset_to_zero {
                             *p = 0.0;
                         } else {
                             *p -= threshold[i];
                         }
                         for edge in network.fan_out(NeuronId::new(i)) {
-                            let arrive = u64::from(t) + u64::from(edge.delay);
-                            if arrive < u64::from(steps) {
-                                let s = arrive as usize % ring;
+                            if edge.delay < left {
+                                let s = (slot + edge.delay as usize) % ring;
                                 let j = edge.target.index();
                                 pending[s * n + j] += edge.weight;
                                 due[s * words + j / 64] |= 1 << (j % 64);
                             }
                         }
                     }
-                    *p *= decay[i];
+                    if leak[i] > 0.0 {
+                        *p *= 1.0 - leak[i];
+                    }
                     // Clamp runaway negatives from inhibitory input.
                     if *p < -1e6 {
                         *p = -1e6;
@@ -280,9 +305,14 @@ impl LifSimulator {
                     }
                 }
                 active[w] = live;
+                fired_now[w] = spikes;
+            }
+            slot += 1;
+            if slot == ring {
+                slot = 0;
             }
         }
-        SimRecord::from_log(n, &log, steps)
+        SimRecord::from_log(fired, &log, steps)
     }
 }
 

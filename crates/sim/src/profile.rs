@@ -35,10 +35,9 @@ impl SpikeProfile {
     /// Extracts the profile of a single simulation run.
     #[must_use]
     pub fn from_record(record: &SimRecord) -> Self {
-        let counts = (0..record.neuron_count())
-            .map(|i| record.fire_count(NeuronId::new(i)))
-            .collect();
-        SpikeProfile { counts }
+        SpikeProfile {
+            counts: record.fire_counts().collect(),
+        }
     }
 
     /// Accumulates the profiles of many runs (e.g. one per sample input).

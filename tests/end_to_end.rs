@@ -205,6 +205,63 @@ fn paper_scale_pgo_ilp() -> (Network, Mapping, MappingIlp) {
     (net, base, ilp)
 }
 
+/// The spike evaluation of the PGO flow (encode → LIF run → packet
+/// counts) on Table I networks A and C at their built-in seeds, over the
+/// first 300 default SmartPixel events at window 24, with packets counted
+/// under a first fit on the Table II pool (at most 4 replicas). The sums of
+/// stimulus spikes, fires and packets are pinned, so a change to how the
+/// encoder, the simulator or the packet counter finds its answer cannot
+/// move one.
+#[test]
+fn paper_scale_evaluation_is_pinned() {
+    let events = EventSet::generate(&SmartPixelConfig::default(), 300);
+    let sim = LifSimulator::default();
+    let mut sums = Vec::new();
+    for spec in [NetworkSpec::table_i_a(), NetworkSpec::table_i_c()] {
+        let net = generate(&spec);
+        let pool = CrossbarPool::for_network_capped(
+            &ArchitectureSpec::table_ii_heterogeneous(),
+            &AreaModel::memristor_count(),
+            net.node_count(),
+            4,
+        );
+        let base = greedy_first_fit(&net, &pool).expect("first fit places A and C");
+        let (mut spikes, mut fires, mut local, mut global) = (0, 0, 0, 0);
+        let mut incoming: Vec<u64> = Vec::new();
+        for event in events.events() {
+            let stim = smartpixel::encode(&net, event, 24);
+            let rec = sim.run(&net, &stim, 24);
+            let packets = count_packets(&net, base.assignment(), &rec);
+            spikes += stim.total_spikes();
+            fires += rec.total_fires();
+            local += packets.local;
+            global += packets.global;
+            incoming.resize(packets.per_crossbar_incoming.len(), 0);
+            for (sum, p) in incoming.iter_mut().zip(&packets.per_crossbar_incoming) {
+                *sum += p;
+            }
+        }
+        sums.push((spikes, fires, local, global, incoming));
+    }
+    let a_incoming = vec![
+        87, 633, 95, 514, 291, 1422, 1602, 1542, 565, 188, 40, 1232, 1964, 1023, 2131, 2962, 2535,
+        1873, 1038, 2264, 1636, 741, 700, 2002, 4330, 2331, 1588, 1386, 0, 0, 0, 0, 0,
+    ];
+    let c_incoming = vec![
+        844, 1593, 4577, 2888, 10320, 7550, 4375, 5613, 5913, 4519, 9880, 4859, 11643, 14426,
+        10423, 16444, 17559, 13156, 16003, 13562, 10861, 15621, 14545, 8867, 26932, 19418, 14308,
+        8311,
+    ];
+    assert_eq!(
+        sums,
+        [
+            (1963, 20_962, 2505, 38_715, a_incoming),
+            (1963, 110_008, 10_049, 295_010, c_incoming),
+        ],
+        "per network: stimulus spikes, fires, local, global and per-crossbar incoming packets"
+    );
+}
+
 /// Presolve of [`paper_scale_pgo_ilp`]: the reductions it makes and the
 /// ticks it charges are pinned, so a change to how presolve finds its
 /// reductions cannot move either.
