@@ -49,6 +49,22 @@
 //! scatter operations in the same pivot order), so results do not
 //! depend on which kernel a density estimate picks.
 //!
+//! A sparse right-hand side can still have a dense reach: on small
+//! bases (m ≈ 70–200, the branch-and-bound trees) FTRAN's `U` phase and
+//! BTRAN's `Lᵀ` phase often reach a quarter to half of their range, and
+//! the DFS and the ordering of its output then cost more than the
+//! arithmetic. So when the previous reach of the same phase covered at
+//! least `SWEEP_DENSITY_CUTOFF` of its range, those two phases find
+//! their reach in one topological sweep fused with the solve: down the
+//! pivotal positions (`U`) or the slots (`Lᵀ`) from the highest seed, a
+//! slot is reached when seeded or marked by a reached slot before it,
+//! and each reached slot marks its adjacency and does its scatter in
+//! place. The sweep finds the DFS's reach, examines the same edges and
+//! runs the same floating-point operations in the same order, so it
+//! charges the same ticks and returns the same bits; only wall time
+//! moves. Sparse reaches, every reach at paper scale, keep the DFS: a
+//! sweep over the whole range there costs more than the reach.
+//!
 //! [`DenseInverse`], the explicit dense `m × m` basis inverse of the
 //! crate's first engine (`O(m³)` Gauss–Jordan refactorisation, `O(m²)`
 //! rank-one pivot updates), stays only as the reference the
@@ -78,6 +94,13 @@ const PIVOT_THRESHOLD: f64 = 0.1;
 /// computation only pays off when the solution stays sparse, which an
 /// already-dense right-hand side rules out.
 const HYPER_DENSITY_CUTOFF: f64 = 0.125;
+/// Share of its range (pivotal positions for FTRAN's `U` phase, slots
+/// for BTRAN's `Lᵀ` phase) that a hyper-sparse solve's reach must cover
+/// for the same phase of the next solve to find its reach by one
+/// topological sweep instead of a DFS. A dense reach costs the DFS and
+/// its ordering more than a pass over the range; a sparse one the
+/// reverse.
+const SWEEP_DENSITY_CUTOFF: f64 = 0.25;
 
 /// A vacated pivotal position in [`LuFactors`]' `order`: the slot that
 /// held it moved to the end in a Forrest–Tomlin update.
@@ -313,9 +336,12 @@ pub struct LuFactors {
     /// Scratch pattern buffers (row/position and slot space).
     pat: Vec<usize>,
     pat2: Vec<usize>,
-    /// DFS reach output: postorder from `compute_reach`, then rewritten
-    /// in the order its solve runs (ascending slot for the `L` phases,
-    /// ascending pivotal position for the `U` phases) by `bitmap_sort`.
+    /// The reach of the current solve phase. From the DFS: postorder
+    /// from `compute_reach`, then rewritten in the order its solve runs
+    /// (ascending slot for the `L` phases, ascending pivotal position for
+    /// the `U` phases) by `bitmap_sort`. From the swept `U` and `Lᵀ`
+    /// phases (see `sweep_u`): in the order the sweep reached it,
+    /// descending. Either way the same set.
     reach: Vec<usize>,
     /// DFS stack of `(slot, next child index)`.
     rstack: Vec<(usize, usize)>,
@@ -327,6 +353,14 @@ pub struct LuFactors {
     /// Visit stamps for the DFS and pattern tracking.
     mark: Vec<u32>,
     stamp: u32,
+    /// Whether the next hyper-sparse FTRAN finds its `U` reach by one
+    /// sweep down the pivotal positions instead of a DFS: set when the
+    /// previous one covered at least [`SWEEP_DENSITY_CUTOFF`] of them.
+    /// Both ways charge the same ticks and compute the same bits, so
+    /// this moves only wall time.
+    sweep_u: bool,
+    /// The same for BTRAN's `Lᵀ` reach, over the slots.
+    sweep_lt: bool,
     /// When set, the hyper kernels record the result's (superset)
     /// pattern into `result_pat` — the `*_tracked` entry points.
     track: bool,
@@ -403,6 +437,13 @@ fn bitmap_sort(
     }
 }
 
+/// Whether a reach of `len` out of a phase's `range` indices predicts a
+/// dense reach for the same phase of the next solve (see
+/// [`SWEEP_DENSITY_CUTOFF`]).
+fn dense_reach(len: usize, range: usize) -> bool {
+    len as f64 >= SWEEP_DENSITY_CUTOFF * range as f64
+}
+
 /// Empties every inner vector of `v`, keeping their allocations, and
 /// sizes `v` to `len` entries.
 fn clear_nested<T>(v: &mut Vec<Vec<T>>, len: usize) {
@@ -455,6 +496,8 @@ impl LuFactors {
             bits: Vec::new(),
             mark: Vec::new(),
             stamp: 0,
+            sweep_u: false,
+            sweep_lt: false,
             track: false,
             result_pat: Vec::new(),
             work: 0,
@@ -482,6 +525,8 @@ impl LuFactors {
         refill(&mut self.bits, m.div_ceil(64), 0);
         refill(&mut self.mark, m, 0);
         self.stamp = 0;
+        self.sweep_u = false;
+        self.sweep_lt = false;
         self.track = false;
         self.result_pat.clear();
         self.work = 0;
@@ -994,7 +1039,11 @@ impl LuFactors {
 
     /// Computes the reach of the pattern in `self.pat2` (slot space) over
     /// the dependency graph of `phase`, into `self.reach` (unsorted
-    /// postorder). Returns the number of edges examined, for metering.
+    /// postorder). Returns the number of edges examined, for metering:
+    /// every adjacency entry of every reached slot, once. The swept `U`
+    /// and `Lᵀ` phases of [`ftran_hyper`](Self::ftran_hyper) and
+    /// [`btran_hyper`](Self::btran_hyper) charge the same count without
+    /// calling this.
     fn compute_reach(&mut self, phase: Phase) -> u64 {
         self.stamp = self.stamp.wrapping_add(1);
         if self.stamp == 0 {
@@ -1304,7 +1353,10 @@ impl LuFactors {
             }
         }
         // Backward solve U z = y over the reach, descending pivotal order.
-        edges += self.compute_reach(Phase::UpperBwd);
+        let sweep = self.sweep_u;
+        if !sweep {
+            edges += self.compute_reach(Phase::UpperBwd);
+        }
         let LuFactors {
             q,
             order,
@@ -1313,24 +1365,60 @@ impl LuFactors {
             u_diag,
             reach,
             bits,
+            pat2,
             scratch: z,
+            mark,
+            stamp,
             track,
             result_pat,
             ..
         } = self;
-        bitmap_sort(bits, reach, |k| pos[k], |j| order[j]);
-        for &k in reach.iter().rev() {
-            let zk = z[k];
-            if zk == 0.0 {
-                continue;
+        if sweep {
+            // One sweep down the pivotal positions from the highest seed
+            // (the slots marked above): a slot is reached when seeded or
+            // marked by a reached slot at a higher position, and each
+            // reached slot marks its `U` column, so the sweep finds the
+            // DFS's reach, edges and scatter order.
+            reach.clear();
+            let top = pat2.iter().map(|&k| pos[k] + 1).max().unwrap_or(0);
+            for &k in order[..top].iter().rev() {
+                if k == HOLE || mark[k] != *stamp {
+                    continue;
+                }
+                reach.push(k);
+                let col = &u_cols[k];
+                edges += col.len() as u64;
+                let zk = z[k];
+                if zk == 0.0 {
+                    for &(i, _) in col {
+                        mark[i] = *stamp;
+                    }
+                    continue;
+                }
+                let zk = zk / u_diag[k];
+                z[k] = zk;
+                for &(i, val) in col {
+                    z[i] -= val * zk;
+                    mark[i] = *stamp;
+                }
+                visited += col.len() as u64;
             }
-            let zk = zk / u_diag[k];
-            z[k] = zk;
-            for &(i, val) in &u_cols[k] {
-                z[i] -= val * zk;
+        } else {
+            bitmap_sort(bits, reach, |k| pos[k], |j| order[j]);
+            for &k in reach.iter().rev() {
+                let zk = z[k];
+                if zk == 0.0 {
+                    continue;
+                }
+                let zk = zk / u_diag[k];
+                z[k] = zk;
+                for &(i, val) in &u_cols[k] {
+                    z[i] -= val * zk;
+                }
+                visited += u_cols[k].len() as u64;
             }
-            visited += u_cols[k].len() as u64;
         }
+        self.sweep_u = dense_reach(reach.len(), order.len());
         // Scatter into basis-position space and re-zero the scratch;
         // the reach is the tracked result pattern.
         for &k in reach.iter() {
@@ -1546,36 +1634,77 @@ impl LuFactors {
                 visited += tr.entries.len() as u64;
             }
         }
-        edges += self.compute_reach(Phase::LowerTBwd);
+        let sweep = self.sweep_lt;
+        if !sweep {
+            edges += self.compute_reach(Phase::LowerTBwd);
+        }
         let LuFactors {
             p,
             l_rows,
             reach,
             bits,
+            pat2,
             scratch: z,
+            mark,
+            stamp,
             track,
             result_pat,
+            m,
             ..
         } = self;
-        bitmap_sort(bits, reach, |k| k, |k| k);
         // Backward solve Lᵀ y = z over the reach, descending slots; the
         // scratch is re-zeroed as each slot is consumed. The reach is
         // the tracked result pattern (constraint rows).
-        for &k in reach.iter().rev() {
-            let v = z[k];
-            z[k] = 0.0;
-            x[p[k]] = v;
-            if *track {
-                result_pat.push(p[k]);
+        if sweep {
+            // One sweep down the slots from the highest seed (the slots
+            // marked above), as in `ftran_hyper`'s `U` phase: each
+            // reached slot marks its `Lᵀ` row.
+            reach.clear();
+            let top = pat2.iter().map(|&k| k + 1).max().unwrap_or(0);
+            for k in (0..top).rev() {
+                if mark[k] != *stamp {
+                    continue;
+                }
+                reach.push(k);
+                let v = z[k];
+                z[k] = 0.0;
+                x[p[k]] = v;
+                if *track {
+                    result_pat.push(p[k]);
+                }
+                let row = &l_rows[p[k]];
+                edges += row.len() as u64;
+                if v == 0.0 {
+                    for &(j, _) in row {
+                        mark[j] = *stamp;
+                    }
+                    continue;
+                }
+                for &(j, val) in row {
+                    z[j] -= val * v;
+                    mark[j] = *stamp;
+                }
+                visited += row.len() as u64;
             }
-            if v == 0.0 {
-                continue;
+        } else {
+            bitmap_sort(bits, reach, |k| k, |k| k);
+            for &k in reach.iter().rev() {
+                let v = z[k];
+                z[k] = 0.0;
+                x[p[k]] = v;
+                if *track {
+                    result_pat.push(p[k]);
+                }
+                if v == 0.0 {
+                    continue;
+                }
+                for &(j, val) in &l_rows[p[k]] {
+                    z[j] -= val * v;
+                }
+                visited += l_rows[p[k]].len() as u64;
             }
-            for &(j, val) in &l_rows[p[k]] {
-                z[j] -= val * v;
-            }
-            visited += l_rows[p[k]].len() as u64;
         }
+        self.sweep_lt = dense_reach(reach.len(), *m);
         self.work += visited + edges + self.reach.len() as u64;
         self.stats.btran_solves += 1;
         self.stats.btran_hyper += 1;
@@ -2674,49 +2803,8 @@ mod tests {
         let seed = m0 as u64 * 4 + 2 * draw + u64::from(tracked);
         let mut rng = SmallRng::seed_from_u64(seed);
         let n = 2 * m0;
-        let cols: Vec<Vec<(usize, f64)>> = (0..n)
-            .map(|_| {
-                let nnz = rng.gen_range(2usize..=4);
-                let mut col: Vec<(usize, f64)> = Vec::new();
-                while col.len() < nnz {
-                    let i = rng.gen_range(0..m0);
-                    let v = f64::from(rng.gen_range(-3i32..=3));
-                    if v != 0.0 && col.iter().all(|&(k, _)| k != i) {
-                        col.push((i, v));
-                    }
-                }
-                col
-            })
-            .collect();
-        let mut a = CscMatrix::from_columns(m0, &cols);
+        let (mut a, mut basis, mut lu) = random_lu(&mut rng, m0, &ctx);
         let mut m = m0;
-        let mut basis: Vec<usize> = (n..n + m0).collect();
-        let mut lu = LuFactors::identity(m0);
-        assert!(lu.factorize(&basis, &a, n));
-        // Pivot structural columns in (about half the rows of the small
-        // systems, a tenth of the large one, whose pivot columns then stay
-        // hyper-sparse) and refactorise, so the sequence starts from an LU
-        // whose slot and position orders differ.
-        for _ in 0..m0.min(200) {
-            let q = rng.gen_range(0..n);
-            if basis.contains(&q) {
-                continue;
-            }
-            let mut w = vec![0.0; m];
-            a.axpy_col(&mut w, 1.0, q);
-            lu.ftran(&mut w);
-            if let Some(r) = (0..m).find(|&i| w[i].abs() >= 0.5 && basis[i] >= n) {
-                basis[r] = q;
-                if !lu.update(r, &w, &opts) {
-                    assert!(lu.factorize(&basis, &a, n), "{ctx}: warm-up");
-                }
-            }
-        }
-        assert!(lu.factorize(&basis, &a, n), "{ctx}: warm-up");
-        assert!(
-            lu.q.iter().enumerate().any(|(k, &p)| k != p),
-            "{ctx}: slots are in position order"
-        );
         lu.take_work();
         lu.take_stats();
         let mut want = lu.clone();
@@ -2797,5 +2885,190 @@ mod tests {
         }
         assert!(accepted > steps / 2, "{ctx}: only {accepted} updates");
         (walks, sweeps)
+    }
+
+    /// A random `m0`-row system over `n = 2·m0` structural columns of 2–4
+    /// non-zeros each, a basis reached from the slack basis by random
+    /// pivots (about half the rows of small systems, a tenth of large
+    /// ones, whose pivot columns then stay hyper-sparse) and its fresh
+    /// LU, whose slot and position orders differ.
+    fn random_lu(rng: &mut SmallRng, m0: usize, ctx: &str) -> (CscMatrix, Vec<usize>, LuFactors) {
+        let n = 2 * m0;
+        let cols: Vec<Vec<(usize, f64)>> = (0..n)
+            .map(|_| {
+                let nnz = rng.gen_range(2usize..=4);
+                let mut col: Vec<(usize, f64)> = Vec::new();
+                while col.len() < nnz {
+                    let i = rng.gen_range(0..m0);
+                    let v = f64::from(rng.gen_range(-3i32..=3));
+                    if v != 0.0 && col.iter().all(|&(k, _)| k != i) {
+                        col.push((i, v));
+                    }
+                }
+                col
+            })
+            .collect();
+        let a = CscMatrix::from_columns(m0, &cols);
+        let mut basis: Vec<usize> = (n..n + m0).collect();
+        let mut lu = LuFactors::identity(m0);
+        assert!(lu.factorize(&basis, &a, n));
+        for _ in 0..m0.min(200) {
+            let q = rng.gen_range(0..n);
+            if basis.contains(&q) {
+                continue;
+            }
+            let mut w = vec![0.0; m0];
+            a.axpy_col(&mut w, 1.0, q);
+            lu.ftran(&mut w);
+            if let Some(r) = (0..m0).find(|&i| w[i].abs() >= 0.5 && basis[i] >= n) {
+                basis[r] = q;
+                if !lu.update(r, &w, &FactorOpts::default()) {
+                    assert!(lu.factorize(&basis, &a, n), "{ctx}: warm-up");
+                }
+            }
+        }
+        assert!(lu.factorize(&basis, &a, n), "{ctx}: warm-up");
+        assert!(
+            lu.q.iter().enumerate().any(|(k, &p)| k != p),
+            "{ctx}: slots are in position order"
+        );
+        (a, basis, lu)
+    }
+
+    /// Runs `solve` on `sweep` with both reach phases forced onto the
+    /// sweep and on `dfs` with both forced onto the DFS, asserts equal
+    /// outputs, work and statistics, and returns the output.
+    fn swept_and_dfs<R: PartialEq + std::fmt::Debug>(
+        sweep: &mut LuFactors,
+        dfs: &mut LuFactors,
+        ctx: &str,
+        mut solve: impl FnMut(&mut LuFactors) -> R,
+    ) -> R {
+        (sweep.sweep_u, sweep.sweep_lt) = (true, true);
+        (dfs.sweep_u, dfs.sweep_lt) = (false, false);
+        let got = solve(sweep);
+        assert_eq!(got, solve(dfs), "{ctx}: output");
+        assert_eq!(sweep.take_work(), dfs.take_work(), "{ctx}: work");
+        assert_eq!(sweep.take_stats(), dfs.take_stats(), "{ctx}: statistics");
+        got
+    }
+
+    /// The swept `U` (FTRAN) and `Lᵀ` (BTRAN) reaches against the DFS:
+    /// on the same seeded sequences of factorisations, Forrest–Tomlin
+    /// updates and border growths, every solve forced each way on a copy
+    /// of the same factors gives bit-identical results, tracked patterns,
+    /// work and statistics. Both phases see reaches on both sides of the
+    /// cutover, so sweeps run on sparse reaches and the DFS on dense ones.
+    #[test]
+    fn swept_reaches_match_the_dfs() {
+        // Tracked hyper-sparse solves by phase (`U`, `Lᵀ`) and by reach
+        // (sparse, dense).
+        let mut reaches = [[0usize; 2]; 2];
+        for m0 in [20usize, 65, 200, 1000] {
+            for draw in 0..2 {
+                swept_sequence(m0, draw, &mut reaches);
+            }
+        }
+        assert!(
+            reaches.iter().flatten().all(|&c| c >= 200),
+            "[U, Lᵀ] x [sparse, dense] reaches: {reaches:?}"
+        );
+    }
+
+    /// One sequence of [`swept_reaches_match_the_dfs`] on a [`random_lu`]
+    /// seeded by `(m0, draw)`. Per step: a tracked FTRAN of a random
+    /// structural column, a tracked unit BTRAN of one of its usable rows,
+    /// a plain FTRAN and BTRAN of a right-hand side of random density,
+    /// then the pivot unless the column is basic (refactorising when the
+    /// update is declined or the default policy asks); halfway it grows
+    /// by two bordered rows. Counts each tracked solve's reach into
+    /// `reaches`.
+    fn swept_sequence(m0: usize, draw: u64, reaches: &mut [[usize; 2]; 2]) {
+        let ctx = format!("m {m0}, draw {draw}");
+        let opts = FactorOpts::default();
+        let mut rng = SmallRng::seed_from_u64(m0 as u64 * 2 + draw + 1);
+        let n = 2 * m0;
+        let (mut a, mut basis, mut sweep) = random_lu(&mut rng, m0, &ctx);
+        let mut m = m0;
+        let mut dfs = sweep.clone();
+        for step in 0..160 {
+            let ctx = format!("{ctx}, step {step}");
+            if step == 80 {
+                let rows: Vec<Vec<(usize, f64)>> = (0..2)
+                    .map(|_| {
+                        (0..3)
+                            .map(|_| (rng.gen_range(0..n), f64::from(rng.gen_range(1i32..=3))))
+                            .collect()
+                    })
+                    .collect();
+                let borders = swept_and_dfs(&mut sweep, &mut dfs, &ctx, |f| {
+                    lists_bits(&borders_for(f, &basis, n, &rows))
+                });
+                let borders: Vec<Vec<(usize, f64)>> = borders
+                    .iter()
+                    .map(|l| l.iter().map(|&(i, v)| (i, f64::from_bits(v))).collect())
+                    .collect();
+                sweep.grow(borders.clone());
+                dfs.grow(borders);
+                basis.extend(n + m..n + m + 2);
+                a = a.append_rows(&rows);
+                m += 2;
+            }
+            // Each tracked solve also returns its reach and the phase's
+            // range.
+            let q = rng.gen_range(0..n);
+            let (hyper, w, wpat, reach) = swept_and_dfs(&mut sweep, &mut dfs, &ctx, |f| {
+                let mut w = vec![0.0; m];
+                a.axpy_col(&mut w, 1.0, q);
+                let mut pat = Vec::new();
+                let hyper = f.ftran_sparse_tracked(&mut w, a.col(q).0, &mut pat);
+                (hyper, value_bits(&w), pat, (f.reach.len(), f.order.len()))
+            });
+            if hyper {
+                reaches[0][usize::from(dense_reach(reach.0, reach.1))] += 1;
+            }
+            let w: Vec<f64> = w.into_iter().map(f64::from_bits).collect();
+            let usable: Vec<usize> = (0..m).filter(|&i| w[i].abs() >= 1e-3).collect();
+            let r = usable.get(rng.gen_range(0..usable.len().max(1))).copied();
+            let (hyper_row, _, _, reach) = swept_and_dfs(&mut sweep, &mut dfs, &ctx, |f| {
+                let mut y = vec![0.0; m];
+                let mut pat = Vec::new();
+                let hyper = f.btran_unit_tracked(r.unwrap_or(q % m), &mut y, &mut pat);
+                (hyper, value_bits(&y), pat, (f.reach.len(), f.m))
+            });
+            if hyper_row {
+                reaches[1][usize::from(dense_reach(reach.0, reach.1))] += 1;
+            }
+            let mut rhs = vec![0.0; m];
+            for _ in 0..rng.gen_range(1..=m / 4 + 1) {
+                rhs[rng.gen_range(0..m)] = f64::from(rng.gen_range(-4i32..=4));
+            }
+            swept_and_dfs(&mut sweep, &mut dfs, &ctx, |f| {
+                let mut x = rhs.clone();
+                f.ftran(&mut x);
+                value_bits(&x)
+            });
+            swept_and_dfs(&mut sweep, &mut dfs, &ctx, |f| {
+                let mut y = rhs.clone();
+                f.btran(&mut y);
+                value_bits(&y)
+            });
+            let Some(r) = r.filter(|_| !basis.contains(&q)) else {
+                continue;
+            };
+            basis[r] = q;
+            let ok = swept_and_dfs(&mut sweep, &mut dfs, &ctx, |f| {
+                if hyper {
+                    f.update_sparse(r, &w, &wpat, &opts)
+                } else {
+                    f.update(r, &w, &opts)
+                }
+            });
+            if !ok || sweep.needs_refactor(&opts) {
+                let fresh =
+                    swept_and_dfs(&mut sweep, &mut dfs, &ctx, |f| f.factorize(&basis, &a, n));
+                assert!(fresh, "{ctx}: refactorise");
+            }
+        }
     }
 }

@@ -21,7 +21,10 @@
 //!   `fix_binary` pins large swaths of inadmissible placements.
 //! * **Redundant / forcing rows** — rows whose activity bounds prove them
 //!   always satisfied are dropped; rows satisfiable only at one extreme fix
-//!   every variable they touch.
+//!   every variable they touch. A row whose activity is unbounded on one
+//!   side only, with the other side finite, bounds the columns that make
+//!   it unbounded (`y ≤ 4x` with `x` binary gives `y ≤ 4`), since the LP
+//!   engine cannot start from an improving column without a bound.
 //! * **Duplicate rows** — rows with identical sparse patterns (detected by
 //!   hashing sign-canonical sorted terms) are merged: tighter side wins,
 //!   opposing inequalities become equalities or prove infeasibility.
@@ -652,7 +655,8 @@ fn fixed_columns(ws: &mut Workspace) -> Result<(), Infeasible> {
     Ok(())
 }
 
-/// Redundant rows are dropped; forcing rows fix their variables.
+/// Redundant rows are dropped; forcing rows fix their variables; rows
+/// with one infinite activity bound bound its columns.
 fn redundant_rows(ws: &mut Workspace) -> Result<(), Infeasible> {
     for ri in 0..ws.rows.len() as u32 {
         let row = ws.rows[ri as usize];
@@ -712,6 +716,8 @@ fn redundant_rows(ws: &mut Workspace) -> Result<(), Infeasible> {
                 } else if lo >= rhs - TOL && lo.is_finite() {
                     // Satisfiable only at minimum activity.
                     force(ws, ri, true)?;
+                } else if !hi.is_finite() && lo.is_finite() {
+                    bound_from_row(ws, ri, 1.0, lo, rhs)?;
                 }
             }
             RowSense::Eq => {
@@ -722,8 +728,51 @@ fn redundant_rows(ws: &mut Workspace) -> Result<(), Infeasible> {
                     force(ws, ri, true)?;
                 } else if hi <= rhs + TOL && hi.is_finite() {
                     force(ws, ri, false)?;
+                } else if !hi.is_finite() && lo.is_finite() {
+                    bound_from_row(ws, ri, 1.0, lo, rhs)?;
+                } else if !lo.is_finite() && hi.is_finite() {
+                    bound_from_row(ws, ri, -1.0, -hi, -rhs)?;
                 }
             }
+        }
+    }
+    Ok(())
+}
+
+/// Bounds, from row `ri` read as `sign · (a·x) ≤ rhs` with finite
+/// minimum activity `min` (of `sign · a·x`), every column that makes
+/// the row's activity unbounded: the bound of `x_j` where the term
+/// `b = sign · a_j` grows without limit. Each such term is at most `rhs`
+/// minus the minimum of the others, `b·x_j ≤ rhs − (min − b·m_j)`, with
+/// `m_j` the bound of `x_j` that minimises the term; the callers
+/// guarantee `rhs − min > TOL`, so the new bound never crosses `m_j`.
+/// Only rows with an infinite activity bound come here, so a model whose
+/// columns are all bounded presolves exactly as before, ticks included.
+fn bound_from_row(
+    ws: &mut Workspace,
+    ri: u32,
+    sign: f64,
+    min: f64,
+    rhs: f64,
+) -> Result<(), Infeasible> {
+    let len = ws.rows[ri as usize].len;
+    ws.charge(len);
+    for t in 0..len {
+        let (j, a) = ws.row_terms(ri as usize)[t];
+        let (j, b) = (j as usize, sign * a);
+        let (at_min, at_max) = if b > 0.0 {
+            (ws.lower[j], ws.upper[j])
+        } else {
+            (ws.upper[j], ws.lower[j])
+        };
+        if at_max.is_finite() {
+            continue;
+        }
+        let v = at_min + (rhs - min) / b;
+        if b > 0.0 {
+            ws.tighten_upper(j, v)?;
+        } else {
+            ws.tighten_lower(j, v)?;
         }
     }
     Ok(())

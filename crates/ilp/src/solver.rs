@@ -1700,24 +1700,41 @@ mod tests {
         assert_eq!(r.best.map(|s| s.objective()), Some(1.0));
     }
 
-    /// A root relaxation the LP engine cannot finish (an improving
-    /// continuous column without an upper bound has no dual-feasible
-    /// start) is a typed failure: the search drops what it cannot bound,
-    /// counts the failures, and proves nothing.
-    #[test]
-    fn failed_root_relaxation_proves_nothing() {
+    /// {x binary, y ∈ [0, ∞), y ≤ 4x, min x − y}: an improving
+    /// continuous column without an upper bound, which presolve bounds
+    /// from its row (y ≤ 4).
+    fn unbounded_column_model() -> Model {
         let mut m = Model::new();
         let x = m.add_binary("x");
         let y = m.add_continuous("y", 0.0, f64::INFINITY);
         m.add_constraint("link", m.expr([(y, 1.0), (x, -4.0)]).leq(0.0));
         m.set_objective(m.expr([(x, 1.0), (y, -1.0)]));
-        let r = Solver::new(quick_config()).solve(&m);
+        m
+    }
+
+    /// A root relaxation the LP engine cannot finish (without presolve,
+    /// the improving unbounded column has no dual-feasible start) is a
+    /// typed failure: the search drops what it cannot bound, counts the
+    /// failures, and proves nothing.
+    #[test]
+    fn failed_root_relaxation_proves_nothing() {
+        let r = Solver::new(quick_config().with_presolve(false)).solve(&unbounded_column_model());
         assert!(r.lp_fallbacks >= 1, "the root LP must fail");
         assert!(
             !matches!(r.status, SolveStatus::Optimal | SolveStatus::Infeasible),
             "a failed relaxation proves nothing, got {:?}",
             r.status
         );
+    }
+
+    /// With presolve, the column is bounded from its row and the one LP
+    /// engine solves the model to its optimum.
+    #[test]
+    fn presolve_bounds_an_unbounded_column_from_its_row() {
+        let r = Solver::new(quick_config()).solve(&unbounded_column_model());
+        assert_eq!(r.status, SolveStatus::Optimal);
+        assert_eq!(r.best.map(|s| s.objective()), Some(-3.0));
+        assert_eq!(r.lp_fallbacks, 0);
     }
 
     /// A free continuous column the LP engine cannot bound: the solver

@@ -645,10 +645,11 @@ fn tick_sequence(m0: usize, seed: u64) -> [u64; 5] {
 /// deterministic clock bills the solves these count, so the hyper-sparse
 /// kernels' charges must not drift by a single tick: how a kernel orders
 /// its reach is free, what it charges is not.
-const PINNED_TICKS: [(usize, [u64; 5]); 3] = [
+const PINNED_TICKS: [(usize, [u64; 5]); 4] = [
     (14, [11_447, 3714, 2492, 35, 43]),
     (65, [249_352, 116_906, 51_677, 294, 262]),
     (130, [1_094_834, 536_919, 222_517, 597, 522]),
+    (200, [2_290_943, 1_137_369, 459_948, 933, 802]),
 ];
 
 #[test]

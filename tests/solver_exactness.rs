@@ -360,3 +360,64 @@ fn lp_engine_ticks_are_pinned_on_set_partition() {
     assert_eq!(stream, [96.0_f64.to_bits()], "incumbent objectives");
     assert_eq!(result.lp_fallbacks, 0);
 }
+
+/// `(network seed, status, nodes, det_time, refactorisations, incumbent
+/// objectives)` of one `reroute`-shaped tree.
+type RerouteTree = (u64, SolveStatus, u64, f64, u64, &'static [f64]);
+
+/// The `reroute`-shaped trees of the SNU re-solve below at a 0.4 det-s
+/// budget. Seed 10 is `NetworkSpec::scaled_a(12)`'s own; its solve
+/// spends the budget. Seed 22's proves an improvement optimal.
+const REROUTE_TREES: [RerouteTree; 2] = [
+    (10, SolveStatus::Feasible, 810, 0.400_296_924, 1139, &[24.0]),
+    (
+        22,
+        SolveStatus::Optimal,
+        96,
+        0.008_321_823,
+        71,
+        &[21.0, 15.0],
+    ),
+];
+
+/// A `reroute`-shaped global tree: the SNU re-solve (Eq. 11) of Table I
+/// A at 1/12 scale on the Table II pool capped at two replicas,
+/// restricted to and warm-started from the greedy first fit. Its small
+/// basis (m ≈ 180–280 presolved rows) is refactorised at nearly every
+/// node, the regime where the FTRAN and BTRAN reaches are dense.
+#[test]
+fn lp_engine_ticks_are_pinned_on_a_reroute_tree() {
+    for (seed, status, nodes, det_time, refactors, objectives) in REROUTE_TREES {
+        let mut spec = NetworkSpec::scaled_a(12);
+        spec.seed = seed;
+        let net = generate(&spec);
+        let pool = CrossbarPool::for_network_capped(
+            &ArchitectureSpec::table_ii_heterogeneous(),
+            &AreaModel::memristor_count(),
+            net.node_count(),
+            2,
+        );
+        let base = greedy_first_fit(&net, &pool).expect("greedy mapping exists");
+        let ilp = MappingIlp::build(
+            &net,
+            &pool,
+            &MappingObjective::GlobalRoutes,
+            &FormulationConfig::new().restricted_to(&base),
+        );
+        let warm = ilp.warm_start(&net, &base);
+        let mut stream = Vec::new();
+        let result = Solver::new(SolverConfig::default().with_det_time_limit(0.4))
+            .solve_with_callback(ilp.model(), Some(&warm), |e| stream.push(e.objective));
+        assert_eq!(result.status, status, "seed {seed}: status");
+        assert_eq!(result.nodes, nodes, "seed {seed}: nodes");
+        assert_eq!(
+            result.det_time.to_bits(),
+            det_time.to_bits(),
+            "seed {seed}: det_time {}",
+            result.det_time
+        );
+        assert_eq!(result.factor.refactors, refactors, "seed {seed}: refactors");
+        assert_eq!(stream, objectives, "seed {seed}: incumbent objectives");
+        assert_eq!(result.lp_fallbacks, 0, "seed {seed}");
+    }
+}
