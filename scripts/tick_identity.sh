@@ -13,8 +13,9 @@
 #      (CROXMAP_BENCH_SMOKE=1) of both builds, and checks that the
 #      working tree's BENCH_solver.json is left byte-identical;
 #   3. runs the tick pins on the working tree: `solver_exactness
-#      lp_engine_ticks`, `end_to_end paper_scale` and `factor_props
-#      hyper_kernel_tick_charges_are_pinned`;
+#      lp_engine_ticks`, `solver_exactness refine_pairwise_is_pinned` (the
+#      `area` refinement path), `end_to_end paper_scale` and
+#      `factor_props hyper_kernel_tick_charges_are_pinned`;
 #   4. runs pipebench `--trace 1 --seed 0` on `area`, `reroute` and
 #      `pgo_full` with both builds and diffs the `job` and `sums` lines
 #      (wall, sim and peak removed) and every `*_ticks`, `ilp.det_s`,
@@ -81,6 +82,7 @@ pin() { # pin <cargo test arguments>...
     fi
 }
 pin --test solver_exactness lp_engine_ticks
+pin --test solver_exactness refine_pairwise_is_pinned
 pin --test end_to_end paper_scale
 pin -p croxmap-ilp --test factor_props hyper_kernel_tick_charges_are_pinned
 

@@ -654,7 +654,23 @@ proptest! {
             prop_assert!(ilp.model().is_feasible(&warm, 1e-6));
             // Decoding the warm start recovers the mapping.
             let sol = croxmap::ilp::Solution::new(warm, 0.0);
-            prop_assert_eq!(ilp.decode(&sol), m);
+            prop_assert!(ilp.decode(&sol) == m);
+
+            // The same holds in the neighbourhood of each used slot and of
+            // the first two used slots, every unused slot a candidate.
+            let used = m.used_slots();
+            let unused: Vec<usize> = (0..pool.len()).filter(|j| !used.contains(j)).collect();
+            let mut groups: Vec<&[usize]> = used.chunks(1).collect();
+            if used.len() >= 2 {
+                groups.push(&used[..2]);
+            }
+            for group in groups {
+                let ilp = MappingIlp::neighbourhood(&net, &pool, &m, group, &unused);
+                let warm = ilp.warm_start(&net, &m);
+                prop_assert!(ilp.model().is_feasible(&warm, 1e-6), "group {:?}", group);
+                let sol = croxmap::ilp::Solution::new(warm, 0.0);
+                prop_assert!(ilp.decode(&sol) == m, "group {:?}", group);
+            }
         }
     }
 

@@ -8,7 +8,8 @@
 //! bills these ticks, so an engine change that moves no tick passes
 //! them unmodified.
 
-use croxmap::core::baseline::greedy_first_fit;
+use croxmap::core::baseline::{greedy_first_fit, local_search_area, naive_sequential};
+use croxmap::core::pipeline::refine_pairwise;
 use croxmap::core::{FormulationConfig, MappingIlp, MappingObjective};
 use croxmap::gen::calibrated::{generate, NetworkSpec};
 use croxmap::ilp::presolve::{presolve, PresolveOutcome};
@@ -419,5 +420,72 @@ fn lp_engine_ticks_are_pinned_on_a_reroute_tree() {
         assert_eq!(result.factor.refactors, refactors, "seed {seed}: refactors");
         assert_eq!(stream, objectives, "seed {seed}: incumbent objectives");
         assert_eq!(result.lp_fallbacks, 0, "seed {seed}");
+    }
+}
+
+/// One pinned refinement pass: its start, then `(det_time, objective)`
+/// of each improvement (the cumulative deterministic seconds after its
+/// sub-ILP, and the area after the local search that polishes it), the
+/// deterministic seconds spent and the final area.
+type Refinement = (&'static str, &'static [(f64, f64)], f64, f64);
+
+/// The refinement passes below. From the local-search seed a whole scan
+/// finds nothing; from the naive first fit three sub-ILPs improve.
+const REFINEMENTS: [Refinement; 2] = [
+    ("local search", &[], 0.006_331_188_999_999_999, 96.0),
+    (
+        "naive",
+        &[
+            (6.91e-7, 128.0),
+            (5.384_899_999_999_999e-5, 112.0),
+            (0.003_474_428, 96.0),
+        ],
+        0.005_821_5,
+        96.0,
+    ),
+];
+
+/// The refinement path of the `area` workload on the set-partition
+/// instance above: `refine_pairwise` with that workload's solver budget
+/// (0.1 det-s) and refinement budget (0.05 det-s), from the greedy first
+/// fit polished by `local_search_area` as `optimize_area` starts, and
+/// from the naive sequential first fit. Its sub-ILPs are
+/// `MappingIlp::neighbourhood` models.
+#[test]
+fn refine_pairwise_is_pinned() {
+    let net = generate(&NetworkSpec::scaled_a(16));
+    let pool = CrossbarPool::for_network_capped(
+        &ArchitectureSpec::table_ii_heterogeneous(),
+        &AreaModel::memristor_count(),
+        net.node_count(),
+        2,
+    );
+    let greedy = greedy_first_fit(&net, &pool).expect("greedy mapping exists");
+    let seeded = local_search_area(&net, &pool, &greedy, 64);
+    let naive = naive_sequential(&net, &pool).expect("naive mapping exists");
+    let config = SolverConfig::default().with_det_time_limit(0.1);
+    for ((start, improvements, spent, area), seed) in REFINEMENTS.into_iter().zip([&seeded, &naive])
+    {
+        let (got, got_spent) = refine_pairwise(&net, &pool, seed, &config, 0.05);
+        let fingerprint = |list: &[(f64, f64)]| -> Vec<(u64, f64)> {
+            list.iter()
+                .map(|&(t, objective)| (t.to_bits(), objective))
+                .collect()
+        };
+        let got_list: Vec<(f64, f64)> = got.iter().map(|t| (t.det_time, t.objective)).collect();
+        assert_eq!(
+            fingerprint(&got_list),
+            fingerprint(improvements),
+            "{start}: improvements {got_list:?}"
+        );
+        assert_eq!(
+            got_spent.to_bits(),
+            spent.to_bits(),
+            "{start}: spent {got_spent:?}"
+        );
+        let best = got.last().map_or(seed, |t| &t.mapping);
+        best.validate(&net, &pool)
+            .expect("refined mapping validates");
+        assert_eq!(best.area(&pool), area, "{start}: final area");
     }
 }
