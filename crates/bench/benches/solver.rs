@@ -56,6 +56,7 @@ use croxmap_ilp::{
 };
 use croxmap_mca::{ArchitectureSpec, AreaModel, CrossbarPool};
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Decimal places kept on reported objectives (documented tolerance).
@@ -77,12 +78,9 @@ const PARALLEL_SPEEDUP_FLOOR: f64 = 1.5;
 /// Set-cover instance over a ring: n elements, each covered by 2 sets.
 fn ring_cover(n: usize) -> Model {
     let mut m = Model::new();
-    let vars: Vec<_> = (0..n).map(|i| m.add_binary(format!("x{i}"))).collect();
+    let vars: Vec<_> = (0..n).map(|_| m.add_binary()).collect();
     for e in 0..n {
-        m.add_constraint(
-            format!("e{e}"),
-            m.expr([(vars[e], 1.0), (vars[(e + 1) % n], 1.0)]).geq(1.0),
-        );
+        m.add_constraint(m.expr([(vars[e], 1.0), (vars[(e + 1) % n], 1.0)]).geq(1.0));
     }
     m.set_objective(
         m.expr(
@@ -97,11 +95,10 @@ fn ring_cover(n: usize) -> Model {
 /// Multi-knapsack: n items, 3 resource constraints.
 fn knapsack(n: usize) -> Model {
     let mut m = Model::new();
-    let vars: Vec<_> = (0..n).map(|i| m.add_binary(format!("x{i}"))).collect();
+    let vars: Vec<_> = (0..n).map(|_| m.add_binary()).collect();
     for r in 0..3 {
         let cap = (n as f64) * 1.5;
         m.add_constraint(
-            format!("r{r}"),
             m.expr(
                 vars.iter()
                     .enumerate()
@@ -160,11 +157,13 @@ fn bench_lp_relaxation(c: &mut Criterion) {
     let mut group = c.benchmark_group("lp_relaxation");
     group.sample_size(20);
     for n in [16usize, 48, 96] {
-        let model = ring_cover(n);
+        let model = Arc::new(ring_cover(n));
         group.bench_with_input(BenchmarkId::new("ring_cover", n), &model, |b, m| {
             let bounds: Vec<(f64, f64)> =
                 m.variables().iter().map(|v| (v.lower, v.upper)).collect();
-            b.iter(|| LpSession::open(m, simplex::LpConfig::default()).solve(&bounds, None));
+            b.iter(|| {
+                LpSession::open(Arc::clone(m), simplex::LpConfig::default()).solve(&bounds, None)
+            });
         });
     }
     group.finish();
@@ -366,7 +365,9 @@ fn measure_cold_root(name: &str, model: &Model, mode: &'static str) -> WarmColdR
         .map(|v| (v.lower, v.upper))
         .collect();
     let start = Instant::now();
-    let result = LpSession::open(&target, lp_cfg).solve(&bounds, None).result;
+    let result = LpSession::open(Arc::new(target), lp_cfg)
+        .solve(&bounds, None)
+        .result;
     let wall = start.elapsed().as_secs_f64();
     WarmColdRecord {
         instance: format!("cold_root/{name}"),
@@ -412,7 +413,7 @@ fn measure_lp_chain(
         .iter()
         .map(|v| (v.lower, v.upper))
         .collect();
-    let mut solver = LpSession::open(model, simplex::LpConfig::default());
+    let mut solver = LpSession::open(Arc::new(model.clone()), simplex::LpConfig::default());
     let start = Instant::now();
     let root = solver.solve(&bounds, None);
     let mut basis = root.basis;
@@ -478,7 +479,8 @@ fn measure_cuts_root(name: &str, model: &Model) -> WarmColdRecord {
         .iter()
         .map(|v| (v.lower, v.upper))
         .collect();
-    let mut session = LpSession::open(&target, lp_cfg);
+    let target = Arc::new(target);
+    let mut session = LpSession::open(Arc::clone(&target), lp_cfg);
     let start = Instant::now();
     let root = session.solve(&bounds, None);
     let mut ticks = root.result.work_ticks;

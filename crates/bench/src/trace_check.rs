@@ -265,10 +265,9 @@ mod tests {
     #[test]
     fn real_trace_round_trips_through_the_validator() {
         let mut model = croxmap_ilp::Model::new();
-        let vars: Vec<_> = (0..12).map(|i| model.add_binary(format!("x{i}"))).collect();
+        let vars: Vec<_> = (0..12).map(|_| model.add_binary()).collect();
         for e in 0..12 {
             model.add_constraint(
-                format!("e{e}"),
                 model
                     .expr([(vars[e], 1.0), (vars[(e + 1) % 12], 1.0)])
                     .geq(1.0),
@@ -307,10 +306,9 @@ mod tests {
     #[test]
     fn parallel_trace_round_trips_through_the_validator() {
         let mut model = croxmap_ilp::Model::new();
-        let vars: Vec<_> = (0..16).map(|i| model.add_binary(format!("x{i}"))).collect();
+        let vars: Vec<_> = (0..16).map(|_| model.add_binary()).collect();
         for e in 0..16 {
             model.add_constraint(
-                format!("e{e}"),
                 model
                     .expr([(vars[e], 1.0), (vars[(e + 1) % 16], 1.0)])
                     .geq(1.0),
@@ -381,9 +379,9 @@ mod tests {
     #[test]
     fn ring_and_jsonl_sinks_agree() {
         let mut model = croxmap_ilp::Model::new();
-        let a = model.add_binary("a");
-        let b = model.add_binary("b");
-        model.add_constraint("r", model.expr([(a, 1.0), (b, 1.0)]).geq(1.0));
+        let a = model.add_binary();
+        let b = model.add_binary();
+        model.add_constraint(model.expr([(a, 1.0), (b, 1.0)]).geq(1.0));
         model.set_objective(model.expr([(a, 1.0), (b, 2.0)]));
         let cfg = SolverConfig {
             det_time_limit: 1.0,

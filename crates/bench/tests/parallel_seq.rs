@@ -22,12 +22,9 @@ use croxmap_mca::{ArchitectureSpec, AreaModel, CrossbarPool};
 /// the bench harness's `lp_chain` family member.
 fn ring_cover(n: usize) -> Model {
     let mut m = Model::new();
-    let vars: Vec<_> = (0..n).map(|i| m.add_binary(format!("x{i}"))).collect();
+    let vars: Vec<_> = (0..n).map(|_| m.add_binary()).collect();
     for e in 0..n {
-        m.add_constraint(
-            format!("e{e}"),
-            m.expr([(vars[e], 1.0), (vars[(e + 1) % n], 1.0)]).geq(1.0),
-        );
+        m.add_constraint(m.expr([(vars[e], 1.0), (vars[(e + 1) % n], 1.0)]).geq(1.0));
     }
     m.set_objective(
         m.expr(

@@ -20,6 +20,7 @@ use croxmap_ilp::presolve::{presolve, PresolveOutcome, PresolvedModel};
 use croxmap_ilp::simplex::{LpConfig, LpResult, LpStatus};
 use croxmap_ilp::{LpSession, Model};
 use croxmap_mca::{ArchitectureSpec, AreaModel, CrossbarPool};
+use std::sync::Arc;
 
 fn table_ii_pool(node_count: usize) -> CrossbarPool {
     CrossbarPool::for_network_capped(
@@ -63,7 +64,9 @@ fn cold_root(model: &Model, cfg: &LpConfig) -> LpResult {
         .iter()
         .map(|v| (v.lower, v.upper))
         .collect();
-    LpSession::open(model, *cfg).solve(&bounds, None).result
+    LpSession::open(Arc::new(model.clone()), *cfg)
+        .solve(&bounds, None)
+        .result
 }
 
 fn presolved(model: &Model) -> PresolvedModel {

@@ -10,17 +10,15 @@
 
 use croxmap_ilp::simplex::{self, LpStatus};
 use croxmap_ilp::{LpSession, Model};
+use std::sync::Arc;
 
 /// Set-cover instance over a ring: `n` elements, each covered by 2 sets
 /// (mirrors the bench harness's `ring_cover`).
 fn ring_cover(n: usize) -> Model {
     let mut m = Model::new();
-    let vars: Vec<_> = (0..n).map(|i| m.add_binary(format!("x{i}"))).collect();
+    let vars: Vec<_> = (0..n).map(|_| m.add_binary()).collect();
     for e in 0..n {
-        m.add_constraint(
-            format!("e{e}"),
-            m.expr([(vars[e], 1.0), (vars[(e + 1) % n], 1.0)]).geq(1.0),
-        );
+        m.add_constraint(m.expr([(vars[e], 1.0), (vars[(e + 1) % n], 1.0)]).geq(1.0));
     }
     m.set_objective(m.expr(vars.iter().map(|&v| (v, 1.0))));
     m
@@ -38,7 +36,7 @@ fn cold_ring_cover_chain_refactor_count() {
         .iter()
         .map(|v| (v.lower, v.upper))
         .collect();
-    let mut session = LpSession::open(&model, simplex::LpConfig::default());
+    let mut session = LpSession::open(Arc::new(model), simplex::LpConfig::default());
     let root = session.solve(&bounds, None);
     assert_eq!(root.result.status, LpStatus::Optimal);
     let mut factor = root.result.factor;

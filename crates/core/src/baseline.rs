@@ -613,15 +613,9 @@ pub fn pack_mccs(
     let j_count = pool.len();
     let mut model = Model::new();
     let z: Vec<Vec<VarId>> = (0..g_count)
-        .map(|g| {
-            (0..j_count)
-                .map(|j| model.add_binary(format!("z_{g}_{j}")))
-                .collect()
-        })
+        .map(|_| (0..j_count).map(|_| model.add_binary()).collect())
         .collect();
-    let y: Vec<VarId> = (0..j_count)
-        .map(|j| model.add_binary(format!("y_{j}")))
-        .collect();
+    let y: Vec<VarId> = (0..j_count).map(|_| model.add_binary()).collect();
     for (g, zg) in z.iter().enumerate() {
         // Pre-fix slots the MCC cannot fit alone.
         for (j, &zgj) in zg.iter().enumerate() {
@@ -631,7 +625,7 @@ pub fn pack_mccs(
             }
         }
         let expr = LinExpr::from_terms(zg.iter().map(|&v| (v, 1.0)));
-        model.add_constraint(format!("assign_{g}"), expr.eq(1.0));
+        model.add_constraint(expr.eq(1.0));
     }
     for j in 0..j_count {
         let dim = pool.slot(j).dim;
@@ -645,14 +639,14 @@ pub fn pack_mccs(
         }
         out_expr.push(y[j], -f64::from(dim.outputs()));
         in_expr.push(y[j], -f64::from(dim.inputs()));
-        model.add_constraint(format!("out_{j}"), out_expr.leq(0.0));
-        model.add_constraint(format!("in_{j}"), in_expr.leq(0.0));
+        model.add_constraint(out_expr.leq(0.0));
+        model.add_constraint(in_expr.leq(0.0));
     }
     // Symmetry breaking mirrors the main formulation.
     for grp in pool.symmetry_groups() {
         for j in grp.start..grp.start + grp.len - 1 {
             let expr = LinExpr::from_terms([(y[j], 1.0), (y[j + 1], -1.0)]);
-            model.add_constraint(format!("sym_{j}"), expr.geq(0.0));
+            model.add_constraint(expr.geq(0.0));
         }
     }
     model.set_objective(LinExpr::from_terms(

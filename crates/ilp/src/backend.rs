@@ -3,9 +3,11 @@
 //!
 //! An [`LpSession`] owns everything one LP conversation needs:
 //!
-//! * the **model view** — a private copy of the caller's [`Model`] that
-//!   grows rows as cuts are appended ([`Model::append_row`], grow-only:
-//!   columns and existing rows never move),
+//! * the **model view** — the caller's [`Model`], shared by [`Arc`], not
+//!   copied. It grows rows as cuts are appended ([`Model::append_row`],
+//!   grow-only: columns and existing rows never move); the first row or
+//!   objective change copies a model the session shares
+//!   ([`Arc::make_mut`]), so the caller's model never changes,
 //! * the **engine context** holding the live basis and sparse LU between
 //!   solves, so a warm solve from the live basis skips refactorisation,
 //!   appended rows grow the factorisation in place and objective changes
@@ -20,27 +22,28 @@
 //! ```
 //! use croxmap_ilp::{LpSession, Model};
 //! use croxmap_ilp::simplex::{LpConfig, LpStatus};
+//! use std::sync::Arc;
 //!
 //! let mut m = Model::new();
-//! let x = m.add_binary("x");
-//! let y = m.add_binary("y");
-//! m.add_constraint("cover", m.expr([(x, 1.0), (y, 1.0)]).geq(1.0));
+//! let x = m.add_binary();
+//! let y = m.add_binary();
+//! m.add_constraint(m.expr([(x, 1.0), (y, 1.0)]).geq(1.0));
 //! m.set_objective(m.expr([(x, 1.0), (y, 2.0)]));
 //!
-//! let mut session = LpSession::open(&m, LpConfig::default());
+//! let m = Arc::new(m);
+//! let mut session = LpSession::open(Arc::clone(&m), LpConfig::default());
 //! let root = session.solve(&[(0.0, 1.0), (0.0, 1.0)], None);
 //! assert_eq!(root.result.status, LpStatus::Optimal);
 //!
 //! // Tighten the live relaxation with an extra row — no rebuild, the
-//! // engine's factorisation absorbs the growth in place.
+//! // engine's factorisation absorbs the growth in place. The row goes to
+//! // the session's own copy of the model.
 //! let basis = root.basis;
-//! let grown = session.add_rows(
-//!     vec![("cut".into(), m.expr([(x, 1.0)]).leq(0.0))],
-//!     basis.as_ref(),
-//! );
+//! let grown = session.add_rows(vec![m.expr([(x, 1.0)]).leq(0.0)], basis.as_ref());
 //! let cut = session.solve(&[(0.0, 1.0), (0.0, 1.0)], grown.basis.as_ref());
 //! assert_eq!(cut.result.status, LpStatus::Optimal);
 //! assert!((cut.result.objective - 2.0).abs() < 1e-6);
+//! assert_eq!((m.num_constraints(), session.model().num_constraints()), (1, 2));
 //! ```
 
 use crate::basis::{Basis, VarStatus};
@@ -48,6 +51,7 @@ use crate::expr::Comparison;
 use crate::model::Model;
 use crate::revised::LpContext;
 use crate::simplex::{LpConfig, LpResult, LpStatus, WarmLpResult, TOL};
+use std::sync::Arc;
 
 /// Cumulative counters over one session's lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -95,41 +99,35 @@ pub struct RowAddition {
 /// threads one session through an entire search, and the root cut loop
 /// tightens it in place through [`LpSession::add_rows`].
 pub struct LpSession {
-    view: Model,
+    view: Arc<Model>,
     config: LpConfig,
     ctx: LpContext,
     stats: SessionStats,
-    base_rows: usize,
 }
 
 impl LpSession {
-    /// Opens a session on a snapshot of `model`. Later mutations of the
-    /// caller's model do not affect the session; rows added through
-    /// [`LpSession::add_rows`] live only in the session's view. The
-    /// snapshot shares the model's CSC matrix, built here if the model
-    /// has none yet.
+    /// Opens a session on `model`, shared, not copied. Rows added through
+    /// [`LpSession::add_rows`] and objectives set through
+    /// [`LpSession::set_objective`] change only the session's view: the
+    /// first of them copies a model the session shares. The view shares
+    /// the model's CSC matrix, built here if the model has none yet.
     #[must_use]
-    pub fn open(model: &Model, config: LpConfig) -> Self {
+    pub fn open(model: Arc<Model>, config: LpConfig) -> Self {
         let _ = model.csc();
         LpSession {
-            view: model.clone(),
+            view: model,
             config,
             ctx: LpContext::default(),
             stats: SessionStats::default(),
-            base_rows: model.num_constraints(),
         }
     }
 
-    /// The session's model view, including every appended row.
+    /// The session's model view, including every appended row: the model
+    /// the session was opened on until a row or objective change copies
+    /// it.
     #[must_use]
-    pub fn model(&self) -> &Model {
+    pub fn model(&self) -> &Arc<Model> {
         &self.view
-    }
-
-    /// Rows appended since the session opened.
-    #[must_use]
-    pub fn added_rows(&self) -> usize {
-        self.view.num_constraints() - self.base_rows
     }
 
     /// Cumulative session statistics.
@@ -197,11 +195,7 @@ impl LpSession {
     /// one refactorisation at the grown dimensions. Either way the next
     /// [`LpSession::solve`] re-optimises only the violated cuts instead
     /// of starting from scratch.
-    pub fn add_rows(
-        &mut self,
-        rows: Vec<(String, Comparison)>,
-        basis: Option<&Basis>,
-    ) -> RowAddition {
+    pub fn add_rows(&mut self, rows: Vec<Comparison>, basis: Option<&Basis>) -> RowAddition {
         if rows.is_empty() {
             return RowAddition {
                 added: 0,
@@ -212,8 +206,9 @@ impl LpSession {
         }
         let old_m = self.view.num_constraints();
         let k = rows.len();
-        for (name, cmp) in rows {
-            self.view.append_row(name, cmp);
+        let view = Arc::make_mut(&mut self.view);
+        for cmp in rows {
+            view.append_row(cmp);
         }
         self.stats.rows_added += k as u64;
         let Some(warm) = basis else {
@@ -263,7 +258,7 @@ impl LpSession {
     /// otherwise the next solve runs cold. Returns
     /// `(kept_warm, work_ticks)`.
     pub fn set_objective(&mut self, objective: crate::expr::LinExpr) -> (bool, u64) {
-        self.view.set_objective(objective);
+        Arc::make_mut(&mut self.view).set_objective(objective);
         let out = self.ctx.set_objective(&self.view);
         self.stats.work_ticks += out.1;
         out
@@ -311,36 +306,53 @@ fn bound_relaxation(model: &Model, bounds: &[(f64, f64)]) -> LpResult {
 mod tests {
     use super::*;
 
-    fn cover_model() -> Model {
+    fn cover_model() -> Arc<Model> {
         let mut m = Model::new();
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
-        m.add_constraint("cover", m.expr([(x, 1.0), (y, 1.0)]).geq(1.0));
+        let x = m.add_binary();
+        let y = m.add_binary();
+        m.add_constraint(m.expr([(x, 1.0), (y, 1.0)]).geq(1.0));
         m.set_objective(m.expr([(x, 1.0), (y, 2.0)]));
-        m
+        Arc::new(m)
     }
 
-    /// A session's view shares its model's CSC matrix, built once: on a
-    /// model whose matrix is not built yet and on one whose matrix is.
+    /// A session shares the caller's model, and with it the model's CSC
+    /// matrix, built once: on a model whose matrix is not built yet and
+    /// on one whose matrix is. Appended rows copy the shared model for
+    /// the session alone, once: the caller's model and a second session
+    /// opened on it keep the base rows.
     #[test]
     fn session_shares_the_model_csc() {
+        let x = crate::expr::VarId(0);
         for built in [false, true] {
             let m = cover_model();
             if built {
                 let _ = m.csc();
             }
-            let s = LpSession::open(&m, LpConfig::default());
-            assert!(
-                std::sync::Arc::ptr_eq(&m.csc(), &s.model().csc()),
-                "built before opening: {built}"
+            let mut s = LpSession::open(Arc::clone(&m), LpConfig::default());
+            assert!(Arc::ptr_eq(&m, s.model()), "built before opening: {built}");
+            assert!(Arc::ptr_eq(&m.csc(), &s.model().csc()));
+            let _ = s.add_rows(vec![m.expr([(x, 1.0)]).leq(0.0)], None);
+            assert!(!Arc::ptr_eq(&m, s.model()), "the first row copies");
+            assert_eq!(m.num_constraints(), 1);
+            assert_eq!(s.model().num_constraints(), 2);
+            let view = Arc::as_ptr(s.model());
+            let _ = s.add_rows(vec![m.expr([(x, 1.0)]).leq(1.0)], None);
+            assert_eq!(
+                Arc::as_ptr(s.model()),
+                view,
+                "an unshared view grows in place"
             );
+            assert_eq!(s.model().num_constraints(), 3);
+            let second = LpSession::open(Arc::clone(&m), LpConfig::default());
+            assert!(Arc::ptr_eq(&m, second.model()));
+            assert_eq!(second.model().num_constraints(), 1);
         }
     }
 
     #[test]
     fn session_solves_cover_model() {
         let m = cover_model();
-        let mut s = LpSession::open(&m, LpConfig::default());
+        let mut s = LpSession::open(m, LpConfig::default());
         let out = s.solve(&[(0.0, 1.0), (0.0, 1.0)], None);
         assert_eq!(out.result.status, LpStatus::Optimal);
         assert!((out.result.objective - 1.0).abs() < 1e-9);
@@ -354,16 +366,16 @@ mod tests {
         // y has negative cost and no upper bound: no dual-feasible start
         // (the model of the engine's `bails_on_unbounded_direction`).
         let mut m = Model::new();
-        let x = m.add_continuous("x", 0.0, f64::INFINITY);
-        let y = m.add_continuous("y", 0.0, f64::INFINITY);
-        m.add_constraint("c", m.expr([(x, 1.0), (y, -1.0)]).leq(1.0));
+        let x = m.add_continuous(0.0, f64::INFINITY);
+        let y = m.add_continuous(0.0, f64::INFINITY);
+        m.add_constraint(m.expr([(x, 1.0), (y, -1.0)]).leq(1.0));
         m.set_objective(m.expr([(y, -1.0)]));
         let bounds = [(0.0, f64::INFINITY); 2];
         let config = LpConfig::default();
         let Err(spent) = LpContext::default().solve(&m, &bounds, &config, None) else {
             panic!("the engine must decline an unboxed improving column");
         };
-        let mut s = LpSession::open(&m, config);
+        let mut s = LpSession::open(Arc::new(m), config);
         let out = s.solve(&bounds, None);
         assert_eq!(out.result.status, LpStatus::Failed);
         assert!(out.result.values.is_empty());
@@ -380,9 +392,9 @@ mod tests {
     #[test]
     fn free_column_is_solved_or_declined_never_pinned() {
         let mut m = Model::new();
-        let x = m.add_continuous("x", f64::NEG_INFINITY, f64::INFINITY);
-        let y = m.add_binary("y");
-        m.add_constraint("c", m.expr([(x, 1.0), (y, 1.0)]).geq(-5.0));
+        let x = m.add_continuous(f64::NEG_INFINITY, f64::INFINITY);
+        let y = m.add_binary();
+        m.add_constraint(m.expr([(x, 1.0), (y, 1.0)]).geq(-5.0));
         m.set_objective(m.expr([(x, 1.0), (y, 1.0)]));
         let free = [(f64::NEG_INFINITY, f64::INFINITY), (0.0, 1.0)];
         let solved_or_declined = |out: &WarmLpResult| {
@@ -390,7 +402,8 @@ mod tests {
                 || (out.result.status == LpStatus::Optimal
                     && (out.result.objective + 5.0).abs() < 1e-9)
         };
-        let mut s = LpSession::open(&m, LpConfig::default());
+        let m = Arc::new(m);
+        let mut s = LpSession::open(Arc::clone(&m), LpConfig::default());
         let cold = s.solve(&free, None);
         assert!(
             solved_or_declined(&cold),
@@ -406,7 +419,7 @@ mod tests {
             assert_eq!(boxed.result.status, LpStatus::Optimal);
             let hot = s.solve(&free, boxed.basis.as_ref());
             assert!(solved_or_declined(&hot), "hot: {:?}", hot.result.status);
-            let mut fresh = LpSession::open(&m, LpConfig::default());
+            let mut fresh = LpSession::open(Arc::clone(&m), LpConfig::default());
             let reinstalled = fresh.solve(&free, boxed.basis.as_ref());
             assert!(
                 solved_or_declined(&reinstalled),
@@ -421,18 +434,18 @@ mod tests {
     #[test]
     fn zero_row_relaxation_never_reports_an_infinite_optimum() {
         let mut m = Model::new();
-        let u = m.add_continuous("u", f64::NEG_INFINITY, 3.0);
-        let _w = m.add_continuous("w", f64::NEG_INFINITY, 3.0);
+        let u = m.add_continuous(f64::NEG_INFINITY, 3.0);
+        let _w = m.add_continuous(f64::NEG_INFINITY, 3.0);
         let bounds = [(f64::NEG_INFINITY, 3.0); 2];
         m.set_objective(m.expr([(u, 1.0)]));
-        let ray = LpSession::open(&m, LpConfig::default()).solve(&bounds, None);
+        let ray = LpSession::open(Arc::new(m.clone()), LpConfig::default()).solve(&bounds, None);
         assert_eq!(ray.result.status, LpStatus::Unbounded);
         assert_eq!(ray.result.objective, f64::NEG_INFINITY);
         assert!(ray.result.values.is_empty());
         assert_eq!(ray.result.work_ticks, 1, "one tick on an unbounded ray");
 
         m.set_objective(m.expr([(u, -1.0)]));
-        let out = LpSession::open(&m, LpConfig::default()).solve(&bounds, None);
+        let out = LpSession::open(Arc::new(m), LpConfig::default()).solve(&bounds, None);
         assert_eq!(out.result.status, LpStatus::Optimal);
         assert_eq!(out.result.objective, -3.0);
         assert_eq!(out.result.values[0], 3.0);
@@ -448,19 +461,16 @@ mod tests {
     fn add_rows_absorbs_on_live_engine() {
         let m = cover_model();
         let bounds = [(0.0, 1.0), (0.0, 1.0)];
-        let mut s = LpSession::open(&m, LpConfig::default());
+        let mut s = LpSession::open(Arc::clone(&m), LpConfig::default());
         let root = s.solve(&bounds, None);
         let x = crate::expr::VarId(0);
-        let grown = s.add_rows(
-            vec![("cut".into(), m.expr([(x, 1.0)]).leq(0.0))],
-            root.basis.as_ref(),
-        );
+        let grown = s.add_rows(vec![m.expr([(x, 1.0)]).leq(0.0)], root.basis.as_ref());
         assert_eq!(grown.added, 1);
         assert!(grown.absorbed, "live engine must grow in place");
         let out = s.solve(&bounds, grown.basis.as_ref());
         assert_eq!(out.result.status, LpStatus::Optimal);
         assert!((out.result.objective - 2.0).abs() < 1e-9, "x forced off");
-        assert_eq!(s.added_rows(), 1);
+        assert_eq!(s.model().num_constraints(), 2);
         assert_eq!(s.stats().incremental_row_batches, 1);
     }
 
@@ -468,7 +478,7 @@ mod tests {
     fn objective_delta_keeps_warm_state_when_dual_feasible() {
         let m = cover_model();
         let bounds = [(0.0, 1.0), (0.0, 1.0)];
-        let mut s = LpSession::open(&m, LpConfig::default());
+        let mut s = LpSession::open(Arc::clone(&m), LpConfig::default());
         let root = s.solve(&bounds, None);
         assert_eq!(root.result.status, LpStatus::Optimal);
         // Raising y's cost keeps (x basic at 1, y at lower) dual feasible.

@@ -48,8 +48,6 @@ pub enum CutKind {
 /// One separated, globally valid cutting plane (always a `≤` row).
 #[derive(Debug, Clone)]
 pub struct Cut {
-    /// Diagnostic row name (`cover…` / `clique…`).
-    pub name: String,
     /// Left-hand side terms (unit coefficients for both families).
     pub terms: Vec<(VarId, f64)>,
     /// Right-hand side.
@@ -63,9 +61,8 @@ pub struct Cut {
 impl Cut {
     /// The cut as a session row.
     #[must_use]
-    pub fn into_row(self) -> (String, Comparison) {
-        let cmp = LinExpr::from_terms(self.terms).leq(self.rhs);
-        (self.name, cmp)
+    pub fn into_row(self) -> Comparison {
+        LinExpr::from_terms(self.terms).leq(self.rhs)
     }
 }
 
@@ -123,8 +120,6 @@ pub struct CutSeparator {
     /// Ordered set: dedup keys, but safe to iterate (e.g. when dumping
     /// separator state) without a determinism hazard.
     seen: BTreeSet<Vec<u32>>,
-    /// Monotone name counter.
-    emitted: usize,
     /// Observational separation counters.
     stats: SeparationStats,
 }
@@ -244,7 +239,6 @@ impl ConflictGraph {
                 clique.sort_unstable();
                 if local.insert(clique.clone()) {
                     out.push(Cut {
-                        name: String::new(),
                         terms: clique.iter().map(|&j| (VarId(j), 1.0)).collect(),
                         rhs: 1.0,
                         violation,
@@ -325,7 +319,6 @@ impl CutSeparator {
             n,
             graph: None,
             seen: BTreeSet::new(),
-            emitted: 0,
             stats: SeparationStats::default(),
         }
     }
@@ -367,7 +360,7 @@ impl CutSeparator {
         // Only now commit the survivors' supports, so capped-out cuts can
         // return in a later round.
         let mut out = Vec::with_capacity(cuts.len());
-        for mut cut in cuts {
+        for cut in cuts {
             // Family tag + sign-encoded columns, so a cover over `1 − x`
             // never collides with a clique or a cover over `x`.
             let mut key: Vec<u32> = vec![match cut.kind {
@@ -384,18 +377,10 @@ impl CutSeparator {
             if !self.seen.insert(key) {
                 continue;
             }
-            let tag = self.emitted;
-            self.emitted += 1;
-            cut.name = match cut.kind {
-                CutKind::Cover => {
-                    self.stats.cover_cuts += 1;
-                    format!("cover{tag}")
-                }
-                CutKind::Clique => {
-                    self.stats.clique_cuts += 1;
-                    format!("clique{tag}")
-                }
-            };
+            match cut.kind {
+                CutKind::Cover => self.stats.cover_cuts += 1,
+                CutKind::Clique => self.stats.clique_cuts += 1,
+            }
             out.push(cut);
         }
         out
@@ -484,7 +469,6 @@ impl CutSeparator {
                 }
                 terms.sort_by_key(|&(v, _)| v);
                 out.push(Cut {
-                    name: String::new(),
                     terms,
                     rhs: rhs_cut,
                     violation,
@@ -505,10 +489,10 @@ mod tests {
     fn cover_cut_separates_fractional_knapsack_point() {
         // 3x + 4y + 2z ≤ 6: {x, y} is a minimal cover (7 > 6).
         let mut m = Model::new();
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
-        let z = m.add_binary("z");
-        m.add_constraint("w", m.expr([(x, 3.0), (y, 4.0), (z, 2.0)]).leq(6.0));
+        let x = m.add_binary();
+        let y = m.add_binary();
+        let z = m.add_binary();
+        m.add_constraint(m.expr([(x, 3.0), (y, 4.0), (z, 2.0)]).leq(6.0));
         m.set_objective(m.expr([(x, -10.0), (y, -13.0), (z, -7.0)]));
         let mut sep = CutSeparator::new(&m, &[]);
         assert!(!sep.is_empty());
@@ -538,12 +522,12 @@ mod tests {
         // {a, b, c} is a clique no single row states; x = ½ everywhere
         // violates a + b + c ≤ 1 by ½.
         let mut m = Model::new();
-        let a = m.add_binary("a");
-        let b = m.add_binary("b");
-        let c = m.add_binary("c");
-        m.add_constraint("p1", m.expr([(a, 1.0), (b, 1.0)]).leq(1.0));
-        m.add_constraint("p2", m.expr([(b, 1.0), (c, 1.0)]).leq(1.0));
-        m.add_constraint("p3", m.expr([(a, 1.0), (c, 1.0)]).leq(1.0));
+        let a = m.add_binary();
+        let b = m.add_binary();
+        let c = m.add_binary();
+        m.add_constraint(m.expr([(a, 1.0), (b, 1.0)]).leq(1.0));
+        m.add_constraint(m.expr([(b, 1.0), (c, 1.0)]).leq(1.0));
+        m.add_constraint(m.expr([(a, 1.0), (c, 1.0)]).leq(1.0));
         m.set_objective(m.expr([(a, -1.0), (b, -1.0), (c, -1.0)]));
         let mut sep = CutSeparator::new(&m, &[]);
         let cuts = sep.separate(&[0.5, 0.5, 0.5], 8);
@@ -561,10 +545,10 @@ mod tests {
         // it. The fractional point (0.5, 0.4, 0.3) violates
         // x + y + z ≤ 1 by 0.2.
         let mut m = Model::new();
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
-        let z = m.add_binary("z");
-        m.add_constraint("cap", m.expr([(x, 6.0), (y, 5.0), (z, 4.0)]).leq(8.0));
+        let x = m.add_binary();
+        let y = m.add_binary();
+        let z = m.add_binary();
+        m.add_constraint(m.expr([(x, 6.0), (y, 5.0), (z, 4.0)]).leq(8.0));
         m.set_objective(m.expr([(x, -3.0), (y, -2.0), (z, -1.0)]));
         let mut sep = CutSeparator::new(&m, &[]);
         let cuts = sep.separate(&[0.5, 0.4, 0.3], 8);
@@ -589,12 +573,12 @@ mod tests {
     #[test]
     fn emitted_supports_are_never_repeated() {
         let mut m = Model::new();
-        let a = m.add_binary("a");
-        let b = m.add_binary("b");
-        let c = m.add_binary("c");
-        m.add_constraint("p1", m.expr([(a, 1.0), (b, 1.0)]).leq(1.0));
-        m.add_constraint("p2", m.expr([(b, 1.0), (c, 1.0)]).leq(1.0));
-        m.add_constraint("p3", m.expr([(a, 1.0), (c, 1.0)]).leq(1.0));
+        let a = m.add_binary();
+        let b = m.add_binary();
+        let c = m.add_binary();
+        m.add_constraint(m.expr([(a, 1.0), (b, 1.0)]).leq(1.0));
+        m.add_constraint(m.expr([(b, 1.0), (c, 1.0)]).leq(1.0));
+        m.add_constraint(m.expr([(a, 1.0), (c, 1.0)]).leq(1.0));
         m.set_objective(m.expr([(a, -1.0)]));
         let mut sep = CutSeparator::new(&m, &[]);
         let first = sep.separate(&[0.5, 0.5, 0.5], 8);
@@ -606,10 +590,10 @@ mod tests {
     #[test]
     fn integral_point_separates_nothing() {
         let mut m = Model::new();
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
-        m.add_constraint("w", m.expr([(x, 3.0), (y, 4.0)]).leq(6.0));
-        m.add_constraint("p", m.expr([(x, 1.0), (y, 1.0)]).leq(1.0));
+        let x = m.add_binary();
+        let y = m.add_binary();
+        m.add_constraint(m.expr([(x, 3.0), (y, 4.0)]).leq(6.0));
+        m.add_constraint(m.expr([(x, 1.0), (y, 1.0)]).leq(1.0));
         m.set_objective(m.expr([(x, -1.0), (y, -1.0)]));
         let mut sep = CutSeparator::new(&m, &[]);
         for pt in [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]] {
@@ -730,9 +714,9 @@ mod tests {
     fn random_model(rng: &mut SmallRng) -> (Model, Vec<Vec<VarId>>) {
         let mut m = Model::new();
         let n = rng.gen_range(2usize..10);
-        let mut vars: Vec<VarId> = (0..n).map(|i| m.add_binary(format!("x{i}"))).collect();
+        let mut vars: Vec<VarId> = (0..n).map(|_| m.add_binary()).collect();
         if rng.gen_range(0..4) == 0 {
-            vars.push(m.add_continuous("y", 0.0, 3.0));
+            vars.push(m.add_continuous(0.0, 3.0));
         }
         let pick = |rng: &mut SmallRng| -> Vec<VarId> {
             let k = rng.gen_range(1..=vars.len().min(5));
@@ -745,9 +729,8 @@ mod tests {
             }
             out
         };
-        for r in 0..rng.gen_range(0usize..5) {
+        for _ in 0..rng.gen_range(0usize..5) {
             let support = pick(rng);
-            let name = format!("r{r}");
             match rng.gen_range(0..4) {
                 0 => {
                     let e = m.expr(support.iter().map(|&v| (v, 1.0)));
@@ -756,7 +739,7 @@ mod tests {
                     } else {
                         e.eq(1.0)
                     };
-                    m.add_constraint(name, cmp);
+                    m.add_constraint(cmp);
                 }
                 1 | 2 => {
                     let e = m.expr(
@@ -764,11 +747,11 @@ mod tests {
                             .iter()
                             .map(|&v| (v, f64::from(rng.gen_range(-3i32..=7)))),
                     );
-                    m.add_constraint(name, e.leq(f64::from(rng.gen_range(-1i32..=8))));
+                    m.add_constraint(e.leq(f64::from(rng.gen_range(-1i32..=8))));
                 }
                 _ => {
                     let e = m.expr(support.iter().map(|&v| (v, 1.0)));
-                    m.add_constraint(name, e.geq(1.0));
+                    m.add_constraint(e.geq(1.0));
                 }
             }
         }

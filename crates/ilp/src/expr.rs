@@ -51,8 +51,8 @@ impl fmt::Display for ConstraintSense {
 /// ```
 /// use croxmap_ilp::{LinExpr, Model};
 /// let mut m = Model::new();
-/// let x = m.add_binary("x");
-/// let y = m.add_binary("y");
+/// let x = m.add_binary();
+/// let y = m.add_binary();
 /// let e = LinExpr::term(x, 2.0) + LinExpr::term(y, 1.0) + LinExpr::term(x, 3.0);
 /// let e = e.normalize();
 /// assert_eq!(e.coefficient(x), 5.0);

@@ -17,9 +17,10 @@
 //!   whole model → presolve → factor → simplex pipeline operates on fewer
 //!   rows, columns and nonzeros ([`SolverConfig::with_presolve`] turns it
 //!   off),
-//! * an **LP session** ([`backend`]): an owning [`LpSession`] holds the
-//!   model view, the live basis and factorisation of the one LP engine,
-//!   and stats; it absorbs warm starts, bound deltas, objective deltas
+//! * an **LP session** ([`backend`]): an [`LpSession`] holds the model
+//!   view (the caller's model, shared by [`std::sync::Arc`] and copied
+//!   only when the session first appends rows to it), the live basis and
+//!   factorisation of the one LP engine, and stats; it absorbs warm starts, bound deltas, objective deltas
 //!   and appended rows without rebuilding, and a solve the engine cannot
 //!   finish comes back as [`LpStatus::Failed`](simplex::LpStatus::Failed)
 //!   rather than falling onto a dense path,
@@ -69,10 +70,10 @@
 //! With [`SolverConfig::with_threads`]`(n)` for `n > 1`, the phases split
 //! as follows:
 //!
-//! * **Shared, read-only:** the (presolved, cut-grown) model view — the
-//!   CSC matrix is built once and shared by [`std::sync::Arc`] — plus the
-//!   solver configuration and the final root basis every worker seeds
-//!   from.
+//! * **Shared, read-only:** the (presolved, cut-grown) model view and
+//!   its CSC matrix, each built once and shared by [`std::sync::Arc`],
+//!   plus the solver configuration and the final root basis every worker
+//!   seeds from.
 //! * **Per-worker:** an [`LpSession`] (live basis and factorisation), a
 //!   [`DeterministicClock`], an RNG stream offset from the solver seed,
 //!   and pseudo-cost tables. Workers never share mutable LP state;
@@ -99,20 +100,23 @@
 //!
 //! ## LP sessions: warm starts and dynamic rows
 //!
-//! An [`LpSession`] owns one LP conversation: open it on a model, solve,
-//! change bounds, append rows — the engine state stays hot throughout.
+//! An [`LpSession`] owns one LP conversation: open it on a shared model,
+//! solve, change bounds, append rows — the engine state stays hot
+//! throughout.
 //!
 //! ```
 //! use croxmap_ilp::simplex::{LpConfig, LpStatus};
 //! use croxmap_ilp::{LpSession, Model};
+//! use std::sync::Arc;
 //!
 //! let mut m = Model::new();
-//! let x = m.add_binary("x");
-//! let y = m.add_binary("y");
-//! m.add_constraint("cover", m.expr([(x, 1.0), (y, 1.0)]).geq(1.0));
+//! let x = m.add_binary();
+//! let y = m.add_binary();
+//! m.add_constraint(m.expr([(x, 1.0), (y, 1.0)]).geq(1.0));
 //! m.set_objective(m.expr([(x, 1.0), (y, 2.0)]));
 //!
-//! let mut session = LpSession::open(&m, LpConfig::default());
+//! let m = Arc::new(m);
+//! let mut session = LpSession::open(Arc::clone(&m), LpConfig::default());
 //!
 //! // Root relaxation, cold.
 //! let root = session.solve(&[(0.0, 1.0), (0.0, 1.0)], None);
@@ -127,10 +131,7 @@
 //!
 //! // Tighten the live relaxation with an extra row (a cutting plane):
 //! // the factorisation grows in place, no rebuild.
-//! let grown = session.add_rows(
-//!     vec![("cut".into(), m.expr([(y, 1.0)]).leq(0.0))],
-//!     child.basis.as_ref(),
-//! );
+//! let grown = session.add_rows(vec![m.expr([(y, 1.0)]).leq(0.0)], child.basis.as_ref());
 //! let cut = session.solve(&[(0.0, 1.0), (0.0, 1.0)], grown.basis.as_ref());
 //! assert_eq!(cut.result.status, LpStatus::Optimal);
 //! assert!((cut.result.objective - 1.0).abs() < 1e-6);
@@ -148,10 +149,9 @@
 //!   (*start_ticks* + metered *ticks*), never wall time.
 //! * **Sinks** ([`trace::TraceSink`]): install one via
 //!   [`SolverConfig::with_trace`] wrapped in a [`trace::TraceHandle`] —
-//!   a bounded [`trace::RingSink`], a [`trace::JsonlSink`] streaming
-//!   JSON Lines, or a [`trace::ProgressLog`] rendering the
-//!   SCIP/HiGHS-style periodic table (nodes, open, incumbent, bound,
-//!   gap, det-sec).
+//!   a bounded [`trace::RingSink`], or a [`trace::JsonlSink`] streaming
+//!   JSON Lines, periodic progress rows (nodes, open, incumbent, bound,
+//!   det-sec) included.
 //! * **Phase breakdown** ([`trace::PhaseBreakdown`]): every
 //!   [`SolveResult`] reports its deterministic ticks split across
 //!   presolve / root LP / cuts / dives / tree / LNS, summing exactly to
@@ -183,8 +183,8 @@
 //! use std::sync::{Arc, Mutex};
 //!
 //! let mut m = Model::new();
-//! let x = m.add_binary("x");
-//! m.add_constraint("on", m.expr([(x, 1.0)]).geq(1.0));
+//! let x = m.add_binary();
+//! m.add_constraint(m.expr([(x, 1.0)]).geq(1.0));
 //! m.set_objective(m.expr([(x, 1.0)]));
 //!
 //! let sink: Arc<Mutex<dyn TraceSink>> = Arc::new(Mutex::new(RingSink::new(1024)));
@@ -262,9 +262,9 @@
 //!
 //! // Minimise x + 2y subject to x + y >= 1, x,y binary.
 //! let mut m = Model::new();
-//! let x = m.add_binary("x");
-//! let y = m.add_binary("y");
-//! m.add_constraint("cover", m.expr([(x, 1.0), (y, 1.0)]).geq(1.0));
+//! let x = m.add_binary();
+//! let y = m.add_binary();
+//! m.add_constraint(m.expr([(x, 1.0), (y, 1.0)]).geq(1.0));
 //! m.set_objective(m.expr([(x, 1.0), (y, 2.0)]));
 //!
 //! let result = Solver::new(SolverConfig::default()).solve(&m);
@@ -307,6 +307,6 @@ pub use solution::{IncumbentEvent, Solution};
 pub use solver::{BranchRule, CutSummary, SolveResult, SolveStatus, Solver, SolverConfig};
 pub use sparse::CscMatrix;
 pub use trace::{
-    JsonlSink, Phase, PhaseBreakdown, ProgressLog, ProgressRow, RingSink, SpanEvent, SpanKind,
-    TraceHandle, TraceSink,
+    JsonlSink, Phase, PhaseBreakdown, ProgressRow, RingSink, SpanEvent, SpanKind, TraceHandle,
+    TraceSink,
 };

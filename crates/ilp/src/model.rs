@@ -1,4 +1,9 @@
 //! The ILP model: variables, constraints and objective.
+//!
+//! A model stores no names: a variable is its [`VarId`] and a row is its
+//! index in [`Model::constraints`], which is how [`ModelError`] reports
+//! either. Solves share one model rather than copying it: an
+//! [`LpSession`](crate::LpSession) holds it in an [`Arc`].
 
 use crate::expr::{Comparison, ConstraintSense, LinExpr, VarId};
 use crate::sparse::CscMatrix;
@@ -19,8 +24,6 @@ pub enum VarType {
 /// A decision variable.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Variable {
-    /// Human-readable name (for diagnostics).
-    pub name: String,
     /// Integrality class.
     pub ty: VarType,
     /// Lower bound.
@@ -32,8 +35,6 @@ pub struct Variable {
 /// A stored linear constraint (normalised expression).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Constraint {
-    /// Human-readable name (for diagnostics).
-    pub name: String,
     /// Left-hand side terms, normalised (sorted, merged, constant folded
     /// into `rhs`).
     pub terms: Vec<(VarId, f64)>,
@@ -77,16 +78,16 @@ pub enum ModelError {
     },
     /// A coefficient or right-hand side is not finite.
     NonFiniteCoefficient {
-        /// Name of the offending constraint, or `"objective"`.
-        location: String,
+        /// Index of the offending constraint, or `None` for the objective.
+        row: Option<usize>,
     },
     /// A variable appears more than once in a constraint or the objective.
     /// Normalised expressions never contain duplicates; this guards
     /// hand-built or deserialised term lists, which would otherwise flow
     /// into the CSC matrix as separate entries.
     DuplicateTerm {
-        /// Name of the offending constraint, or `"objective"`.
-        location: String,
+        /// Index of the offending constraint, or `None` for the objective.
+        row: Option<usize>,
         /// The repeated variable.
         var: VarId,
     },
@@ -100,11 +101,15 @@ impl fmt::Display for ModelError {
             ModelError::BadBounds { var, lower, upper } => {
                 write!(f, "variable {var} has invalid bounds [{lower}, {upper}]")
             }
-            ModelError::NonFiniteCoefficient { location } => {
-                write!(f, "non-finite coefficient in {location}")
+            ModelError::NonFiniteCoefficient { row } => {
+                write!(f, "non-finite coefficient in {}", location(*row))
             }
-            ModelError::DuplicateTerm { location, var } => {
-                write!(f, "variable {var} appears more than once in {location}")
+            ModelError::DuplicateTerm { row, var } => {
+                write!(
+                    f,
+                    "variable {var} appears more than once in {}",
+                    location(*row)
+                )
             }
             ModelError::Empty => write!(f, "model has no variables"),
         }
@@ -112,6 +117,11 @@ impl fmt::Display for ModelError {
 }
 
 impl Error for ModelError {}
+
+/// A [`ModelError`] location in words: a constraint row or the objective.
+fn location(row: Option<usize>) -> String {
+    row.map_or_else(|| "the objective".to_owned(), |i| format!("row {i}"))
+}
 
 /// First variable repeated in a term list, if any. Term lists are usually
 /// sorted (normalised) but may not be when built by hand; sort a copy of
@@ -132,9 +142,9 @@ fn first_duplicate(terms: &[(VarId, f64)], scratch: &mut Vec<VarId>) -> Option<V
 /// ```
 /// use croxmap_ilp::Model;
 /// let mut m = Model::new();
-/// let x = m.add_binary("x");
-/// let y = m.add_binary("y");
-/// m.add_constraint("sum", m.expr([(x, 1.0), (y, 1.0)]).leq(1.0));
+/// let x = m.add_binary();
+/// let y = m.add_binary();
+/// m.add_constraint(m.expr([(x, 1.0), (y, 1.0)]).leq(1.0));
 /// m.set_objective(m.expr([(x, -1.0), (y, -2.0)])); // maximise x + 2y
 /// assert_eq!(m.num_vars(), 2);
 /// assert_eq!(m.num_constraints(), 1);
@@ -163,12 +173,11 @@ impl Model {
     }
 
     /// Adds a binary variable and returns its id.
-    pub fn add_binary(&mut self, name: impl Into<String>) -> VarId {
+    pub fn add_binary(&mut self) -> VarId {
         self.csc_cache = OnceLock::new();
         // lint: allow(panic-path) — u32 overflow needs 4 billion variables; the largest paper instance has ~10^5, and VarId is u32 across the whole solver by design
         let id = VarId(u32::try_from(self.vars.len()).expect("too many variables"));
         self.vars.push(Variable {
-            name: name.into(),
             ty: VarType::Binary,
             lower: 0.0,
             upper: 1.0,
@@ -177,12 +186,11 @@ impl Model {
     }
 
     /// Adds a continuous variable with the given bounds and returns its id.
-    pub fn add_continuous(&mut self, name: impl Into<String>, lower: f64, upper: f64) -> VarId {
+    pub fn add_continuous(&mut self, lower: f64, upper: f64) -> VarId {
         self.csc_cache = OnceLock::new();
         // lint: allow(panic-path) — u32 overflow needs 4 billion variables; the largest paper instance has ~10^5, and VarId is u32 across the whole solver by design
         let id = VarId(u32::try_from(self.vars.len()).expect("too many variables"));
         self.vars.push(Variable {
-            name: name.into(),
             ty: VarType::Continuous,
             lower,
             upper,
@@ -201,11 +209,10 @@ impl Model {
 
     /// Adds a constraint; the comparison's expression is normalised and its
     /// constant folded into the right-hand side.
-    pub fn add_constraint(&mut self, name: impl Into<String>, cmp: Comparison) {
+    pub fn add_constraint(&mut self, cmp: Comparison) {
         self.csc_cache = OnceLock::new();
         let (terms, constant) = cmp.expr.normalize().into_parts();
         self.constraints.push(Constraint {
-            name: name.into(),
             terms,
             sense: cmp.sense,
             rhs: cmp.rhs - constant,
@@ -229,7 +236,7 @@ impl Model {
     ///
     /// Panics if a term references a variable this model does not have —
     /// rows may grow, columns may not.
-    pub fn append_row(&mut self, name: impl Into<String>, cmp: Comparison) {
+    pub fn append_row(&mut self, cmp: Comparison) {
         let (terms, constant) = cmp.expr.normalize().into_parts();
         let rhs = cmp.rhs - constant;
         for &(v, _) in &terms {
@@ -245,7 +252,6 @@ impl Model {
             let _ = self.csc_cache.set(grown);
         }
         self.constraints.push(Constraint {
-            name: name.into(),
             terms,
             sense: cmp.sense,
             rhs,
@@ -296,16 +302,6 @@ impl Model {
         &self.vars
     }
 
-    /// The variable with id `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    #[must_use]
-    pub fn variable(&self, v: VarId) -> &Variable {
-        &self.vars[v.index()]
-    }
-
     /// The constraint table.
     #[must_use]
     pub fn constraints(&self) -> &[Constraint] {
@@ -341,15 +337,6 @@ impl Model {
     #[must_use]
     pub fn objective_offset(&self) -> f64 {
         self.objective_offset
-    }
-
-    /// Objective coefficient of `v` (0 if absent).
-    #[must_use]
-    pub fn objective_coefficient(&self, v: VarId) -> f64 {
-        self.objective
-            .iter()
-            .find(|&&(w, _)| w == v)
-            .map_or(0.0, |&(_, c)| c)
     }
 
     /// Evaluates the objective on an assignment.
@@ -406,30 +393,20 @@ impl Model {
             }
         }
         let mut scratch = Vec::new();
-        for c in &self.constraints {
+        for (i, c) in self.constraints.iter().enumerate() {
             if !c.rhs.is_finite() || c.terms.iter().any(|&(_, co)| !co.is_finite()) {
-                return Err(ModelError::NonFiniteCoefficient {
-                    location: c.name.clone(),
-                });
+                return Err(ModelError::NonFiniteCoefficient { row: Some(i) });
             }
             if let Some(var) = first_duplicate(&c.terms, &mut scratch) {
-                return Err(ModelError::DuplicateTerm {
-                    location: c.name.clone(),
-                    var,
-                });
+                return Err(ModelError::DuplicateTerm { row: Some(i), var });
             }
         }
         if self.objective.iter().any(|&(_, c)| !c.is_finite()) || !self.objective_offset.is_finite()
         {
-            return Err(ModelError::NonFiniteCoefficient {
-                location: "objective".to_owned(),
-            });
+            return Err(ModelError::NonFiniteCoefficient { row: None });
         }
         if let Some(var) = first_duplicate(&self.objective, &mut scratch) {
-            return Err(ModelError::DuplicateTerm {
-                location: "objective".to_owned(),
-                var,
-            });
+            return Err(ModelError::DuplicateTerm { row: None, var });
         }
         Ok(())
     }
@@ -471,28 +448,27 @@ mod tests {
     #[test]
     fn build_and_query() {
         let mut m = Model::new();
-        let x = m.add_binary("x");
-        let y = m.add_continuous("y", 0.0, 10.0);
-        m.add_constraint("c", m.expr([(x, 1.0), (y, 2.0)]).leq(5.0));
+        let x = m.add_binary();
+        let y = m.add_continuous(0.0, 10.0);
+        m.add_constraint(m.expr([(x, 1.0), (y, 2.0)]).leq(5.0));
         m.set_objective(m.expr([(x, 3.0), (y, 1.0)]));
         assert_eq!(m.num_vars(), 2);
-        assert_eq!(m.variable(x).ty, VarType::Binary);
-        assert_eq!(m.variable(y).upper, 10.0);
-        assert_eq!(m.objective_coefficient(x), 3.0);
-        assert_eq!(m.objective_coefficient(y), 1.0);
+        assert_eq!(m.variables()[x.index()].ty, VarType::Binary);
+        assert_eq!(m.variables()[y.index()].upper, 10.0);
+        assert_eq!(m.objective(), [(x, 3.0), (y, 1.0)]);
         m.validate().unwrap();
     }
 
     #[test]
     fn append_row_grows_cached_csc_in_place() {
         let mut m = Model::new();
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
-        m.add_constraint("c", m.expr([(x, 1.0), (y, 2.0)]).leq(3.0));
+        let x = m.add_binary();
+        let y = m.add_binary();
+        m.add_constraint(m.expr([(x, 1.0), (y, 2.0)]).leq(3.0));
         m.set_objective(m.expr([(x, 1.0)]));
         let before = m.csc();
         assert_eq!(before.rows(), 1);
-        m.append_row("cut", m.expr([(x, 1.0), (y, 1.0)]).leq(1.0));
+        m.append_row(m.expr([(x, 1.0), (y, 1.0)]).leq(1.0));
         let after = m.csc();
         assert_eq!(after.rows(), 2);
         assert_eq!(after.nnz(), 4);
@@ -511,30 +487,30 @@ mod tests {
     #[should_panic(expected = "grow-only")]
     fn append_row_rejects_unknown_columns() {
         let mut m = Model::new();
-        let x = m.add_binary("x");
+        let x = m.add_binary();
         let mut other = Model::new();
-        let _ = other.add_binary("a");
-        let ghost = other.add_binary("ghost");
+        let _ = other.add_binary();
+        let ghost = other.add_binary();
         m.set_objective(m.expr([(x, 1.0)]));
-        m.append_row("bad", m.expr([(ghost, 1.0)]).leq(1.0));
+        m.append_row(m.expr([(ghost, 1.0)]).leq(1.0));
     }
 
     #[test]
     fn constant_folds_into_rhs() {
         let mut m = Model::new();
-        let x = m.add_binary("x");
+        let x = m.add_binary();
         let mut e = m.expr([(x, 1.0)]);
         e.add_constant(2.0);
-        m.add_constraint("c", e.leq(5.0));
+        m.add_constraint(e.leq(5.0));
         assert_eq!(m.constraints()[0].rhs, 3.0);
     }
 
     #[test]
     fn feasibility_checks_bounds_integrality_constraints() {
         let mut m = Model::new();
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
-        m.add_constraint("c", m.expr([(x, 1.0), (y, 1.0)]).geq(1.0));
+        let x = m.add_binary();
+        let y = m.add_binary();
+        m.add_constraint(m.expr([(x, 1.0), (y, 1.0)]).geq(1.0));
         assert!(m.is_feasible(&[1.0, 0.0], 1e-9));
         assert!(!m.is_feasible(&[0.0, 0.0], 1e-9)); // violates c
         assert!(!m.is_feasible(&[0.5, 1.0], 1e-9)); // fractional binary
@@ -545,40 +521,49 @@ mod tests {
     #[test]
     fn validate_rejects_bad_bounds() {
         let mut m = Model::new();
-        let _ = m.add_continuous("y", 3.0, 1.0);
+        let _ = m.add_continuous(3.0, 1.0);
         assert!(matches!(m.validate(), Err(ModelError::BadBounds { .. })));
     }
 
     #[test]
     fn validate_rejects_nan() {
         let mut m = Model::new();
-        let x = m.add_binary("x");
-        m.add_constraint("c", m.expr([(x, f64::NAN)]).leq(1.0));
-        assert!(matches!(
-            m.validate(),
-            Err(ModelError::NonFiniteCoefficient { .. })
-        ));
+        let x = m.add_binary();
+        m.add_constraint(m.expr([(x, 1.0)]).leq(1.0));
+        m.add_constraint(m.expr([(x, f64::NAN)]).leq(1.0));
+        let err = m.validate().unwrap_err();
+        assert_eq!(err, ModelError::NonFiniteCoefficient { row: Some(1) });
+        assert_eq!(err.to_string(), "non-finite coefficient in row 1");
+        m.constraints.pop();
+        m.set_objective(m.expr([(x, f64::INFINITY)]));
+        let err = m.validate().unwrap_err();
+        assert_eq!(err, ModelError::NonFiniteCoefficient { row: None });
+        assert_eq!(err.to_string(), "non-finite coefficient in the objective");
     }
 
     #[test]
     fn validate_rejects_duplicate_terms() {
         let mut m = Model::new();
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
-        m.add_constraint("c", m.expr([(x, 1.0), (y, 1.0)]).leq(1.0));
+        let x = m.add_binary();
+        let y = m.add_binary();
+        m.add_constraint(m.expr([(y, 1.0)]).leq(1.0));
+        m.add_constraint(m.expr([(x, 1.0), (y, 1.0)]).leq(1.0));
         m.validate().unwrap();
         // Normalisation merges duplicates on entry; forge an unmerged term
         // list the way a deserialised or hand-mutated model could carry.
-        m.constraints[0].terms = vec![(x, 1.0), (y, 1.0), (x, 2.0)];
-        assert!(matches!(
+        m.constraints[1].terms = vec![(x, 1.0), (y, 1.0), (x, 2.0)];
+        assert_eq!(
             m.validate(),
-            Err(ModelError::DuplicateTerm { ref location, var }) if location == "c" && var == x
-        ));
+            Err(ModelError::DuplicateTerm {
+                row: Some(1),
+                var: x
+            })
+        );
         // The CSC build coalesces the duplicate rather than storing two
         // entries for the same (row, column) slot.
         let csc = m.csc();
-        assert_eq!(csc.nnz(), 2);
-        assert_eq!(csc.dot_col(&[1.0], x.index()), 3.0);
+        assert_eq!(csc.nnz(), 3);
+        assert_eq!(csc.dot_col(&[0.0, 1.0], x.index()), 3.0);
     }
 
     /// The counting CSC build matches the per-column lists handed to
@@ -593,11 +578,11 @@ mod tests {
             let mut rng = SmallRng::seed_from_u64(seed);
             let mut m = Model::new();
             let n = rng.gen_range(1..12usize);
-            for j in 0..n {
-                let _ = m.add_binary(format!("x{j}"));
+            for _ in 0..n {
+                let _ = m.add_binary();
             }
             for i in 0..rng.gen_range(0..15usize) {
-                m.add_constraint(format!("c{i}"), LinExpr::new().leq(1.0));
+                m.add_constraint(LinExpr::new().leq(1.0));
                 let len = rng.gen_range(0..8usize);
                 m.constraints[i].terms = (0..len)
                     .map(|_| {
@@ -620,14 +605,14 @@ mod tests {
     #[test]
     fn validate_rejects_duplicate_objective_terms() {
         let mut m = Model::new();
-        let x = m.add_binary("x");
+        let x = m.add_binary();
         m.set_objective(m.expr([(x, 1.0), (x, 2.0)]));
         assert_eq!(m.objective().len(), 1, "set_objective normalises");
         m.objective = vec![(x, 1.0), (x, 2.0)];
-        assert!(matches!(
+        assert_eq!(
             m.validate(),
-            Err(ModelError::DuplicateTerm { ref location, .. }) if location == "objective"
-        ));
+            Err(ModelError::DuplicateTerm { row: None, var: x })
+        );
     }
 
     #[test]
@@ -638,7 +623,7 @@ mod tests {
     #[test]
     fn objective_value_includes_offset() {
         let mut m = Model::new();
-        let x = m.add_binary("x");
+        let x = m.add_binary();
         let mut e = m.expr([(x, 2.0)]);
         e.add_constant(7.0);
         m.set_objective(e);
@@ -648,9 +633,9 @@ mod tests {
     #[test]
     fn binary_vars_iterator() {
         let mut m = Model::new();
-        let _x = m.add_binary("x");
-        let _y = m.add_continuous("y", 0.0, 1.0);
-        let _z = m.add_binary("z");
+        let _x = m.add_binary();
+        let _y = m.add_continuous(0.0, 1.0);
+        let _z = m.add_binary();
         let bins: Vec<_> = m.binary_vars().map(|v| v.index()).collect();
         assert_eq!(bins, vec![0, 2]);
     }

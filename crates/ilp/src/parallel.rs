@@ -322,7 +322,7 @@ pub(crate) struct TreeOutcome {
 /// fallback counts — back into the root search context.
 ///
 /// The caller's root phase already ran: `search.session` holds the
-/// cut-grown view (cloned here as the shared worker view) and
+/// cut-grown view (shared, not copied, as the workers' view) and
 /// `root_warm` is the final root basis every worker seeds from.
 pub(crate) fn run_tree(
     search: &mut Search<'_>,
@@ -333,7 +333,7 @@ pub(crate) fn run_tree(
     // The workers' shared read-only view: the session's model carries the
     // root cut rows, so the parallel tree prunes against the same
     // tightened relaxation the sequential tree would.
-    let view = search.session.model().clone();
+    let view = Arc::clone(search.session.model());
     match search.cfg.parallel_mode {
         ParallelMode::Deterministic => {
             run_deterministic(search, &view, root_bounds, root_warm, callback)
@@ -373,7 +373,7 @@ struct WorkerOut {
 
 fn run_work_stealing(
     search: &mut Search<'_>,
-    view: &Model,
+    view: &Arc<Model>,
     root_bounds: &[(f64, f64)],
     root_warm: Option<&Basis>,
     callback: &mut dyn FnMut(&IncumbentEvent),
@@ -502,7 +502,7 @@ fn ws_worker(
     id: usize,
     n: usize,
     cfg: &SolverConfig,
-    view: &Model,
+    view: &Arc<Model>,
     root_bounds: &[(f64, f64)],
     exchange: &Exchange,
     deques: &[Mutex<VecDeque<PNode>>],
@@ -720,7 +720,7 @@ impl Ord for DetOpen {
 fn det_worker(
     id: usize,
     cfg: &SolverConfig,
-    view: &Model,
+    view: &Arc<Model>,
     root_bounds: &[(f64, f64)],
     rx: &mpsc::Receiver<DetTask>,
     tx: &mpsc::Sender<DetOut>,
@@ -829,7 +829,7 @@ fn det_worker(
 #[allow(clippy::too_many_lines)]
 fn run_deterministic(
     search: &mut Search<'_>,
-    view: &Model,
+    view: &Arc<Model>,
     root_bounds: &[(f64, f64)],
     root_warm: Option<&Basis>,
     callback: &mut dyn FnMut(&IncumbentEvent),

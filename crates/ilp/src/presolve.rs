@@ -1367,10 +1367,9 @@ fn build_reduced(model: &Model, ws: Workspace) -> PresolvedModel {
         }
         col_map[j] = kept.len() as u32;
         kept.push(j as u32);
-        let name = model.variables()[j].name.clone();
         match ws.ty[j] {
             VarType::Binary => {
-                let id = reduced.add_binary(name);
+                let id = reduced.add_binary();
                 // Carry surviving bound tightenings (a collapsed pair the
                 // fixpoint ran out of rounds to substitute) — add_binary
                 // alone would silently widen back to [0, 1].
@@ -1379,11 +1378,11 @@ fn build_reduced(model: &Model, ws: Workspace) -> PresolvedModel {
                 }
             }
             VarType::Continuous => {
-                let _ = reduced.add_continuous(name, ws.lower[j], ws.upper[j]);
+                let _ = reduced.add_continuous(ws.lower[j], ws.upper[j]);
             }
         }
     }
-    for (con, row) in model.constraints().iter().zip(&ws.rows) {
+    for row in &ws.rows {
         if !row.alive {
             continue;
         }
@@ -1395,7 +1394,7 @@ fn build_reduced(model: &Model, ws: Workspace) -> PresolvedModel {
             RowSense::Le => expr.leq(row.rhs),
             RowSense::Eq => expr.eq(row.rhs),
         };
-        reduced.add_constraint(con.name.clone(), cmp);
+        reduced.add_constraint(cmp);
     }
     let mut obj = reduced.expr(
         kept.iter()
@@ -1474,9 +1473,9 @@ mod tests {
         // exactly 5e-7 after substitution. The solver accepts x = 1
         // (violation below its 1e-6 tolerance), so presolve must too.
         let mut m = Model::new();
-        let x = m.add_binary("x");
+        let x = m.add_binary();
         m.fix_binary(x, true);
-        m.add_constraint("tight", m.expr([(x, 1.0)]).leq(1.0 - 5e-7));
+        m.add_constraint(m.expr([(x, 1.0)]).leq(1.0 - 5e-7));
         m.set_objective(m.expr([(x, 1.0)]));
         assert!(m.is_feasible(&[1.0], 1e-6), "solver-side check accepts");
         match presolve(&m) {
@@ -1492,9 +1491,9 @@ mod tests {
         }
         // A violation clearly above the tolerance is still infeasible.
         let mut m = Model::new();
-        let x = m.add_binary("x");
+        let x = m.add_binary();
         m.fix_binary(x, true);
-        m.add_constraint("tight", m.expr([(x, 1.0)]).leq(1.0 - 2e-6));
+        m.add_constraint(m.expr([(x, 1.0)]).leq(1.0 - 2e-6));
         m.set_objective(m.expr([(x, 1.0)]));
         assert!(matches!(presolve(&m), PresolveOutcome::Infeasible(_)));
     }
@@ -1505,15 +1504,15 @@ mod tests {
         // reductions remove ahead of them: exported clique ids must refer
         // to the *reduced* columns.
         let mut m = Model::new();
-        let dead = m.add_binary("dead");
-        let a = m.add_binary("a");
-        let b = m.add_binary("b");
-        let c = m.add_binary("c");
+        let dead = m.add_binary();
+        let a = m.add_binary();
+        let b = m.add_binary();
+        let c = m.add_binary();
         m.fix_binary(dead, false);
-        m.add_constraint("pick", m.expr([(a, 1.0), (b, 1.0), (c, 1.0)]).eq(1.0));
+        m.add_constraint(m.expr([(a, 1.0), (b, 1.0), (c, 1.0)]).eq(1.0));
         // A second row keeps the trio alive through dominated-column
         // checks.
-        m.add_constraint("use", m.expr([(a, 2.0), (b, 3.0), (c, 4.0)]).leq(4.0));
+        m.add_constraint(m.expr([(a, 2.0), (b, 3.0), (c, 4.0)]).leq(4.0));
         m.set_objective(m.expr([(a, -1.0), (b, -2.0), (c, -3.0)]));
         let p = reduced(&m);
         assert!(p.stats.cliques >= 1);
@@ -1529,31 +1528,27 @@ mod tests {
     #[test]
     fn singleton_row_tightens_and_disappears() {
         let mut m = Model::new();
-        let x = m.add_continuous("x", 0.0, 10.0);
-        let y = m.add_continuous("y", 0.0, 10.0);
-        m.add_constraint("cap", m.expr([(x, 2.0)]).leq(6.0));
-        m.add_constraint("mix", m.expr([(x, 1.0), (y, 1.0)]).leq(8.0));
+        let x = m.add_continuous(0.0, 10.0);
+        let y = m.add_continuous(0.0, 10.0);
+        m.add_constraint(m.expr([(x, 2.0)]).leq(6.0));
+        m.add_constraint(m.expr([(x, 1.0), (y, 1.0)]).leq(8.0));
         // Negative costs keep both columns alive (neither dominated).
         m.set_objective(m.expr([(x, -1.0), (y, -1.0)]));
         let p = reduced(&m);
         assert_eq!(p.model.num_constraints(), 1);
-        let xv = p
-            .model
-            .variables()
-            .iter()
-            .find(|v| v.name == "x")
-            .expect("x kept");
-        assert!((xv.upper - 3.0).abs() < 1e-12);
+        // Kept columns keep their order, so x stays column 0.
+        assert_eq!(p.model.num_vars(), 2, "x and y kept");
+        assert!((p.model.variables()[0].upper - 3.0).abs() < 1e-12);
         assert!(p.stats.rows_removed >= 1);
     }
 
     #[test]
     fn fixed_binary_substituted_out() {
         let mut m = Model::new();
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
+        let x = m.add_binary();
+        let y = m.add_binary();
         m.fix_binary(x, true);
-        m.add_constraint("c", m.expr([(x, 2.0), (y, 1.0)]).leq(2.5));
+        m.add_constraint(m.expr([(x, 2.0), (y, 1.0)]).leq(2.5));
         m.set_objective(m.expr([(x, 3.0), (y, 1.0)]));
         let p = reduced(&m);
         // x = 1 substitutes to y ≤ 0.5 → y fixed 0 → everything folds away.
@@ -1566,30 +1561,29 @@ mod tests {
     #[test]
     fn duplicate_rows_merge_to_tighter_rhs() {
         let mut m = Model::new();
-        let x = m.add_continuous("x", 0.0, 10.0);
-        let y = m.add_continuous("y", 0.0, 10.0);
-        m.add_constraint("a", m.expr([(x, 1.0), (y, 2.0)]).leq(9.0));
-        m.add_constraint("b", m.expr([(x, 1.0), (y, 2.0)]).leq(5.0));
-        m.add_constraint("keep", m.expr([(x, 1.0), (y, 1.0)]).geq(1.0));
+        let x = m.add_continuous(0.0, 10.0);
+        let y = m.add_continuous(0.0, 10.0);
+        m.add_constraint(m.expr([(x, 1.0), (y, 2.0)]).leq(9.0));
+        m.add_constraint(m.expr([(x, 1.0), (y, 1.0)]).geq(1.0));
+        m.add_constraint(m.expr([(x, 1.0), (y, 2.0)]).leq(5.0));
         m.set_objective(m.expr([(x, 1.0), (y, 1.0)]));
         let p = reduced(&m);
         assert_eq!(p.model.num_constraints(), 2);
-        let merged = p
-            .model
-            .constraints()
-            .iter()
-            .find(|c| c.name == "a")
-            .expect("first duplicate kept");
-        assert!((merged.rhs - 5.0).abs() < 1e-12);
+        // Kept rows keep their order: the first duplicate, tightened to
+        // the later one's rhs, stays row 0 ahead of the ≥ row, which
+        // presolve stores flipped to ≤.
+        let rows = p.model.constraints();
+        assert!((rows[0].rhs - 5.0).abs() < 1e-12, "first duplicate kept");
+        assert!((rows[1].rhs + 1.0).abs() < 1e-12, "the ≥ row is row 1");
     }
 
     #[test]
     fn opposing_duplicates_become_equality() {
         let mut m = Model::new();
-        let x = m.add_continuous("x", 0.0, 10.0);
-        let y = m.add_continuous("y", 0.0, 10.0);
-        m.add_constraint("up", m.expr([(x, 1.0), (y, 1.0)]).leq(4.0));
-        m.add_constraint("dn", m.expr([(x, 1.0), (y, 1.0)]).geq(4.0));
+        let x = m.add_continuous(0.0, 10.0);
+        let y = m.add_continuous(0.0, 10.0);
+        m.add_constraint(m.expr([(x, 1.0), (y, 1.0)]).leq(4.0));
+        m.add_constraint(m.expr([(x, 1.0), (y, 1.0)]).geq(4.0));
         m.set_objective(m.expr([(x, 1.0)]));
         let p = reduced(&m);
         assert_eq!(p.model.num_constraints(), 1);
@@ -1605,19 +1599,19 @@ mod tests {
         // x + y = 2 with x + y ≥ 3 (a flipped-≤ duplicate of the same
         // pattern): the equality violates the lower bound → infeasible.
         let mut m = Model::new();
-        let x = m.add_continuous("x", 0.0, 10.0);
-        let y = m.add_continuous("y", 0.0, 10.0);
-        m.add_constraint("eq", m.expr([(x, 1.0), (y, 1.0)]).eq(2.0));
-        m.add_constraint("lb", m.expr([(x, 1.0), (y, 1.0)]).geq(3.0));
+        let x = m.add_continuous(0.0, 10.0);
+        let y = m.add_continuous(0.0, 10.0);
+        m.add_constraint(m.expr([(x, 1.0), (y, 1.0)]).eq(2.0));
+        m.add_constraint(m.expr([(x, 1.0), (y, 1.0)]).geq(3.0));
         m.set_objective(m.expr([(x, 1.0)]));
         assert!(matches!(presolve(&m), PresolveOutcome::Infeasible(_)));
         // The mirror case is implied, not contradictory: the ≥ −3 row is
         // absorbed and the model stays feasible.
         let mut m = Model::new();
-        let x = m.add_continuous("x", 0.0, 10.0);
-        let y = m.add_continuous("y", 0.0, 10.0);
-        m.add_constraint("eq", m.expr([(x, 1.0), (y, 1.0)]).eq(2.0));
-        m.add_constraint("lb", m.expr([(x, 1.0), (y, 1.0)]).geq(-3.0));
+        let x = m.add_continuous(0.0, 10.0);
+        let y = m.add_continuous(0.0, 10.0);
+        m.add_constraint(m.expr([(x, 1.0), (y, 1.0)]).eq(2.0));
+        m.add_constraint(m.expr([(x, 1.0), (y, 1.0)]).geq(-3.0));
         m.set_objective(m.expr([(x, 1.0)]));
         let p = reduced(&m);
         assert_eq!(p.model.num_constraints(), 1);
@@ -1630,10 +1624,10 @@ mod tests {
         // from a workspace no reduction touched, the bound itself must
         // survive into the reduced model.
         let mut m = Model::new();
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
+        let x = m.add_binary();
+        let y = m.add_binary();
         m.fix_binary(x, true);
-        m.add_constraint("c", m.expr([(x, 1.0), (y, 1.0)]).leq(2.0));
+        m.add_constraint(m.expr([(x, 1.0), (y, 1.0)]).leq(2.0));
         m.set_objective(m.expr([(x, 1.0), (y, 1.0)]));
         let p = build_reduced(&m, Workspace::new(&m));
         assert_eq!(p.postsolve.num_reduced_vars(), 2);
@@ -1649,10 +1643,10 @@ mod tests {
     #[test]
     fn contradictory_duplicates_are_infeasible() {
         let mut m = Model::new();
-        let x = m.add_continuous("x", 0.0, 10.0);
-        let y = m.add_continuous("y", 0.0, 10.0);
-        m.add_constraint("a", m.expr([(x, 1.0), (y, 1.0)]).eq(2.0));
-        m.add_constraint("b", m.expr([(x, 1.0), (y, 1.0)]).eq(5.0));
+        let x = m.add_continuous(0.0, 10.0);
+        let y = m.add_continuous(0.0, 10.0);
+        m.add_constraint(m.expr([(x, 1.0), (y, 1.0)]).eq(2.0));
+        m.add_constraint(m.expr([(x, 1.0), (y, 1.0)]).eq(5.0));
         m.set_objective(m.expr([(x, 1.0)]));
         assert!(matches!(presolve(&m), PresolveOutcome::Infeasible(_)));
     }
@@ -1660,9 +1654,9 @@ mod tests {
     #[test]
     fn crossed_singletons_are_infeasible() {
         let mut m = Model::new();
-        let x = m.add_binary("x");
-        m.add_constraint("ge", m.expr([(x, 1.0)]).geq(1.0));
-        m.add_constraint("le", m.expr([(x, 1.0)]).leq(0.0));
+        let x = m.add_binary();
+        m.add_constraint(m.expr([(x, 1.0)]).geq(1.0));
+        m.add_constraint(m.expr([(x, 1.0)]).leq(0.0));
         m.set_objective(m.expr([(x, 1.0)]));
         assert!(matches!(presolve(&m), PresolveOutcome::Infeasible(_)));
     }
@@ -1670,11 +1664,11 @@ mod tests {
     #[test]
     fn dominated_column_fixed_at_preferred_bound() {
         let mut m = Model::new();
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
+        let x = m.add_binary();
+        let y = m.add_binary();
         // x only consumes knapsack slack and costs ≥ 0: at least one
         // optimum has x = 0.
-        m.add_constraint("cap", m.expr([(x, 1.0), (y, 1.0)]).leq(1.0));
+        m.add_constraint(m.expr([(x, 1.0), (y, 1.0)]).leq(1.0));
         m.set_objective(m.expr([(x, 2.0), (y, -1.0)]));
         let p = reduced(&m);
         let restored = p
@@ -1690,10 +1684,10 @@ mod tests {
     #[test]
     fn forcing_row_fixes_all_members() {
         let mut m = Model::new();
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
+        let x = m.add_binary();
+        let y = m.add_binary();
         // x + y ≥ 2 forces both to 1.
-        m.add_constraint("force", m.expr([(x, 1.0), (y, 1.0)]).geq(2.0));
+        m.add_constraint(m.expr([(x, 1.0), (y, 1.0)]).geq(2.0));
         m.set_objective(m.expr([(x, 1.0), (y, 1.0)]));
         let p = reduced(&m);
         assert_eq!(p.postsolve.num_reduced_vars(), 0);
@@ -1703,13 +1697,13 @@ mod tests {
     #[test]
     fn coefficient_tightening_shrinks_oversized_terms() {
         let mut m = Model::new();
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
+        let x = m.add_binary();
+        let y = m.add_binary();
         // 5x + 2y ≤ 5: x = 1 forces y = 0; tightening yields 2x + 2y ≤ 2
         // with the same 0/1 solutions but a tighter LP. Its right-hand
         // side of 2 is no packing row, so duplicate-column fixing leaves
         // the two equal columns alone.
-        m.add_constraint("k", m.expr([(x, 5.0), (y, 2.0)]).leq(5.0));
+        m.add_constraint(m.expr([(x, 5.0), (y, 2.0)]).leq(5.0));
         m.set_objective(m.expr([(x, -1.0), (y, -1.0)]));
         let p = reduced(&m);
         assert!(p.stats.coeffs_tightened >= 1, "stats: {:?}", p.stats);
@@ -1725,13 +1719,13 @@ mod tests {
     #[test]
     fn duplicate_binary_columns_under_packing_row() {
         let mut m = Model::new();
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
-        let z = m.add_binary("z");
+        let x = m.add_binary();
+        let y = m.add_binary();
+        let z = m.add_binary();
         // x and y have identical columns and share the packing row; the
         // costlier y is fixed to 0.
-        m.add_constraint("pack", m.expr([(x, 1.0), (y, 1.0), (z, 1.0)]).leq(1.0));
-        m.add_constraint("cap", m.expr([(x, 2.0), (y, 2.0), (z, 1.0)]).leq(4.0));
+        m.add_constraint(m.expr([(x, 1.0), (y, 1.0), (z, 1.0)]).leq(1.0));
+        m.add_constraint(m.expr([(x, 2.0), (y, 2.0), (z, 1.0)]).leq(4.0));
         m.set_objective(m.expr([(x, 1.0), (y, 3.0), (z, -5.0)]));
         let p = reduced(&m);
         let restored = p
@@ -1743,18 +1737,16 @@ mod tests {
     #[test]
     fn clique_extraction_counts_packing_rows() {
         let mut m = Model::new();
-        let vars: Vec<_> = (0..4).map(|i| m.add_binary(format!("x{i}"))).collect();
+        let vars: Vec<_> = (0..4).map(|_| m.add_binary()).collect();
         m.add_constraint(
-            "c1",
             m.expr([(vars[0], 1.0), (vars[1], 1.0), (vars[2], 1.0)])
                 .eq(1.0),
         );
-        m.add_constraint("c2", m.expr([(vars[2], 1.0), (vars[3], 1.0)]).leq(1.0));
+        m.add_constraint(m.expr([(vars[2], 1.0), (vars[3], 1.0)]).leq(1.0));
         // Binding knapsack with distinct coefficients keeps the columns
         // distinguishable (no duplicate-column fixing); negative costs
         // keep them undominated.
         m.add_constraint(
-            "c3",
             m.expr(vars.iter().enumerate().map(|(i, &v)| (v, 1.0 + i as f64)))
                 .leq(4.0),
         );
@@ -1766,11 +1758,11 @@ mod tests {
     #[test]
     fn postsolve_roundtrips_reduced_solutions() {
         let mut m = Model::new();
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
-        let z = m.add_binary("z");
+        let x = m.add_binary();
+        let y = m.add_binary();
+        let z = m.add_binary();
         m.fix_binary(x, true);
-        m.add_constraint("cover", m.expr([(x, 1.0), (y, 1.0), (z, 1.0)]).geq(2.0));
+        m.add_constraint(m.expr([(x, 1.0), (y, 1.0), (z, 1.0)]).geq(2.0));
         m.set_objective(m.expr([(y, 1.0), (z, 2.0)]));
         let p = reduced(&m);
         // Any reduced-feasible point must restore to an original-feasible one.
@@ -1861,9 +1853,7 @@ mod tests {
         for seed in 0..300 {
             let mut rng = SmallRng::seed_from_u64(seed);
             let mut m = Model::new();
-            let vars: Vec<_> = (0..8)
-                .map(|i| m.add_continuous(format!("x{i}"), 0.0, 10.0))
-                .collect();
+            let vars: Vec<_> = (0..8).map(|_| m.add_continuous(0.0, 10.0)).collect();
             let patterns: Vec<Vec<(VarId, f64)>> = (0..3)
                 .map(|_| {
                     let len = rng.gen_range(1..5usize);
@@ -1882,7 +1872,7 @@ mod tests {
             // at 2, caps and floors at a slack of 0 (opposing pairs fuse),
             // 1 or 2, or rarely -1 (a contradiction). Negating a row keeps
             // its meaning and flips its orientation.
-            for r in 0..40 {
+            for _ in 0..40 {
                 let p = &patterns[rng.gen_range(0..3usize)];
                 let slack = if rng.gen_bool(0.01) {
                     -1.0
@@ -1898,7 +1888,7 @@ mod tests {
                     (_, true) => expr.geq(2.0 - slack),
                     (_, false) => expr.leq(slack - 2.0),
                 };
-                m.add_constraint(format!("r{r}"), cmp);
+                m.add_constraint(cmp);
             }
             let ctx = format!("rows, seed {seed}");
             infeasible += usize::from(passes_agree(
@@ -1919,20 +1909,16 @@ mod tests {
         for seed in 0..300 {
             let mut rng = SmallRng::seed_from_u64(seed);
             let mut m = Model::new();
-            let vars: Vec<_> = (0..30).map(|i| m.add_binary(format!("x{i}"))).collect();
+            let vars: Vec<_> = (0..30).map(|_| m.add_binary()).collect();
             let group = |j: usize| j % 3;
             for g in 0..3 {
                 let members = vars.iter().enumerate().filter(|&(j, _)| group(j) == g);
-                m.add_constraint(
-                    format!("pack{g}"),
-                    m.expr(members.map(|(_, &v)| (v, 1.0))).leq(1.0),
-                );
+                m.add_constraint(m.expr(members.map(|(_, &v)| (v, 1.0))).leq(1.0));
             }
             let weights: Vec<f64> = (0..30)
                 .map(|_| [1.0, 2.0][rng.gen_range(0..2usize)])
                 .collect();
             m.add_constraint(
-                "cap",
                 m.expr(vars.iter().zip(&weights).map(|(&v, &w)| (v, w)))
                     .leq(4.0),
             );
@@ -1949,10 +1935,10 @@ mod tests {
     #[test]
     fn stats_track_nonzeros() {
         let mut m = Model::new();
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
+        let x = m.add_binary();
+        let y = m.add_binary();
         m.fix_binary(x, false);
-        m.add_constraint("c", m.expr([(x, 1.0), (y, 1.0)]).leq(1.0));
+        m.add_constraint(m.expr([(x, 1.0), (y, 1.0)]).leq(1.0));
         m.set_objective(m.expr([(x, 1.0), (y, -1.0)]));
         let p = reduced(&m);
         assert_eq!(p.stats.nnz_before, 2);

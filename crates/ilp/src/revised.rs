@@ -1584,10 +1584,10 @@ mod tests {
     fn two_var_model() -> Model {
         // min -(x + y) s.t. x + 2y <= 4, 3x + y <= 6; optimum (1.6, 1.2).
         let mut m = Model::new();
-        let x = m.add_continuous("x", 0.0, 10.0);
-        let y = m.add_continuous("y", 0.0, 10.0);
-        m.add_constraint("c1", m.expr([(x, 1.0), (y, 2.0)]).leq(4.0));
-        m.add_constraint("c2", m.expr([(x, 3.0), (y, 1.0)]).leq(6.0));
+        let x = m.add_continuous(0.0, 10.0);
+        let y = m.add_continuous(0.0, 10.0);
+        m.add_constraint(m.expr([(x, 1.0), (y, 2.0)]).leq(4.0));
+        m.add_constraint(m.expr([(x, 3.0), (y, 1.0)]).leq(6.0));
         m.set_objective(m.expr([(x, -1.0), (y, -1.0)]));
         m
     }
@@ -1845,7 +1845,7 @@ mod tests {
                 assert!(optimal_basis(&out).is_some(), "{label}");
                 let mut grown = model.clone();
                 let cut = grown.expr([(VarId(0), 1.0), (VarId(1), 1.0), (VarId(2), 1.0)]);
-                grown.append_row("cut", cut.geq(2.0));
+                grown.append_row(cut.geq(2.0));
                 let (grown_basis, _) = run.ctx.add_rows(&grown, m, &root_basis);
                 let grown_basis = grown_basis.expect("hot engine absorbs the row");
                 let label = format!("{what}: grown");
@@ -1869,9 +1869,9 @@ mod tests {
     #[test]
     fn warm_start_detects_child_infeasibility() {
         let mut m = Model::new();
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
-        m.add_constraint("need2", m.expr([(x, 1.0), (y, 1.0)]).geq(2.0));
+        let x = m.add_binary();
+        let y = m.add_binary();
+        m.add_constraint(m.expr([(x, 1.0), (y, 1.0)]).geq(2.0));
         m.set_objective(m.expr([(x, 1.0), (y, 1.0)]));
         let root = vec![(0.0, 1.0), (0.0, 1.0)];
         let (_, basis) = solve(&m, &root, &cfg(), None).expect("root solve");
@@ -1885,9 +1885,9 @@ mod tests {
     #[test]
     fn equality_rows_solved_without_phase_one() {
         let mut m = Model::new();
-        let x = m.add_continuous("x", 0.0, 2.0);
-        let y = m.add_continuous("y", 0.0, 2.0);
-        m.add_constraint("eq", m.expr([(x, 1.0), (y, 1.0)]).eq(3.0));
+        let x = m.add_continuous(0.0, 2.0);
+        let y = m.add_continuous(0.0, 2.0);
+        m.add_constraint(m.expr([(x, 1.0), (y, 1.0)]).eq(3.0));
         m.set_objective(m.expr([(x, 1.0), (y, 1.0)]));
         let (res, _) = solve(&m, &[(0.0, 2.0), (0.0, 2.0)], &cfg(), None).expect("revised");
         assert_eq!(res.status, LpStatus::Optimal);
@@ -1898,9 +1898,9 @@ mod tests {
     fn bails_on_unbounded_direction() {
         // y has negative cost and no upper bound: no dual-feasible start.
         let mut m = Model::new();
-        let x = m.add_continuous("x", 0.0, f64::INFINITY);
-        let y = m.add_continuous("y", 0.0, f64::INFINITY);
-        m.add_constraint("c", m.expr([(x, 1.0), (y, -1.0)]).leq(1.0));
+        let x = m.add_continuous(0.0, f64::INFINITY);
+        let y = m.add_continuous(0.0, f64::INFINITY);
+        m.add_constraint(m.expr([(x, 1.0), (y, -1.0)]).leq(1.0));
         m.set_objective(m.expr([(y, -1.0)]));
         let bounds = vec![(0.0, f64::INFINITY); 2];
         assert!(solve(&m, &bounds, &cfg(), None).is_none());
@@ -1911,14 +1911,9 @@ mod tests {
     /// middle of the pivot sequence.
     fn chain_model(n: usize) -> (Model, Vec<(f64, f64)>) {
         let mut m = Model::new();
-        let vars: Vec<_> = (0..n)
-            .map(|i| m.add_continuous(format!("x{i}"), 0.0, 1.0))
-            .collect();
+        let vars: Vec<_> = (0..n).map(|_| m.add_continuous(0.0, 1.0)).collect();
         for e in 0..n {
-            m.add_constraint(
-                format!("e{e}"),
-                m.expr([(vars[e], 1.0), (vars[(e + 1) % n], 1.0)]).geq(1.0),
-            );
+            m.add_constraint(m.expr([(vars[e], 1.0), (vars[(e + 1) % n], 1.0)]).geq(1.0));
         }
         m.set_objective(
             m.expr(
@@ -2087,12 +2082,9 @@ mod tests {
     /// fixing (the bench harness family).
     fn ring_cover_model(n: usize) -> Model {
         let mut m = Model::new();
-        let vars: Vec<_> = (0..n).map(|i| m.add_binary(format!("x{i}"))).collect();
+        let vars: Vec<_> = (0..n).map(|_| m.add_binary()).collect();
         for e in 0..n {
-            m.add_constraint(
-                format!("e{e}"),
-                m.expr([(vars[e], 1.0), (vars[(e + 1) % n], 1.0)]).geq(1.0),
-            );
+            m.add_constraint(m.expr([(vars[e], 1.0), (vars[(e + 1) % n], 1.0)]).geq(1.0));
         }
         m.set_objective(m.expr(vars.iter().map(|&v| (v, 1.0))));
         m

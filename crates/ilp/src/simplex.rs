@@ -157,7 +157,7 @@ mod tests {
     use crate::{LpSession, Model};
 
     fn solve(m: &Model, bounds: &[(f64, f64)]) -> LpResult {
-        LpSession::open(m, LpConfig::default())
+        LpSession::open(std::sync::Arc::new(m.clone()), LpConfig::default())
             .solve(bounds, None)
             .result
     }
@@ -171,9 +171,9 @@ mod tests {
     fn equality_constraint() {
         // min x + y s.t. x + y = 3, x <= 2, y <= 2 → obj 3.
         let mut m = Model::new();
-        let x = m.add_continuous("x", 0.0, 2.0);
-        let y = m.add_continuous("y", 0.0, 2.0);
-        m.add_constraint("eq", m.expr([(x, 1.0), (y, 1.0)]).eq(3.0));
+        let x = m.add_continuous(0.0, 2.0);
+        let y = m.add_continuous(0.0, 2.0);
+        m.add_constraint(m.expr([(x, 1.0), (y, 1.0)]).eq(3.0));
         m.set_objective(m.expr([(x, 1.0), (y, 1.0)]));
         let r = solve_model(&m);
         assert_eq!(r.status, LpStatus::Optimal);
@@ -184,8 +184,8 @@ mod tests {
     #[test]
     fn infeasible_detected() {
         let mut m = Model::new();
-        let x = m.add_continuous("x", 0.0, 1.0);
-        m.add_constraint("c", m.expr([(x, 1.0)]).geq(2.0));
+        let x = m.add_continuous(0.0, 1.0);
+        m.add_constraint(m.expr([(x, 1.0)]).geq(2.0));
         m.set_objective(m.expr([(x, 1.0)]));
         let r = solve_model(&m);
         assert_eq!(r.status, LpStatus::Infeasible);
@@ -195,9 +195,9 @@ mod tests {
     fn upper_bounds_respected_via_bound_flips() {
         // min -x - 2y with x,y in [0,1] and x + y <= 1.5 → y=1, x=0.5.
         let mut m = Model::new();
-        let x = m.add_continuous("x", 0.0, 1.0);
-        let y = m.add_continuous("y", 0.0, 1.0);
-        m.add_constraint("c", m.expr([(x, 1.0), (y, 1.0)]).leq(1.5));
+        let x = m.add_continuous(0.0, 1.0);
+        let y = m.add_continuous(0.0, 1.0);
+        m.add_constraint(m.expr([(x, 1.0), (y, 1.0)]).leq(1.5));
         m.set_objective(m.expr([(x, -1.0), (y, -2.0)]));
         let r = solve_model(&m);
         assert_eq!(r.status, LpStatus::Optimal);
@@ -209,9 +209,9 @@ mod tests {
     #[test]
     fn bound_overrides_fix_variables() {
         let mut m = Model::new();
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
-        m.add_constraint("c", m.expr([(x, 1.0), (y, 1.0)]).geq(1.0));
+        let x = m.add_binary();
+        let y = m.add_binary();
+        m.add_constraint(m.expr([(x, 1.0), (y, 1.0)]).geq(1.0));
         m.set_objective(m.expr([(x, 1.0), (y, 3.0)]));
         // Fix x to 0: forced y = 1.
         let r = solve(&m, &[(0.0, 0.0), (0.0, 1.0)]);
@@ -223,9 +223,9 @@ mod tests {
     #[test]
     fn crossed_override_is_infeasible() {
         let mut m = Model::new();
-        let x = m.add_binary("x");
+        let x = m.add_binary();
         m.set_objective(m.expr([(x, 1.0)]));
-        m.add_constraint("c", m.expr([(x, 1.0)]).leq(1.0));
+        m.add_constraint(m.expr([(x, 1.0)]).leq(1.0));
         let r = solve(&m, &[(1.0, 0.0)]);
         assert_eq!(r.status, LpStatus::Infeasible);
     }
@@ -235,9 +235,9 @@ mod tests {
         // x + y >= 1, min x + 2y, with x's override crossed by 1e-8 (less
         // than `TOL`): the engine sees it and must solve it as x = 1.
         let mut m = Model::new();
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
-        m.add_constraint("cover", m.expr([(x, 1.0), (y, 1.0)]).geq(1.0));
+        let x = m.add_binary();
+        let y = m.add_binary();
+        m.add_constraint(m.expr([(x, 1.0), (y, 1.0)]).geq(1.0));
         m.set_objective(m.expr([(x, 1.0), (y, 2.0)]));
         let r = solve(&m, &[(1.0 + 1e-8, 1.0), (0.0, 1.0)]);
         assert_eq!(r.status, LpStatus::Optimal);
@@ -248,8 +248,8 @@ mod tests {
     #[test]
     fn no_constraints_bound_problem() {
         let mut m = Model::new();
-        let x = m.add_continuous("x", -1.0, 4.0);
-        let y = m.add_continuous("y", 0.0, 2.0);
+        let x = m.add_continuous(-1.0, 4.0);
+        let y = m.add_continuous(0.0, 2.0);
         let mut objective = m.expr([(x, 1.0), (y, -1.0)]);
         objective.add_constant(0.5);
         m.set_objective(objective);
@@ -270,10 +270,10 @@ mod tests {
     fn redundant_equalities_handled() {
         // x + y = 2 stated twice: one row is redundant at every basis.
         let mut m = Model::new();
-        let x = m.add_continuous("x", 0.0, 5.0);
-        let y = m.add_continuous("y", 0.0, 5.0);
-        m.add_constraint("e1", m.expr([(x, 1.0), (y, 1.0)]).eq(2.0));
-        m.add_constraint("e2", m.expr([(x, 1.0), (y, 1.0)]).eq(2.0));
+        let x = m.add_continuous(0.0, 5.0);
+        let y = m.add_continuous(0.0, 5.0);
+        m.add_constraint(m.expr([(x, 1.0), (y, 1.0)]).eq(2.0));
+        m.add_constraint(m.expr([(x, 1.0), (y, 1.0)]).eq(2.0));
         m.set_objective(m.expr([(x, 1.0)]));
         let r = solve_model(&m);
         assert_eq!(r.status, LpStatus::Optimal);
@@ -285,12 +285,12 @@ mod tests {
     fn covering_lp_fractional_bound() {
         // Set cover LP relaxation: 3 elements, pairs — classic 1/2 solution.
         let mut m = Model::new();
-        let a = m.add_binary("a");
-        let b = m.add_binary("b");
-        let c = m.add_binary("c");
-        m.add_constraint("e1", m.expr([(a, 1.0), (b, 1.0)]).geq(1.0));
-        m.add_constraint("e2", m.expr([(b, 1.0), (c, 1.0)]).geq(1.0));
-        m.add_constraint("e3", m.expr([(a, 1.0), (c, 1.0)]).geq(1.0));
+        let a = m.add_binary();
+        let b = m.add_binary();
+        let c = m.add_binary();
+        m.add_constraint(m.expr([(a, 1.0), (b, 1.0)]).geq(1.0));
+        m.add_constraint(m.expr([(b, 1.0), (c, 1.0)]).geq(1.0));
+        m.add_constraint(m.expr([(a, 1.0), (c, 1.0)]).geq(1.0));
         m.set_objective(m.expr([(a, 1.0), (b, 1.0), (c, 1.0)]));
         let r = solve_model(&m);
         assert_eq!(r.status, LpStatus::Optimal);
@@ -301,8 +301,8 @@ mod tests {
     fn negative_rhs_rows() {
         // −x ≤ −2 with x ∈ [0, 5]: optimum of min x is 2.
         let mut m = Model::new();
-        let x = m.add_continuous("x", 0.0, 5.0);
-        m.add_constraint("c", m.expr([(x, -1.0)]).leq(-2.0));
+        let x = m.add_continuous(0.0, 5.0);
+        m.add_constraint(m.expr([(x, -1.0)]).leq(-2.0));
         m.set_objective(m.expr([(x, 1.0)]));
         let r = solve_model(&m);
         assert_eq!(r.status, LpStatus::Optimal);

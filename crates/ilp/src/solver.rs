@@ -360,7 +360,8 @@ impl Ord for OpenNode {
 /// an RNG stream. The sequential solver owns exactly one; every parallel
 /// worker thread owns its own (over the shared cut-grown root view).
 pub(crate) struct Search<'a> {
-    model: &'a Model,
+    /// The base model: the session's view before any cut rows.
+    model: &'a Arc<Model>,
     pub(crate) cfg: &'a SolverConfig,
     pub(crate) clock: DeterministicClock,
     /// Current incumbent, shared by reference so LNS rounds and the
@@ -410,7 +411,7 @@ pub(crate) struct Search<'a> {
 }
 
 impl<'a> Search<'a> {
-    fn new(model: &'a Model, cfg: &'a SolverConfig) -> Self {
+    fn new(model: &'a Arc<Model>, cfg: &'a SolverConfig) -> Self {
         Search::with_context(model, cfg, cfg.seed, None)
     }
 
@@ -418,7 +419,7 @@ impl<'a> Search<'a> {
     /// parallel workers) a shared exchange. Workers diversify by seed so
     /// their dives and LNS rounds explore different neighbourhoods.
     pub(crate) fn with_context(
-        model: &'a Model,
+        model: &'a Arc<Model>,
         cfg: &'a SolverConfig,
         seed: u64,
         shared: Option<&'a Exchange>,
@@ -439,7 +440,7 @@ impl<'a> Search<'a> {
             pseudo_up: vec![(0.0, 0); model.num_vars()],
             pseudo_down: vec![(0.0, 0); model.num_vars()],
             priorities: model.branch_priorities(),
-            session: LpSession::open(model, cfg.lp),
+            session: LpSession::open(Arc::clone(model), cfg.lp),
             nnz: model.csc().nnz(),
             nodes: 0,
             lp_fallbacks: 0,
@@ -658,7 +659,7 @@ impl<'a> Search<'a> {
             if cuts.is_empty() {
                 break;
             }
-            let rows: Vec<(String, Comparison)> = cuts.into_iter().map(Cut::into_row).collect();
+            let rows: Vec<Comparison> = cuts.into_iter().map(Cut::into_row).collect();
             let added = self.session.add_rows(rows, basis.as_ref());
             self.clock.charge(added.work_ticks);
             self.phases.add(Phase::Cuts, added.work_ticks, 0);
@@ -684,7 +685,7 @@ impl<'a> Search<'a> {
                     // and the summary reports what the search actually
                     // has (no cuts, the original root bound) rather
                     // than what was tried and dropped.
-                    self.session = LpSession::open(self.model, self.cfg.lp);
+                    self.session = LpSession::open(Arc::clone(self.model), self.cfg.lp);
                     summary = CutSummary {
                         abandoned: true,
                         root_bound_before: summary.root_bound_before,
@@ -1194,7 +1195,7 @@ impl<'a> Search<'a> {
                 Some((VarId(n.var), n.lower > 0.5, n.bound))
             };
             local_nodes += 1;
-            // Periodic progress table for the sequential main tree (the
+            // Periodic progress rows for the sequential main tree (the
             // LNS mini searches run under Phase::Lns and stay silent;
             // parallel runs report from the coordinator instead).
             if self.phase == Phase::Tree
@@ -1353,7 +1354,8 @@ impl Solver {
             panic!("solve called with an invalid model: {e}");
         }
         if !self.config.presolve {
-            return self.run_search(model, warm, &mut callback, PresolveStats::default(), &[]);
+            let copy = Arc::new(model.clone());
+            return self.run_search(&copy, warm, &mut callback, PresolveStats::default(), &[]);
         }
         // The short-circuit exits below happen *before* the first LP
         // relaxation — no `Search` (owner of the real `lp_fallbacks`
@@ -1431,7 +1433,7 @@ impl Solver {
             callback(&presolved.postsolve.restore_event(event));
         };
         let mut result = self.run_search(
-            &presolved.model,
+            &Arc::new(presolved.model),
             warm_reduced.as_deref(),
             &mut forward,
             presolved.stats,
@@ -1453,7 +1455,7 @@ impl Solver {
     /// the caller postsolves if needed.
     fn run_search(
         &self,
-        model: &Model,
+        model: &Arc<Model>,
         warm: Option<&[f64]>,
         mut callback: &mut dyn FnMut(&IncumbentEvent),
         presolve_stats: PresolveStats,
@@ -1657,10 +1659,10 @@ mod tests {
     fn presolve_short_circuits_report_zero_lp_fallbacks() {
         // Fully fixed by singleton equality rows: presolve solves it.
         let mut m = Model::new();
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
-        m.add_constraint("fx", m.expr([(x, 1.0)]).eq(1.0));
-        m.add_constraint("fy", m.expr([(y, 1.0)]).eq(0.0));
+        let x = m.add_binary();
+        let y = m.add_binary();
+        m.add_constraint(m.expr([(x, 1.0)]).eq(1.0));
+        m.add_constraint(m.expr([(y, 1.0)]).eq(0.0));
         m.set_objective(m.expr([(x, 2.0), (y, 3.0)]));
         let r = Solver::new(quick_config()).solve(&m);
         assert_eq!(r.status, SolveStatus::Optimal);
@@ -1669,9 +1671,9 @@ mod tests {
 
         // Contradictory singleton rows: presolve proves infeasibility.
         let mut m = Model::new();
-        let x = m.add_binary("x");
-        m.add_constraint("on", m.expr([(x, 1.0)]).eq(1.0));
-        m.add_constraint("off", m.expr([(x, 1.0)]).eq(0.0));
+        let x = m.add_binary();
+        m.add_constraint(m.expr([(x, 1.0)]).eq(1.0));
+        m.add_constraint(m.expr([(x, 1.0)]).eq(0.0));
         m.set_objective(m.expr([(x, 1.0)]));
         let r = Solver::new(quick_config()).solve(&m);
         assert_eq!(r.status, SolveStatus::Infeasible);
@@ -1684,9 +1686,9 @@ mod tests {
     #[test]
     fn lp_iteration_cap_below_the_search_floor_is_honoured() {
         let mut m = Model::new();
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
-        m.add_constraint("cover", m.expr([(x, 1.0), (y, 1.0)]).geq(1.0));
+        let x = m.add_binary();
+        let y = m.add_binary();
+        m.add_constraint(m.expr([(x, 1.0), (y, 1.0)]).geq(1.0));
         m.set_objective(m.expr([(x, 1.0), (y, 2.0)]));
         let cfg = SolverConfig {
             lp: LpConfig {
@@ -1705,9 +1707,9 @@ mod tests {
     /// from its row (y ≤ 4).
     fn unbounded_column_model() -> Model {
         let mut m = Model::new();
-        let x = m.add_binary("x");
-        let y = m.add_continuous("y", 0.0, f64::INFINITY);
-        m.add_constraint("link", m.expr([(y, 1.0), (x, -4.0)]).leq(0.0));
+        let x = m.add_binary();
+        let y = m.add_continuous(0.0, f64::INFINITY);
+        m.add_constraint(m.expr([(y, 1.0), (x, -4.0)]).leq(0.0));
         m.set_objective(m.expr([(x, 1.0), (y, -1.0)]));
         m
     }
@@ -1743,9 +1745,9 @@ mod tests {
     #[test]
     fn free_column_never_yields_a_wrong_optimum() {
         let mut m = Model::new();
-        let x = m.add_continuous("x", f64::NEG_INFINITY, f64::INFINITY);
-        let y = m.add_binary("y");
-        m.add_constraint("c", m.expr([(x, 1.0), (y, 1.0)]).geq(-5.0));
+        let x = m.add_continuous(f64::NEG_INFINITY, f64::INFINITY);
+        let y = m.add_binary();
+        m.add_constraint(m.expr([(x, 1.0), (y, 1.0)]).geq(-5.0));
         m.set_objective(m.expr([(x, 1.0), (y, 1.0)]));
         let r = Solver::new(quick_config()).solve(&m);
         if r.status == SolveStatus::Optimal {
@@ -1770,16 +1772,14 @@ mod tests {
     #[test]
     fn entry_points_cannot_drift() {
         let mut m = Model::new();
-        let vars: Vec<_> = (0..8).map(|i| m.add_binary(format!("x{i}"))).collect();
+        let vars: Vec<_> = (0..8).map(|_| m.add_binary()).collect();
         for i in 0..4 {
             m.add_constraint(
-                format!("c{i}"),
                 m.expr([(vars[2 * i], 1.0), (vars[2 * i + 1], 1.0)])
                     .geq(1.0),
             );
         }
         m.add_constraint(
-            "w",
             m.expr(vars.iter().enumerate().map(|(i, &v)| (v, 1.0 + i as f64)))
                 .leq(20.0),
         );
@@ -1816,12 +1816,12 @@ mod tests {
     #[test]
     fn clique_cuts_close_triangle_root_gap() {
         let mut m = Model::new();
-        let a = m.add_binary("a");
-        let b = m.add_binary("b");
-        let c = m.add_binary("c");
-        m.add_constraint("p1", m.expr([(a, 1.0), (b, 1.0)]).leq(1.0));
-        m.add_constraint("p2", m.expr([(b, 1.0), (c, 1.0)]).leq(1.0));
-        m.add_constraint("p3", m.expr([(a, 1.0), (c, 1.0)]).leq(1.0));
+        let a = m.add_binary();
+        let b = m.add_binary();
+        let c = m.add_binary();
+        m.add_constraint(m.expr([(a, 1.0), (b, 1.0)]).leq(1.0));
+        m.add_constraint(m.expr([(b, 1.0), (c, 1.0)]).leq(1.0));
+        m.add_constraint(m.expr([(a, 1.0), (c, 1.0)]).leq(1.0));
         m.set_objective(m.expr([(a, -1.0), (b, -1.0), (c, -1.0)]));
         // Presolve off isolates the cut loop (no reductions interfering).
         let cfg = quick_config().with_presolve(false);
@@ -1843,11 +1843,10 @@ mod tests {
     #[test]
     fn cuts_preserve_optimal_objectives() {
         let mut m = Model::new();
-        let vars: Vec<_> = (0..9).map(|i| m.add_binary(format!("x{i}"))).collect();
+        let vars: Vec<_> = (0..9).map(|_| m.add_binary()).collect();
         for r in 0..2 {
             let cap = 9.0;
             m.add_constraint(
-                format!("r{r}"),
                 m.expr(
                     vars.iter()
                         .enumerate()
@@ -1880,7 +1879,7 @@ mod tests {
     #[test]
     fn trivial_binary_min() {
         let mut m = Model::new();
-        let x = m.add_binary("x");
+        let x = m.add_binary();
         m.set_objective(m.expr([(x, 1.0)]));
         let r = Solver::new(quick_config()).solve(&m);
         assert_eq!(r.status, SolveStatus::Optimal);
@@ -1891,12 +1890,12 @@ mod tests {
     fn covering_instance() {
         // Odd-cycle cover needs 2 vertices even though LP says 1.5.
         let mut m = Model::new();
-        let a = m.add_binary("a");
-        let b = m.add_binary("b");
-        let c = m.add_binary("c");
-        m.add_constraint("e1", m.expr([(a, 1.0), (b, 1.0)]).geq(1.0));
-        m.add_constraint("e2", m.expr([(b, 1.0), (c, 1.0)]).geq(1.0));
-        m.add_constraint("e3", m.expr([(a, 1.0), (c, 1.0)]).geq(1.0));
+        let a = m.add_binary();
+        let b = m.add_binary();
+        let c = m.add_binary();
+        m.add_constraint(m.expr([(a, 1.0), (b, 1.0)]).geq(1.0));
+        m.add_constraint(m.expr([(b, 1.0), (c, 1.0)]).geq(1.0));
+        m.add_constraint(m.expr([(a, 1.0), (c, 1.0)]).geq(1.0));
         m.set_objective(m.expr([(a, 1.0), (b, 1.0), (c, 1.0)]));
         let r = Solver::new(quick_config()).solve(&m);
         assert_eq!(r.status, SolveStatus::Optimal);
@@ -1907,10 +1906,10 @@ mod tests {
     fn knapsack_instance() {
         // max 10a + 13b + 7c st 3a + 4b + 2c <= 6 → b + c = 20.
         let mut m = Model::new();
-        let a = m.add_binary("a");
-        let b = m.add_binary("b");
-        let c = m.add_binary("c");
-        m.add_constraint("w", m.expr([(a, 3.0), (b, 4.0), (c, 2.0)]).leq(6.0));
+        let a = m.add_binary();
+        let b = m.add_binary();
+        let c = m.add_binary();
+        m.add_constraint(m.expr([(a, 3.0), (b, 4.0), (c, 2.0)]).leq(6.0));
         m.set_objective(m.expr([(a, -10.0), (b, -13.0), (c, -7.0)]));
         let r = Solver::new(quick_config()).solve(&m);
         assert_eq!(r.status, SolveStatus::Optimal);
@@ -1922,9 +1921,9 @@ mod tests {
     #[test]
     fn infeasible_model() {
         let mut m = Model::new();
-        let x = m.add_binary("x");
-        m.add_constraint("c1", m.expr([(x, 1.0)]).geq(1.0));
-        m.add_constraint("c2", m.expr([(x, 1.0)]).leq(0.0));
+        let x = m.add_binary();
+        m.add_constraint(m.expr([(x, 1.0)]).geq(1.0));
+        m.add_constraint(m.expr([(x, 1.0)]).leq(0.0));
         m.set_objective(m.expr([(x, 1.0)]));
         let r = Solver::new(quick_config()).solve(&m);
         assert_eq!(r.status, SolveStatus::Infeasible);
@@ -1934,9 +1933,9 @@ mod tests {
     #[test]
     fn warm_start_is_used() {
         let mut m = Model::new();
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
-        m.add_constraint("c", m.expr([(x, 1.0), (y, 1.0)]).geq(1.0));
+        let x = m.add_binary();
+        let y = m.add_binary();
+        m.add_constraint(m.expr([(x, 1.0), (y, 1.0)]).geq(1.0));
         m.set_objective(m.expr([(x, 5.0), (y, 9.0)]));
         let warm = vec![0.0, 1.0]; // feasible but suboptimal
         let r = Solver::new(quick_config()).solve_with_warm_start(&m, &warm);
@@ -1949,13 +1948,10 @@ mod tests {
     #[test]
     fn incumbent_stream_is_monotone() {
         let mut m = Model::new();
-        let vars: Vec<_> = (0..12).map(|i| m.add_binary(format!("x{i}"))).collect();
+        let vars: Vec<_> = (0..12).map(|_| m.add_binary()).collect();
         // Partition 12 items into pairs; cover each of 6 "elements" once.
         for e in 0..6 {
-            m.add_constraint(
-                format!("cover{e}"),
-                m.expr([(vars[e], 1.0), (vars[e + 6], 1.0)]).geq(1.0),
-            );
+            m.add_constraint(m.expr([(vars[e], 1.0), (vars[e + 6], 1.0)]).geq(1.0));
         }
         m.set_objective(m.expr(vars.iter().enumerate().map(|(i, &v)| (v, 1.0 + i as f64))));
         let r = Solver::new(quick_config()).solve(&m);
@@ -1969,10 +1965,9 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let mut m = Model::new();
-        let vars: Vec<_> = (0..10).map(|i| m.add_binary(format!("x{i}"))).collect();
+        let vars: Vec<_> = (0..10).map(|_| m.add_binary()).collect();
         for i in 0..5 {
             m.add_constraint(
-                format!("c{i}"),
                 m.expr([(vars[2 * i], 1.0), (vars[2 * i + 1], 1.0)])
                     .geq(1.0),
             );
@@ -1998,10 +1993,10 @@ mod tests {
     fn equality_partition() {
         // x + y + z = 2 minimising x+2y+3z → x=y=1.
         let mut m = Model::new();
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
-        let z = m.add_binary("z");
-        m.add_constraint("eq", m.expr([(x, 1.0), (y, 1.0), (z, 1.0)]).eq(2.0));
+        let x = m.add_binary();
+        let y = m.add_binary();
+        let z = m.add_binary();
+        m.add_constraint(m.expr([(x, 1.0), (y, 1.0), (z, 1.0)]).eq(2.0));
         m.set_objective(m.expr([(x, 1.0), (y, 2.0), (z, 3.0)]));
         let r = Solver::new(quick_config()).solve(&m);
         let s = r.best.unwrap();
@@ -2016,12 +2011,12 @@ mod tests {
             ..quick_config()
         };
         let mut m = Model::new();
-        let a = m.add_binary("a");
-        let b = m.add_binary("b");
-        let c = m.add_binary("c");
-        m.add_constraint("e1", m.expr([(a, 1.0), (b, 1.0)]).geq(1.0));
-        m.add_constraint("e2", m.expr([(b, 1.0), (c, 1.0)]).geq(1.0));
-        m.add_constraint("e3", m.expr([(a, 1.0), (c, 1.0)]).geq(1.0));
+        let a = m.add_binary();
+        let b = m.add_binary();
+        let c = m.add_binary();
+        m.add_constraint(m.expr([(a, 1.0), (b, 1.0)]).geq(1.0));
+        m.add_constraint(m.expr([(b, 1.0), (c, 1.0)]).geq(1.0));
+        m.add_constraint(m.expr([(a, 1.0), (c, 1.0)]).geq(1.0));
         m.set_objective(m.expr([(a, 1.0), (b, 1.0), (c, 1.0)]));
         let r = Solver::new(cfg).solve(&m);
         assert!((r.best.unwrap().objective() - 2.0).abs() < 1e-6);
@@ -2032,10 +2027,10 @@ mod tests {
         // Binary gate y pays fixed cost 10 to allow continuous x ≤ 5y.
         // Need x ≥ 3 → y = 1, x = 3, obj = 10 + 3.
         let mut m = Model::new();
-        let y = m.add_binary("y");
-        let x = m.add_continuous("x", 0.0, 5.0);
-        m.add_constraint("gate", m.expr([(x, 1.0), (y, -5.0)]).leq(0.0));
-        m.add_constraint("demand", m.expr([(x, 1.0)]).geq(3.0));
+        let y = m.add_binary();
+        let x = m.add_continuous(0.0, 5.0);
+        m.add_constraint(m.expr([(x, 1.0), (y, -5.0)]).leq(0.0));
+        m.add_constraint(m.expr([(x, 1.0)]).geq(3.0));
         m.set_objective(m.expr([(y, 10.0), (x, 1.0)]));
         let r = Solver::new(quick_config()).solve(&m);
         let s = r.best.unwrap();

@@ -20,9 +20,9 @@
 //!   so the per-phase tick totals sum to the run's `det_time` — the
 //!   split rides on every [`SolveResult`](crate::SolveResult), traced
 //!   or not.
-//! * **Sinks** ([`TraceSink`]): a ring buffer ([`RingSink`]), a JSONL
-//!   writer ([`JsonlSink`]) and a SCIP/HiGHS-style periodic progress
-//!   table ([`ProgressLog`]). Installed through
+//! * **Sinks** ([`TraceSink`]): a ring buffer ([`RingSink`]) and a
+//!   JSONL writer ([`JsonlSink`]), which also writes the periodic
+//!   progress rows ([`ProgressRow`]). Installed through
 //!   [`SolverConfig::with_trace`](crate::SolverConfig::with_trace) as a
 //!   shared [`TraceHandle`]; with no sink installed the solver records
 //!   nothing and its results stay bit-identical to an untraced build.
@@ -290,8 +290,8 @@ impl SpanEvent {
     }
 }
 
-/// One row of the periodic progress table: the global search state at a
-/// deterministic timestamp.
+/// One periodic progress row: the global search state at a deterministic
+/// timestamp.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProgressRow {
     /// Deterministic seconds elapsed.
@@ -307,17 +307,6 @@ pub struct ProgressRow {
 }
 
 impl ProgressRow {
-    /// Relative incumbent/bound gap in percent, when both sides exist.
-    #[must_use]
-    pub fn gap_pct(&self) -> Option<f64> {
-        let inc = self.incumbent?;
-        if !self.bound.is_finite() {
-            return None;
-        }
-        let denom = inc.abs().max(crate::tol::ZERO);
-        Some(100.0 * (inc - self.bound).abs() / denom)
-    }
-
     /// The row as one JSONL line (no trailing newline).
     #[must_use]
     pub fn to_json_line(&self) -> String {
@@ -352,8 +341,8 @@ pub fn phases_json_line(phases: &PhaseBreakdown) -> String {
 }
 
 /// Receives the trace of one solve. `record` gets every span event, in
-/// the deterministic merged order; `progress` gets periodic table rows
-/// *live* during the search; `finish` gets the final phase breakdown.
+/// the deterministic merged order; `progress` gets periodic progress
+/// rows *live* during the search; `finish` gets the final phase breakdown.
 ///
 /// `Send` is a supertrait so a shared sink can be driven from the
 /// parallel coordinator thread.
@@ -428,7 +417,7 @@ impl TraceSink for RingSink {
 }
 
 /// Streams the trace as JSON Lines: one `span` object per event, one
-/// `progress` object per table row, one final `phases` object. Write
+/// `progress` object per progress row, one final `phases` object. Write
 /// errors are swallowed (tracing must never fail a solve); check
 /// [`JsonlSink::write_errors`] if delivery matters.
 pub struct JsonlSink<W: Write> {
@@ -482,92 +471,6 @@ impl<W: Write + Send> TraceSink for JsonlSink<W> {
 
     fn finish(&mut self, phases: &PhaseBreakdown) {
         self.line(&phases_json_line(phases));
-        let _ = self.out.flush();
-    }
-}
-
-/// Renders the periodic progress table in the SCIP/HiGHS style:
-///
-/// ```text
-///      nodes     open        incumbent            bound     gap%   det-sec
-///        256       37         42.00000         39.50000     5.95      0.41
-/// ```
-///
-/// plus a per-phase summary when the solve finishes. Span events are
-/// counted but not printed (pair with a [`JsonlSink`] for the full
-/// stream).
-pub struct ProgressLog<W: Write> {
-    out: W,
-    rows: u64,
-    spans: u64,
-}
-
-/// Progress-table rows between repeated headers.
-const PROGRESS_HEADER_EVERY: u64 = 16;
-
-impl<W: Write> ProgressLog<W> {
-    /// A progress log over any writer (e.g. `std::io::stderr()`).
-    #[must_use]
-    pub fn new(out: W) -> Self {
-        ProgressLog {
-            out,
-            rows: 0,
-            spans: 0,
-        }
-    }
-}
-
-impl<W: Write + Send> TraceSink for ProgressLog<W> {
-    fn record(&mut self, _event: &SpanEvent) {
-        self.spans += 1;
-    }
-
-    fn progress(&mut self, row: &ProgressRow) {
-        if self.rows.is_multiple_of(PROGRESS_HEADER_EVERY) {
-            let _ = writeln!(
-                self.out,
-                "{:>10} {:>8} {:>16} {:>16} {:>8} {:>9}",
-                "nodes", "open", "incumbent", "bound", "gap%", "det-sec"
-            );
-        }
-        self.rows += 1;
-        let inc = row
-            .incumbent
-            .map_or_else(|| format!("{:>16}", "-"), |o| format!("{o:>16.5}"));
-        let bound = if row.bound.is_finite() {
-            format!("{:>16.5}", row.bound)
-        } else {
-            format!("{:>16}", "-")
-        };
-        let gap = row
-            .gap_pct()
-            .map_or_else(|| format!("{:>8}", "-"), |g| format!("{g:>8.2}"));
-        let _ = writeln!(
-            self.out,
-            "{:>10} {:>8} {inc} {bound} {gap} {:>9.2}",
-            row.nodes, row.open, row.det_seconds
-        );
-    }
-
-    fn finish(&mut self, phases: &PhaseBreakdown) {
-        let _ = writeln!(
-            self.out,
-            "phase breakdown ({} spans, {:.3} det-sec total):",
-            self.spans,
-            DeterministicClock::ticks_to_seconds(phases.total_ticks())
-        );
-        for p in Phase::ALL {
-            if phases.ticks(p) == 0 && phases.count(p) == 0 {
-                continue;
-            }
-            let _ = writeln!(
-                self.out,
-                "  {:>9}  {:>12.4} det-sec  {:>8} ops",
-                p.name(),
-                phases.seconds(p),
-                phases.count(p)
-            );
-        }
         let _ = self.out.flush();
     }
 }
@@ -760,26 +663,6 @@ mod tests {
             .nth(1)
             .unwrap()
             .starts_with("{\"type\":\"phases\""));
-    }
-
-    #[test]
-    fn progress_log_renders_table_and_summary() {
-        let mut log = ProgressLog::new(Vec::new());
-        log.progress(&ProgressRow {
-            det_seconds: 0.41,
-            nodes: 256,
-            open: 37,
-            incumbent: Some(42.0),
-            bound: 39.5,
-        });
-        let mut phases = PhaseBreakdown::default();
-        phases.add(Phase::Tree, 410_000_000, 256);
-        log.finish(&phases);
-        let text = String::from_utf8(log.out).unwrap();
-        assert!(text.contains("nodes"), "header missing: {text}");
-        assert!(text.contains("256"));
-        assert!(text.contains("phase breakdown"));
-        assert!(text.contains("tree"));
     }
 
     #[test]

@@ -20,6 +20,7 @@ use croxmap_ilp::simplex::{LpConfig, LpStatus};
 use croxmap_ilp::{Model, VarId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// A seeded random 0/1 model with mixed ≤/≥/= rows, the family the
 /// warm-start and presolve suites use.
@@ -28,8 +29,8 @@ fn random_model(seed: u64) -> Model {
     let n = rng.gen_range(3usize..=9);
     let rows = rng.gen_range(1usize..=6);
     let mut m = Model::new();
-    let vars: Vec<VarId> = (0..n).map(|i| m.add_binary(format!("x{i}"))).collect();
-    for r in 0..rows {
+    let vars: Vec<VarId> = (0..n).map(|_| m.add_binary()).collect();
+    for _ in 0..rows {
         let coeffs: Vec<f64> = (0..n)
             .map(|_| f64::from(rng.gen_range(-3i32..=3)))
             .collect();
@@ -45,7 +46,7 @@ fn random_model(seed: u64) -> Model {
             1 if rhs >= 0.0 => expr.eq(rhs),
             _ => expr.leq(rhs),
         };
-        m.add_constraint(format!("r{r}"), cmp);
+        m.add_constraint(cmp);
     }
     m.set_objective(
         m.expr(
@@ -64,14 +65,13 @@ fn random_cut_model(seed: u64) -> Model {
     let mut rng = SmallRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9) | 1);
     let n = rng.gen_range(4usize..=9);
     let mut m = Model::new();
-    let vars: Vec<VarId> = (0..n).map(|i| m.add_binary(format!("x{i}"))).collect();
+    let vars: Vec<VarId> = (0..n).map(|_| m.add_binary()).collect();
     let rows = rng.gen_range(1usize..=3);
-    for r in 0..rows {
+    for _ in 0..rows {
         let coeffs: Vec<f64> = (0..n).map(|_| f64::from(rng.gen_range(1i32..=5))).collect();
         let total: f64 = coeffs.iter().sum();
         let rhs = (total * rng.gen_range(0.35..0.7)).floor().max(1.0);
         m.add_constraint(
-            format!("k{r}"),
             m.expr(vars.iter().zip(&coeffs).map(|(&v, &c)| (v, c)))
                 .leq(rhs),
         );
@@ -83,7 +83,7 @@ fn random_cut_model(seed: u64) -> Model {
             let at = rng.gen_range(0..subset.len());
             subset.remove(at);
         }
-        m.add_constraint("pack", m.expr(subset.iter().map(|&v| (v, 1.0))).leq(1.0));
+        m.add_constraint(m.expr(subset.iter().map(|&v| (v, 1.0))).leq(1.0));
     }
     m.set_objective(
         m.expr(
@@ -103,10 +103,10 @@ fn session_agrees_with_dense_oracle_on_relaxation_optimum() {
     let mut optimal = 0u32;
     let mut infeasible = 0u32;
     for seed in 0..40u64 {
-        let model = random_model(seed);
+        let model = Arc::new(random_model(seed));
         let bounds = model_bounds(&model);
         let want = support::solve(&model, &bounds);
-        let got = LpSession::open(&model, LpConfig::default())
+        let got = LpSession::open(Arc::clone(&model), LpConfig::default())
             .solve(&bounds, None)
             .result;
         assert_eq!(
@@ -135,14 +135,14 @@ fn session_agrees_with_dense_oracle_on_relaxation_optimum() {
 fn incremental_rows_match_rebuilt_model() {
     let mut exercised = 0u32;
     for seed in 0..60u64 {
-        let model = if seed % 2 == 0 {
+        let model = Arc::new(if seed % 2 == 0 {
             random_cut_model(seed)
         } else {
             random_model(seed)
-        };
+        });
         let bounds = model_bounds(&model);
         // Reference fractional point + cuts from the default engine.
-        let mut probe = LpSession::open(&model, LpConfig::default());
+        let mut probe = LpSession::open(Arc::clone(&model), LpConfig::default());
         let root = probe.solve(&bounds, None);
         if root.result.status != LpStatus::Optimal {
             continue;
@@ -155,10 +155,10 @@ fn incremental_rows_match_rebuilt_model() {
         exercised += 1;
         // Oracle: rebuild the model with the cut rows baked in, solve
         // cold on the dense tableau.
-        let mut rebuilt = model.clone();
+        let mut rebuilt = Model::clone(&model);
         let rows: Vec<_> = cuts.into_iter().map(croxmap_ilp::Cut::into_row).collect();
-        for (name, cmp) in &rows {
-            rebuilt.add_constraint(name.clone(), cmp.clone());
+        for cmp in &rows {
+            rebuilt.add_constraint(cmp.clone());
         }
         let want = support::solve(&rebuilt, &bounds);
         assert_eq!(want.status, LpStatus::Optimal, "cuts are valid");
@@ -183,14 +183,14 @@ fn incremental_rows_match_rebuilt_model() {
 fn cuts_never_cut_off_integer_feasible_points() {
     let mut cuts_checked = 0u32;
     for seed in 0..80u64 {
-        let model = if seed % 2 == 0 {
+        let model = Arc::new(if seed % 2 == 0 {
             random_cut_model(seed)
         } else {
             random_model(seed)
-        };
+        });
         let bounds = model_bounds(&model);
         let feasible = support::feasible_points(&model);
-        let mut session = LpSession::open(&model, LpConfig::default());
+        let mut session = LpSession::open(Arc::clone(&model), LpConfig::default());
         let root = session.solve(&bounds, None);
         if root.result.status != LpStatus::Optimal {
             continue;
@@ -214,9 +214,10 @@ fn cuts_never_cut_off_integer_feasible_points() {
                     let lhs: f64 = cut.terms.iter().map(|&(v, c)| c * pt[v.index()]).sum();
                     assert!(
                         lhs <= cut.rhs + 1e-9,
-                        "seed {seed}: {:?} cut {} cuts off feasible {pt:?}",
+                        "seed {seed}: {:?} cut {:?} <= {} cuts off feasible {pt:?}",
                         cut.kind,
-                        cut.name
+                        cut.terms,
+                        cut.rhs
                     );
                 }
             }
@@ -228,9 +229,9 @@ fn cuts_never_cut_off_integer_feasible_points() {
 #[test]
 fn integral_optimum_separates_nothing() {
     for seed in 0..40u64 {
-        let model = random_model(seed);
+        let model = Arc::new(random_model(seed));
         let bounds = model_bounds(&model);
-        let mut session = LpSession::open(&model, LpConfig::default());
+        let mut session = LpSession::open(Arc::clone(&model), LpConfig::default());
         let root = session.solve(&bounds, None);
         if root.result.status != LpStatus::Optimal {
             continue;
@@ -259,30 +260,30 @@ fn integral_optimum_separates_nothing() {
 fn dense_oracle_solves_what_the_engine_declines() {
     // max x + y s.t. x + 2y ≤ 4, 3x + y ≤ 6: optimum (1.6, 1.2), −14/5.
     let mut two_var = Model::new();
-    let x = two_var.add_continuous("x", 0.0, f64::INFINITY);
-    let y = two_var.add_continuous("y", 0.0, f64::INFINITY);
-    two_var.add_constraint("c1", two_var.expr([(x, 1.0), (y, 2.0)]).leq(4.0));
-    two_var.add_constraint("c2", two_var.expr([(x, 3.0), (y, 1.0)]).leq(6.0));
+    let x = two_var.add_continuous(0.0, f64::INFINITY);
+    let y = two_var.add_continuous(0.0, f64::INFINITY);
+    two_var.add_constraint(two_var.expr([(x, 1.0), (y, 2.0)]).leq(4.0));
+    two_var.add_constraint(two_var.expr([(x, 3.0), (y, 1.0)]).leq(6.0));
     two_var.set_objective(two_var.expr([(x, -1.0), (y, -1.0)]));
     // Four rows through the optimum: degenerate, optimum −1.
     let mut degenerate = Model::new();
-    let x = degenerate.add_continuous("x", 0.0, f64::INFINITY);
-    let y = degenerate.add_continuous("y", 0.0, f64::INFINITY);
-    for (name, cx, cy, rhs) in [
-        ("c1", 1.0, 1.0, 1.0),
-        ("c2", 1.0, 0.0, 1.0),
-        ("c3", 0.0, 1.0, 1.0),
-        ("c4", 2.0, 2.0, 2.0),
+    let x = degenerate.add_continuous(0.0, f64::INFINITY);
+    let y = degenerate.add_continuous(0.0, f64::INFINITY);
+    for (cx, cy, rhs) in [
+        (1.0, 1.0, 1.0),
+        (1.0, 0.0, 1.0),
+        (0.0, 1.0, 1.0),
+        (2.0, 2.0, 2.0),
     ] {
         let row = degenerate.expr([(x, cx), (y, cy)]).leq(rhs);
-        degenerate.add_constraint(name, row);
+        degenerate.add_constraint(row);
     }
     degenerate.set_objective(degenerate.expr([(x, -1.0), (y, -1.0)]));
     // min −y s.t. x − y ≤ 1: y grows without bound.
     let mut unbounded = Model::new();
-    let x = unbounded.add_continuous("x", 0.0, f64::INFINITY);
-    let y = unbounded.add_continuous("y", 0.0, f64::INFINITY);
-    unbounded.add_constraint("c", unbounded.expr([(x, 1.0), (y, -1.0)]).leq(1.0));
+    let x = unbounded.add_continuous(0.0, f64::INFINITY);
+    let y = unbounded.add_continuous(0.0, f64::INFINITY);
+    unbounded.add_constraint(unbounded.expr([(x, 1.0), (y, -1.0)]).leq(1.0));
     unbounded.set_objective(unbounded.expr([(y, -1.0)]));
 
     for (name, model, status, objective) in [
@@ -296,7 +297,8 @@ fn dense_oracle_solves_what_the_engine_declines() {
         ),
     ] {
         let bounds = model_bounds(model);
-        let declined = LpSession::open(model, LpConfig::default()).solve(&bounds, None);
+        let declined =
+            LpSession::open(Arc::new(model.clone()), LpConfig::default()).solve(&bounds, None);
         assert_eq!(declined.result.status, LpStatus::Failed, "{name}");
         let oracle = support::solve(model, &bounds);
         assert_eq!(oracle.status, status, "{name}");

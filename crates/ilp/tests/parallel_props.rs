@@ -49,8 +49,8 @@ fn random_model(seed: u64) -> Model {
     let n = rng.gen_range(3usize..=9);
     let rows = rng.gen_range(1usize..=6);
     let mut m = Model::new();
-    let vars: Vec<VarId> = (0..n).map(|i| m.add_binary(format!("x{i}"))).collect();
-    for r in 0..rows {
+    let vars: Vec<VarId> = (0..n).map(|_| m.add_binary()).collect();
+    for _ in 0..rows {
         let coeffs: Vec<f64> = (0..n)
             .map(|_| f64::from(rng.gen_range(-3i32..=3)))
             .collect();
@@ -66,7 +66,7 @@ fn random_model(seed: u64) -> Model {
             1 if rhs >= 0.0 => expr.eq(rhs),
             _ => expr.leq(rhs),
         };
-        m.add_constraint(format!("r{r}"), cmp);
+        m.add_constraint(cmp);
     }
     m.set_objective(
         m.expr(

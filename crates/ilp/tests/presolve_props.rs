@@ -43,8 +43,8 @@ fn random_model(seed: u64) -> Model {
     let n = rng.gen_range(3usize..=9);
     let rows = rng.gen_range(1usize..=6);
     let mut m = Model::new();
-    let vars: Vec<VarId> = (0..n).map(|i| m.add_binary(format!("x{i}"))).collect();
-    for r in 0..rows {
+    let vars: Vec<VarId> = (0..n).map(|_| m.add_binary()).collect();
+    for _ in 0..rows {
         let coeffs: Vec<f64> = (0..n)
             .map(|_| f64::from(rng.gen_range(-3i32..=3)))
             .collect();
@@ -60,7 +60,7 @@ fn random_model(seed: u64) -> Model {
             1 if rhs >= 0.0 => expr.eq(rhs),
             _ => expr.leq(rhs),
         };
-        m.add_constraint(format!("r{r}"), cmp);
+        m.add_constraint(cmp);
     }
     m.set_objective(
         m.expr(
@@ -190,10 +190,10 @@ fn warm_start_projects_through_presolve() {
     // A caller-supplied warm start survives presolve projection: the solver
     // must still produce (at least) an equally good incumbent.
     let mut m = Model::new();
-    let x = m.add_binary("x");
-    let y = m.add_binary("y");
-    let z = m.add_binary("z");
-    m.add_constraint("cover", m.expr([(x, 1.0), (y, 1.0), (z, 1.0)]).geq(1.0));
+    let x = m.add_binary();
+    let y = m.add_binary();
+    let z = m.add_binary();
+    m.add_constraint(m.expr([(x, 1.0), (y, 1.0), (z, 1.0)]).geq(1.0));
     m.set_objective(m.expr([(x, 2.0), (y, 5.0), (z, 9.0)]));
     let warm = vec![0.0, 1.0, 0.0]; // feasible, suboptimal
     let run = Solver::new(config(true)).solve_with_warm_start(&m, &warm);

@@ -12,6 +12,7 @@ use croxmap_ilp::simplex::{LpConfig, LpStatus};
 use croxmap_ilp::{LpSession, Model, SolveStatus, Solver, SolverConfig, VarId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// A seeded random 0/1 model: n binaries, a few ≤/≥ rows with small
 /// integer coefficients — the same family the solver-exactness suite uses.
@@ -20,8 +21,8 @@ fn random_model(seed: u64) -> Model {
     let n = rng.gen_range(3usize..=10);
     let rows = rng.gen_range(1usize..=6);
     let mut m = Model::new();
-    let vars: Vec<VarId> = (0..n).map(|i| m.add_binary(format!("x{i}"))).collect();
-    for r in 0..rows {
+    let vars: Vec<VarId> = (0..n).map(|_| m.add_binary()).collect();
+    for _ in 0..rows {
         let coeffs: Vec<f64> = (0..n)
             .map(|_| f64::from(rng.gen_range(-3i32..=3)))
             .collect();
@@ -32,7 +33,7 @@ fn random_model(seed: u64) -> Model {
         } else {
             expr.geq(rhs)
         };
-        m.add_constraint(format!("r{r}"), cmp);
+        m.add_constraint(cmp);
     }
     m.set_objective(
         m.expr(
@@ -52,9 +53,9 @@ fn warm_child_solves_match_cold_across_random_models() {
     let cfg = LpConfig::default();
     let mut checked = 0u32;
     for seed in 0..200u64 {
-        let model = random_model(seed);
+        let model = Arc::new(random_model(seed));
         let bounds = root_bounds(&model);
-        let root = LpSession::open(&model, cfg).solve(&bounds, None);
+        let root = LpSession::open(Arc::clone(&model), cfg).solve(&bounds, None);
         if root.result.status != LpStatus::Optimal {
             continue;
         }
@@ -64,8 +65,8 @@ fn warm_child_solves_match_cold_across_random_models() {
             for fix in [0.0, 1.0] {
                 let mut child = bounds.clone();
                 child[j] = (fix, fix);
-                let warm = LpSession::open(&model, cfg).solve(&child, Some(&basis));
-                let cold = LpSession::open(&model, cfg).solve(&child, None);
+                let warm = LpSession::open(Arc::clone(&model), cfg).solve(&child, Some(&basis));
+                let cold = LpSession::open(Arc::clone(&model), cfg).solve(&child, None);
                 assert_eq!(
                     warm.result.status, cold.result.status,
                     "seed {seed}, var {j} fixed to {fix}: status mismatch"
@@ -95,14 +96,14 @@ fn hot_context_reuse_matches_cold_along_a_dive() {
     // every step against a cold solve.
     let cfg = LpConfig::default();
     for seed in 200..280u64 {
-        let model = random_model(seed);
+        let model = Arc::new(random_model(seed));
         let mut bounds = root_bounds(&model);
-        let mut hot = LpSession::open(&model, cfg);
+        let mut hot = LpSession::open(Arc::clone(&model), cfg);
         let mut warm = None;
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xdead_beef);
         for _ in 0..model.num_vars() {
             let out = hot.solve(&bounds, warm.as_ref());
-            let cold = LpSession::open(&model, cfg).solve(&bounds, None);
+            let cold = LpSession::open(Arc::clone(&model), cfg).solve(&bounds, None);
             assert_eq!(out.result.status, cold.result.status, "seed {seed}");
             if out.result.status != LpStatus::Optimal {
                 break;
@@ -124,7 +125,7 @@ fn hot_context_reuse_matches_cold_along_a_dive() {
 #[test]
 fn warm_bb_matches_cold_bb_on_random_models() {
     for seed in 0..40u64 {
-        let model = random_model(seed);
+        let model = Arc::new(random_model(seed));
         let warm_cfg = SolverConfig {
             det_time_limit: 5.0,
             seed,
@@ -159,9 +160,11 @@ fn lp_engines_agree_on_random_relaxations() {
     let cfg = LpConfig::default();
     let mut compared = 0u32;
     for seed in 0..120u64 {
-        let model = random_model(seed);
+        let model = Arc::new(random_model(seed));
         let bounds = root_bounds(&model);
-        let got = LpSession::open(&model, cfg).solve(&bounds, None).result;
+        let got = LpSession::open(Arc::clone(&model), cfg)
+            .solve(&bounds, None)
+            .result;
         let want = support::solve(&model, &bounds);
         assert_eq!(got.status, want.status, "seed {seed}: status vs the oracle");
         if got.status == LpStatus::Optimal {
@@ -182,7 +185,7 @@ fn bb_reaches_enumerated_optima() {
     // Full branch-and-bound: the status and optimum must match
     // exhaustive enumeration of the binaries.
     for seed in 0..16u64 {
-        let model = random_model(seed);
+        let model = Arc::new(random_model(seed));
         let want = support::enumerated_optimum(&model);
         let cfg = SolverConfig {
             det_time_limit: 5.0,
@@ -212,17 +215,18 @@ fn degenerate_dual_ratio_test_regression() {
     // and after each bound change; the solve must terminate at the exact
     // optimum every time instead of cycling.
     let mut m = Model::new();
-    let x = m.add_continuous("x", 0.0, 1.0);
-    let y = m.add_continuous("y", 0.0, 1.0);
-    m.add_constraint("c1", m.expr([(x, 1.0), (y, 1.0)]).leq(1.0));
-    m.add_constraint("c2", m.expr([(x, 1.0)]).leq(1.0));
-    m.add_constraint("c3", m.expr([(y, 1.0)]).leq(1.0));
-    m.add_constraint("c4", m.expr([(x, 2.0), (y, 2.0)]).leq(2.0));
+    let x = m.add_continuous(0.0, 1.0);
+    let y = m.add_continuous(0.0, 1.0);
+    m.add_constraint(m.expr([(x, 1.0), (y, 1.0)]).leq(1.0));
+    m.add_constraint(m.expr([(x, 1.0)]).leq(1.0));
+    m.add_constraint(m.expr([(y, 1.0)]).leq(1.0));
+    m.add_constraint(m.expr([(x, 2.0), (y, 2.0)]).leq(2.0));
     m.set_objective(m.expr([(x, -1.0), (y, -1.0)]));
+    let m = Arc::new(m);
     let cfg = LpConfig::default();
     let bounds = vec![(0.0, 1.0), (0.0, 1.0)];
 
-    let root = LpSession::open(&m, cfg).solve(&bounds, None);
+    let root = LpSession::open(Arc::clone(&m), cfg).solve(&bounds, None);
     assert_eq!(root.result.status, LpStatus::Optimal);
     assert!((root.result.objective + 1.0).abs() < 1e-6);
     let basis = root.basis.expect("optimal basis");
@@ -232,7 +236,7 @@ fn degenerate_dual_ratio_test_regression() {
     for (fix, expect) in [(0.0, -1.0), (1.0, -1.0)] {
         let mut child = bounds.clone();
         child[0] = (fix, fix);
-        let warm = LpSession::open(&m, cfg).solve(&child, Some(&basis));
+        let warm = LpSession::open(Arc::clone(&m), cfg).solve(&child, Some(&basis));
         assert_eq!(warm.result.status, LpStatus::Optimal, "x fixed to {fix}");
         assert!(
             (warm.result.objective - expect).abs() < 1e-6,
@@ -247,7 +251,7 @@ fn degenerate_dual_ratio_test_regression() {
     }
 
     // The same chain through one live session (no refactorisation).
-    let mut hot = LpSession::open(&m, cfg);
+    let mut hot = LpSession::open(Arc::clone(&m), cfg);
     let root = hot.solve(&bounds, None);
     let mut warm = root.basis;
     let mut child = bounds;

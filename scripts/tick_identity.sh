@@ -93,9 +93,9 @@ pipebench() { # pipebench <tree> <target dir> <workload>
         --workload "$3" --seed 0 --seconds 35 --trace 1)
 }
 # The deterministic part of a pipebench output.
+. "$root/scripts/pipebench_lines.sh"
 deterministic() {
-    grep -E '^(job|sums)' "$1" |
-        sed -E 's/(wall|sim) +[0-9.]+ s//g; s/peak +[0-9.]+ MiB//' || true
+    result_lines "$1" 'job|sums'
     grep -E '^metric +([^ ]*_ticks|ilp\.det_s|ilp\.ftran_visited|sim\.fires) ' "$1" || true
 }
 for wl in area reroute pgo_full; do
@@ -111,7 +111,7 @@ for wl in area reroute pgo_full; do
     if grep -Eq '^metric +ilp\.lp_fallbacks ' "$out"; then
         grep -Eq '^metric +ilp\.lp_fallbacks +0 ' "$out" || fail "$wl: ilp.lp_fallbacks is not 0"
     fi
-    tail -n 1 "$out" | grep -q '"correct": true, "attempted": [0-9]*, "failed": 0,' ||
+    run_counts "$out" | grep -qx 'attempted [0-9]* failed 0' ||
         fail "$wl: the run is not correct or a job failed"
 done
 

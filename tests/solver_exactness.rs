@@ -17,6 +17,7 @@ use croxmap::ilp::simplex::{LpConfig, LpResult, LpStatus};
 use croxmap::ilp::{LinExpr, LpSession, Model, SolveStatus, Solver, SolverConfig, VarId};
 use croxmap::mca::{ArchitectureSpec, AreaModel, CrossbarPool};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 #[derive(Debug, Clone)]
 struct RandomIlp {
@@ -43,15 +44,15 @@ fn arb_ilp() -> impl Strategy<Value = RandomIlp> {
 
 fn build(ilp: &RandomIlp) -> (Model, Vec<VarId>) {
     let mut m = Model::new();
-    let vars: Vec<VarId> = (0..ilp.n).map(|i| m.add_binary(format!("x{i}"))).collect();
-    for (r, (coeffs, le, rhs)) in ilp.rows.iter().enumerate() {
+    let vars: Vec<VarId> = (0..ilp.n).map(|_| m.add_binary()).collect();
+    for (coeffs, le, rhs) in &ilp.rows {
         let expr = m.expr(vars.iter().zip(coeffs).map(|(&v, &c)| (v, f64::from(c))));
         let cmp = if *le {
             expr.leq(f64::from(*rhs))
         } else {
             expr.geq(f64::from(*rhs))
         };
-        m.add_constraint(format!("r{r}"), cmp);
+        m.add_constraint(cmp);
     }
     m.set_objective(
         m.expr(
@@ -162,12 +163,9 @@ fn fingerprint(r: &LpResult) -> Fingerprint {
 /// `e + 1 (mod n)`, and set `i` costs `1 + i mod 3`.
 fn ring_cover(n: usize) -> (Model, Vec<VarId>) {
     let mut m = Model::new();
-    let vars: Vec<_> = (0..n).map(|i| m.add_binary(format!("x{i}"))).collect();
+    let vars: Vec<_> = (0..n).map(|_| m.add_binary()).collect();
     for e in 0..n {
-        m.add_constraint(
-            format!("e{e}"),
-            m.expr([(vars[e], 1.0), (vars[(e + 1) % n], 1.0)]).geq(1.0),
-        );
+        m.add_constraint(m.expr([(vars[e], 1.0), (vars[(e + 1) % n], 1.0)]).geq(1.0));
     }
     m.set_objective(ring_costs(&m, &vars, 0));
     (m, vars)
@@ -226,7 +224,8 @@ fn lp_engine_ticks_are_pinned_on_ring_cover() {
     let n = 48;
     let (model, vars) = ring_cover(n);
     let root_bounds = vec![(0.0, 1.0); n];
-    let mut session = LpSession::open(&model, LpConfig::default());
+    let model = Arc::new(model);
+    let mut session = LpSession::open(Arc::clone(&model), LpConfig::default());
 
     // The bench's warm `lp_chain/ring_cover/48` row: a cold root, then
     // every variable fixed to 1 in turn, each solve warm-started from
@@ -265,7 +264,7 @@ fn lp_engine_ticks_are_pinned_on_ring_cover() {
     let x = &reinstall.result.values;
     assert!(x[2] + x[4] + x[6] < 1.0, "the cut must be violated");
     let cut = model.expr([(vars[2], 1.0), (vars[4], 1.0), (vars[6], 1.0)]);
-    let grown = session.add_rows(vec![("cut".into(), cut.geq(1.0))], Some(&live));
+    let grown = session.add_rows(vec![cut.geq(1.0)], Some(&live));
     assert!(grown.absorbed, "the hot engine absorbs the row");
     assert_eq!(grown.work_ticks, 155, "row growth");
     let after_cut = session.solve(&root_bounds, grown.basis.as_ref());
@@ -315,7 +314,7 @@ fn lp_engine_ticks_are_pinned_on_set_partition() {
     // The bench's `cold_root/set_partition/scaled_a_16` rows `noperturb`
     // and `presolved`.
     let raw = LpSession::open(
-        model,
+        Arc::new(model.clone()),
         LpConfig {
             perturb: false,
             ..LpConfig::default()
@@ -335,8 +334,9 @@ fn lp_engine_ticks_are_pinned_on_set_partition() {
     let PresolveOutcome::Reduced(reduced) = presolve(model) else {
         panic!("the bench instance is feasible");
     };
-    let presolved = LpSession::open(&reduced.model, LpConfig::default())
-        .solve(&own_bounds(&reduced.model), None);
+    let reduced_bounds = own_bounds(&reduced.model);
+    let presolved =
+        LpSession::open(Arc::new(reduced.model), LpConfig::default()).solve(&reduced_bounds, None);
     assert_eq!(
         fingerprint(&presolved.result),
         (LpStatus::Optimal, 152, 471_829, 80.0_f64.to_bits()),
