@@ -1,13 +1,13 @@
-//! Ablation benches for four design choices of the mapping ILP: linking
-//! strength, symmetry breaking, warm starting and branching rule.
-//! Each variant solves the same fixed instance to a fixed deterministic
-//! budget; wall time differences show the cost/benefit of each choice.
+//! Ablation benches for three design choices of the mapping ILP: linking
+//! strength, warm starting and branching rule. Each variant solves the
+//! same fixed instance to a fixed deterministic budget; wall time
+//! differences show the cost/benefit of each choice.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use croxmap_core::pipeline::{optimize_area, PipelineConfig};
-use croxmap_core::{FormulationConfig, Linking};
+use croxmap_core::Linking;
 use croxmap_gen::calibrated::{generate, NetworkSpec};
-use croxmap_ilp::{BranchRule, SolverConfig};
+use croxmap_ilp::BranchRule;
 use croxmap_mca::{ArchitectureSpec, AreaModel, CrossbarPool};
 
 fn fixture() -> (croxmap_snn::Network, CrossbarPool) {
@@ -21,19 +21,12 @@ fn fixture() -> (croxmap_snn::Network, CrossbarPool) {
     (net, pool)
 }
 
-fn config(linking: Linking, symmetry: bool, warm: bool, rule: BranchRule) -> PipelineConfig {
-    PipelineConfig {
-        formulation: FormulationConfig {
-            linking,
-            symmetry_breaking: symmetry,
-            restrict_to_slots: None,
-        },
-        solver: SolverConfig {
-            branch_rule: rule,
-            ..SolverConfig::default().with_det_time_limit(2.0)
-        },
-        warm_start: warm,
-    }
+fn config(linking: Linking, warm: bool, rule: BranchRule) -> PipelineConfig {
+    let mut cfg = PipelineConfig::with_budget(2.0);
+    cfg.formulation.linking = linking;
+    cfg.solver.branch_rule = rule;
+    cfg.warm_start = warm;
+    cfg
 }
 
 fn bench_ablations(c: &mut Criterion) {
@@ -43,24 +36,20 @@ fn bench_ablations(c: &mut Criterion) {
 
     let variants: Vec<(&str, PipelineConfig)> = vec![
         (
-            "baseline(agg+sym+warm+mostfrac)",
-            config(Linking::Aggregated, true, true, BranchRule::MostFractional),
+            "baseline(agg+warm+mostfrac)",
+            config(Linking::Aggregated, true, BranchRule::MostFractional),
         ),
         (
             "strong_linking",
-            config(Linking::Strong, true, true, BranchRule::MostFractional),
-        ),
-        (
-            "no_symmetry",
-            config(Linking::Aggregated, false, true, BranchRule::MostFractional),
+            config(Linking::Strong, true, BranchRule::MostFractional),
         ),
         (
             "no_warm_start",
-            config(Linking::Aggregated, true, false, BranchRule::MostFractional),
+            config(Linking::Aggregated, false, BranchRule::MostFractional),
         ),
         (
             "pseudo_cost",
-            config(Linking::Aggregated, true, true, BranchRule::PseudoCost),
+            config(Linking::Aggregated, true, BranchRule::PseudoCost),
         ),
     ];
     for (label, cfg) in variants {

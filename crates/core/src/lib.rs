@@ -43,7 +43,8 @@
 //!
 //! let arch = ArchitectureSpec::table_ii_heterogeneous();
 //! let pool = CrossbarPool::for_network(&arch, &AreaModel::memristor_count(), 4, 2);
-//! let run = pipeline::optimize_area(&net, &pool, &pipeline::PipelineConfig::default());
+//! let config = pipeline::PipelineConfig::with_budget(1.0);
+//! let run = pipeline::optimize_area(&net, &pool, &config);
 //! let best = run.best_mapping().expect("mappable");
 //! best.validate(&net, &pool)?;
 //! # Ok(())

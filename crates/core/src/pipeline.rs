@@ -18,10 +18,11 @@ use croxmap_snn::Network;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
-/// Configuration shared by all pipeline entry points.
-#[derive(Debug, Clone, Default)]
+/// Configuration shared by all pipeline entry points; build it with
+/// [`PipelineConfig::with_budget`].
+#[derive(Debug, Clone)]
 pub struct PipelineConfig {
-    /// Formulation options (linking, symmetry breaking).
+    /// Formulation options (linking, slot restriction).
     pub formulation: FormulationConfig,
     /// ILP solver configuration (budget, seed, heuristics).
     pub solver: SolverConfig,
@@ -596,6 +597,34 @@ mod tests {
         let after = croxmap_sim::count_routes(&net, refined.assignment()).global;
         // Optimal split has exactly 1 global route (the cross edge).
         assert_eq!(after, 1, "assignment {:?}", refined.assignment());
+    }
+
+    /// Re-solves from a base that leaves an earlier identical slot empty
+    /// (slots 1 and 2 of four identical 4×4 slots) return mappings on the
+    /// base's slots, with no more global routes (SNU) or predicted
+    /// packets (PGO) than the base.
+    #[test]
+    fn reroutes_from_a_base_with_an_empty_earlier_replica() {
+        let net = clustered();
+        let pool =
+            CrossbarPool::from_counts(&AreaModel::memristor_count(), [(CrossbarDim::new(4, 4), 4)]);
+        let base = Mapping::new(vec![1, 1, 1, 2, 2, 2]);
+        base.validate(&net, &pool).unwrap();
+        let best = |run: OptimizationRun| {
+            let best = run.best_mapping().expect("the base is feasible").clone();
+            best.validate(&net, &pool).unwrap();
+            assert!(best.used_slots().iter().all(|j| [1, 2].contains(j)));
+            best
+        };
+        let cfg = config();
+        let routes = |m: &Mapping| croxmap_sim::count_routes(&net, m.assignment()).global;
+        let snu = best(optimize_routes_after_area(&net, &pool, &base, &cfg));
+        assert!(routes(&snu) <= routes(&base));
+        let weights = vec![5, 1, 9, 2, 7, 3];
+        let packets =
+            |m: &Mapping| croxmap_sim::predicted_global_packets(&net, m.assignment(), &weights);
+        let pgo = best(optimize_pgo_after_area(&net, &pool, &base, &weights, &cfg));
+        assert!(packets(&pgo) <= packets(&base));
     }
 
     #[test]

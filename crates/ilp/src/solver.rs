@@ -48,7 +48,9 @@ pub enum BranchRule {
     PseudoCost,
 }
 
-/// Solver configuration.
+/// Solver configuration. LP relaxations run on [`LpConfig::default()`],
+/// with an iteration cap the search derives from the remaining budget
+/// and the perturbation seed taken from [`SolverConfig::seed`].
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
     /// Deterministic-time budget in seconds (see
@@ -60,8 +62,6 @@ pub struct SolverConfig {
     pub enable_lns: bool,
     /// Branching rule.
     pub branch_rule: BranchRule,
-    /// LP subsolver configuration.
-    pub lp: LpConfig,
     /// Warm-starts every child LP from its parent's optimal basis (dual
     /// simplex reoptimisation). Disable to force cold solves everywhere —
     /// useful only for benchmarking the warm-start win itself.
@@ -98,7 +98,6 @@ impl Default for SolverConfig {
             seed: 0,
             enable_lns: true,
             branch_rule: BranchRule::MostFractional,
-            lp: LpConfig::default(),
             warm_lp: true,
             presolve: true,
             cut_rounds: 4,
@@ -113,6 +112,9 @@ impl SolverConfig {
     /// Branch-and-bound nodes a solve expands at most (counted over every
     /// worker in parallel runs); the search stops like on a spent budget.
     pub(crate) const NODE_LIMIT: u64 = 200_000;
+    /// Simplex iterations one LP relaxation of the search runs at most,
+    /// however much budget remains.
+    pub(crate) const LP_ITERATION_LIMIT: u64 = 200_000;
     /// Share of the binaries each large-neighbourhood search round
     /// releases; the rest stay frozen at the incumbent's values.
     pub(crate) const LNS_DESTROY_FRACTION: f64 = 0.3;
@@ -440,7 +442,7 @@ impl<'a> Search<'a> {
             pseudo_up: vec![(0.0, 0); model.num_vars()],
             pseudo_down: vec![(0.0, 0); model.num_vars()],
             priorities: model.branch_priorities(),
-            session: LpSession::open(Arc::clone(model), cfg.lp),
+            session: LpSession::open(Arc::clone(model), LpConfig::default()),
             nnz: model.csc().nnz(),
             nodes: 0,
             lp_fallbacks: 0,
@@ -685,7 +687,7 @@ impl<'a> Search<'a> {
                     // and the summary reports what the search actually
                     // has (no cuts, the original root bound) rather
                     // than what was tried and dropped.
-                    self.session = LpSession::open(Arc::clone(self.model), self.cfg.lp);
+                    self.session = LpSession::open(Arc::clone(self.model), LpConfig::default());
                     summary = CutSummary {
                         abandoned: true,
                         root_bound_before: summary.root_bound_before,
@@ -756,7 +758,8 @@ impl<'a> Search<'a> {
         // usually far cheaper, so at paper scale this clamps the
         // iteration cap well below what the budget allows. Replacing it
         // moves ticks, so it is a change of its own.
-        let interval = (self.cfg.lp.refactor_interval as usize).max(1);
+        let lp = LpConfig::default();
+        let interval = lp.refactor_interval as usize;
         let lu_pivot = 12 * m * m + m * m * m / interval + self.nnz + n_total;
         let dense_pivot = 2 * m * (n_total + m);
         let worst = lu_pivot.max(dense_pivot);
@@ -764,13 +767,12 @@ impl<'a> Search<'a> {
         let iters = (remaining / per_pivot.max(tol::ZERO)) as u64;
         LpConfig {
             // At least 64 iterations, so tiny budgets still make
-            // progress, but never more than the configured cap (which
-            // may itself be below 64).
-            max_iterations: iters.max(64).min(self.cfg.lp.max_iterations),
+            // progress.
+            max_iterations: iters.clamp(64, SolverConfig::LP_ITERATION_LIMIT),
             // The cold-start anti-degeneracy perturbation derives from the
             // solver seed so whole solves stay reproducible.
             perturb_seed: self.cfg.seed,
-            ..self.cfg.lp
+            ..lp
         }
     }
 
@@ -1679,27 +1681,6 @@ mod tests {
         assert_eq!(r.status, SolveStatus::Infeasible);
         assert_eq!(r.nodes, 0);
         assert_eq!(r.lp_fallbacks, 0);
-    }
-
-    /// An LP iteration cap below the 64 iterations the search grants
-    /// even a spent budget is honoured, not a panic.
-    #[test]
-    fn lp_iteration_cap_below_the_search_floor_is_honoured() {
-        let mut m = Model::new();
-        let x = m.add_binary();
-        let y = m.add_binary();
-        m.add_constraint(m.expr([(x, 1.0), (y, 1.0)]).geq(1.0));
-        m.set_objective(m.expr([(x, 1.0), (y, 2.0)]));
-        let cfg = SolverConfig {
-            lp: LpConfig {
-                max_iterations: 10,
-                ..LpConfig::default()
-            },
-            ..SolverConfig::default()
-        };
-        let r = Solver::new(cfg).solve(&m);
-        assert_eq!(r.status, SolveStatus::Optimal);
-        assert_eq!(r.best.map(|s| s.objective()), Some(1.0));
     }
 
     /// {x binary, y ∈ [0, ∞), y ≤ 4x, min x − y}: an improving

@@ -56,7 +56,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod flow;
 pub mod lexer;
 pub mod rules;

@@ -1,10 +1,8 @@
 //! `croxmap-lint` CLI: scans the workspace and prints the findings
 //! report. `--deny` exits non-zero on any unwaived finding (the CI
 //! mode); `--root PATH` overrides workspace-root autodetection;
-//! `--json` emits the machine-readable report (also the baseline file
-//! format); `--baseline PATH` fails `--deny` only on findings not in
-//! the committed baseline; `--lock-graph` prints the lock-order
-//! contract artifact instead of the report.
+//! `--lock-graph` prints the lock-order contract artifact instead of the
+//! report.
 
 #![forbid(unsafe_code)]
 
@@ -13,15 +11,12 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut deny = false;
-    let mut json = false;
     let mut lock_graph = false;
     let mut root: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--deny" => deny = true,
-            "--json" => json = true,
             "--lock-graph" => lock_graph = true,
             "--root" => {
                 let Some(p) = args.next() else {
@@ -30,21 +25,10 @@ fn main() -> ExitCode {
                 };
                 root = Some(PathBuf::from(p));
             }
-            "--baseline" => {
-                let Some(p) = args.next() else {
-                    eprintln!("croxmap-lint: --baseline needs a path");
-                    return ExitCode::from(2);
-                };
-                baseline_path = Some(PathBuf::from(p));
-            }
             "--help" | "-h" => {
-                println!(
-                    "usage: croxmap-lint [--deny] [--root PATH] [--json] [--baseline PATH] [--lock-graph]"
-                );
+                println!("usage: croxmap-lint [--deny] [--root PATH] [--lock-graph]");
                 println!("  --deny        exit 1 if any unwaived finding remains (CI mode)");
                 println!("  --root        workspace root (default: walk up from cwd)");
-                println!("  --json        machine-readable report (the lint-baseline.json format)");
-                println!("  --baseline    with --deny, fail only on findings not in this baseline");
                 println!("  --lock-graph  print the lock-order contract (docs/lock_order.md)");
                 return ExitCode::SUCCESS;
             }
@@ -81,51 +65,8 @@ fn main() -> ExitCode {
         print!("{}", out.lock_graph.render_contract());
         return ExitCode::SUCCESS;
     }
-    if json {
-        print!("{}", croxmap_lint::baseline::report_to_json(&out.report));
-        return if deny && !out.report.is_clean() {
-            ExitCode::FAILURE
-        } else {
-            ExitCode::SUCCESS
-        };
-    }
-    let report = out.report;
-    // With a baseline, only findings absent from it count against --deny.
-    let denied = match baseline_path {
-        Some(path) => {
-            let text = match std::fs::read_to_string(&path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("croxmap-lint: reading {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            let base = match croxmap_lint::baseline::Baseline::parse(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("croxmap-lint: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let (new, old) = base.partition(&report.findings);
-            print!("{}", report.render());
-            if !old.is_empty() {
-                println!(
-                    "{} finding(s) matched the baseline ({}) and do not fail --deny",
-                    old.len(),
-                    path.display()
-                );
-            }
-            for f in &new {
-                println!("NEW: {f}");
-            }
-            new.len()
-        }
-        None => {
-            print!("{}", report.render());
-            report.findings.len()
-        }
-    };
+    print!("{}", out.report.render());
+    let denied = out.report.findings.len();
     if deny && denied > 0 {
         eprintln!("croxmap-lint: denying {denied} finding(s)");
         ExitCode::FAILURE

@@ -18,3 +18,11 @@ run_counts() {
         sed -nE 's/^\{"correct": true, "attempted": ([0-9]+), "failed": ([0-9]+),.*/attempted \1 failed \2/p' |
         grep .
 }
+
+# good_run <pipebench output>: status 0 only on a correct run with no
+# failed job that reports `metric ilp.lp_fallbacks 0` (traced runs report
+# the metric; an untraced output fails).
+good_run() {
+    run_counts "$1" | grep -qx 'attempted [0-9]* failed 0' &&
+        grep -Eq '^metric +ilp\.lp_fallbacks +0 ' "$1"
+}

@@ -108,11 +108,8 @@ for wl in area reroute pgo_full; do
     same "$wl" "$work/$wl.parent.det" "$work/$wl.change.det"
     out=$work/$wl.change
     grep -Eq '^metric +trace\.faithful +1 ' "$out" || fail "$wl: trace.faithful is not 1"
-    if grep -Eq '^metric +ilp\.lp_fallbacks ' "$out"; then
-        grep -Eq '^metric +ilp\.lp_fallbacks +0 ' "$out" || fail "$wl: ilp.lp_fallbacks is not 0"
-    fi
-    run_counts "$out" | grep -qx 'attempted [0-9]* failed 0' ||
-        fail "$wl: the run is not correct or a job failed"
+    good_run "$out" ||
+        fail "$wl: the run is not correct, a job failed or ilp.lp_fallbacks is not 0"
 done
 
 if [ "$failed" -ne 0 ]; then

@@ -177,8 +177,9 @@ fn deterministic_pipeline_runs() {
 /// The paper-scale PGO formulation (Eq. 12) of Table I network A at full
 /// size on the Table II pool (at most 4 replicas), restricted to a
 /// first-fit mapping's crossbars like the pipeline's re-solve, with
-/// deterministic stand-in spike counts (zero for every seventh neuron).
-/// Returns the network, the first fit and the ILP.
+/// deterministic stand-in spike counts (zero for every seventh neuron):
+/// the model `optimize_pgo_after_area` builds. Returns the network, the
+/// first fit and the ILP.
 fn paper_scale_pgo_ilp() -> (Network, Mapping, MappingIlp) {
     let spec = NetworkSpec::table_i_scaled(1)
         .into_iter()
@@ -193,9 +194,7 @@ fn paper_scale_pgo_ilp() -> (Network, Mapping, MappingIlp) {
     );
     let base = greedy_first_fit(&net, &pool).expect("first fit places A/1");
     let weights: Vec<u64> = (0..net.node_count() as u64).map(|i| i * 37 % 7).collect();
-    let formulation = pipeline::PipelineConfig::default()
-        .formulation
-        .restricted_to(&base);
+    let formulation = FormulationConfig::new().restricted_to(&base);
     let ilp = MappingIlp::build(
         &net,
         &pool,
@@ -269,20 +268,24 @@ fn paper_scale_evaluation_is_pinned() {
 fn paper_scale_pgo_presolve_is_pinned() {
     use croxmap::ilp::presolve::{presolve, PresolveOutcome, PresolveStats};
     let (_, _, ilp) = paper_scale_pgo_ilp();
+    assert_eq!(
+        (ilp.model().num_vars(), ilp.model().num_constraints()),
+        (19_560, 21_059)
+    );
     let PresolveOutcome::Reduced(reduced) = presolve(ilp.model()) else {
         panic!("the PGO formulation of a first-fit mapping is feasible");
     };
     assert_eq!(
         reduced.stats,
         PresolveStats {
-            rows_removed: 8852,
+            rows_removed: 8882,
             cols_removed: 6282,
-            nnz_before: 91_440,
+            nnz_before: 91_500,
             nnz_after: 60_399,
-            rounds: 3,
+            rounds: 5,
             coeffs_tightened: 0,
             cliques: 229,
-            work_ticks: 772_377,
+            work_ticks: 1_237_700,
         }
     );
     assert_eq!(
@@ -310,13 +313,13 @@ fn paper_scale_pgo_solve_is_pinned() {
     assert_eq!(result.status, SolveStatus::Feasible);
     assert_eq!(
         result.det_time.to_bits(),
-        0.011_177_134_f64.to_bits(),
+        0.011_642_457_f64.to_bits(),
         "det_time"
     );
     let phases = Phase::ALL.map(|p| result.phases.ticks(p));
     assert_eq!(
         phases,
-        [772_377, 1_031_070, 0, 0, 1_031_070, 8_342_617, 0],
+        [1_237_700, 1_031_070, 0, 0, 1_031_070, 8_342_617, 0],
         "ticks of presolve, root_lp, cuts, dive, tree, lns, other"
     );
     assert_eq!(result.nodes, 9, "nodes");
